@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -569,62 +568,34 @@ func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCan
 // be silently replayed. A file truncated mid-line surfaces as a JSON parse
 // error on that line.
 func ScanDecisions(r io.Reader, comment func(line string), fn func(d Decision, cands []RouteCandidate) error) (DecisionMeta, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
 	var meta DecisionMeta
 	sawMeta := false
-	lastSeq := uint64(0)
+	seq := seqCheck{noun: "decisions"}
 	var scratch []RouteCandidate
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	err := scanJSONL(r, "decisions", comment, func(raw []byte) error {
 		if !sawMeta {
 			if err := json.Unmarshal(raw, &meta); err != nil {
-				return meta, fmt.Errorf("decisions line %d: header: %w", line, err)
+				return fmt.Errorf("header: %w", err)
 			}
 			if meta.Schema != DecisionSchema {
-				return meta, fmt.Errorf("decisions line %d: schema %q, want %q", line, meta.Schema, DecisionSchema)
+				return fmt.Errorf("schema %q, want %q", meta.Schema, DecisionSchema)
 			}
 			sawMeta = true
-			continue
+			return nil
 		}
 		var d Decision
 		var err error
 		d, scratch, err = parseDecisionLine(raw, scratch[:0])
 		if err != nil {
-			return meta, fmt.Errorf("decisions line %d: %w", line, err)
+			return err
 		}
-		if d.Seq != lastSeq+1 {
-			if d.Seq > lastSeq+1 {
-				return meta, fmt.Errorf("decisions line %d: sequence gap: seq %d follows %d (%d decisions missing)",
-					line, d.Seq, lastSeq, d.Seq-lastSeq-1)
-			}
-			return meta, fmt.Errorf("decisions line %d: sequence regression: seq %d follows %d",
-				line, d.Seq, lastSeq)
+		if err := seq.next(d.Seq); err != nil {
+			return err
 		}
-		lastSeq = d.Seq
-		if err := fn(d, d.Candidates(scratch)); err != nil {
-			return meta, fmt.Errorf("decisions line %d: %w", line, err)
-		}
+		return fn(d, d.Candidates(scratch))
+	})
+	if err == nil && !sawMeta {
+		err = errors.New("decisions: empty log (no header line)")
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return meta, fmt.Errorf("decisions line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return meta, fmt.Errorf("decisions line %d: %w", line+1, err)
-	}
-	if !sawMeta {
-		return meta, errors.New("decisions: empty log (no header line)")
-	}
-	return meta, nil
+	return meta, err
 }

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -61,53 +58,31 @@ func parseEventLine(raw []byte) (Event, error) {
 // Sequence integrity: once a line carries a non-zero "seq", every subsequent
 // line must continue the sequence exactly — a jump means lines were lost
 // (truncated mid-file, a dropped shard of a concatenation), a repeat or
-// regression means streams were interleaved. Either fails with the 1-based
-// line number instead of silently analyzing a partial stream. Files written
-// before sequence numbers existed carry no "seq" and skip the check. A file
-// truncated mid-line surfaces as a JSON parse error on that line.
+// regression means streams were interleaved, and a line without "seq"
+// means a foreign stream was spliced in. Each fails with the 1-based line
+// number instead of silently analyzing a partial stream. The first
+// sequenced line may start anywhere (a ring-buffered tracer evicts the
+// oldest events). Files written before sequence numbers existed carry no
+// "seq" and skip the check. A file truncated mid-line surfaces as a JSON
+// parse error on that line.
 func ScanEvents(r io.Reader, comment func(line string), fn func(ev Event) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
-	lastSeq := uint64(0)
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	seq := seqCheck{noun: "events"}
+	sequenced := false
+	return scanJSONL(r, "events", comment, func(raw []byte) error {
 		ev, err := parseEventLine(raw)
 		if err != nil {
-			return fmt.Errorf("events line %d: %w", line, err)
+			return err
 		}
-		if ev.Seq != 0 {
-			if lastSeq != 0 && ev.Seq != lastSeq+1 {
-				if ev.Seq > lastSeq+1 {
-					return fmt.Errorf("events line %d: sequence gap: seq %d follows %d (%d events missing)",
-						line, ev.Seq, lastSeq, ev.Seq-lastSeq-1)
-				}
-				return fmt.Errorf("events line %d: sequence regression: seq %d follows %d",
-					line, ev.Seq, lastSeq)
+		if ev.Seq != 0 && !sequenced {
+			sequenced, seq.last = true, ev.Seq-1
+		}
+		if sequenced {
+			if err := seq.next(ev.Seq); err != nil {
+				return err
 			}
-			lastSeq = ev.Seq
 		}
-		if err := fn(ev); err != nil {
-			return fmt.Errorf("events line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("events line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return fmt.Errorf("events line %d: %w", line+1, err)
-	}
-	return nil
+		return fn(ev)
+	})
 }
 
 // ReadEvents parses event JSONL produced by WriteJSONL, skipping blank lines

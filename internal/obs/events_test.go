@@ -118,6 +118,13 @@ func TestScanEventsRoundTripAndGapDetection(t *testing.T) {
 		t.Fatalf("regression error = %v", err)
 	}
 
+	// A line without seq spliced into a sequenced stream fails at that line.
+	spliced := lines[0] + lines[1] + `{"t_us":2500000,"kind":"req.drop"}` + "\n" + lines[2]
+	err = ScanEvents(strings.NewReader(spliced), nil, func(Event) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "missing seq") {
+		t.Fatalf("splice error = %v", err)
+	}
+
 	// Legacy files without seq skip the check entirely.
 	legacy := `{"t_us":0,"kind":"req.arrive"}` + "\n" + `{"t_us":5,"kind":"req.drop"}` + "\n"
 	if err := ScanEvents(strings.NewReader(legacy), nil, func(Event) error { return nil }); err != nil {

@@ -159,8 +159,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		name    string
 		args    string
 	}
-	capOpen := map[int32]openSpan{}  // server -> open capping span
-	var brakeOpen *openSpan          // row-level brake span
+	capOpen := map[int32]openSpan{} // server -> open capping span
+	var brakeOpen *openSpan         // row-level brake span
 
 	for _, ev := range events {
 		ts := int64(ev.At / time.Microsecond)
@@ -250,34 +250,5 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 256)
-	first := true
-	writeRow := func(r chromeTraceRow) error {
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ',', '\n')
-		}
-		first = false
-		buf = r.append(buf)
-		_, err := bw.Write(buf)
-		return err
-	}
-	for _, r := range meta {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeChromeRows(w, meta, rows)
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -346,36 +344,7 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 256)
-	first := true
-	writeRow := func(r chromeTraceRow) error {
-		buf = buf[:0]
-		if !first {
-			buf = append(buf, ',', '\n')
-		}
-		first = false
-		buf = r.append(buf)
-		_, err := bw.Write(buf)
-		return err
-	}
-	for _, r := range meta {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeChromeRows(w, meta, rows)
 }
 
 // spanJSON is the decode-side shadow of appendSpanJSON's wire format.
@@ -402,11 +371,6 @@ type spanJSON struct {
 	Turn      int32   `json:"turn"`
 }
 
-// scanSpansMaxLine bounds one JSONL line. Span lines are a few hundred
-// bytes, but the limit is generous so a hand-edited or concatenated file
-// fails with a line-numbered error rather than a silent mid-file stop.
-const scanSpansMaxLine = 64 * 1024 * 1024
-
 // ScanSpans streams span JSONL produced by WriteJSONL: one callback per
 // parsed span, in file order, without materializing the file or the span
 // slice. Blank lines are skipped; `#` provenance lines go to comment (when
@@ -414,36 +378,13 @@ const scanSpansMaxLine = 64 * 1024 * 1024
 // lines beyond the 64 MiB cap, or an error returned by fn (which aborts the
 // scan) — carry the 1-based line number.
 func ScanSpans(r io.Reader, comment func(line string), fn func(sp Span) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), scanSpansMaxLine)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '#' {
-			if comment != nil {
-				comment(string(raw))
-			}
-			continue
-		}
+	return scanJSONL(r, "spans", comment, func(raw []byte) error {
 		sp, err := parseSpanLine(raw)
 		if err != nil {
-			return fmt.Errorf("spans line %d: %w", line, err)
+			return err
 		}
-		if err := fn(sp); err != nil {
-			return fmt.Errorf("spans line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("spans line %d: longer than %d bytes: %w", line+1, scanSpansMaxLine, err)
-		}
-		return fmt.Errorf("spans line %d: %w", line+1, err)
-	}
-	return nil
+		return fn(sp)
+	})
 }
 
 // parseSpanLine decodes one non-comment JSONL line into a Span.

@@ -247,7 +247,7 @@ func TestScanSpansLongLine(t *testing.T) {
 	}
 
 	over := "{\"req\":1,\"id\":1,\"kind\":\"request\",\"start_us\":0,\"end_us\":1,\"ttft_s\":-1}\n" +
-		strings.Repeat("y", scanSpansMaxLine+1)
+		strings.Repeat("y", maxJSONLLine+1)
 	err := ScanSpans(strings.NewReader(over), nil, func(Span) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "spans line 2:") {
 		t.Errorf("over-long line err = %v, want line 2 marker", err)
