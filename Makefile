@@ -49,14 +49,16 @@ test:
 
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,
-# quantile sketch, serving-scheduler iteration) plus the end-to-end
-# serve-mode day. BENCH_MICRO is the -bench regexp for the fast ones;
-# BenchmarkServeDay runs separately because one iteration simulates a full
-# 16-server day and needs its own -benchtime. BENCH_REQUIRE lists every
-# name; polca-bench -require fails the target if any stops matching, so a
+# quantile sketch, serving-scheduler iteration) plus the two end-to-end
+# rows, one per backend: the serve-mode day and the slot-model hour behind
+# the paper figures. BENCH_MICRO is the -bench regexp for the fast ones;
+# BENCH_E2E runs separately because one iteration simulates a whole row
+# and needs its own -benchtime. BENCH_REQUIRE lists every name;
+# polca-bench -require fails the target if any stops matching, so a
 # renamed benchmark can never silently drop out of the smoke.
 BENCH_MICRO = ^(BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord)$$
-BENCH_REQUIRE = BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkServeDay
+BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
+BENCH_REQUIRE = BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkServeDay,BenchmarkRowHour
 # The telemetry ingest, rule-evaluation, failover-requeue, scenario
 # request-generation, and decision-input recording ticks run inside the
 # simulator's hot loop; -zero-alloc hard-fails the build the moment any of
@@ -72,7 +74,7 @@ BENCH_PKGS = . ./internal/serve ./internal/obs ./internal/cluster ./internal/sce
 bench-smoke:
 	@set -e; out=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem -benchtime 200000x $(BENCH_PKGS) > $$out; \
-	$(GO) test -run '^$$' -bench '^BenchmarkServeDay$$' -benchmem -benchtime 1x . >> $$out; \
+	$(GO) test -run '^$$' -bench '$(BENCH_E2E)' -benchmem -benchtime 1x . >> $$out; \
 	cat $$out; \
 	$(GO) run ./cmd/polca-bench -require '$(BENCH_REQUIRE)' -zero-alloc '$(BENCH_ZERO_ALLOC)' $$out; \
 	rm -f $$out
@@ -87,7 +89,7 @@ BENCH_JSON ?= BENCH_new.json
 bench-json:
 	@set -e; out=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem $(BENCH_PKGS) > $$out; \
-	$(GO) test -run '^$$' -bench '^BenchmarkServeDay$$' -benchmem -benchtime 3x . >> $$out; \
+	$(GO) test -run '^$$' -bench '$(BENCH_E2E)' -benchmem -benchtime 3x . >> $$out; \
 	cat $$out; \
 	$(GO) run ./cmd/polca-bench -require '$(BENCH_REQUIRE)' -zero-alloc '$(BENCH_ZERO_ALLOC)' $$out > /dev/null; \
 	$(GO) run ./cmd/polca-bench -o $(BENCH_JSON) $$out; \

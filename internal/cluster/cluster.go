@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -189,18 +188,16 @@ func Production() RowConfig {
 	}
 }
 
-// serveFaultTolerant reports whether any serve-mode fault-tolerance knob
-// is armed. Gates the extra TSDB series and report lines so existing
-// configurations keep byte-identical output.
-func (c RowConfig) serveFaultTolerant() bool {
-	return c.ServeRetries > 0 || c.ServeClassShed || c.ServeCircuitSheds > 0 || c.WatchdogDrain
-}
-
 // MeanServiceSeconds estimates the mean uncapped end-to-end service time
 // of requests at the given priority, from the class mix and the inference
 // plan model (class means of input/output sizes).
-func (c RowConfig) MeanServiceSeconds(p workload.Priority) float64 {
+func (c RowConfig) MeanServiceSeconds(p workload.Priority) float64 { return c.meanServiceAt(p, 0) }
+
+// meanServiceAt is MeanServiceSeconds with the GPUs' SM clock locked at
+// lock MHz (0 = unlocked).
+func (c RowConfig) meanServiceAt(p workload.Priority, lock float64) float64 {
 	dev := gpu.NewDevice(gpu.A100SXM80GB())
+	dev.LockClock(lock)
 	var wsum, tsum float64
 	for _, cl := range c.Classes {
 		w := cl.Share * cl.LowShare
@@ -257,6 +254,32 @@ func (c RowConfig) BusyServerWatts() float64 {
 	}
 	gpuW := esum / tsum * float64(srv.Spec().GPUCount) * c.PowerIntensity
 	return srv.PowerFromGPUs(gpuW)
+}
+
+// lowPoolServers returns the number of deployed servers in the
+// low-priority pool.
+func (c RowConfig) lowPoolServers() int {
+	return int(float64(c.Servers())*c.LowPriorityFraction + 0.5)
+}
+
+// poolServiceSeconds returns both pools' MeanServiceSeconds, indexed by
+// priority.
+func (c RowConfig) poolServiceSeconds() [2]float64 {
+	return [2]float64{c.MeanServiceSeconds(workload.Low), c.MeanServiceSeconds(workload.High)}
+}
+
+// lowArrivalProb returns the probability an arrival targets the low pool,
+// given the pools' mean service times. Pool weight ∝ poolSize /
+// meanServiceTime, so equal arrival pressure translates into equal busy
+// fractions despite different service times.
+func (c RowConfig) lowArrivalProb(svc [2]float64) float64 {
+	lp := c.lowPoolServers()
+	wLow := float64(lp) / svc[workload.Low]
+	wHigh := float64(c.Servers()-lp) / svc[workload.High]
+	if wLow+wHigh > 0 {
+		return wLow / (wLow + wHigh)
+	}
+	return 0
 }
 
 // IdleServerWatts returns the power of an idle server.
@@ -345,7 +368,7 @@ func (c RowConfig) Validate() error {
 		return err
 	}
 	// The serve config needs the GPU spec to validate fully (model fit, KV
-	// headroom); NewRow does that in initServe. Here we only reject an
+	// headroom); NewRow does that in newServeBackend. Here we only reject an
 	// obviously broken router name early.
 	if c.Serve != nil && c.Serve.Router != "" {
 		if _, err := serve.NewRouter(c.Serve.Router); err != nil {
@@ -510,6 +533,9 @@ type node struct {
 	// dead marks the node as inside an injected kill window: it draws no
 	// power, serves nothing, and revives cold when the window ends.
 	dead bool
+	// draining marks the node as inside an injected maintenance-drain
+	// window: it refuses new admissions while finishing accepted work.
+	draining bool
 
 	// Retry bookkeeping for the current desired-lock target: how many
 	// commands were issued for it, the backoff gate, and whether the retry
@@ -519,23 +545,6 @@ type node struct {
 	retryWait   sim.Time
 	retryDead   bool
 
-	active *activeReq
-
-	// rep is the node's serving replica in serve mode (nil in slot mode);
-	// it replaces active as the source of busy time and power.
-	rep *serve.Replica
-
-	// Replica health state. drainMaint holds while the node is inside an
-	// injected maintenance-drain window; drainWd while the watchdog drain
-	// is engaged. Either refuses new admissions (the replica finishes its
-	// accepted work). shedEpoch counts queue-full sheds this telemetry
-	// epoch; circuitUntil is the circuit breaker's reopen time after a
-	// shed storm trips it.
-	drainMaint   bool
-	drainWd      bool
-	shedEpoch    int
-	circuitUntil sim.Time
-
 	// Telemetry-sampling constants, cached at construction: the idle draw
 	// of the representative device and the GPU-group scale (device power →
 	// aggregate GPU power). nodePower runs on every sub-tick for every
@@ -544,18 +553,37 @@ type node struct {
 	gpuScale float64
 }
 
-// draining reports whether the node refuses new admissions (maintenance
-// window or watchdog drain) while finishing accepted work.
-func (n *node) draining() bool { return n.drainMaint || n.drainWd }
-
-// activeReq tracks the request a node is executing.
-type activeReq struct {
-	req        workload.Request
-	remaining  []gpu.Phase
-	exec       gpu.Exec
-	phaseStart sim.Time
-	timer      sim.Timer
-	started    sim.Time
+// backend is the request-serving half of a row: it executes requests on
+// the nodes and reports their power. The control plane — telemetry,
+// brake, controller and watchdog, OOB pipeline, faults, decision log and
+// TSDB wiring — is written once against it. NewRow picks the slot model
+// (slotrow.go) or the serving model (serverow.go) from RowConfig.Serve;
+// nothing else branches on the mode.
+type backend interface {
+	// dispatch takes one request the row has recorded as arrived.
+	dispatch(now sim.Time, req workload.Request)
+	// load returns a live node's per-GPU power draw and whether it is
+	// executing work.
+	load(n *node, now sim.Time) (gpuW float64, busy bool)
+	// replan re-times the node's in-flight work after its clocks changed
+	// (a landed lock or the power brake).
+	replan(n *node, now sim.Time)
+	// admit runs after a lock landed on a server of pool p.
+	admit(p workload.Priority, now sim.Time)
+	// kill drops the work of a node that just died.
+	kill(n *node, now sim.Time)
+	// watchdog follows the deadman watchdog engaging or releasing.
+	watchdog(now sim.Time, engaged bool)
+	// tick runs once per telemetry epoch, after the OOB pump: health
+	// bookkeeping and the backend's TSDB samples.
+	tick(now sim.Time)
+	// tsdbSeries registers the backend's row-level TSDB series and returns
+	// the registration of its per-server series, called in server order.
+	tsdbSeries(ts *rowTSDB) func(i int, lbl string)
+	// finish settles the backend's state into the metrics at end of run.
+	finish(now sim.Time)
+	// serveConfig returns the resolved serving configuration, or nil.
+	serveConfig() *serve.Config
 }
 
 // Row is the simulated PDU power domain.
@@ -563,26 +591,18 @@ type Row struct {
 	cfg     RowConfig
 	eng     *sim.Engine
 	ctrl    Controller
+	be      backend
 	nodes   []*node
 	pools   map[workload.Priority][]*node
-	frontQ  map[workload.Priority][]workload.Request
-	busy    map[workload.Priority]int
 	sampler *workload.Sampler
 
-	// Admission gate state: the fleet balancer routes this row its share
-	// of traffic, so the busy-server count tracks the offered-load curve
-	// (±slack) instead of open-loop Poisson fluctuation.
+	// arrivalPlan is the offered-load curve of the current run.
 	arrivalPlan trace.RatePlan
-	svcEffSec   float64                                   // aggregate S at full clocks
-	svcBase     map[workload.Priority]float64             // per-pool S at full clocks
-	svcAtLock   map[workload.Priority]map[float64]float64 // per-pool S per lock MHz
 
 	dispatchRNG *rand.Rand
 	oobRNG      *rand.Rand
 
-	// lowArrivalProb is the probability an arrival targets the low pool,
-	// sized so both pools run at equal busy fractions despite different
-	// mean service times.
+	// lowArrivalProb is the probability an arrival targets the low pool.
 	lowArrivalProb float64
 
 	// Sub-interval power accumulation for interval-averaged row readings.
@@ -636,33 +656,11 @@ type Row struct {
 	// DecisionRecorder). ctrlStage and ctrlFailSafe are the controller's
 	// optional introspection interfaces, cached at construction; tickDec
 	// accumulates the in-progress telemetry epoch's input flags inside
-	// controllerTick; decCands is the reusable route-snapshot scratch.
+	// controllerTick.
 	dec          *obs.DecisionRecorder
 	ctrlStage    StageReporter
 	ctrlFailSafe interface{ FailSafeEngaged() bool }
 	tickDec      obs.Decision
-	decCands     []obs.RouteCandidate
-
-	// Serve-mode runtime (zero in slot mode): the resolved serving config,
-	// one router per priority pool, and reusable routing scratch slices.
-	serveCfg   serve.Config
-	routers    [2]serve.Router
-	serveEps   [2][]serve.Endpoint
-	serveNodes [2][]*node
-
-	// Serve-mode fault-tolerance runtime (see serverow.go): the retry
-	// queue ordered by (due time, admission order), its monotonic
-	// tie-break counter, the earliest armed pump time (0 = none), the
-	// cached pump handler (so requeues allocate no closures in steady
-	// state), the current class-shed severity, and the consecutive ticks
-	// a replica has been at KV high water.
-	retryQ      retryQueue
-	retrySeq    uint64
-	retryArmed  sim.Time
-	retryPumpFn sim.Handler
-	shedLevel   int
-	kvHighTicks int
-	shedRanks   map[string]int
 }
 
 // NewRow builds a row on the engine with the given policy. It returns an
@@ -678,16 +676,16 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		panic("cluster: nil controller")
 	}
 	spec := server.DGXA100(gpu.A100SXM80GB())
+	svc := cfg.poolServiceSeconds()
 	r := &Row{
-		cfg:         cfg,
-		eng:         eng,
-		ctrl:        ctrl,
-		pools:       map[workload.Priority][]*node{},
-		frontQ:      map[workload.Priority][]workload.Request{},
-		busy:        map[workload.Priority]int{},
-		sampler:     workload.NewSampler(cfg.Classes, eng.Rand("workload")),
-		dispatchRNG: eng.Rand("dispatch"),
-		oobRNG:      eng.Rand("oob"),
+		cfg:            cfg,
+		eng:            eng,
+		ctrl:           ctrl,
+		pools:          map[workload.Priority][]*node{},
+		sampler:        workload.NewSampler(cfg.Classes, eng.Rand("workload")),
+		dispatchRNG:    eng.Rand("dispatch"),
+		oobRNG:         eng.Rand("oob"),
+		lowArrivalProb: cfg.lowArrivalProb(svc),
 		metrics: &Metrics{
 			Config:      cfg,
 			Policy:      ctrl.Name(),
@@ -700,7 +698,7 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		},
 	}
 	total := cfg.Servers()
-	lp := int(float64(total)*cfg.LowPriorityFraction + 0.5)
+	lp := cfg.lowPoolServers()
 	for i := 0; i < total; i++ {
 		pri := workload.High
 		if i < lp {
@@ -713,21 +711,19 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		r.nodes = append(r.nodes, n)
 		r.pools[pri] = append(r.pools[pri], n)
 	}
-	// Arrival split: pool weight ∝ poolSize / meanServiceTime, so equal
-	// arrival pressure translates into equal busy fractions.
-	sLow := cfg.MeanServiceSeconds(workload.Low)
-	sHigh := cfg.MeanServiceSeconds(workload.High)
-	wLow := float64(len(r.pools[workload.Low])) / sLow
-	wHigh := float64(len(r.pools[workload.High])) / sHigh
-	if wLow+wHigh > 0 {
-		r.lowArrivalProb = wLow / (wLow + wHigh)
+	// The injector is nil for an empty spec, so the unfaulted hot paths pay
+	// one branch. Its streams are named, independent draws from the engine:
+	// creating them perturbs nothing.
+	r.inj = faults.New(cfg.Faults, total, eng.Rand)
+	r.wdLPMHz, r.wdHPMHz = cfg.WatchdogLPMHz, cfg.WatchdogHPMHz
+	if r.wdLPMHz == 0 {
+		r.wdLPMHz = 1110
 	}
-	r.svcBase = map[workload.Priority]float64{workload.Low: sLow, workload.High: sHigh}
-	r.svcAtLock = map[workload.Priority]map[float64]float64{
-		workload.Low: {0: sLow}, workload.High: {0: sHigh},
+	if r.wdHPMHz == 0 {
+		r.wdHPMHz = 1305
 	}
-	r.svcEffSec = cfg.Shape().MeanServiceSec
-	if o := eng.Observer(); o != nil {
+	o := eng.Observer()
+	if o != nil {
 		r.obs = o
 		r.tracer = o.Trace()
 		r.spanSink = o.SpanSink()
@@ -742,31 +738,15 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		r.lockCmdCtr = o.Counter("row_oob_commands_total")
 		r.failedCmdCtr = o.Counter("row_oob_failures_total")
 		r.brakeCtr = o.Counter("row_brake_events_total")
-		r.initTSDB(o)
 		r.dec = o.DecisionLog()
 		if r.dec != nil {
 			r.ctrlStage, _ = ctrl.(StageReporter)
 			r.ctrlFailSafe, _ = ctrl.(interface{ FailSafeEngaged() bool })
 		}
 	}
-	// The injector is nil for an empty spec, so the unfaulted hot paths pay
-	// one branch. Its streams are named, independent draws from the engine:
-	// creating them perturbs nothing.
-	r.inj = faults.New(cfg.Faults, total, eng.Rand)
-	if cfg.Serve != nil {
-		if err := r.initServe(); err != nil {
-			return nil, err
-		}
-	}
-	r.wdLPMHz, r.wdHPMHz = cfg.WatchdogLPMHz, cfg.WatchdogHPMHz
-	if r.wdLPMHz == 0 {
-		r.wdLPMHz = 1110
-	}
-	if r.wdHPMHz == 0 {
-		r.wdHPMHz = 1305
-	}
 	// Fill the decision log's row-shape header fields; the CLI layer adds
-	// the policy spec (it knows the concrete policy package types).
+	// the policy spec (it knows the concrete policy package types), and
+	// the serving backend its router.
 	r.dec.UpdateMeta(func(m *obs.DecisionMeta) {
 		m.Policy = ctrl.Name()
 		m.WatchdogEpochs = cfg.WatchdogEpochs
@@ -783,11 +763,14 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		m.UncappedMHz = gpu.A100SXM80GB().MaxSMClockMHz
 		m.Model = cfg.Model.Name
 		m.DType = cfg.DType.String()
-		if r.serveMode() {
-			m.Serve = true
-			m.Router = r.serveCfg.Router
-		}
 	})
+	var err error
+	if cfg.Serve == nil {
+		r.be = newSlotBackend(r, svc)
+	} else if r.be, err = newServeBackend(r); err != nil {
+		return nil, err
+	}
+	r.initTSDB(o)
 	return r, nil
 }
 
@@ -812,6 +795,10 @@ func (r *Row) GPUSpec() gpu.Spec { return gpu.A100SXM80GB() }
 
 // Observer implements Actuator.
 func (r *Row) Observer() *obs.Observer { return r.obs }
+
+// ServeConfig returns the resolved serving configuration, or nil in slot
+// mode.
+func (r *Row) ServeConfig() *serve.Config { return r.be.serveConfig() }
 
 // InFlightCommands returns the number of issued OOB commands that have not
 // yet landed or failed — the trace reconciliation remainder: issues =
@@ -856,7 +843,6 @@ func (r *Row) SetPoolLock(p workload.Priority, mhz float64) {
 // drain margin, and returns the metrics.
 func (r *Row) Run(arrivals trace.RatePlan) *Metrics {
 	r.arrivalPlan = arrivals
-	horizon := arrivals.Horizon()
 	arrRNG := r.eng.Rand("arrivals")
 
 	// Online arrival generation: one pending event at a time.
@@ -872,15 +858,22 @@ func (r *Row) Run(arrivals trace.RatePlan) *Metrics {
 		})
 	}
 	scheduleNext(0)
+	return r.run(arrivals.Horizon())
+}
 
+// run is the tail Run and RunRequests share once their arrivals are
+// scheduled: it arms the row manager, simulates to the horizon, then
+// drains in-flight work so tail latencies are recorded, and settles the
+// run's metrics and telemetry.
+func (r *Row) run(horizon time.Duration) *Metrics {
 	r.startTelemetry()
 	r.eng.RunUntil(horizon)
-	r.stopTelemetry()
+	r.telemetryTick.Stop()
+	r.telemetrySub.Stop()
 	r.scheduleTSDBFinish()
-	// Drain in-flight work so tail latencies are recorded.
 	r.eng.RunUntil(horizon + 30*time.Minute)
 	r.metrics.Faults = r.inj.Counts()
-	r.finalizeServe()
+	r.be.finish(r.eng.Now())
 	r.finishTSDB()
 	return r.metrics
 }
@@ -914,33 +907,22 @@ func (r *Row) startTelemetry() {
 		r.controllerTick(now, util)
 		r.recordTickDecision(now)
 		r.pumpCommands(now)
-		r.serveHealthTick(now)
-		r.tryAdmit(workload.Low, now)
-		r.tryAdmit(workload.High, now)
+		r.be.tick(now)
 		r.tsdbTick(now, util)
 	})
 	r.metrics.Util.Step = r.cfg.TelemetryInterval
 	r.metrics.Util.Start = r.eng.Now() + r.cfg.TelemetryInterval
 }
 
-// stopTelemetry disarms the row manager.
-func (r *Row) stopTelemetry() {
-	r.telemetryTick.Stop()
-	r.telemetrySub.Stop()
-}
-
 // controllerTick runs the control half of a telemetry epoch: it passes the
 // row reading through the fault model, delivers it to the controller (or
 // records controller silence), and drives the crash-recovery and deadman
 // paths. Without an injector it reduces to the single pre-hardening call.
+// It notes the epoch's input flags in tickDec for recordTickDecision.
 func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
-	if r.dec != nil {
-		r.tickDec = obs.Decision{At: now, TrueUtil: trueUtil}
-	}
+	r.tickDec = obs.Decision{At: now, TrueUtil: trueUtil}
 	if r.inj == nil {
-		if r.dec != nil {
-			r.tickDec.Delivered, r.tickDec.Reading = true, trueUtil
-		}
+		r.tickDec.Delivered, r.tickDec.Reading = true, trueUtil
 		r.ctrl.OnTelemetry(now, trueUtil, r)
 		return
 	}
@@ -951,9 +933,7 @@ func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
 				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlCrash, Server: -1, Pool: obs.PoolNone})
 			}
 		}
-		if r.dec != nil {
-			r.tickDec.Down = true
-		}
+		r.tickDec.Down = true
 		r.controllerSilent(now)
 		return
 	}
@@ -967,22 +947,16 @@ func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
 		if r.tracer != nil {
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlRestart, Server: -1, Pool: obs.PoolNone})
 		}
-		if r.dec != nil {
-			r.tickDec.Reset = true
-		}
+		r.tickDec.Reset = true
 	}
 	if r.inj.MissedTick() {
-		if r.dec != nil {
-			r.tickDec.Missed = true
-		}
+		r.tickDec.Missed = true
 		r.controllerSilent(now)
 		return
 	}
 	reading, ok := r.inj.Telemetry(now, trueUtil, r.lastReading, r.haveReading)
 	if !ok {
-		if r.dec != nil {
-			r.tickDec.Lost = true
-		}
+		r.tickDec.Lost = true
 		if la, aware := r.ctrl.(TelemetryLossAware); aware {
 			// The controller is alive and knows the sample is missing — that
 			// is contact, not silence.
@@ -993,9 +967,7 @@ func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
 		}
 		return
 	}
-	if r.dec != nil {
-		r.tickDec.Delivered, r.tickDec.Reading = true, reading
-	}
+	r.tickDec.Delivered, r.tickDec.Reading = true, reading
 	r.lastReading, r.haveReading = reading, true
 	r.controllerContact(now)
 	r.ctrl.OnTelemetry(now, reading, r)
@@ -1027,14 +999,7 @@ func (r *Row) recordTickDecision(now sim.Time) {
 		if n.dead {
 			continue
 		}
-		busy := false
-		switch {
-		case n.rep != nil:
-			busy = n.rep.Load()-n.rep.QueueLen() > 0
-		case n.active != nil:
-			busy = true
-		}
-		w := r.nodePower(n, now)
+		w, busy := r.nodePower(n, now)
 		if n.pri == workload.Low {
 			if busy {
 				d.LPBusy++
@@ -1061,12 +1026,7 @@ func (r *Row) controllerContact(now sim.Time) {
 		if r.tracer != nil {
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindWatchdogRelease, Server: -1, Pool: obs.PoolNone})
 		}
-		for _, n := range r.nodes {
-			if n.drainWd {
-				n.drainWd = false
-				r.applyDrain(n, now, false, "watchdog")
-			}
-		}
+		r.be.watchdog(now, false)
 	}
 }
 
@@ -1089,24 +1049,13 @@ func (r *Row) controllerSilent(now sim.Time) {
 	}
 	r.SetPoolLock(workload.Low, r.wdLPMHz)
 	r.SetPoolLock(workload.High, r.wdHPMHz)
-	if r.cfg.WatchdogDrain && r.serveMode() {
-		for _, n := range r.nodes {
-			if !n.drainWd {
-				n.drainWd = true
-				r.applyDrain(n, now, true, "watchdog")
-			}
-		}
-	}
+	r.be.watchdog(now, true)
 }
 
-// applyDrain pushes a node's combined drain state down to its serve
-// replica and traces the transition. reason names what initiated it
-// ("maintenance" for an injected drain window, "watchdog" for the deadman
-// drain).
-func (r *Row) applyDrain(n *node, now sim.Time, on bool, reason string) {
-	if n.rep != nil {
-		n.rep.SetDraining(n.draining())
-	}
+// traceDrain traces a node entering or leaving graceful drain. reason
+// names what initiated it ("maintenance" for an injected drain window,
+// "watchdog" for the serving backend's deadman drain).
+func (r *Row) traceDrain(n *node, now sim.Time, on bool, reason string) {
 	if r.tracer != nil {
 		kind := obs.KindUndrain
 		if on {
@@ -1120,7 +1069,7 @@ func (r *Row) applyDrain(n *node, now sim.Time, on bool, reason string) {
 }
 
 // updateServerFaults applies node death and revival transitions at epoch
-// granularity. A dying node loses its active request (counted as dropped)
+// granularity. A dying node loses its in-flight work (counted as dropped)
 // and draws no power; a reviving node comes back cold — clocks unlocked,
 // brake state resynced — and is re-capped through the normal OOB pipeline.
 func (r *Row) updateServerFaults(now sim.Time) {
@@ -1136,22 +1085,7 @@ func (r *Row) updateServerFaults(now sim.Time) {
 			n.dead = true
 			r.inj.CountNodeDeath()
 			r.metrics.NodeDeaths++
-			if n.rep != nil {
-				// The replica's OnDrop callback records each lost request.
-				n.rep.Fail(now)
-			} else if a := n.active; a != nil {
-				a.timer.Stop()
-				n.active = nil
-				r.busy[a.req.Priority]--
-				r.metrics.Dropped[a.req.Priority]++
-				r.droppedCtr[a.req.Priority].Inc()
-				if r.tracer != nil {
-					r.tracer.Emit(obs.Event{
-						At: now, Kind: obs.KindDrop, Server: int32(n.idx),
-						Pool: int8(a.req.Priority), Reason: "node-death",
-					})
-				}
-			}
+			r.be.kill(n, now)
 			if r.tracer != nil {
 				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
 			}
@@ -1168,287 +1102,71 @@ func (r *Row) updateServerFaults(now sim.Time) {
 	}
 	for _, n := range r.nodes {
 		draining := r.inj.ServerDraining(n.idx, now)
-		if draining == n.drainMaint {
+		if draining == n.draining {
 			continue
 		}
-		n.drainMaint = draining
+		n.draining = draining
 		if draining {
 			r.inj.CountNodeDrain()
 			r.metrics.NodeDrains++
 		}
-		r.applyDrain(n, now, draining, "maintenance")
+		r.traceDrain(n, now, draining, "maintenance")
 	}
 }
 
-// arrive admits one request: pick the pool proportionally to its size, draw
-// the request, dispatch.
+// arrive samples one request for the pool chosen proportionally to its
+// capacity and accepts it.
 func (r *Row) arrive(now sim.Time) {
 	pri := workload.High
 	if r.dispatchRNG.Float64() < r.lowArrivalProb {
 		pri = workload.Low
 	}
-	req := r.sampler.SampleWithPriority(now, pri)
-	r.metrics.Arrived[pri]++
-	r.arrivedCtr[pri].Inc()
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{At: now, Kind: obs.KindArrive, Server: -1, Pool: int8(pri)})
-	}
-	r.dispatch(now, req)
+	r.accept(now, r.sampler.SampleWithPriority(now, pri))
 }
 
-// dispatch enqueues the request at the row's front door and admits as much
-// queued work as the admission gate allows.
-func (r *Row) dispatch(now sim.Time, req workload.Request) {
-	if r.serveMode() {
-		r.dispatchServe(now, req)
-		return
-	}
-	// Buffering is bounded at one queued request per server (§6.6); a
-	// production load balancer sheds or redirects beyond that.
-	if len(r.frontQ[req.Priority]) >= len(r.pools[req.Priority]) {
-		r.metrics.Dropped[req.Priority]++
-		r.droppedCtr[req.Priority].Inc()
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: now, Kind: obs.KindDrop, Server: -1, Pool: int8(req.Priority),
-				Reason: "buffer-full",
-			})
-		}
-		return
-	}
-	q := append(r.frontQ[req.Priority], req)
-	r.frontQ[req.Priority] = q
-	if len(q) > r.metrics.MaxQueueLen {
-		r.metrics.MaxQueueLen = len(q)
-	}
-	r.tryAdmit(req.Priority, now)
+// accept records one arrival and hands it to the backend. Run's sampled
+// arrivals and RunRequests' replayed trace both enter here.
+func (r *Row) accept(now sim.Time, req workload.Request) {
+	r.record(now, obs.KindArrive, -1, &req, "")
+	r.be.dispatch(now, req)
 }
 
-// admitLimit returns the pool's current admission gate: the busy-server
-// count the fleet balancer would steer this row to. It follows the offered
-// load (arrival rate × nominal service time), stretched by the pool's
-// current capping slowdown — a capped fleet runs at higher occupancy to
-// serve the same traffic — plus one server of slack (the paper's
-// one-request-buffer headroom).
-func (r *Row) admitLimit(p workload.Priority, now sim.Time) int {
-	pool := r.pools[p]
-	if len(pool) == 0 {
-		return 0
+// record is the single record point of a request outcome — obs.KindArrive,
+// obs.KindComplete or obs.KindDrop — in Metrics, the registry counter and
+// the event trace together, so the three cannot disagree. srv is the
+// server involved (-1 for none); a completion also records its end-to-end
+// latency.
+func (r *Row) record(now sim.Time, kind obs.Kind, srv int32, req *workload.Request, reason string) {
+	pri := req.Priority
+	var latency float64
+	switch kind {
+	case obs.KindArrive:
+		r.metrics.Arrived[pri]++
+		r.arrivedCtr[pri].Inc()
+	case obs.KindComplete:
+		latency = (now - req.Arrival).Seconds()
+		r.metrics.Completed[pri]++
+		r.metrics.LatencySec[pri] = append(r.metrics.LatencySec[pri], latency)
+		r.completedCtr[pri].Inc()
+	case obs.KindDrop:
+		r.metrics.Dropped[pri]++
+		r.droppedCtr[pri].Inc()
 	}
-	busyFrac := r.arrivalPlan.RateAt(now) * r.svcEffSec / float64(len(r.nodes))
-	slow := r.poolSlowdown(p)
-	target := busyFrac * float64(len(pool)) * slow
-	// Square-root staffing slack: keeps the queueing delay independent of
-	// pool size as oversubscription adds servers.
-	slack := 0.6 * math.Sqrt(target)
-	if slack < 1.5 {
-		slack = 1.5
-	}
-	limit := int(target + slack)
-	if limit > len(pool) {
-		limit = len(pool)
-	}
-	return limit
-}
-
-// poolSlowdown returns the pool's mean service-time stretch under the
-// currently applied locks (1.0 when uncapped).
-func (r *Row) poolSlowdown(p workload.Priority) float64 {
-	base := r.svcBase[p]
-	if base <= 0 {
-		return 1
-	}
-	var sum float64
-	pool := r.pools[p]
-	for _, n := range pool {
-		sum += r.serviceAtLock(p, n.appliedLock)
-	}
-	return sum / float64(len(pool)) / base
-}
-
-// serviceAtLock returns the cached mean service time for the pool's mix at
-// the given applied SM-clock lock.
-func (r *Row) serviceAtLock(p workload.Priority, lock float64) float64 {
-	if s, ok := r.svcAtLock[p][lock]; ok {
-		return s
-	}
-	dev := gpu.NewDevice(gpu.A100SXM80GB())
-	dev.LockClock(lock)
-	var wsum, tsum float64
-	for _, cl := range r.cfg.Classes {
-		w := cl.Share * cl.LowShare
-		if p == workload.High {
-			w = cl.Share * (1 - cl.LowShare)
-		}
-		if w <= 0 {
-			continue
-		}
-		pl, err := plan.NewInference(plan.InferenceConfig{
-			Model: r.cfg.Model, DType: r.cfg.DType, BatchSize: 1,
-			InputTokens:  (cl.PromptMin + cl.PromptMax) / 2,
-			OutputTokens: (cl.OutputMin + cl.OutputMax) / 2,
-		})
-		if err != nil {
-			continue
-		}
-		var dur time.Duration
-		for _, ph := range pl.Phases() {
-			dur += dev.Run(ph).Duration
-		}
-		wsum += w
-		tsum += w * dur.Seconds()
-	}
-	s := r.svcBase[p]
-	if wsum > 0 {
-		s = tsum / wsum
-	}
-	r.svcAtLock[p][lock] = s
-	return s
-}
-
-// tryAdmit starts queued requests on idle servers while the gate allows.
-func (r *Row) tryAdmit(p workload.Priority, now sim.Time) {
-	if r.serveMode() {
-		return // replicas pull their own work; there is no central queue
-	}
-	limit := r.admitLimit(p, now)
-	for len(r.frontQ[p]) > 0 && r.busy[p] < limit {
-		var idle []*node
-		for _, n := range r.pools[p] {
-			if n.active == nil && !n.dead && !n.draining() {
-				idle = append(idle, n)
-			}
-		}
-		if len(idle) == 0 {
-			return
-		}
-		req := r.frontQ[p][0]
-		r.frontQ[p] = r.frontQ[p][1:]
-		r.start(idle[r.dispatchRNG.Intn(len(idle))], now, req)
-	}
-}
-
-// start begins serving a request on a node.
-func (r *Row) start(n *node, now sim.Time, req workload.Request) {
-	p, err := plan.NewInference(plan.InferenceConfig{
-		Model:        r.cfg.Model,
-		DType:        r.cfg.DType,
-		BatchSize:    1,
-		InputTokens:  req.Input,
-		OutputTokens: req.Output,
-	})
-	if err != nil {
-		panic(err) // sizes come from validated classes
-	}
-	phases := p.Phases()
-	if f := r.inj.SlowFactor(n.idx); f > 1 {
-		// Straggler: the node takes f× the work per request (same power
-		// profile, stretched), like a host with a failing NVLink or thermal
-		// throttling the fleet hasn't drained yet.
-		scaled := make([]gpu.Phase, len(phases))
-		for i, ph := range phases {
-			scaled[i] = ph.Scale(f)
-		}
-		phases = scaled
-	}
-	n.active = &activeReq{req: req, remaining: phases, started: now}
-	r.busy[req.Priority]++
-	r.startPhase(n, now)
-}
-
-// startPhase executes the head of the node's remaining phases under the
-// node's current device settings.
-func (r *Row) startPhase(n *node, now sim.Time) {
-	a := n.active
-	for len(a.remaining) > 0 {
-		exec := n.dev.Run(a.remaining[0])
-		if exec.Duration <= 0 {
-			a.remaining = a.remaining[1:]
-			continue
-		}
-		a.exec = exec
-		a.phaseStart = now
-		a.timer = r.eng.AfterCancelable(exec.Duration, func(t sim.Time) {
-			r.phaseDone(n, t)
-		})
-		return
-	}
-	r.complete(n, now)
-}
-
-// phaseDone advances the node past its finished phase.
-func (r *Row) phaseDone(n *node, now sim.Time) {
-	a := n.active
-	a.remaining = a.remaining[1:]
-	if len(a.remaining) > 0 {
-		r.startPhase(n, now)
-		return
-	}
-	r.complete(n, now)
-}
-
-// complete records the request and pulls the next one.
-func (r *Row) complete(n *node, now sim.Time) {
-	a := n.active
-	n.active = nil
-	pri := a.req.Priority
-	r.metrics.Completed[pri]++
-	r.metrics.LatencySec[pri] = append(r.metrics.LatencySec[pri], (now - a.req.Arrival).Seconds())
-	r.metrics.BusySec[pri] += (now - a.started).Seconds()
-	r.completedCtr[pri].Inc()
 	if r.tracer != nil {
 		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindComplete, Server: int32(n.idx), Pool: int8(pri),
-			Value: (now - a.req.Arrival).Seconds(),
+			At: now, Kind: kind, Server: srv, Pool: int8(pri), Value: latency, Reason: reason,
 		})
 	}
-	r.busy[pri]--
-	r.tryAdmit(pri, now)
 }
 
-// replan rebuilds the node's in-flight phase after a clock change.
-func (r *Row) replan(n *node, now sim.Time) {
-	if n.rep != nil {
-		n.rep.Replan(now)
-		return
-	}
-	a := n.active
-	if a == nil || len(a.remaining) == 0 {
-		return
-	}
-	a.timer.Stop()
-	elapsed := now - a.phaseStart
-	frac := 1.0
-	if a.exec.Duration > 0 {
-		frac = float64(elapsed) / float64(a.exec.Duration)
-	}
-	if frac >= 1 {
-		r.phaseDone(n, now)
-		return
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	a.remaining[0] = a.remaining[0].Scale(1 - frac)
-	r.startPhase(n, now)
-}
-
-// nodePower returns the node's current server power draw.
-func (r *Row) nodePower(n *node, now sim.Time) float64 {
+// nodePower returns the node's current server power draw and whether it
+// is executing work.
+func (r *Row) nodePower(n *node, now sim.Time) (float64, bool) {
 	if n.dead {
-		return 0
+		return 0, false
 	}
-	var gpuW float64
-	switch {
-	case n.rep != nil:
-		gpuW = n.rep.PowerAt(now)
-	case n.active != nil:
-		gpuW = n.active.exec.PowerAt(now - n.active.phaseStart)
-	default:
-		gpuW = n.gpuIdleW
-	}
-	gpuW *= n.gpuScale
-	return n.srv.PowerFromGPUs(gpuW)
+	gpuW, busy := r.be.load(n, now)
+	return n.srv.PowerFromGPUs(gpuW * n.gpuScale), busy
 }
 
 // instantUtilization returns row power as a fraction of the provisioned
@@ -1456,7 +1174,8 @@ func (r *Row) nodePower(n *node, now sim.Time) float64 {
 func (r *Row) instantUtilization(now sim.Time) float64 {
 	var w float64
 	for _, n := range r.nodes {
-		w += r.nodePower(n, now)
+		p, _ := r.nodePower(n, now)
+		w += p
 	}
 	return w / r.metrics.Provisioned
 }
@@ -1483,7 +1202,7 @@ func (r *Row) brakeLogic(util float64) {
 			}
 			for _, n := range r.nodes {
 				n.dev.SetBrake(true)
-				r.replan(n, now)
+				r.be.replan(n, now)
 			}
 		})
 	case r.braked && util < r.cfg.BrakeReleaseUtil && r.eng.Now() >= r.brakeHeld:
@@ -1496,7 +1215,7 @@ func (r *Row) brakeLogic(util float64) {
 		}
 		for _, n := range r.nodes {
 			n.dev.SetBrake(false)
-			r.replan(n, r.eng.Now())
+			r.be.replan(n, r.eng.Now())
 		}
 	}
 }
@@ -1596,8 +1315,8 @@ func (r *Row) pumpCommands(now sim.Time) {
 					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
 				})
 			}
-			r.replan(node, t)
-			r.tryAdmit(node.pri, t)
+			r.be.replan(node, t)
+			r.be.admit(node.pri, t)
 		})
 	}
 }

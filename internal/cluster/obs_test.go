@@ -11,13 +11,11 @@ import (
 	"polca/internal/workload"
 )
 
-// runObservedRow runs a row with the full observability stack attached —
-// tracer, metrics registry, TSDB, and the default alert ruleset (the
-// -tsdb -rules flag combination) — and returns both the run metrics and
-// the row (for in-flight inspection). Attaching everything here means the
+// newObservedRow builds a row with the full observability stack attached
+// — tracer, metrics registry, TSDB, and the default alert ruleset (the
+// -tsdb -rules flag combination). Attaching everything here means the
 // zero-perturbation test below covers the whole pipeline.
-func runObservedRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller,
-	busy float64, horizon time.Duration) (*cluster.Metrics, *cluster.Row, *obs.Observer) {
+func newObservedRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller) (*cluster.Row, *obs.Observer) {
 	t.Helper()
 	o := &obs.Observer{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	set, err := obs.ParseRules(obs.DefaultRules)
@@ -28,19 +26,52 @@ func runObservedRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller
 	o.Rules = obs.NewRules(o.DB, set, o.Tracer)
 	eng := sim.New(cfg.Seed)
 	eng.SetObserver(o)
-	row := cluster.MustRow(eng, cfg, ctrl)
-	m := row.Run(flatPlan(cfg, busy, horizon))
-	return m, row, o
+	return cluster.MustRow(eng, cfg, ctrl), o
+}
+
+// runObservedRow runs an observed row on a flat arrival plan and returns
+// the run metrics, the row (for in-flight inspection) and its observer.
+func runObservedRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller,
+	busy float64, horizon time.Duration) (*cluster.Metrics, *cluster.Row, *obs.Observer) {
+	t.Helper()
+	row, o := newObservedRow(t, cfg, ctrl)
+	return row.Run(flatPlan(cfg, busy, horizon)), row, o
 }
 
 // TestTraceReconcilesWithMetrics is the acceptance-criteria anchor: every
-// aggregate the run reports must be re-derivable from the event stream.
+// aggregate the run reports must be re-derivable from the event stream and
+// the metrics registry, for both backends and both entry points — Run's
+// online arrivals and RunRequests' replayed trace.
 func TestTraceReconcilesWithMetrics(t *testing.T) {
-	cfg := testConfig()
-	cfg.AddedFraction = 0.30 // oversubscribed so capping actually happens
-	m, row, o := runObservedRow(t, cfg, polca.New(polca.DefaultConfig()), 0.95, 2*time.Hour)
-	tr := o.Tracer
+	for _, backend := range []string{"slot", "serve"} {
+		for _, entry := range []string{"Run", "RunRequests"} {
+			t.Run(backend+"/"+entry, func(t *testing.T) {
+				cfg := testConfig()
+				if backend == "serve" {
+					cfg = serveConfig()
+				}
+				cfg.AddedFraction = 0.30 // oversubscribed so capping actually happens
+				row, o := newObservedRow(t, cfg, polca.New(polca.DefaultConfig()))
+				plan := flatPlan(cfg, 0.95, time.Hour)
+				var m *cluster.Metrics
+				if entry == "Run" {
+					m = row.Run(plan)
+				} else {
+					reqs, err := cluster.GenerateRequests(cfg, plan, cfg.Seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m = row.RunRequests(reqs, plan.Horizon())
+				}
+				checkTraceReconciles(t, cfg, m, row, o)
+			})
+		}
+	}
+}
 
+func checkTraceReconciles(t *testing.T, cfg cluster.RowConfig, m *cluster.Metrics, row *cluster.Row, o *obs.Observer) {
+	t.Helper()
+	tr := o.Tracer
 	if tr.CountKind(obs.KindOOBIssue) == 0 {
 		t.Fatal("expected capping traffic in an oversubscribed hot run")
 	}
@@ -60,35 +91,36 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 	if got := landed + m.FailedCommands + m.StaleOOBDrops + row.InFlightCommands(); got != m.LockCommands {
 		t.Errorf("applies+releases+fails+stale+inflight = %d, want %d issues", got, m.LockCommands)
 	}
-	// Request lifecycle per pool.
-	arrived, completed, dropped := 0, 0, 0
-	for _, p := range []workload.Priority{workload.Low, workload.High} {
-		arrived += m.Arrived[p]
-		completed += m.Completed[p]
-		dropped += m.Dropped[p]
+	// Request lifecycle: each outcome's event count and registry counter
+	// must both equal the Metrics count.
+	snap := o.Metrics.Snapshot()
+	for _, c := range []struct {
+		kind   obs.Kind
+		family string
+		counts map[workload.Priority]int
+	}{
+		{obs.KindArrive, "row_requests_arrived_total", m.Arrived},
+		{obs.KindComplete, "row_requests_completed_total", m.Completed},
+		{obs.KindDrop, "row_requests_dropped_total", m.Dropped},
+	} {
+		want := c.counts[workload.Low] + c.counts[workload.High]
+		if got := tr.CountKind(c.kind); got != want {
+			t.Errorf("%s events = %d, Metrics = %d", c.kind, got, want)
+		}
+		ctr := snap.Counters[c.family+`{priority="low"}`] + snap.Counters[c.family+`{priority="high"}`]
+		if ctr != int64(want) {
+			t.Errorf("%s = %d, Metrics = %d", c.family, ctr, want)
+		}
 	}
-	if got := tr.CountKind(obs.KindArrive); got != arrived {
-		t.Errorf("req.arrive events = %d, Arrived = %d", got, arrived)
-	}
-	if got := tr.CountKind(obs.KindComplete); got != completed {
-		t.Errorf("req.complete events = %d, Completed = %d", got, completed)
-	}
-	if got := tr.CountKind(obs.KindDrop); got != dropped {
-		t.Errorf("req.drop events = %d, Dropped = %d", got, dropped)
+	if m.Arrived[workload.Low]+m.Arrived[workload.High] == 0 {
+		t.Fatal("no arrivals")
 	}
 	// Brake engagements.
 	if got := tr.CountKind(obs.KindBrakeTrigger); got != m.BrakeEvents {
 		t.Errorf("brake.trigger events = %d, BrakeEvents = %d", got, m.BrakeEvents)
 	}
-	// The metrics registry must agree with the same aggregates.
-	snap := o.Metrics.Snapshot()
 	if got := snap.Counters["row_oob_commands_total"]; got != int64(m.LockCommands) {
 		t.Errorf("row_oob_commands_total = %d, want %d", got, m.LockCommands)
-	}
-	ctrArrived := snap.Counters[`row_requests_arrived_total{priority="low"}`] +
-		snap.Counters[`row_requests_arrived_total{priority="high"}`]
-	if ctrArrived != int64(arrived) {
-		t.Errorf("arrived counters = %d, want %d", ctrArrived, arrived)
 	}
 	if snap.Counters["sim_events_dispatched_total"] == 0 {
 		t.Error("engine should count dispatched events")
@@ -100,6 +132,25 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 	wantSec := float64(len(m.Util.Values)) * cfg.TelemetryInterval.Seconds()
 	if hist.Total != wantSec {
 		t.Errorf("util histogram total = %v s, want %v s", hist.Total, wantSec)
+	}
+	// The serving scheduler's aggregates reconcile with its events and
+	// counters too.
+	if cfg.Serve != nil {
+		if got := tr.CountKind(obs.KindBatchForm); got != m.Serve.Batches {
+			t.Errorf("batch.form events = %d, Serve.Batches = %d", got, m.Serve.Batches)
+		}
+		if got := tr.CountKind(obs.KindPreempt); got != m.Serve.Preemptions {
+			t.Errorf("preempt events = %d, Serve.Preemptions = %d", got, m.Serve.Preemptions)
+		}
+		if got := tr.CountKind(obs.KindKVHighWater); got != m.Serve.KVHighWaterEvents {
+			t.Errorf("kv.highwater events = %d, Serve.KVHighWaterEvents = %d", got, m.Serve.KVHighWaterEvents)
+		}
+		if got := snap.Counters["serve_batches_total"]; got != int64(m.Serve.Batches) {
+			t.Errorf("serve_batches_total = %d, want %d", got, m.Serve.Batches)
+		}
+		if got := snap.Counters["serve_preemptions_total"]; got != int64(m.Serve.Preemptions) {
+			t.Errorf("serve_preemptions_total = %d, want %d", got, m.Serve.Preemptions)
+		}
 	}
 	// Events must be timestamp-ordered (the engine dispatches in order, and
 	// emission happens inside handlers).

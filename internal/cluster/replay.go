@@ -27,16 +27,7 @@ func GenerateRequests(cfg RowConfig, plan trace.RatePlan, seed int64) ([]workloa
 	sampler := workload.NewSampler(cfg.Classes, eng.Rand("workload"))
 	poolRNG := eng.Rand("dispatch")
 	arrRNG := eng.Rand("arrivals")
-
-	// Pool split mirrors NewRow: weight ∝ poolSize / mean service time.
-	total := cfg.Servers()
-	lpServers := int(float64(total)*cfg.LowPriorityFraction + 0.5)
-	wLow := float64(lpServers) / cfg.MeanServiceSeconds(workload.Low)
-	wHigh := float64(total-lpServers) / cfg.MeanServiceSeconds(workload.High)
-	lowProb := 0.0
-	if wLow+wHigh > 0 {
-		lowProb = wLow / (wLow + wHigh)
-	}
+	lowProb := cfg.lowArrivalProb(cfg.poolServiceSeconds()) // Row.Run's pool split
 
 	var out []workload.Request
 	t := time.Duration(0)
@@ -67,20 +58,9 @@ func (r *Row) RunRequests(reqs []workload.Request, horizon time.Duration) *Metri
 		if req.Arrival > horizon {
 			break
 		}
-		r.eng.At(req.Arrival, func(now sim.Time) {
-			r.metrics.Arrived[req.Priority]++
-			r.dispatch(now, req)
-		})
+		r.eng.At(req.Arrival, func(now sim.Time) { r.accept(now, req) })
 	}
-	r.startTelemetry()
-	r.eng.RunUntil(horizon)
-	r.stopTelemetry()
-	r.scheduleTSDBFinish()
-	r.eng.RunUntil(horizon + 30*time.Minute)
-	r.metrics.Faults = r.inj.Counts()
-	r.finalizeServe()
-	r.finishTSDB()
-	return r.metrics
+	return r.run(horizon)
 }
 
 // planFromRequests histograms arrivals into a rate plan.

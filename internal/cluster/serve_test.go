@@ -112,41 +112,6 @@ func TestServeRowCalibration(t *testing.T) {
 	}
 }
 
-// TestServeTraceReconciles extends the observability acceptance test to the
-// serving backend: every scheduler aggregate must be re-derivable from the
-// event stream.
-func TestServeTraceReconciles(t *testing.T) {
-	cfg := serveConfig()
-	cfg.AddedFraction = 0.30
-	m, _, o := runObservedRow(t, cfg, &recordingCtrl{}, 0.9, time.Hour)
-	tr := o.Tracer
-
-	if got := tr.CountKind(obs.KindBatchForm); got != m.Serve.Batches {
-		t.Errorf("batch.form events = %d, Serve.Batches = %d", got, m.Serve.Batches)
-	}
-	if got := tr.CountKind(obs.KindPreempt); got != m.Serve.Preemptions {
-		t.Errorf("preempt events = %d, Serve.Preemptions = %d", got, m.Serve.Preemptions)
-	}
-	if got := tr.CountKind(obs.KindKVHighWater); got != m.Serve.KVHighWaterEvents {
-		t.Errorf("kv.highwater events = %d, Serve.KVHighWaterEvents = %d", got, m.Serve.KVHighWaterEvents)
-	}
-	completed := m.Completed[workload.Low] + m.Completed[workload.High]
-	if got := tr.CountKind(obs.KindComplete); got != completed {
-		t.Errorf("req.complete events = %d, Completed = %d", got, completed)
-	}
-	dropped := m.Dropped[workload.Low] + m.Dropped[workload.High]
-	if got := tr.CountKind(obs.KindDrop); got != dropped {
-		t.Errorf("req.drop events = %d, Dropped = %d", got, dropped)
-	}
-	snap := o.Metrics.Snapshot()
-	if got := snap.Counters["serve_batches_total"]; got != int64(m.Serve.Batches) {
-		t.Errorf("serve_batches_total = %d, want %d", got, m.Serve.Batches)
-	}
-	if got := snap.Counters["serve_preemptions_total"]; got != int64(m.Serve.Preemptions) {
-		t.Errorf("serve_preemptions_total = %d, want %d", got, m.Serve.Preemptions)
-	}
-}
-
 // TestServeNodeDeathDropsInFlight kills servers mid-run and checks the
 // serving backend accounts for every request: arrivals equal completions
 // plus drops, and the KV reservations of killed sequences are released.

@@ -12,8 +12,9 @@ import (
 // This file is the serve-mode row backend: when RowConfig.Serve is set, the
 // row runs one continuous-batching serve.Replica per server instead of the
 // slot model, and a serve.Router spreads arrivals across each pool. The
-// power-management side — telemetry, brake, controller, OOB pipeline — is
-// identical in both modes; only where busy time and power come from changes.
+// control plane — telemetry, brake, controller, OOB pipeline — is the same
+// in both modes and reaches the backend only through the backend
+// interface; only where busy time and power come from changes.
 
 // ServeStats aggregates the serving replicas' scheduler counters across the
 // row (all zero in slot mode). BusySec in serve mode records residency
@@ -49,9 +50,6 @@ type ServeStats struct {
 	CapExtraSec float64
 	CapDeltaJ   float64
 }
-
-// serveMode reports whether the row runs the request-level backend.
-func (r *Row) serveMode() bool { return r.cfg.Serve != nil }
 
 // retryEntry is one failed-over request waiting to re-enter the router.
 // seq is a monotonic admission counter so equal due times replay in FIFO
@@ -145,8 +143,8 @@ func buildShedRanks(classes []workload.Class) map[string]int {
 
 // shedRank resolves a request's shed rank; requests from classes outside
 // the configured table (replayed foreign traces) fall back to priority.
-func (r *Row) shedRank(req workload.Request) int {
-	if rank, ok := r.shedRanks[req.Class]; ok {
+func (b *serveBackend) shedRank(req workload.Request) int {
+	if rank, ok := b.shedRanks[req.Class]; ok {
 		return rank
 	}
 	if req.Priority == workload.Low {
@@ -166,163 +164,214 @@ func classDigest(m map[string]*obs.Digest, class string) *obs.Digest {
 	return d
 }
 
-// ServeConfig returns the resolved serving configuration, or nil in slot
-// mode.
-func (r *Row) ServeConfig() *serve.Config {
-	if !r.serveMode() {
-		return nil
-	}
-	c := r.serveCfg
-	return &c
+// defaultTTFTSLO is the TTFT SLO threshold when RowConfig.TTFTSLO is
+// unset.
+const defaultTTFTSLO = 15 * time.Second
+
+// serveBackend is the request-level serving model: one continuous-batching
+// serve.Replica per server, a serve.Router per pool spreading arrivals
+// across it, and the serve-mode fault-tolerance layer (failover retry
+// queue, class shedding, per-replica circuit breakers, watchdog drain).
+type serveBackend struct {
+	*Row
+	scfg    serve.Config // resolved serving config
+	reps    []replica    // per node
+	routers [2]serve.Router
+	// Reusable routing scratch: each pool's candidate endpoints and their
+	// nodes, and the decision log's candidate snapshot.
+	eps      [2][]serve.Endpoint
+	epNodes  [2][]*node
+	decCands []obs.RouteCandidate
+
+	// Fault-tolerance runtime: the retry queue ordered by (due time,
+	// admission order), its monotonic tie-break counter, the earliest armed
+	// pump time (0 = none), the cached pump handler (so requeues allocate
+	// no closures in steady state), the current class-shed severity, the
+	// consecutive ticks a replica has been at KV high water, and whether
+	// the watchdog drain holds every replica.
+	retryQ      retryQueue
+	retrySeq    uint64
+	retryArmed  sim.Time
+	retryPumpFn sim.Handler
+	shedLevel   int
+	kvHighTicks int
+	shedRanks   map[string]int
+	wdDrain     bool
+
+	// sloSec is the TTFT SLO threshold behind ClassSLOOK and the TSDB's
+	// SLO counters (row.ttft_ok / row.ttft_total).
+	sloSec float64
+
+	// TSDB series, registered by tsdbSeries (nil series no-op).
+	kv, ttft, tbt, ttftOK, ttftTotal *obs.TSSeries
+	retryTotal, shedTotal            *obs.TSSeries
+	srvKV, srvQueue                  []*obs.TSSeries
 }
 
-// initServe builds the per-node replicas and per-pool routers. The serving
-// model defaults to the row's model so callers only override what differs.
-func (r *Row) initServe() error {
+// replica is one node's serving replica with its circuit-breaker state:
+// the queue-full sheds of this telemetry epoch and the reopen time after a
+// shed storm tripped it.
+type replica struct {
+	*serve.Replica
+	shedEpoch    int
+	circuitUntil sim.Time
+}
+
+// newServeBackend builds the per-node replicas and per-pool routers. The
+// serving model defaults to the row's model so callers only override what
+// differs.
+func newServeBackend(r *Row) (*serveBackend, error) {
 	scfg := *r.cfg.Serve
 	if scfg.Model.Params == 0 {
 		scfg.Model = r.cfg.Model
 		scfg.DType = r.cfg.DType
 	}
 	scfg = scfg.WithDefaults()
-	r.serveCfg = scfg
 	if err := scfg.Validate(r.GPUSpec()); err != nil {
-		return err
+		return nil, err
 	}
-	for _, p := range []workload.Priority{workload.Low, workload.High} {
-		rt, err := serve.NewRouter(scfg.Router)
-		if err != nil {
-			return err
-		}
-		r.routers[p] = rt
-	}
-	r.metrics.TTFT = map[string]*obs.Digest{}
-	r.metrics.TBT = map[string]*obs.Digest{}
-	r.metrics.ClassEnergyJ = map[string]float64{}
-	r.metrics.ClassTokens = map[string]int64{}
-	r.metrics.ClassArrived = map[string]int{}
-	r.metrics.ClassSLOOK = map[string]int{}
-	r.metrics.ClassShed = map[string]int{}
-	if r.cfg.ShedRanks != nil {
-		r.shedRanks = r.cfg.ShedRanks
-	} else {
-		r.shedRanks = buildShedRanks(r.cfg.Classes)
-	}
-	r.retryPumpFn = r.retryPump
 	slo := r.cfg.TTFTSLO
 	if slo == 0 {
 		slo = defaultTTFTSLO
 	}
-	sloSec := slo.Seconds()
+	b := &serveBackend{Row: r, scfg: scfg, reps: make([]replica, len(r.nodes)),
+		shedRanks: r.cfg.ShedRanks, sloSec: slo.Seconds()}
+	if b.shedRanks == nil {
+		b.shedRanks = buildShedRanks(r.cfg.Classes)
+	}
+	b.retryPumpFn = b.retryPump
+	for p := range b.routers {
+		rt, err := serve.NewRouter(scfg.Router)
+		if err != nil {
+			return nil, err
+		}
+		b.routers[p] = rt
+	}
+	m := r.metrics
+	m.TTFT, m.TBT = map[string]*obs.Digest{}, map[string]*obs.Digest{}
+	m.ClassEnergyJ, m.ClassTokens = map[string]float64{}, map[string]int64{}
+	m.ClassArrived, m.ClassSLOOK, m.ClassShed = map[string]int{}, map[string]int{}, map[string]int{}
+	r.dec.UpdateMeta(func(dm *obs.DecisionMeta) { dm.Serve, dm.Router = true, scfg.Router })
 	for _, n := range r.nodes {
-		n := n
+		srv := int32(n.idx)
 		rep, err := serve.NewReplica(r.eng, scfg, n.dev, n.idx, int8(n.pri))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rep.OnFirstToken = func(s *serve.Seq, now sim.Time) {
 			sec := s.TTFTSeconds()
-			classDigest(r.metrics.TTFT, s.Req.Class).Add(sec)
-			if sec <= sloSec {
-				r.metrics.ClassSLOOK[s.Req.Class]++
+			classDigest(m.TTFT, s.Req.Class).Add(sec)
+			b.ttft.Observe(now, sec)
+			b.ttftTotal.Add(now, 1)
+			if sec <= b.sloSec {
+				m.ClassSLOOK[s.Req.Class]++
+				b.ttftOK.Add(now, 1)
 			}
-			r.tsdb.observeFirstToken(now, sec)
 		}
 		rep.OnComplete = func(s *serve.Seq, now sim.Time) {
-			pri := s.Req.Priority
-			r.metrics.Completed[pri]++
-			r.metrics.LatencySec[pri] = append(r.metrics.LatencySec[pri], (now - s.Req.Arrival).Seconds())
-			r.metrics.BusySec[pri] += (now - s.Enqueued).Seconds()
+			m.BusySec[s.Req.Priority] += (now - s.Enqueued).Seconds()
 			tbt := s.MeanTBTSeconds()
-			classDigest(r.metrics.TBT, s.Req.Class).Add(tbt)
-			if ts := r.tsdb; ts != nil {
-				ts.tbt.Observe(now, tbt)
-			}
-			r.metrics.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
-			r.metrics.ClassTokens[s.Req.Class] += int64(s.Decoded())
-			r.completedCtr[pri].Inc()
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{
-					At: now, Kind: obs.KindComplete, Server: int32(n.idx), Pool: int8(pri),
-					Value: (now - s.Req.Arrival).Seconds(),
-				})
-			}
+			classDigest(m.TBT, s.Req.Class).Add(tbt)
+			b.tbt.Observe(now, tbt)
+			m.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
+			m.ClassTokens[s.Req.Class] += int64(s.Decoded())
+			b.record(now, obs.KindComplete, srv, &s.Req, "")
 		}
 		rep.OnDrop = func(s *serve.Seq, now sim.Time, reason string) {
-			pri := s.Req.Priority
 			// Dropped requests keep their partial attribution so per-class
 			// energy still sums to the replica-integrated total — including
 			// failed attempts that the failover path re-admits (the retried
 			// attempt recomputes from scratch, but the energy was spent).
-			r.metrics.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
-			r.metrics.ClassTokens[s.Req.Class] += int64(s.Decoded())
-			if r.cfg.ServeRetries > 0 && s.Req.Retry < r.cfg.ServeRetries {
-				// The *Seq is recycled after this callback; requeue takes the
-				// request by value, so nothing outlives it.
-				r.requeueServe(now, int32(n.idx), s.Req, reason)
-				return
-			}
-			if r.cfg.ServeRetries > 0 {
-				reason = "retry-exhausted"
-				r.metrics.ServeRetryExhausted++
-			}
-			r.metrics.Dropped[pri]++
-			r.droppedCtr[pri].Inc()
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{
-					At: now, Kind: obs.KindDrop, Server: int32(n.idx), Pool: int8(pri),
-					Reason: reason,
-				})
-			}
+			m.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
+			m.ClassTokens[s.Req.Class] += int64(s.Decoded())
+			// The *Seq is recycled after this callback; fail takes the
+			// request by value, so nothing outlives it. The replica already
+			// closed the request's root span.
+			b.fail(now, srv, s.Req, reason, true)
 		}
-		n.rep = rep
+		b.reps[n.idx].Replica = rep
 	}
-	return nil
+	return b, nil
 }
 
-// dispatchServe routes one request to a replica in its priority pool. Dead,
+func (b *serveBackend) serveConfig() *serve.Config {
+	c := b.scfg
+	return &c
+}
+
+func (b *serveBackend) load(n *node, now sim.Time) (float64, bool) {
+	rep := b.reps[n.idx].Replica
+	return rep.PowerAt(now), rep.Running() > 0
+}
+
+func (b *serveBackend) replan(n *node, now sim.Time) { b.reps[n.idx].Replan(now) }
+
+// admit has nothing to do: replicas pull their own work, there is no
+// central queue.
+func (*serveBackend) admit(workload.Priority, sim.Time) {}
+
+// kill fails the dying node's replica; its OnDrop callback records each
+// lost request.
+func (b *serveBackend) kill(n *node, now sim.Time) { b.reps[n.idx].Fail(now) }
+
+// watchdog puts every replica into graceful drain — in-flight decodes
+// finish, new admissions are refused — while the deadman watchdog holds
+// the row, when RowConfig.WatchdogDrain arms it.
+func (b *serveBackend) watchdog(now sim.Time, engaged bool) {
+	if !b.cfg.WatchdogDrain {
+		return
+	}
+	b.wdDrain = engaged
+	for _, n := range b.nodes {
+		b.traceDrain(n, now, engaged, "watchdog")
+	}
+}
+
+// dispatch routes one request to a replica in its priority pool. Dead,
 // draining, and circuit-open nodes are excluded from the endpoint set; an
 // empty set or a full replica queue sheds the request — or, with the
 // failover path armed, requeues it for a bounded, backed-off retry. With
 // class shedding armed, a power emergency degrades admission by shed rank
 // before routing is even attempted.
-func (r *Row) dispatchServe(now sim.Time, req workload.Request) {
+func (b *serveBackend) dispatch(now sim.Time, req workload.Request) {
 	pri := req.Priority
 	if req.Retry == 0 {
-		r.metrics.ClassArrived[req.Class]++
+		b.metrics.ClassArrived[req.Class]++
 	}
-	if r.cfg.ServeClassShed && r.shedLevel > 0 && r.shedRank(req) < r.shedLevel {
-		r.metrics.ClassShed[req.Class]++
-		r.dropServe(now, -1, req, "class-shed")
+	if b.cfg.ServeClassShed && b.shedLevel > 0 && b.shedRank(req) < b.shedLevel {
+		b.metrics.ClassShed[req.Class]++
+		b.drop(now, -1, req, "class-shed", false)
 		return
 	}
-	circuit := r.cfg.ServeCircuitSheds > 0
-	eps := r.serveEps[pri][:0]
-	nodes := r.serveNodes[pri][:0]
-	for _, n := range r.pools[pri] {
-		if n.dead || n.draining() || (circuit && now < n.circuitUntil) {
+	circuit := b.cfg.ServeCircuitSheds > 0
+	eps := b.eps[pri][:0]
+	nodes := b.epNodes[pri][:0]
+	for _, n := range b.pools[pri] {
+		rep := &b.reps[n.idx]
+		if n.dead || n.draining || b.wdDrain || (circuit && now < rep.circuitUntil) {
 			continue
 		}
-		ep := serve.Endpoint{Rep: n.rep, CappedMHz: n.appliedLock}
+		ep := serve.Endpoint{Rep: rep.Replica, CappedMHz: n.appliedLock}
 		ep.Snapshot()
 		eps = append(eps, ep)
 		nodes = append(nodes, n)
 	}
-	r.serveEps[pri], r.serveNodes[pri] = eps, nodes
-	i := r.routers[pri].Pick(eps, req)
-	r.recordRouteDecision(now, req, eps, nodes, i)
+	b.eps[pri], b.epNodes[pri] = eps, nodes
+	i := b.routers[pri].Pick(eps, req)
+	b.recordRouteDecision(now, req, eps, nodes, i)
 	if i < 0 {
-		r.failServe(now, -1, req, "no-server")
+		b.fail(now, -1, req, "no-server", false)
 		return
 	}
 	n := nodes[i]
-	if !n.rep.Enqueue(now, req) {
-		r.noteShed(n, now)
-		r.failServe(now, int32(n.idx), req, "queue-full")
+	rep := &b.reps[n.idx]
+	if !rep.Enqueue(now, req) {
+		b.noteShed(rep, n, now)
+		b.fail(now, int32(n.idx), req, "queue-full", false)
 		return
 	}
-	if q := n.rep.QueueLen(); q > r.metrics.MaxQueueLen {
-		r.metrics.MaxQueueLen = q
+	if q := rep.QueueLen(); q > b.metrics.MaxQueueLen {
+		b.metrics.MaxQueueLen = q
 	}
 }
 
@@ -331,11 +380,11 @@ func (r *Row) dispatchServe(now sim.Time, req workload.Request) {
 // index, load, KV occupancy, applied cap) the router chose from. The
 // candidate scratch slice is reused across calls and copied into the
 // recorder's arena, so steady-state recording allocates nothing.
-func (r *Row) recordRouteDecision(now sim.Time, req workload.Request, eps []serve.Endpoint, nodes []*node, pick int) {
-	if r.dec == nil {
+func (b *serveBackend) recordRouteDecision(now sim.Time, req workload.Request, eps []serve.Endpoint, nodes []*node, pick int) {
+	if b.dec == nil {
 		return
 	}
-	cands := r.decCands[:0]
+	cands := b.decCands[:0]
 	for j := range eps {
 		cands = append(cands, obs.RouteCandidate{
 			Server:    int32(nodes[j].idx),
@@ -344,12 +393,12 @@ func (r *Row) recordRouteDecision(now sim.Time, req workload.Request, eps []serv
 			CappedMHz: eps[j].CappedMHz,
 		})
 	}
-	r.decCands = cands
+	b.decCands = cands
 	chosen := int32(-1)
 	if pick >= 0 {
 		chosen = int32(pick)
 	}
-	r.dec.RecordRoute(obs.Decision{
+	b.dec.RecordRoute(obs.Decision{
 		At:      now,
 		ReqID:   req.ID,
 		Class:   req.Class,
@@ -361,48 +410,49 @@ func (r *Row) recordRouteDecision(now sim.Time, req workload.Request, eps []serv
 	}, cands)
 }
 
-// failServe handles a request the router could not place: with retry
-// budget remaining it re-enters the router after a deterministic backoff,
-// otherwise it is finally dropped.
-func (r *Row) failServe(now sim.Time, srv int32, req workload.Request, reason string) {
-	if r.cfg.ServeRetries > 0 {
-		if req.Retry < r.cfg.ServeRetries {
-			r.requeueServe(now, srv, req, reason)
+// fail handles a request the serving path lost: with retry budget
+// remaining it re-enters the router after a deterministic backoff,
+// otherwise it is finally dropped. spanned reports whether a replica
+// already closed the request's root span.
+func (b *serveBackend) fail(now sim.Time, srv int32, req workload.Request, reason string, spanned bool) {
+	if b.cfg.ServeRetries > 0 {
+		if req.Retry < b.cfg.ServeRetries {
+			b.requeue(now, srv, req, reason)
 			return
 		}
 		reason = "retry-exhausted"
-		r.metrics.ServeRetryExhausted++
+		b.metrics.ServeRetryExhausted++
 	}
-	r.dropServe(now, srv, req, reason)
+	b.drop(now, srv, req, reason, spanned)
 }
 
-// requeueServe pushes a failed-over request onto the retry queue and arms
-// the pump. The backoff is base × 2^(attempt-1) capped at 64× base, a pure
+// requeue pushes a failed-over request onto the retry queue and arms the
+// pump. The backoff is base × 2^(attempt-1) capped at 64× base, a pure
 // function of the attempt count — no randomness, so the rand-audit
 // invariant and byte-identical reruns hold.
-func (r *Row) requeueServe(now sim.Time, srv int32, req workload.Request, reason string) {
+func (b *serveBackend) requeue(now sim.Time, srv int32, req workload.Request, reason string) {
 	req.Retry++
-	r.metrics.ServeRetries++
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
+	b.metrics.ServeRetries++
+	if b.tracer != nil {
+		b.tracer.Emit(obs.Event{
 			At: now, Kind: obs.KindRetry, Server: srv, Pool: int8(req.Priority),
 			Value: float64(req.Retry), Reason: reason,
 		})
 	}
-	base := r.cfg.ServeRetryBackoff
+	base := b.cfg.ServeRetryBackoff
 	if base <= 0 {
-		base = r.cfg.TelemetryInterval
+		base = b.cfg.TelemetryInterval
 	}
 	shift := req.Retry - 1
 	if shift > 6 {
 		shift = 6
 	}
 	due := now + base<<shift
-	r.retrySeq++
-	r.retryQ.push(retryEntry{due: due, seq: r.retrySeq, req: req})
-	if r.retryArmed == 0 || due < r.retryArmed {
-		r.retryArmed = due
-		r.eng.At(due, r.retryPumpFn)
+	b.retrySeq++
+	b.retryQ.push(retryEntry{due: due, seq: b.retrySeq, req: req})
+	if b.retryArmed == 0 || due < b.retryArmed {
+		b.retryArmed = due
+		b.eng.At(due, b.retryPumpFn)
 	}
 }
 
@@ -410,19 +460,19 @@ func (r *Row) requeueServe(now sim.Time, srv int32, req workload.Request, reason
 // re-arms itself for the next one. Stale pump firings (a later entry armed
 // an earlier time) are harmless: the loop is idempotent and the re-arm
 // only schedules when the armed time improves.
-func (r *Row) retryPump(now sim.Time) {
-	if r.retryArmed != 0 && now >= r.retryArmed {
-		r.retryArmed = 0
+func (b *serveBackend) retryPump(now sim.Time) {
+	if b.retryArmed != 0 && now >= b.retryArmed {
+		b.retryArmed = 0
 	}
-	for r.retryQ.len() > 0 && r.retryQ.min().due <= now {
-		e := r.retryQ.pop()
-		r.dispatchServe(now, e.req)
+	for b.retryQ.len() > 0 && b.retryQ.min().due <= now {
+		e := b.retryQ.pop()
+		b.dispatch(now, e.req)
 	}
-	if r.retryQ.len() > 0 {
-		due := r.retryQ.min().due
-		if r.retryArmed == 0 || due < r.retryArmed {
-			r.retryArmed = due
-			r.eng.At(due, r.retryPumpFn)
+	if b.retryQ.len() > 0 {
+		due := b.retryQ.min().due
+		if b.retryArmed == 0 || due < b.retryArmed {
+			b.retryArmed = due
+			b.eng.At(due, b.retryPumpFn)
 		}
 	}
 }
@@ -431,53 +481,64 @@ func (r *Row) retryPump(now sim.Time) {
 // within one telemetry epoch (the counters reset every tick) trip the
 // node's admission circuit for the cooldown, steering the router away from
 // a hot-spotted replica instead of hammering it.
-func (r *Row) noteShed(n *node, now sim.Time) {
-	if r.cfg.ServeCircuitSheds <= 0 {
+func (b *serveBackend) noteShed(rep *replica, n *node, now sim.Time) {
+	if b.cfg.ServeCircuitSheds <= 0 {
 		return
 	}
-	n.shedEpoch++
-	if n.shedEpoch != r.cfg.ServeCircuitSheds || now < n.circuitUntil {
+	rep.shedEpoch++
+	if rep.shedEpoch != b.cfg.ServeCircuitSheds || now < rep.circuitUntil {
 		return
 	}
-	cooldown := r.cfg.ServeCircuitCooldown
+	cooldown := b.cfg.ServeCircuitCooldown
 	if cooldown <= 0 {
 		cooldown = 30 * time.Second
 	}
-	n.circuitUntil = now + cooldown
-	r.metrics.CircuitOpens++
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
+	rep.circuitUntil = now + cooldown
+	b.metrics.CircuitOpens++
+	if b.tracer != nil {
+		b.tracer.Emit(obs.Event{
 			At: now, Kind: obs.KindCircuitOpen, Server: int32(n.idx), Pool: int8(n.pri),
-			Value: float64(n.shedEpoch),
+			Value: float64(rep.shedEpoch),
 		})
 	}
 }
 
-// serveHealthTick runs the serve-mode health bookkeeping once per
-// telemetry epoch: circuit-breaker shed counters reset, and the class-shed
-// severity tracks the row's emergency signals. A row with the knobs off
-// pays two branch checks.
-func (r *Row) serveHealthTick(now sim.Time) {
-	if !r.serveMode() {
-		return
-	}
-	if r.cfg.ServeCircuitSheds > 0 {
-		for _, n := range r.nodes {
-			n.shedEpoch = 0
+// tick runs the serve-mode health bookkeeping once per telemetry epoch —
+// circuit-breaker shed counters reset, and the class-shed severity tracks
+// the row's emergency signals — then samples the replicas into the TSDB.
+// A row with the knobs off and no TSDB pays three branch checks.
+func (b *serveBackend) tick(now sim.Time) {
+	if b.cfg.ServeCircuitSheds > 0 {
+		for i := range b.reps {
+			b.reps[i].shedEpoch = 0
 		}
 	}
-	if !r.cfg.ServeClassShed {
+	if b.cfg.ServeClassShed {
+		if lvl, reason := b.shedTarget(); lvl != b.shedLevel {
+			b.shedLevel = lvl
+			if b.tracer != nil {
+				b.tracer.Emit(obs.Event{
+					At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
+					Value: float64(lvl), Reason: reason,
+				})
+			}
+		}
+	}
+	if b.tsdb == nil {
 		return
 	}
-	lvl, reason := r.shedTarget()
-	if lvl != r.shedLevel {
-		r.shedLevel = lvl
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
-				Value: float64(lvl), Reason: reason,
-			})
+	for i := range b.reps {
+		s := b.reps[i].TelemetrySample()
+		b.srvKV[i].Observe(now, s.KVFrac)
+		b.srvQueue[i].Observe(now, float64(s.Queue))
+	}
+	if b.retryTotal != nil {
+		b.retryTotal.Observe(now, float64(b.metrics.ServeRetries))
+		sheds := 0
+		for _, v := range b.metrics.ClassShed {
+			sheds += v
 		}
+		b.shedTotal.Observe(now, float64(sheds))
 	}
 }
 
@@ -485,35 +546,35 @@ func (r *Row) serveHealthTick(now sim.Time) {
 // signals: 2 (shed everything below critical) while the brake is pending
 // or engaged or the watchdog holds the row, 1 (shed batch traffic) under a
 // deep frequency cap or sustained KV high water, 0 otherwise.
-func (r *Row) shedTarget() (int, string) {
-	if r.braked || r.brakePending {
+func (b *serveBackend) shedTarget() (int, string) {
+	if b.braked || b.brakePending {
 		return 2, "brake"
 	}
-	if r.watchdogEngaged {
+	if b.watchdogEngaged {
 		return 2, "watchdog"
 	}
 	high := false
 	deep := false
-	for _, n := range r.nodes {
+	for _, n := range b.nodes {
 		if n.dead {
 			continue
 		}
-		if n.appliedLock > 0 && n.appliedLock <= r.wdLPMHz {
+		if n.appliedLock > 0 && n.appliedLock <= b.wdLPMHz {
 			deep = true
 		}
-		if n.rep.KVFrac() >= serveKVShedFrac {
+		if b.reps[n.idx].KVFrac() >= serveKVShedFrac {
 			high = true
 		}
 	}
 	if high {
-		r.kvHighTicks++
+		b.kvHighTicks++
 	} else {
-		r.kvHighTicks = 0
+		b.kvHighTicks = 0
 	}
 	switch {
 	case deep:
 		return 1, "deep-cap"
-	case r.kvHighTicks >= serveKVShedTicks:
+	case b.kvHighTicks >= serveKVShedTicks:
 		return 1, "kv-pressure"
 	}
 	return 0, ""
@@ -527,47 +588,35 @@ const (
 	serveKVShedTicks = 3
 )
 
-// dropServe finally drops a request the serving path could not place
-// (router found no live replica, the chosen replica's queue was full, the
-// class shedder refused it, or its retry budget ran out). When span
-// tracing is on, a request that never reached a replica still gets a root
-// span so the analyzer sees every outcome.
-func (r *Row) dropServe(now sim.Time, srv int32, req workload.Request, reason string) {
-	pri := req.Priority
-	r.metrics.Dropped[pri]++
-	r.droppedCtr[pri].Inc()
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindDrop, Server: srv, Pool: int8(pri), Reason: reason,
-		})
-	}
-	if r.spanSink != nil {
-		r.spanSink.Emit(obs.Span{
+// drop finally drops a request. When span tracing is on, a request whose
+// root span no replica closed — it never reached one: no live replica,
+// a full queue, the class shedder, or the end of the run caught it
+// waiting to retry — gets one here, so the analyzer sees every outcome.
+func (b *serveBackend) drop(now sim.Time, srv int32, req workload.Request, reason string, spanned bool) {
+	b.record(now, obs.KindDrop, srv, &req, reason)
+	if b.spanSink != nil && !spanned {
+		b.spanSink.Emit(obs.Span{
 			Req: req.ID, ID: 1, Kind: obs.SpanRequest,
 			Start: req.Arrival, End: now,
-			Server: srv, Pool: int8(pri), Class: req.Class,
+			Server: srv, Pool: int8(req.Priority), Class: req.Class,
 			TTFTSec: -1, Reason: reason, Retry: int32(req.Retry),
 		})
 	}
 }
 
-// finalizeServe folds the replicas' scheduler counters into the run
-// metrics. Called once at the end of Run/RunRequests.
-func (r *Row) finalizeServe() {
-	if !r.serveMode() {
-		return
+// finish settles the run. Requests still waiting in the retry queue when
+// the run drains are final drops — the conservation invariant (arrived =
+// completed + dropped) must hold at drain — and the replicas' scheduler
+// counters fold into the run metrics.
+func (b *serveBackend) finish(now sim.Time) {
+	for b.retryQ.len() > 0 {
+		e := b.retryQ.pop()
+		b.drop(now, -1, e.req, "end-of-run", false)
 	}
-	// Requests still waiting in the retry queue when the run drains are
-	// final drops — the conservation invariant (arrived = completed +
-	// dropped) must hold at drain.
-	for r.retryQ.len() > 0 {
-		e := r.retryQ.pop()
-		r.dropServe(r.eng.Now(), -1, e.req, "end-of-run")
-	}
-	st := &r.metrics.Serve
-	group := float64(r.serveCfg.TensorParallel)
-	for _, n := range r.nodes {
-		s := n.rep.Stats()
+	st := &b.metrics.Serve
+	group := float64(b.scfg.TensorParallel)
+	for i := range b.reps {
+		s := b.reps[i].Stats()
 		st.Batches += s.Batches
 		st.Preemptions += s.Preemptions
 		st.PromptTokens += s.PromptTokens
@@ -584,5 +633,32 @@ func (r *Row) finalizeServe() {
 		if s.KVHighWaterFrac > st.KVHighWaterFrac {
 			st.KVHighWaterFrac = s.KVHighWaterFrac
 		}
+	}
+}
+
+// tsdbSeries registers the serving signals: KV occupancy, queue depth and
+// TTFT/TBT latencies, plus the failover and shed counters when a
+// fault-tolerance knob is armed (so the series list and rule bindings of
+// other configurations stay as they were).
+func (b *serveBackend) tsdbSeries(ts *rowTSDB) func(i int, lbl string) {
+	db, c := ts.db, b.cfg
+	b.kv = db.Series("row.kv", obs.LevelRow, obs.WithUnit("frac"))
+	b.ttft = db.Series("row.ttft", obs.LevelRow, obs.WithUnit("s"))
+	b.tbt = db.Series("row.tbt", obs.LevelRow, obs.WithUnit("s"))
+	b.ttftOK = db.Series("row.ttft_ok", obs.LevelRow, obs.CounterSeries())
+	b.ttftTotal = db.Series("row.ttft_total", obs.LevelRow, obs.CounterSeries())
+	if c.ServeRetries > 0 || c.ServeClassShed || c.ServeCircuitSheds > 0 || c.WatchdogDrain {
+		b.retryTotal = db.Series("row.retries_total", obs.LevelRow, obs.CounterSeries())
+		b.shedTotal = db.Series("row.sheds_total", obs.LevelRow, obs.CounterSeries())
+	}
+	b.srvKV = make([]*obs.TSSeries, len(b.nodes))
+	b.srvQueue = make([]*obs.TSSeries, len(b.nodes))
+	return func(i int, lbl string) {
+		b.srvKV[i] = db.Series(obs.MergeLabels("server.kv", lbl), obs.LevelServer,
+			obs.WithUnit("frac"), obs.WithParent(b.kv, obs.AggMax),
+			obs.WithCapacity(serverSeriesCapacity))
+		b.srvQueue[i] = db.Series(obs.MergeLabels("server.queue", lbl), obs.LevelServer,
+			obs.WithUnit("requests"), obs.WithParent(ts.queue, obs.AggSum),
+			obs.WithCapacity(serverSeriesCapacity))
 	}
 }

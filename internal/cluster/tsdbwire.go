@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"strconv"
-	"time"
 
 	"polca/internal/obs"
 	"polca/internal/sim"
@@ -25,12 +24,11 @@ import (
 // the per-server rings dominate the telemetry footprint.
 const serverSeriesCapacity = 128
 
-// defaultTTFTSLO is the TTFT SLO threshold used for the TSDB's SLO
-// counters when RowConfig.TTFTSLO is unset.
-const defaultTTFTSLO = 15 * time.Second
-
-// rowTSDB holds the row's registered series handles, cached at
-// construction so the telemetry tick ingests without lookups.
+// rowTSDB holds the control plane's registered series handles, cached at
+// construction so the telemetry tick ingests without lookups. The backend
+// registers and samples its own series (tsdbSeries, tick); the slot model
+// samples the row.queue gauge directly, the serving model rolls it up from
+// its per-server queues.
 type rowTSDB struct {
 	db    *obs.TSDB
 	rules *obs.Rules
@@ -45,7 +43,6 @@ type rowTSDB struct {
 	// directly).
 	power  *obs.TSSeries // sum of server power
 	capmhz *obs.TSSeries // max applied lock
-	kv     *obs.TSSeries // max replica KV occupancy (serve mode)
 	queue  *obs.TSSeries // serve: sum of replica queues; slot: front-door depth
 
 	// Row-level cumulative counters (observed from the run metrics).
@@ -54,40 +51,19 @@ type rowTSDB struct {
 	dropTotal    *obs.TSSeries
 	reqTotal     *obs.TSSeries
 
-	// Serve-mode latency signals (event-driven from replica callbacks).
-	ttft      *obs.TSSeries // per-request TTFT seconds
-	tbt       *obs.TSSeries // per-request mean TBT seconds
-	ttftOK    *obs.TSSeries // requests meeting the TTFT SLO
-	ttftTotal *obs.TSSeries // all first tokens
-
-	// Serve-mode fault-tolerance counters. Registered only when a
-	// fault-tolerance knob is armed so the series list (and rule
-	// bindings) for existing configurations stays byte-identical.
-	retryTotal *obs.TSSeries // cumulative failover requeues
-	shedTotal  *obs.TSSeries // cumulative class-shed drops
-
 	// Per-server children, indexed by node.
 	srvPower []*obs.TSSeries
 	srvCap   []*obs.TSSeries
-	srvKV    []*obs.TSSeries
-	srvQueue []*obs.TSSeries
-
-	ttftSLOSec float64
 }
 
-// initTSDB registers the row's series hierarchy. Must run before
-// initServe so the replica callbacks can reach the latency series.
+// initTSDB registers the row's series hierarchy, the backend's series in
+// their place within it.
 func (r *Row) initTSDB(o *obs.Observer) {
 	db := o.TimeSeries()
 	if db == nil {
 		return
 	}
 	ts := &rowTSDB{db: db, rules: o.RuleEngine()}
-	slo := r.cfg.TTFTSLO
-	if slo == 0 {
-		slo = defaultTTFTSLO
-	}
-	ts.ttftSLOSec = slo.Seconds()
 
 	site := db.Series("site.power", obs.LevelSite, obs.WithUnit("W"))
 	ts.power = db.Series("row.power", obs.LevelRow, obs.WithUnit("W"),
@@ -98,17 +74,7 @@ func (r *Row) initTSDB(o *obs.Observer) {
 	ts.capmhz = db.Series("row.capmhz", obs.LevelRow, obs.WithUnit("MHz"))
 	ts.capped = db.Series("row.capped_servers", obs.LevelRow, obs.WithUnit("servers"))
 	ts.queue = db.Series("row.queue", obs.LevelRow, obs.WithUnit("requests"))
-	if r.serveMode() {
-		ts.kv = db.Series("row.kv", obs.LevelRow, obs.WithUnit("frac"))
-		ts.ttft = db.Series("row.ttft", obs.LevelRow, obs.WithUnit("s"))
-		ts.tbt = db.Series("row.tbt", obs.LevelRow, obs.WithUnit("s"))
-		ts.ttftOK = db.Series("row.ttft_ok", obs.LevelRow, obs.CounterSeries())
-		ts.ttftTotal = db.Series("row.ttft_total", obs.LevelRow, obs.CounterSeries())
-		if r.cfg.serveFaultTolerant() {
-			ts.retryTotal = db.Series("row.retries_total", obs.LevelRow, obs.CounterSeries())
-			ts.shedTotal = db.Series("row.sheds_total", obs.LevelRow, obs.CounterSeries())
-		}
-	}
+	serverSeries := r.be.tsdbSeries(ts)
 	ts.brakeTotal = db.Series("row.brake_total", obs.LevelRow, obs.CounterSeries())
 	ts.oobFailTotal = db.Series("row.oob_fail_total", obs.LevelRow, obs.CounterSeries())
 	ts.dropTotal = db.Series("row.drops_total", obs.LevelRow, obs.CounterSeries())
@@ -117,10 +83,6 @@ func (r *Row) initTSDB(o *obs.Observer) {
 	n := len(r.nodes)
 	ts.srvPower = make([]*obs.TSSeries, n)
 	ts.srvCap = make([]*obs.TSSeries, n)
-	if r.serveMode() {
-		ts.srvKV = make([]*obs.TSSeries, n)
-		ts.srvQueue = make([]*obs.TSSeries, n)
-	}
 	for i := range r.nodes {
 		lbl := obs.Label("server", strconv.Itoa(i))
 		ts.srvPower[i] = db.Series(obs.MergeLabels("server.power", lbl), obs.LevelServer,
@@ -129,20 +91,14 @@ func (r *Row) initTSDB(o *obs.Observer) {
 		ts.srvCap[i] = db.Series(obs.MergeLabels("server.capmhz", lbl), obs.LevelServer,
 			obs.WithUnit("MHz"), obs.WithParent(ts.capmhz, obs.AggMax),
 			obs.WithCapacity(serverSeriesCapacity))
-		if r.serveMode() {
-			ts.srvKV[i] = db.Series(obs.MergeLabels("server.kv", lbl), obs.LevelServer,
-				obs.WithUnit("frac"), obs.WithParent(ts.kv, obs.AggMax),
-				obs.WithCapacity(serverSeriesCapacity))
-			ts.srvQueue[i] = db.Series(obs.MergeLabels("server.queue", lbl), obs.LevelServer,
-				obs.WithUnit("requests"), obs.WithParent(ts.queue, obs.AggSum),
-				obs.WithCapacity(serverSeriesCapacity))
-		}
+		serverSeries(i, lbl)
 	}
 	r.tsdb = ts
 }
 
-// tsdbTick ingests one telemetry sample per signal and evaluates the
-// alert rules. Runs at the end of each telemetry tick; all reads are
+// tsdbTick ingests one telemetry sample per control-plane signal (the
+// backend sampled its own in its tick) and evaluates the alert rules.
+// Runs at the end of each telemetry tick; all reads are
 // non-destructive (TelemetrySample, PowerAt), so the sample changes
 // nothing downstream. The explicit Flush completes the parent rollups
 // for this tick before the rules read them, so `row.power` rules see the
@@ -154,52 +110,24 @@ func (r *Row) tsdbTick(now sim.Time, util float64) {
 	}
 	capped := 0
 	for i, n := range r.nodes {
-		ts.srvPower[i].Observe(now, r.nodePower(n, now))
+		w, _ := r.nodePower(n, now)
+		ts.srvPower[i].Observe(now, w)
 		ts.srvCap[i].Observe(now, n.appliedLock)
 		if n.appliedLock > 0 && !n.dead {
 			capped++
-		}
-		if ts.srvKV != nil && n.rep != nil {
-			s := n.rep.TelemetrySample()
-			ts.srvKV[i].Observe(now, s.KVFrac)
-			ts.srvQueue[i].Observe(now, float64(s.Queue))
 		}
 	}
 	ts.util.Observe(now, util)
 	ts.headroom.Observe(now, 1-util)
 	ts.breaker.Observe(now, r.metrics.Provisioned)
 	ts.capped.Observe(now, float64(capped))
-	if !r.serveMode() {
-		ts.queue.Observe(now, float64(len(r.frontQ[workload.Low])+len(r.frontQ[workload.High])))
-	}
 	m := r.metrics
 	ts.brakeTotal.Observe(now, float64(m.BrakeEvents))
 	ts.oobFailTotal.Observe(now, float64(m.FailedCommands))
 	ts.dropTotal.Observe(now, float64(m.Dropped[workload.Low]+m.Dropped[workload.High]))
 	ts.reqTotal.Observe(now, float64(m.Completed[workload.Low]+m.Completed[workload.High]))
-	if ts.retryTotal != nil {
-		ts.retryTotal.Observe(now, float64(m.ServeRetries))
-		sheds := 0
-		for _, v := range m.ClassShed {
-			sheds += v
-		}
-		ts.shedTotal.Observe(now, float64(sheds))
-	}
 	ts.db.Flush()
 	ts.rules.Eval(now)
-}
-
-// observeFirstToken feeds the serve-mode TTFT signals: the latency
-// distribution plus the good/total SLO counters burn-rate rules consume.
-func (ts *rowTSDB) observeFirstToken(now sim.Time, ttftSec float64) {
-	if ts == nil {
-		return
-	}
-	ts.ttft.Observe(now, ttftSec)
-	ts.ttftTotal.Add(now, 1)
-	if ttftSec <= ts.ttftSLOSec {
-		ts.ttftOK.Add(now, 1)
-	}
 }
 
 // scheduleTSDBFinish arms the rules engine's end-of-run resolution as an
@@ -207,7 +135,7 @@ func (ts *rowTSDB) observeFirstToken(now sim.Time, ttftSec float64) {
 // last telemetry tick). Resolving through the engine — rather than after
 // the drain — keeps the event trace timestamp-ordered: drain-phase
 // completions before the resolve time are emitted first, those after it
-// later. Called between stopTelemetry and the drain run.
+// later. Called between stopping the telemetry tick and the drain run.
 func (r *Row) scheduleTSDBFinish() {
 	ts := r.tsdb
 	if ts == nil {

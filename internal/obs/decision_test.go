@@ -203,19 +203,25 @@ func TestScanDecisionsReportsGapsAndTruncation(t *testing.T) {
 // polca-bench -zero-alloc). The disabled path is a nil-receiver branch,
 // same as BenchmarkTracerDisabled.
 func BenchmarkDecisionRecord(b *testing.B) {
+	// The timed loop resets the log every window iterations: holding all
+	// b.N decisions at once would need tens of GiB at the default
+	// benchtime.
+	const window = 1 << 16
 	r := NewDecisionRecorder()
 	tick := sampleTick(2 * time.Second)
 	route, cands := sampleRoute(2 * time.Second)
 	// Warm the arenas to their steady-state capacity, then reset: Reset
 	// keeps capacity, so the timed loop measures the append path alone.
-	for i := 0; i < b.N+1; i++ {
+	for i := 0; i < window; i++ {
 		r.RecordTick(tick)
 		r.RecordRoute(route, cands)
 	}
-	r.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%window == 0 {
+			r.Reset()
+		}
 		r.RecordTick(tick)
 		r.RecordRoute(route, cands)
 	}

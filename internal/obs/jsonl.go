@@ -73,7 +73,8 @@ func (c *seqCheck) next(seq uint64) error {
 
 // writeChromeRows writes the Chrome trace-event JSON document both the
 // event and the span exports produce: the track-naming metadata rows, then
-// the trace rows.
+// the trace rows. A bufio.Writer keeps its first write error and returns
+// it from Flush, so only Flush is checked.
 func writeChromeRows(w io.Writer, meta, rows []chromeTraceRow) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[`)
@@ -81,7 +82,6 @@ func writeChromeRows(w io.Writer, meta, rows []chromeTraceRow) error {
 	sep := ""
 	for _, part := range [][]chromeTraceRow{meta, rows} {
 		for _, r := range part {
-			// bufio.Writer errors are sticky: Flush reports the first one.
 			buf = r.append(append(buf[:0], sep...))
 			bw.Write(buf)
 			sep = ",\n"

@@ -190,8 +190,8 @@ type Replica struct {
 	idx  int
 	pool int8
 
-	kvPerTok      int     // per-GPU KV bytes per token
-	kvCapToks     int     // per-GPU KV capacity in tokens
+	kvPerTok      int // per-GPU KV bytes per token
+	kvCapToks     int // per-GPU KV capacity in tokens
 	weightsPerGPU float64
 	scale         float64 // tensor-parallel degree: per-GPU → group energy
 	idleWatts     float64 // device idle draw (spec copy is too hot for PowerAt)
@@ -243,12 +243,6 @@ type Replica struct {
 	baseExec  gpu.Exec // scratch for the uncapped counterfactual
 	seqFree   []*Seq
 	trFree    []*seqTrace
-
-	// draining marks a graceful-drain window: Enqueue refuses new work
-	// while every sequence already accepted (running and waiting) finishes
-	// normally. The row uses it for operator-style maintenance windows and
-	// for the watchdog's serve-mode degradation.
-	draining bool
 
 	stats  Stats
 	lastHW float64 // last traced high-water fraction
@@ -437,19 +431,11 @@ func (r *Replica) newSeqTrace(now sim.Time) *seqTrace {
 	return t
 }
 
-// SetDraining switches the replica's graceful-drain mode: while draining
-// it refuses new admissions but lets accepted work finish. Idempotent.
-func (r *Replica) SetDraining(v bool) { r.draining = v }
-
-// Draining reports whether the replica is in graceful-drain mode.
-func (r *Replica) Draining() bool { return r.draining }
-
 // Enqueue accepts a request into the waiting queue, kicking the iteration
 // loop if the replica was idle. It returns false when the queue is at
-// capacity or the replica is draining (the caller sheds or fails the
-// request over).
+// capacity (the caller sheds or fails the request over).
 func (r *Replica) Enqueue(now sim.Time, req workload.Request) bool {
-	if r.draining || r.waiting.Len() >= r.cfg.QueueCap {
+	if r.waiting.Len() >= r.cfg.QueueCap {
 		r.stats.Dropped++
 		return false
 	}
