@@ -49,16 +49,17 @@ test:
 
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,
-# quantile sketch, serving-scheduler iteration) plus the two end-to-end
-# rows, one per backend: the serve-mode day and the slot-model hour behind
-# the paper figures. BENCH_MICRO is the -bench regexp for the fast ones;
-# BENCH_E2E runs separately because one iteration simulates a whole row
-# and needs its own -benchtime. BENCH_REQUIRE lists every name;
-# polca-bench -require fails the target if any stops matching, so a
-# renamed benchmark can never silently drop out of the smoke.
-BENCH_MICRO = ^(BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord)$$
+# quantile sketch, serving-scheduler iteration, one power-capped GPU phase
+# through the cap solver) plus the two end-to-end rows, one per backend:
+# the serve-mode day and the slot-model hour behind the paper figures.
+# BENCH_MICRO is the -bench regexp for the fast ones; BENCH_E2E runs
+# separately because one iteration simulates a whole row and needs its own
+# -benchtime. BENCH_REQUIRE lists every name; polca-bench -require fails
+# the target if any stops matching, so a renamed benchmark can never
+# silently drop out of the smoke.
+BENCH_MICRO = ^(BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkServeDay,BenchmarkRowHour
+BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkServeDay,BenchmarkRowHour
 # The telemetry ingest, rule-evaluation, failover-requeue, scenario
 # request-generation, and decision-input recording ticks run inside the
 # simulator's hot loop; -zero-alloc hard-fails the build the moment any of
@@ -139,12 +140,14 @@ chaos-serve:
 		-guard -watchdog 5 -oob-retries 8 -oob-backoff 4s -drop-stale \
 		-retries 3 -retry-backoff 4s -class-shed -circuit-sheds 10 -watchdog-drain
 
-# fuzz-smoke runs the DSL parser fuzzers briefly: round-trip and
-# never-panic properties over the faults and scenario grammars.
+# fuzz-smoke runs the fuzzers briefly: round-trip and never-panic
+# properties over the faults and scenario grammars, and the GPU power-cap
+# solver against its reference bisection.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
 
 # scenarios regenerates the committed scenarios/*.scn files from the builtin
 # library and verifies the two are in lockstep (plus the canonical

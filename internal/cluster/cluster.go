@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -551,6 +552,10 @@ type node struct {
 	// node, and fetching these through the spec copies it each time.
 	gpuIdleW float64
 	gpuScale float64
+	// nodePower's memo of PowerFromGPUs on its last exact input: a node's
+	// GPU draw is piecewise constant, yet the sampler reads it nine times
+	// per telemetry epoch.
+	memoGPUW, memoSrvW float64
 }
 
 // backend is the request-serving half of a row: it executes requests on
@@ -708,6 +713,7 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		n := &node{idx: i, pri: pri, srv: s, dev: s.GPUs()[0]}
 		n.gpuIdleW = n.dev.Spec().IdleWatts
 		n.gpuScale = float64(s.Spec().GPUCount) * cfg.PowerIntensity
+		n.memoGPUW = math.NaN()
 		r.nodes = append(r.nodes, n)
 		r.pools[pri] = append(r.pools[pri], n)
 	}
@@ -845,17 +851,17 @@ func (r *Row) Run(arrivals trace.RatePlan) *Metrics {
 	r.arrivalPlan = arrivals
 	arrRNG := r.eng.Rand("arrivals")
 
-	// Online arrival generation: one pending event at a time.
-	var scheduleNext func(after sim.Time)
-	scheduleNext = func(after sim.Time) {
-		next, ok := arrivals.NextAfter(after, arrRNG)
-		if !ok {
-			return
+	// Online arrival generation: one pending event at a time, all through
+	// one handler.
+	var onArrival sim.Handler
+	scheduleNext := func(after sim.Time) {
+		if next, ok := arrivals.NextAfter(after, arrRNG); ok {
+			r.eng.At(next, onArrival)
 		}
-		r.eng.At(next, func(now sim.Time) {
-			r.arrive(now)
-			scheduleNext(now)
-		})
+	}
+	onArrival = func(now sim.Time) {
+		r.arrive(now)
+		scheduleNext(now)
 	}
 	scheduleNext(0)
 	return r.run(arrivals.Horizon())
@@ -1166,7 +1172,10 @@ func (r *Row) nodePower(n *node, now sim.Time) (float64, bool) {
 		return 0, false
 	}
 	gpuW, busy := r.be.load(n, now)
-	return n.srv.PowerFromGPUs(gpuW * n.gpuScale), busy
+	if gpuW *= n.gpuScale; gpuW != n.memoGPUW {
+		n.memoGPUW, n.memoSrvW = gpuW, n.srv.PowerFromGPUs(gpuW)
+	}
+	return n.memoSrvW, busy
 }
 
 // instantUtilization returns row power as a fraction of the provisioned

@@ -21,33 +21,52 @@ type slotBackend struct {
 	*Row
 	frontQ [2][]workload.Request // indexed by workload.Priority
 	busy   [2]int
-	active []*activeReq // per node; nil while idle
+	active []*activeReq // per node; nil while idle, else &reqs[node]
+	reqs   []activeReq  // per node, reused across its requests
+	idle   []*node      // admit's scratch list of idle servers
 
 	// svcEffSec is the row's aggregate mean service time at full clocks;
-	// svcAtLock caches each pool's mean service time per applied lock MHz.
+	// svcAtLock caches each pool's mean service time per applied lock MHz,
+	// and svcNode each node's entry under the lock it last saw applied.
 	svcEffSec float64
 	svcAtLock [2]map[float64]float64
+	svcNode   []lockedService
 }
 
-// activeReq tracks the request a node is executing.
+// lockedService is a node's pool mean service time under an applied lock.
+type lockedService struct{ lock, sec float64 }
+
+// activeReq tracks the request a node is executing. Each node owns one
+// for the whole run, so serving a request allocates nothing: the phases
+// live in a fixed buffer, the device times them into a reused Exec, and
+// the phase-done handler is bound once.
 type activeReq struct {
 	req        workload.Request
-	remaining  []gpu.Phase
+	phases     [2]gpu.Phase // an inference plan has at most two
+	remaining  []gpu.Phase  // the unfinished tail of phases
 	exec       gpu.Exec
 	phaseStart sim.Time
 	timer      sim.Timer
 	started    sim.Time
+	done       sim.Handler // phaseDone for this node
 }
 
 // newSlotBackend builds the slot model; svc is each pool's mean service
 // time at full clocks, which seeds the service-time cache.
 func newSlotBackend(r *Row, svc [2]float64) *slotBackend {
-	return &slotBackend{
+	s := &slotBackend{
 		Row:       r,
 		active:    make([]*activeReq, len(r.nodes)),
+		reqs:      make([]activeReq, len(r.nodes)),
 		svcEffSec: r.cfg.Shape().MeanServiceSec,
 		svcAtLock: [2]map[float64]float64{{0: svc[0]}, {0: svc[1]}},
+		svcNode:   make([]lockedService, len(r.nodes)),
 	}
+	for i, n := range r.nodes {
+		s.reqs[i].done = func(t sim.Time) { s.phaseDone(n, t) }
+		s.svcNode[i] = lockedService{sec: svc[n.pri]}
+	}
+	return s
 }
 
 // The slot model has no serving config, no watchdog drain, no TSDB series
@@ -129,7 +148,11 @@ func (s *slotBackend) poolSlowdown(p workload.Priority) float64 {
 	var sum float64
 	pool := s.pools[p]
 	for _, n := range pool {
-		sum += s.serviceAt(p, n.appliedLock)
+		c := &s.svcNode[n.idx]
+		if c.lock != n.appliedLock {
+			*c = lockedService{n.appliedLock, s.serviceAt(p, n.appliedLock)}
+		}
+		sum += c.sec
 	}
 	return sum / float64(len(pool)) / base
 }
@@ -150,17 +173,20 @@ func (s *slotBackend) serviceAt(p workload.Priority, lock float64) float64 {
 func (s *slotBackend) admit(p workload.Priority, now sim.Time) {
 	limit := s.admitLimit(p, now)
 	for len(s.frontQ[p]) > 0 && s.busy[p] < limit {
-		var idle []*node
+		idle := s.idle[:0]
 		for _, n := range s.pools[p] {
 			if s.active[n.idx] == nil && !n.dead && !n.draining {
 				idle = append(idle, n)
 			}
 		}
+		s.idle = idle
 		if len(idle) == 0 {
 			return
 		}
-		req := s.frontQ[p][0]
-		s.frontQ[p] = s.frontQ[p][1:]
+		// Pop by shifting, so the queue keeps its backing array.
+		q := s.frontQ[p]
+		req := q[0]
+		s.frontQ[p] = q[:copy(q, q[1:])]
 		s.start(idle[s.dispatchRNG.Intn(len(idle))], now, req)
 	}
 }
@@ -177,18 +203,18 @@ func (s *slotBackend) start(n *node, now sim.Time, req workload.Request) {
 	if err != nil {
 		panic(err) // sizes come from validated classes
 	}
-	phases := p.Phases()
+	a := &s.reqs[n.idx]
+	a.req, a.started = req, now
+	a.remaining = p.AppendPhases(a.phases[:0])
 	if f := s.inj.SlowFactor(n.idx); f > 1 {
 		// Straggler: the node takes f× the work per request (same power
 		// profile, stretched), like a host with a failing NVLink or thermal
 		// throttling the fleet hasn't drained yet.
-		scaled := make([]gpu.Phase, len(phases))
-		for i, ph := range phases {
-			scaled[i] = ph.Scale(f)
+		for i := range a.remaining {
+			a.remaining[i] = a.remaining[i].Scale(f)
 		}
-		phases = scaled
 	}
-	s.active[n.idx] = &activeReq{req: req, remaining: phases, started: now}
+	s.active[n.idx] = a
 	s.busy[req.Priority]++
 	s.startPhase(n, now)
 }
@@ -198,16 +224,13 @@ func (s *slotBackend) start(n *node, now sim.Time, req workload.Request) {
 func (s *slotBackend) startPhase(n *node, now sim.Time) {
 	a := s.active[n.idx]
 	for len(a.remaining) > 0 {
-		exec := n.dev.Run(a.remaining[0])
-		if exec.Duration <= 0 {
+		n.dev.RunInto(&a.remaining[0], &a.exec)
+		if a.exec.Duration <= 0 {
 			a.remaining = a.remaining[1:]
 			continue
 		}
-		a.exec = exec
 		a.phaseStart = now
-		a.timer = s.eng.AfterCancelable(exec.Duration, func(t sim.Time) {
-			s.phaseDone(n, t)
-		})
+		a.timer = s.eng.AfterCancelable(a.exec.Duration, a.done)
 		return
 	}
 	s.complete(n, now)

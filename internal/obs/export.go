@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -226,8 +227,15 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	// Close dangling spans at the last observed timestamp so locks still
-	// held at end of run are visible.
-	for server, sp := range capOpen {
+	// held at end of run are visible, in server order so that equal runs
+	// write equal files.
+	servers := make([]int32, 0, len(capOpen))
+	for server := range capOpen {
+		servers = append(servers, server)
+	}
+	slices.Sort(servers)
+	for _, server := range servers {
+		sp := capOpen[server]
 		rows = append(rows, chromeTraceRow{
 			name: sp.name, ph: "X", ts: sp.startUS, dur: lastTS - sp.startUS,
 			tid: serverTrack(server), args: sp.args,

@@ -69,14 +69,19 @@ type Inference struct {
 
 // Phases returns the plan's phases in execution order, omitting empty ones.
 func (p Inference) Phases() []gpu.Phase {
-	out := make([]gpu.Phase, 0, 2)
+	return p.AppendPhases(make([]gpu.Phase, 0, 2))
+}
+
+// AppendPhases appends the plan's phases to dst in execution order,
+// omitting empty ones (at most two), and returns the extended slice.
+func (p Inference) AppendPhases(dst []gpu.Phase) []gpu.Phase {
 	if p.Prompt.FLOPs > 0 || p.Prompt.MemBytes > 0 {
-		out = append(out, p.Prompt)
+		dst = append(dst, p.Prompt)
 	}
 	if p.TokenSteps > 0 {
-		out = append(out, p.Token)
+		dst = append(dst, p.Token)
 	}
-	return out
+	return dst
 }
 
 // Per-layer constants for overhead modelling. These are calibrated to the

@@ -557,7 +557,7 @@ func (r *Replica) Replan(now sim.Time) {
 	r.iterTimer.Stop()
 	r.iterBankedJ += r.iterExec.EnergyUpTo(elapsed)
 	r.iterPhase = r.iterPhase.Scale(1 - frac)
-	r.dev.RunInto(r.iterPhase, &r.iterExec)
+	r.dev.RunInto(&r.iterPhase, &r.iterExec)
 	r.iterStart = now
 	r.iterTimer = r.eng.AfterCancelable(r.iterExec.Duration, r.finishFn)
 }
@@ -870,7 +870,7 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 		}
 	}
 	r.dev.SetMemUsedGB((r.weightsPerGPU + r.KVReservedBytes()) / 1e9)
-	r.dev.RunInto(phase, &r.iterExec)
+	r.dev.RunInto(&phase, &r.iterExec)
 	r.iterActive = true
 	r.iterPhase = phase
 	r.iterStart = now
@@ -880,7 +880,7 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 	// at formation, also time the iteration's uncapped counterfactual.
 	// Energy settles against it when the iteration finishes.
 	if r.capped() {
-		r.uncappedExecInto(phase, &r.baseExec)
+		r.uncappedExecInto(&phase, &r.baseExec)
 		r.iterBaseSec = r.baseExec.Duration.Seconds()
 		r.iterBaseJ = r.baseExec.Energy()
 	} else {
@@ -939,9 +939,9 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 		seg.phase = r.synthDecodePhase(st, decodeSeqs)
 		seg.memGB = (r.weightsPerGPU + float64(kv)*float64(r.kvPerTok)) / 1e9
 		r.dev.SetMemUsedGB(seg.memGB)
-		r.dev.RunInto(seg.phase, &seg.exec)
+		r.dev.RunInto(&seg.phase, &seg.exec)
 		if capped {
-			r.uncappedExecInto(seg.phase, &r.baseExec)
+			r.uncappedExecInto(&seg.phase, &r.baseExec)
 			seg.baseSec = r.baseExec.Duration.Seconds()
 			seg.baseJ = r.baseExec.Energy()
 		} else {
@@ -1113,18 +1113,11 @@ func (r *Replica) breakSpan(now sim.Time) {
 	r.span = nil
 }
 
-// uncappedExec times a phase with the device's clock lock, brake, and
-// power cap all released — the DVFS counterfactual for cap attribution.
-// Device knobs are restored before returning, so the run is observably
-// pure.
-func (r *Replica) uncappedExec(phase gpu.Phase) gpu.Exec {
-	var e gpu.Exec
-	r.uncappedExecInto(phase, &e)
-	return e
-}
-
-// uncappedExecInto is uncappedExec into a caller-owned execution.
-func (r *Replica) uncappedExecInto(phase gpu.Phase, e *gpu.Exec) {
+// uncappedExecInto times a phase into a caller-owned execution with the
+// device's clock lock, brake, and power cap all released — the DVFS
+// counterfactual for cap attribution. Device knobs are restored before
+// returning, so the run is observably pure.
+func (r *Replica) uncappedExecInto(phase *gpu.Phase, e *gpu.Exec) {
 	lock, brake, cap := r.dev.LockedClock(), r.dev.Brake(), r.dev.PowerCap()
 	r.dev.LockClock(0)
 	r.dev.SetBrake(false)
