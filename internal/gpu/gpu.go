@@ -116,7 +116,7 @@ func A100SXM40GB() Spec {
 
 // PeakFLOPS returns the peak math throughput (FLOP/s) for a datatype,
 // before kernel efficiency.
-func (s *Spec) PeakFLOPS(dt llm.DType) float64 {
+func (s Spec) PeakFLOPS(dt llm.DType) float64 {
 	switch dt {
 	case llm.FP16:
 		return s.TensorFP16TFLOPS * 1e12

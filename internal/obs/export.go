@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"time"
 )
@@ -227,15 +226,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	// Close dangling spans at the last observed timestamp so locks still
-	// held at end of run are visible, in server order so that equal runs
-	// write equal files.
-	servers := make([]int32, 0, len(capOpen))
-	for server := range capOpen {
-		servers = append(servers, server)
-	}
-	slices.Sort(servers)
-	for _, server := range servers {
-		sp := capOpen[server]
+	// held at end of run are visible.
+	for server, sp := range capOpen {
 		rows = append(rows, chromeTraceRow{
 			name: sp.name, ph: "X", ts: sp.startUS, dur: lastTS - sp.startUS,
 			tid: serverTrack(server), args: sp.args,

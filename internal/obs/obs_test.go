@@ -190,28 +190,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTraceDeterministic pins the file of a run that ends with
-// many capping spans still open: equal tracers must write equal bytes.
-func TestWriteChromeTraceDeterministic(t *testing.T) {
-	tr := NewTracer()
-	for s := int32(0); s < 24; s++ {
-		tr.Emit(Event{At: time.Duration(s) * time.Second, Kind: KindCapApply, Server: s, Pool: PoolLow, MHz: 1275})
-	}
-	var first bytes.Buffer
-	if err := tr.WriteChromeTrace(&first); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		var again bytes.Buffer
-		if err := tr.WriteChromeTrace(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), again.Bytes()) {
-			t.Fatalf("export %d differs from the first", i+2)
-		}
-	}
-}
-
 func TestRegistryAndPrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`row_requests_total{priority="low"}`).Add(10)
