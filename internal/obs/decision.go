@@ -473,88 +473,172 @@ func (r *DecisionRecorder) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// decisionJSON is the decode-side shadow of appendDecisionJSON. Util is a
-// pointer so Delivered survives the round trip ("util" present iff a
-// reading was delivered — 0.0 is a legitimate reading).
-type decisionJSON struct {
-	Seq          uint64      `json:"seq"`
-	TUS          int64       `json:"t_us"`
-	Kind         string      `json:"kind"`
-	TrueUtil     float64     `json:"true_util"`
-	Util         *float64    `json:"util"`
-	Lost         bool        `json:"lost"`
-	Down         bool        `json:"down"`
-	Missed       bool        `json:"missed"`
-	Reset        bool        `json:"reset"`
-	Braked       bool        `json:"braked"`
-	BrakePending bool        `json:"brake_pending"`
-	WD           bool        `json:"wd"`
-	FailSafe     bool        `json:"failsafe"`
-	Stage        int8        `json:"stage"`
-	LPMHz        float64     `json:"lp_mhz"`
-	HPMHz        float64     `json:"hp_mhz"`
-	LPBusy       int32       `json:"lp_busy"`
-	HPBusy       int32       `json:"hp_busy"`
-	LPW          float64     `json:"lp_w"`
-	HPW          float64     `json:"hp_w"`
-	Req          int64       `json:"req"`
-	Class        string      `json:"class"`
-	Pri          int8        `json:"pri"`
-	Retry        int32       `json:"retry"`
-	Session      int64       `json:"session"`
-	Prefix       int32       `json:"prefix"`
-	Chosen       int32       `json:"chosen"`
-	Eps          [][]float64 `json:"eps"`
+// decisionFields are the member names of appendDecisionJSON's wire format.
+var decisionFields = []string{
+	"seq", "t_us", "kind", "true_util", "util", "lost", "down", "missed", "reset", "braked",
+	"brake_pending", "wd", "failsafe", "stage", "lp_mhz", "hp_mhz", "lp_busy", "hp_busy", "lp_w", "hp_w",
+	"req", "class", "pri", "retry", "session", "prefix", "chosen", "eps",
 }
 
 // parseDecisionLine decodes one decision line; route candidates are
-// appended to cands and indexed by the returned decision.
+// appended to cands and indexed by the returned decision. Every member is
+// read whatever the kind, so a malformed one fails either kind, but a
+// decision keeps only its own kind's fields.
 func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCandidate, error) {
-	dj := decisionJSON{Chosen: -1}
-	if err := json.Unmarshal(raw, &dj); err != nil {
-		return Decision{}, cands, err
-	}
-	kind, ok := ParseDecisionKind(dj.Kind)
-	if !ok {
-		return Decision{}, cands, fmt.Errorf("unknown kind %q", dj.Kind)
-	}
-	d := Decision{
-		Seq:  dj.Seq,
-		At:   time.Duration(dj.TUS) * time.Microsecond,
-		Kind: kind,
-	}
-	switch kind {
-	case DecTick:
-		d.TrueUtil = dj.TrueUtil
-		if dj.Util != nil {
-			d.Delivered = true
-			d.Reading = *dj.Util
-		}
-		d.Lost, d.Down, d.Missed, d.Reset = dj.Lost, dj.Down, dj.Missed, dj.Reset
-		d.Braked, d.BrakePending = dj.Braked, dj.BrakePending
-		d.Watchdog, d.FailSafe, d.Stage = dj.WD, dj.FailSafe, dj.Stage
-		d.LPDesiredMHz, d.HPDesiredMHz = dj.LPMHz, dj.HPMHz
-		d.LPBusy, d.HPBusy = dj.LPBusy, dj.HPBusy
-		d.LPWatts, d.HPWatts = dj.LPW, dj.HPW
-	case DecRoute:
-		d.ReqID, d.Class, d.Pri = dj.Req, dj.Class, dj.Pri
-		d.Retry, d.Session, d.Prefix = dj.Retry, dj.Session, dj.Prefix
-		d.Chosen = dj.Chosen
-		d.EpOff = int32(len(cands))
-		d.EpLen = int32(len(dj.Eps))
-		for i, ep := range dj.Eps {
-			if len(ep) != 4 {
-				return Decision{}, cands, fmt.Errorf("eps[%d]: want 4 elements, got %d", i, len(ep))
+	dc := Decision{Chosen: -1}
+	base := len(cands)
+	var epsErr error
+	d := recordDecoder{data: raw}
+	for d.member(decisionFields) {
+		switch d.key {
+		case "seq":
+			d.uint64(&dc.Seq)
+		case "t_us":
+			d.micros(&dc.At)
+		case "kind":
+			if s, ok := d.text(); ok {
+				if dc.Kind, ok = ParseDecisionKind(string(s)); !ok {
+					return Decision{}, cands[:base], fmt.Errorf("unknown kind %q", s)
+				}
 			}
-			cands = append(cands, RouteCandidate{
-				Server:    int32(ep[0]),
-				Load:      int32(ep[1]),
-				KVFrac:    ep[2],
-				CappedMHz: ep[3],
-			})
+		case "true_util":
+			d.float64(&dc.TrueUtil)
+		case "util":
+			// Present iff a reading was delivered: 0.0 is a legitimate reading.
+			dc.Delivered = d.float64(&dc.Reading)
+		case "lost":
+			d.bool(&dc.Lost)
+		case "down":
+			d.bool(&dc.Down)
+		case "missed":
+			d.bool(&dc.Missed)
+		case "reset":
+			d.bool(&dc.Reset)
+		case "braked":
+			d.bool(&dc.Braked)
+		case "brake_pending":
+			d.bool(&dc.BrakePending)
+		case "wd":
+			d.bool(&dc.Watchdog)
+		case "failsafe":
+			d.bool(&dc.FailSafe)
+		case "stage":
+			d.int8(&dc.Stage)
+		case "lp_mhz":
+			d.float64(&dc.LPDesiredMHz)
+		case "hp_mhz":
+			d.float64(&dc.HPDesiredMHz)
+		case "lp_busy":
+			d.int32(&dc.LPBusy)
+		case "hp_busy":
+			d.int32(&dc.HPBusy)
+		case "lp_w":
+			d.float64(&dc.LPWatts)
+		case "hp_w":
+			d.float64(&dc.HPWatts)
+		case "req":
+			d.int64(&dc.ReqID)
+		case "class":
+			d.string(&dc.Class)
+		case "pri":
+			d.int8(&dc.Pri)
+		case "retry":
+			d.int32(&dc.Retry)
+		case "session":
+			d.int64(&dc.Session)
+		case "prefix":
+			d.int32(&dc.Prefix)
+		case "chosen":
+			d.int32(&dc.Chosen)
+		case "eps":
+			cands, epsErr = d.candidates(cands)
 		}
 	}
-	return d, cands, nil
+	if d.err != nil {
+		return Decision{}, cands[:base], d.err
+	}
+	switch dc.Kind {
+	case DecTick:
+		dc.ReqID, dc.Class, dc.Pri, dc.Retry, dc.Session, dc.Prefix, dc.Chosen = 0, "", 0, 0, 0, 0, 0
+		cands = cands[:base]
+	case DecRoute:
+		if epsErr != nil {
+			return Decision{}, cands[:base], epsErr
+		}
+		dc = Decision{
+			Seq: dc.Seq, At: dc.At, Kind: DecRoute,
+			ReqID: dc.ReqID, Class: dc.Class, Pri: dc.Pri, Retry: dc.Retry,
+			Session: dc.Session, Prefix: dc.Prefix, Chosen: dc.Chosen,
+			EpOff: int32(base), EpLen: int32(len(cands) - base),
+		}
+	default:
+		return Decision{}, cands[:base], fmt.Errorf("unknown kind %q", "")
+	}
+	return dc, cands, nil
+}
+
+// candidates reads the "eps" member, [[server, load, kv_frac, capped_mhz],
+// ...], appending one RouteCandidate per entry to cands. Each element is
+// read as a float64, as json.Unmarshal reads a [][]float64, and server and
+// load convert with int32(); a null element reads as 0 and a null entry as
+// an empty one. The first entry that is not four elements long comes back
+// as lenErr instead of failing the line, because only a route decision
+// checks its candidates.
+func (d *recordDecoder) candidates(cands []RouteCandidate) (_ []RouteCandidate, lenErr error) {
+	if d.literal("null") {
+		return cands, nil
+	}
+	if !d.consume('[') {
+		d.syntaxError("an array")
+		return cands, nil
+	}
+	d.space()
+	if d.consume(']') {
+		return cands, nil
+	}
+	for i := 0; d.err == nil; i++ {
+		var ep [4]float64
+		n := 0
+		switch {
+		case d.literal("null"):
+		case d.consume('['):
+			d.space()
+			if d.consume(']') {
+				break
+			}
+			for d.err == nil {
+				f, _ := d.float()
+				if n < len(ep) {
+					ep[n] = f
+				}
+				n++
+				d.space()
+				if !d.consume(',') {
+					if !d.consume(']') {
+						d.syntaxError("',' or ']'")
+					}
+					break
+				}
+				d.space()
+			}
+		default:
+			d.syntaxError("an array or null")
+		}
+		if n == len(ep) {
+			cands = append(cands, RouteCandidate{Server: int32(ep[0]), Load: int32(ep[1]), KVFrac: ep[2], CappedMHz: ep[3]})
+		} else if lenErr == nil {
+			lenErr = fmt.Errorf("eps[%d]: want 4 elements, got %d", i, n)
+		}
+		d.space()
+		if !d.consume(',') {
+			if !d.consume(']') {
+				d.syntaxError("',' or ']'")
+			}
+			break
+		}
+		d.space()
+	}
+	return cands, lenErr
 }
 
 // ScanDecisions streams a decision log produced by WriteJSONL: the header

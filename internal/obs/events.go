@@ -1,53 +1,50 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
 
-// eventJSON is the decode-side shadow of appendEventJSON's wire format.
-type eventJSON struct {
-	Seq    uint64  `json:"seq"`
-	TUS    int64   `json:"t_us"`
-	Kind   string  `json:"kind"`
-	Server int32   `json:"server"`
-	Pool   string  `json:"pool"`
-	MHz    float64 `json:"mhz"`
-	Value  float64 `json:"value"`
-	Reason string  `json:"reason"`
-	Label  string  `json:"label"`
-}
+// eventFields are the member names of appendEventJSON's wire format.
+var eventFields = []string{"seq", "t_us", "kind", "server", "pool", "mhz", "value", "reason", "label"}
 
 // parseEventLine decodes one non-comment JSONL line into an Event.
 func parseEventLine(raw []byte) (Event, error) {
-	ej := eventJSON{Server: -1}
-	if err := json.Unmarshal(raw, &ej); err != nil {
-		return Event{}, err
+	ev := Event{Server: -1, Pool: PoolNone}
+	d := recordDecoder{data: raw}
+	for d.member(eventFields) {
+		switch d.key {
+		case "seq":
+			d.uint64(&ev.Seq)
+		case "t_us":
+			d.micros(&ev.At)
+		case "kind":
+			if s, ok := d.text(); ok {
+				if ev.Kind, ok = ParseKind(string(s)); !ok {
+					return Event{}, fmt.Errorf("unknown kind %q", s)
+				}
+			}
+		case "server":
+			d.int32(&ev.Server)
+		case "pool":
+			d.pool(&ev.Pool)
+		case "mhz":
+			d.float64(&ev.MHz)
+		case "value":
+			d.float64(&ev.Value)
+		case "reason":
+			d.string(&ev.Reason)
+		case "label":
+			d.string(&ev.Label)
+		}
 	}
-	kind, ok := ParseKind(ej.Kind)
-	if !ok {
-		return Event{}, fmt.Errorf("unknown kind %q", ej.Kind)
+	if d.err != nil {
+		return Event{}, d.err
 	}
-	pool := PoolNone
-	switch ej.Pool {
-	case "low":
-		pool = PoolLow
-	case "high":
-		pool = PoolHigh
+	if ev.Kind == KindNone {
+		return Event{}, fmt.Errorf("unknown kind %q", "")
 	}
-	return Event{
-		At:     time.Duration(ej.TUS) * time.Microsecond,
-		Kind:   kind,
-		Server: ej.Server,
-		Pool:   pool,
-		MHz:    ej.MHz,
-		Value:  ej.Value,
-		Reason: ej.Reason,
-		Label:  ej.Label,
-		Seq:    ej.Seq,
-	}, nil
+	return ev, nil
 }
 
 // ScanEvents streams event JSONL produced by Tracer.WriteJSONL: one callback

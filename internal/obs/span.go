@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -347,30 +346,6 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 	return writeChromeRows(w, meta, rows)
 }
 
-// spanJSON is the decode-side shadow of appendSpanJSON's wire format.
-type spanJSON struct {
-	Req       int64   `json:"req"`
-	ID        int32   `json:"id"`
-	Parent    int32   `json:"parent"`
-	Kind      string  `json:"kind"`
-	StartUS   int64   `json:"start_us"`
-	EndUS     int64   `json:"end_us"`
-	Server    int32   `json:"server"`
-	Pool      string  `json:"pool"`
-	Class     string  `json:"class"`
-	Tokens    int32   `json:"tokens"`
-	Recompute bool    `json:"recompute"`
-	Preempts  int32   `json:"preempts"`
-	EnergyJ   float64 `json:"energy_j"`
-	CapSec    float64 `json:"cap_s"`
-	CapJ      float64 `json:"cap_j"`
-	TTFTSec   float64 `json:"ttft_s"`
-	Reason    string  `json:"reason"`
-	Retry     int32   `json:"retry"`
-	Session   int64   `json:"session"`
-	Turn      int32   `json:"turn"`
-}
-
 // ScanSpans streams span JSONL produced by WriteJSONL: one callback per
 // parsed span, in file order, without materializing the file or the span
 // slice. Blank lines are skipped; `#` provenance lines go to comment (when
@@ -387,45 +362,71 @@ func ScanSpans(r io.Reader, comment func(line string), fn func(sp Span) error) e
 	})
 }
 
+// spanFields are the member names of appendSpanJSON's wire format.
+var spanFields = []string{
+	"req", "id", "parent", "kind", "start_us", "end_us", "server", "pool", "class", "tokens",
+	"recompute", "preempts", "energy_j", "cap_s", "cap_j", "ttft_s", "reason", "retry", "session", "turn",
+}
+
 // parseSpanLine decodes one non-comment JSONL line into a Span.
 func parseSpanLine(raw []byte) (Span, error) {
-	sj := spanJSON{Server: -1, Pool: "", TTFTSec: -1}
-	if err := json.Unmarshal(raw, &sj); err != nil {
-		return Span{}, err
+	sp := Span{Server: -1, Pool: PoolNone, TTFTSec: -1}
+	d := recordDecoder{data: raw}
+	for d.member(spanFields) {
+		switch d.key {
+		case "req":
+			d.int64(&sp.Req)
+		case "id":
+			d.int32(&sp.ID)
+		case "parent":
+			d.int32(&sp.Parent)
+		case "kind":
+			if s, ok := d.text(); ok {
+				if sp.Kind, ok = ParseSpanKind(string(s)); !ok {
+					return Span{}, fmt.Errorf("unknown kind %q", s)
+				}
+			}
+		case "start_us":
+			d.micros(&sp.Start)
+		case "end_us":
+			d.micros(&sp.End)
+		case "server":
+			d.int32(&sp.Server)
+		case "pool":
+			d.pool(&sp.Pool)
+		case "class":
+			d.string(&sp.Class)
+		case "tokens":
+			d.int32(&sp.Tokens)
+		case "recompute":
+			d.bool(&sp.Recompute)
+		case "preempts":
+			d.int32(&sp.Preempts)
+		case "energy_j":
+			d.float64(&sp.EnergyJ)
+		case "cap_s":
+			d.float64(&sp.CapSec)
+		case "cap_j":
+			d.float64(&sp.CapJ)
+		case "ttft_s":
+			d.float64(&sp.TTFTSec)
+		case "reason":
+			d.string(&sp.Reason)
+		case "retry":
+			d.int32(&sp.Retry)
+		case "session":
+			d.int64(&sp.Session)
+		case "turn":
+			d.int32(&sp.Turn)
+		}
 	}
-	kind, ok := ParseSpanKind(sj.Kind)
-	if !ok {
-		return Span{}, fmt.Errorf("unknown kind %q", sj.Kind)
+	if d.err != nil {
+		return Span{}, d.err
 	}
-	pool := PoolNone
-	switch sj.Pool {
-	case "low":
-		pool = PoolLow
-	case "high":
-		pool = PoolHigh
+	if sp.Kind == SpanNone {
+		return Span{}, fmt.Errorf("unknown kind %q", "")
 	}
-	return Span{
-		Req:       sj.Req,
-		ID:        sj.ID,
-		Parent:    sj.Parent,
-		Kind:      kind,
-		Start:     time.Duration(sj.StartUS) * time.Microsecond,
-		End:       time.Duration(sj.EndUS) * time.Microsecond,
-		Server:    sj.Server,
-		Pool:      pool,
-		Class:     sj.Class,
-		Tokens:    sj.Tokens,
-		Recompute: sj.Recompute,
-		Preempts:  sj.Preempts,
-		EnergyJ:   sj.EnergyJ,
-		CapSec:    sj.CapSec,
-		CapJ:      sj.CapJ,
-		TTFTSec:   sj.TTFTSec,
-		Reason:    sj.Reason,
-		Retry:     sj.Retry,
-		Session:   sj.Session,
-		Turn:      sj.Turn,
-	}, nil
+	return sp, nil
 }
 
 // ReadSpans parses span JSONL produced by WriteJSONL, skipping blank lines
