@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,44 @@ func TestWriteChromeTrace(t *testing.T) {
 	// Track metadata: row + server 0 + server 1.
 	if metas != 3 {
 		t.Fatalf("metadata rows = %d, want 3", metas)
+	}
+}
+
+// TestWriteChromeTraceClosesCapsInServerOrder holds a cap on 64 servers at
+// end of run: the export must close them in ascending server order, so two
+// exports of one tracer are byte-identical.
+func TestWriteChromeTraceClosesCapsInServerOrder(t *testing.T) {
+	tr := NewTracer()
+	for s := int32(63); s >= 0; s-- {
+		tr.Emit(Event{At: time.Duration(64-s) * time.Second, Kind: KindCapApply, Server: s, Pool: PoolLow, MHz: 1200})
+	}
+	var first, second bytes.Buffer
+	if err := tr.WriteChromeTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteChromeTrace(&second); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string  `json:"ph"`
+			Tid float64 `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var tids []float64
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			tids = append(tids, ev.Tid)
+		}
+	}
+	if len(tids) != 64 || !slices.IsSorted(tids) {
+		t.Errorf("closing rows on tracks %v, want 64 ascending", tids)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("two exports of one tracer differ")
 	}
 }
 
