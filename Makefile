@@ -50,16 +50,20 @@ test:
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,
 # quantile sketch, serving-scheduler iteration, one power-capped GPU phase
-# through the cap solver) plus the two end-to-end rows, one per backend:
+# through the cap solver, the JSONL read path over the three record
+# formats) plus the two end-to-end rows, one per backend:
 # the serve-mode day and the slot-model hour behind the paper figures.
 # BENCH_MICRO is the -bench regexp for the fast ones; BENCH_E2E runs
 # separately because one iteration simulates a whole row and needs its own
 # -benchtime. BENCH_REQUIRE lists every name; polca-bench -require fails
 # the target if any stops matching, so a renamed benchmark can never
-# silently drop out of the smoke.
-BENCH_MICRO = ^(BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord)$$
+# silently drop out of the smoke. One BenchmarkScanJSONL op decodes 1,300
+# records, so the smoke runs it apart from the substrate set, at fewer
+# iterations.
+BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
+BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkServeDay,BenchmarkRowHour
+BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
 # The telemetry ingest, rule-evaluation, failover-requeue, scenario
 # request-generation, and decision-input recording ticks run inside the
 # simulator's hot loop; -zero-alloc hard-fails the build the moment any of
@@ -74,7 +78,8 @@ BENCH_PKGS = . ./internal/serve ./internal/obs ./internal/cluster ./internal/sce
 .PHONY: bench-smoke
 bench-smoke:
 	@set -e; out=$$(mktemp); \
-	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem -benchtime 200000x $(BENCH_PKGS) > $$out; \
+	$(GO) test -run '^$$' -bench '^($(BENCH_SUBSTRATE))$$' -benchmem -benchtime 200000x $(BENCH_PKGS) > $$out; \
+	$(GO) test -run '^$$' -bench '^BenchmarkScanJSONL$$' -benchmem -benchtime 200x ./internal/obs >> $$out; \
 	$(GO) test -run '^$$' -bench '$(BENCH_E2E)' -benchmem -benchtime 1x . >> $$out; \
 	cat $$out; \
 	$(GO) run ./cmd/polca-bench -require '$(BENCH_REQUIRE)' -zero-alloc '$(BENCH_ZERO_ALLOC)' $$out; \
@@ -141,13 +146,16 @@ chaos-serve:
 		-retries 3 -retry-backoff 4s -class-shed -circuit-sheds 10 -watchdog-drain
 
 # fuzz-smoke runs the fuzzers briefly: round-trip and never-panic
-# properties over the faults and scenario grammars, and the GPU power-cap
-# solver against its reference bisection.
+# properties over the faults and scenario grammars and the request-trace
+# CSV loader, the GPU power-cap solver against its reference bisection, and
+# the JSONL record decoder against its encoding/json reference.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzLoadRequestsCSV -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
+	$(GO) test -run '^$$' -fuzz FuzzRecordDecoders -fuzztime 10s ./internal/obs
 
 # scenarios regenerates the committed scenarios/*.scn files from the builtin
 # library and verifies the two are in lockstep (plus the canonical
