@@ -63,15 +63,17 @@ const maxJSONDepth = 10000
 // is one of the format's names, and a switch over that name reads the
 // value with the typed readers straight into the record.
 //
-// It accepts exactly the lines json.Unmarshal accepts into a struct with
+// It accepts exactly the objects json.Unmarshal accepts into a struct with
 // those fields, and yields the same values, with one exception: a line
 // that repeats a known key is rejected (json.Unmarshal keeps the last),
-// which no writer emits. As in encoding/json, keys match a name exactly
-// first and then by bytes.EqualFold; null leaves a field unchanged; a
-// number follows the JSON grammar and then goes through strconv at the
-// field's bit size; invalid UTF-8 in a string becomes U+FFFD; unknown
-// members are validated and skipped; bytes after the object are an error.
-// The first error sticks: member then reports false and err holds it.
+// which no writer emits. A line that is not an object is rejected too;
+// every format needs its kind member. As in encoding/json, keys match a
+// name exactly first and then by bytes.EqualFold; null leaves a field
+// unchanged; a number follows the JSON grammar and then goes through
+// strconv at the field's bit size; invalid UTF-8 in a string becomes
+// U+FFFD; unknown members are validated and skipped; bytes after the
+// object are an error. The first error sticks: member then reports false
+// and err holds it.
 type recordDecoder struct {
 	data []byte
 	pos  int

@@ -481,9 +481,6 @@ func (g recordGen) mutate(line []byte, fields []string) []byte {
 		default:
 			tail = [...]string{"x", "}", ",", " {}", "\x00", "null", "]", " \t", "\r\n"}[g.pick(9)]
 		}
-		if len(ms) == 0 {
-			break
-		}
 	}
 	ws := func() string {
 		if !spaced {
