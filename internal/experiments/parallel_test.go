@@ -1,9 +1,20 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.sha256 from the current output")
+
+const quickGoldenPath = "testdata/quick.sha256"
 
 // TestParallelMatchesSerial runs sweep experiments with a cold cache on the
 // serial path and again on the worker pool, and requires byte-identical
@@ -58,7 +69,13 @@ func TestSimulateRowsDedup(t *testing.T) {
 }
 
 // TestRunAllParallelMatchesSerial compares the full quick suite, stream and
-// structured results, between the serial and the parallel executor.
+// structured results, between the serial and the parallel executor, and
+// pins the serial pass by SHA-256: each experiment's Text and its Data
+// marshalled as polca-experiments -out writes them, so a change that moves
+// one bit of any quick-pass output fails here. After an intentional output
+// change, regenerate with
+//
+//	go test ./internal/experiments -run TestRunAllParallelMatchesSerial -update
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice with a cold cache")
@@ -71,6 +88,7 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQuickGolden(t, serial)
 
 	resetEvalCache()
 	po := QuickOptions()
@@ -94,5 +112,67 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	}
 	if serialStream.String() != parStream.String() {
 		t.Error("RunAll stream not byte-identical between serial and parallel")
+	}
+}
+
+// checkQuickGolden compares the digests of results' -out files, named as
+// polca-experiments writes them (<id>.txt and <id>.json), with
+// testdata/quick.sha256, whose lines read like sha256sum's.
+func checkQuickGolden(t *testing.T, results []Result) {
+	t.Helper()
+	var names, got []string
+	for _, res := range results {
+		blob, err := json.MarshalIndent(map[string]any{
+			"id":    res.ID,
+			"title": res.Title,
+			"data":  res.Data,
+		}, "", "  ")
+		if err != nil {
+			t.Fatalf("%s: %v", res.ID, err)
+		}
+		for _, f := range []struct {
+			name string
+			body []byte
+		}{{res.ID + ".txt", []byte(res.Text)}, {res.ID + ".json", blob}} {
+			sum := sha256.Sum256(f.body)
+			names = append(names, f.name)
+			got = append(got, hex.EncodeToString(sum[:]))
+		}
+	}
+
+	if *updateGolden {
+		var b strings.Builder
+		for i := range names {
+			fmt.Fprintf(&b, "%s  %s\n", got[i], names[i])
+		}
+		if err := os.WriteFile(quickGoldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(quickGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 2 {
+			want[fields[1]] = fields[0]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(names) {
+		t.Errorf("golden has %d digests, quick pass wrote %d files", len(want), len(names))
+	}
+	for i, name := range names {
+		if want[name] == "" {
+			t.Errorf("%s: no golden digest; regenerate with -update", name)
+		} else if got[i] != want[name] {
+			t.Errorf("%s: output digest %s, golden %s", name, got[i], want[name])
+		}
 	}
 }
