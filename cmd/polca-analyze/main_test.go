@@ -56,8 +56,11 @@ func TestReproducesReportPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpans(f)
-	if err != nil {
+	var spans []obs.Span
+	if err := obs.ScanSpans(f, nil, func(sp obs.Span) error {
+		spans = append(spans, sp)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Only each request's final attempt contributes to the class table —
@@ -119,8 +122,11 @@ func TestAnalyzeConservesFixtureEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpans(f)
-	if err != nil {
+	var spans []obs.Span
+	if err := obs.ScanSpans(f, nil, func(sp obs.Span) error {
+		spans = append(spans, sp)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Conservation holds per admission attempt: every span carries the

@@ -86,7 +86,11 @@ func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spans, err := obs.ReadSpans(f)
+			var spans []obs.Span
+			err = obs.ScanSpans(f, nil, func(sp obs.Span) error {
+				spans = append(spans, sp)
+				return nil
+			})
 			f.Close()
 			if err != nil {
 				t.Fatalf("span JSONL does not parse: %v", err)

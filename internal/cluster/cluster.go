@@ -197,19 +197,35 @@ func (c RowConfig) MeanServiceSeconds(p workload.Priority) float64 { return c.me
 // meanServiceAt is MeanServiceSeconds with the GPUs' SM clock locked at
 // lock MHz (0 = unlocked).
 func (c RowConfig) meanServiceAt(p workload.Priority, lock float64) float64 {
+	sec, _, ok := MixCost(c.Model, c.DType, c.Classes, p, lock)
+	if !ok {
+		return 1
+	}
+	return sec
+}
+
+// MixCost is the one class-mix cost model: the share-weighted mean
+// execution seconds and mean busy GPU watts of the priority's classes on
+// one A100 with its SM clock locked at lockMHz (0 = unlocked), each class
+// planned at batch 1 at its midpoint prompt and output lengths. A class
+// that fails to plan contributes nothing; ok is false when no class has
+// weight at the priority. The slot row's service times, polca's
+// workload-aware frequency planner and replay's lock profiler all cost the
+// mix here.
+func MixCost(model llm.Model, dt llm.DType, classes []workload.Class, pri workload.Priority, lockMHz float64) (seconds, watts float64, ok bool) {
 	dev := gpu.NewDevice(gpu.A100SXM80GB())
-	dev.LockClock(lock)
-	var wsum, tsum float64
-	for _, cl := range c.Classes {
+	dev.LockClock(lockMHz)
+	var wsum, tsum, esum float64
+	for _, cl := range classes {
 		w := cl.Share * cl.LowShare
-		if p == workload.High {
+		if pri == workload.High {
 			w = cl.Share * (1 - cl.LowShare)
 		}
 		if w <= 0 {
 			continue
 		}
 		pl, err := plan.NewInference(plan.InferenceConfig{
-			Model: c.Model, DType: c.DType, BatchSize: 1,
+			Model: model, DType: dt, BatchSize: 1,
 			InputTokens:  (cl.PromptMin + cl.PromptMax) / 2,
 			OutputTokens: (cl.OutputMin + cl.OutputMax) / 2,
 		})
@@ -217,16 +233,20 @@ func (c RowConfig) meanServiceAt(p workload.Priority, lock float64) float64 {
 			continue
 		}
 		var dur time.Duration
+		var energy float64
 		for _, ph := range pl.Phases() {
-			dur += dev.Run(ph).Duration
+			e := dev.Run(ph)
+			dur += e.Duration
+			energy += e.Energy()
 		}
 		wsum += w
 		tsum += w * dur.Seconds()
+		esum += w * energy / dur.Seconds()
 	}
 	if wsum == 0 {
-		return 1
+		return 0, 0, false
 	}
-	return tsum / wsum
+	return tsum / wsum, esum / wsum, true
 }
 
 // BusyServerWatts estimates the mean server power while serving a request
@@ -834,7 +854,7 @@ func (r *Row) PoolAppliedLocks(p workload.Priority) []float64 {
 // immediately; the OOB pipeline applies it per server with latency and
 // possible silent failures, re-issuing on subsequent telemetry ticks.
 func (r *Row) SetPoolLock(p workload.Priority, mhz float64) {
-	if r.tracer != nil && r.PoolLock(p) != mhz {
+	if r.PoolLock(p) != mhz {
 		r.tracer.Emit(obs.Event{
 			At: r.eng.Now(), Kind: obs.KindCapRequest,
 			Server: -1, Pool: int8(p), MHz: mhz,
@@ -935,9 +955,7 @@ func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
 	if r.inj.ControllerDown(now, r.cfg.TelemetryInterval) {
 		if !r.ctrlDown {
 			r.ctrlDown = true
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlCrash, Server: -1, Pool: obs.PoolNone})
-			}
+			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlCrash, Server: -1, Pool: obs.PoolNone})
 		}
 		r.tickDec.Down = true
 		r.controllerSilent(now)
@@ -950,9 +968,7 @@ func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
 		if rs, ok := r.ctrl.(Restartable); ok {
 			rs.Reset()
 		}
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlRestart, Server: -1, Pool: obs.PoolNone})
-		}
+		r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlRestart, Server: -1, Pool: obs.PoolNone})
 		r.tickDec.Reset = true
 	}
 	if r.inj.MissedTick() {
@@ -1029,9 +1045,7 @@ func (r *Row) controllerContact(now sim.Time) {
 	r.ctrlSilent = 0
 	if r.watchdogEngaged {
 		r.watchdogEngaged = false
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindWatchdogRelease, Server: -1, Pool: obs.PoolNone})
-		}
+		r.tracer.Emit(obs.Event{At: now, Kind: obs.KindWatchdogRelease, Server: -1, Pool: obs.PoolNone})
 		r.be.watchdog(now, false)
 	}
 }
@@ -1046,32 +1060,27 @@ func (r *Row) controllerSilent(now sim.Time) {
 		return
 	}
 	r.watchdogEngaged = true
-	r.metrics.WatchdogEngagements++
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindWatchdogEngage, Server: -1, Pool: obs.PoolNone,
-			Value: float64(r.ctrlSilent),
-		})
-	}
+	r.note(obs.Event{
+		At: now, Kind: obs.KindWatchdogEngage, Server: -1, Pool: obs.PoolNone,
+		Value: float64(r.ctrlSilent),
+	})
 	r.SetPoolLock(workload.Low, r.wdLPMHz)
 	r.SetPoolLock(workload.High, r.wdHPMHz)
 	r.be.watchdog(now, true)
 }
 
-// traceDrain traces a node entering or leaving graceful drain. reason
+// noteDrain records a node entering or leaving graceful drain. reason
 // names what initiated it ("maintenance" for an injected drain window,
 // "watchdog" for the serving backend's deadman drain).
-func (r *Row) traceDrain(n *node, now sim.Time, on bool, reason string) {
-	if r.tracer != nil {
-		kind := obs.KindUndrain
-		if on {
-			kind = obs.KindDrain
-		}
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: kind, Server: int32(n.idx), Pool: int8(n.pri),
-			Reason: reason,
-		})
+func (r *Row) noteDrain(n *node, now sim.Time, on bool, reason string) {
+	kind := obs.KindUndrain
+	if on {
+		kind = obs.KindDrain
 	}
+	r.note(obs.Event{
+		At: now, Kind: kind, Server: int32(n.idx), Pool: int8(n.pri),
+		Reason: reason,
+	})
 }
 
 // updateServerFaults applies node death and revival transitions at epoch
@@ -1090,20 +1099,15 @@ func (r *Row) updateServerFaults(now sim.Time) {
 		if dead {
 			n.dead = true
 			r.inj.CountNodeDeath()
-			r.metrics.NodeDeaths++
 			r.be.kill(n, now)
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
-			}
+			r.note(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
 		} else {
 			n.dead = false
 			n.appliedLock = 0
 			n.dev.LockClock(0)
 			n.dev.SetBrake(r.braked)
 			n.retryTarget, n.retryCount, n.retryWait, n.retryDead = 0, 0, 0, false
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeRevive, Server: int32(n.idx), Pool: int8(n.pri)})
-			}
+			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeRevive, Server: int32(n.idx), Pool: int8(n.pri)})
 		}
 	}
 	for _, n := range r.nodes {
@@ -1114,9 +1118,8 @@ func (r *Row) updateServerFaults(now sim.Time) {
 		n.draining = draining
 		if draining {
 			r.inj.CountNodeDrain()
-			r.metrics.NodeDrains++
 		}
-		r.traceDrain(n, now, draining, "maintenance")
+		r.noteDrain(n, now, draining, "maintenance")
 	}
 }
 
@@ -1133,36 +1136,61 @@ func (r *Row) arrive(now sim.Time) {
 // accept records one arrival and hands it to the backend. Run's sampled
 // arrivals and RunRequests' replayed trace both enter here.
 func (r *Row) accept(now sim.Time, req workload.Request) {
-	r.record(now, obs.KindArrive, -1, &req, "")
+	r.note(obs.Event{At: now, Kind: obs.KindArrive, Server: -1, Pool: int8(req.Priority)})
 	r.be.dispatch(now, req)
 }
 
-// record is the single record point of a request outcome — obs.KindArrive,
-// obs.KindComplete or obs.KindDrop — in Metrics, the registry counter and
-// the event trace together, so the three cannot disagree. srv is the
-// server involved (-1 for none); a completion also records its end-to-end
-// latency.
-func (r *Row) record(now sim.Time, kind obs.Kind, srv int32, req *workload.Request, reason string) {
-	pri := req.Priority
-	var latency float64
-	switch kind {
+// note is the single record point of every counted row fact: it counts
+// the event in its Metrics field and registry counter, then traces it, so
+// the three cannot disagree. Kinds no aggregate counts only trace.
+// DESIGN.md §6's event table lists what each kind counts where.
+func (r *Row) note(ev obs.Event) {
+	m, pri := r.metrics, workload.Priority(ev.Pool)
+	switch ev.Kind {
 	case obs.KindArrive:
-		r.metrics.Arrived[pri]++
+		m.Arrived[pri]++
 		r.arrivedCtr[pri].Inc()
 	case obs.KindComplete:
-		latency = (now - req.Arrival).Seconds()
-		r.metrics.Completed[pri]++
-		r.metrics.LatencySec[pri] = append(r.metrics.LatencySec[pri], latency)
+		m.Completed[pri]++
+		m.LatencySec[pri] = append(m.LatencySec[pri], ev.Value)
 		r.completedCtr[pri].Inc()
 	case obs.KindDrop:
-		r.metrics.Dropped[pri]++
+		m.Dropped[pri]++
 		r.droppedCtr[pri].Inc()
+		if ev.Reason == "retry-exhausted" {
+			m.ServeRetryExhausted++
+		}
+	case obs.KindBrakeTrigger:
+		m.BrakeEvents++
+		r.brakeCtr.Inc()
+	case obs.KindOOBIssue:
+		m.LockCommands++
+		r.lockCmdCtr.Inc()
+	case obs.KindOOBFail:
+		// A target abandoned after its retry budget is not a failed command.
+		if ev.Reason == "retry-exhausted" {
+			m.OOBRetriesExhausted++
+		} else {
+			m.FailedCommands++
+			r.failedCmdCtr.Inc()
+		}
+	case obs.KindOOBStale:
+		m.StaleOOBDrops++
+	case obs.KindWatchdogEngage:
+		m.WatchdogEngagements++
+	case obs.KindNodeDeath:
+		m.NodeDeaths++
+	case obs.KindRetry:
+		m.ServeRetries++
+	case obs.KindCircuitOpen:
+		m.CircuitOpens++
+	case obs.KindDrain:
+		// The serve watchdog's drains are a row state, not node drains.
+		if ev.Reason == "maintenance" {
+			m.NodeDrains++
+		}
 	}
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: kind, Server: srv, Pool: int8(pri), Value: latency, Reason: reason,
-		})
-	}
+	r.tracer.Emit(ev)
 }
 
 // nodePower returns the node's current server power draw and whether it
@@ -1194,21 +1222,15 @@ func (r *Row) brakeLogic(util float64) {
 	switch {
 	case !r.braked && !r.brakePending && util >= r.cfg.BrakeUtil:
 		r.brakePending = true
-		r.metrics.BrakeEvents++
-		r.brakeCtr.Inc()
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: r.eng.Now(), Kind: obs.KindBrakeTrigger, Server: -1,
-				Pool: obs.PoolNone, Value: util,
-			})
-		}
+		r.note(obs.Event{
+			At: r.eng.Now(), Kind: obs.KindBrakeTrigger, Server: -1,
+			Pool: obs.PoolNone, Value: util,
+		})
 		r.eng.After(r.cfg.BrakeLatency, func(now sim.Time) {
 			r.brakePending = false
 			r.braked = true
 			r.brakeHeld = now + r.cfg.BrakeHold
-			if r.tracer != nil {
-				r.tracer.Emit(obs.Event{At: now, Kind: obs.KindBrakeEngage, Server: -1, Pool: obs.PoolNone})
-			}
+			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindBrakeEngage, Server: -1, Pool: obs.PoolNone})
 			for _, n := range r.nodes {
 				n.dev.SetBrake(true)
 				r.be.replan(n, now)
@@ -1216,12 +1238,10 @@ func (r *Row) brakeLogic(util float64) {
 		})
 	case r.braked && util < r.cfg.BrakeReleaseUtil && r.eng.Now() >= r.brakeHeld:
 		r.braked = false
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: r.eng.Now(), Kind: obs.KindBrakeRelease, Server: -1,
-				Pool: obs.PoolNone, Value: util,
-			})
-		}
+		r.tracer.Emit(obs.Event{
+			At: r.eng.Now(), Kind: obs.KindBrakeRelease, Server: -1,
+			Pool: obs.PoolNone, Value: util,
+		})
 		for _, n := range r.nodes {
 			n.dev.SetBrake(false)
 			r.be.replan(n, r.eng.Now())
@@ -1254,16 +1274,12 @@ func (r *Row) pumpCommands(now sim.Time) {
 		}
 		n.retryCount++
 		n.cmdInFlight = true
-		r.metrics.LockCommands++
 		r.cmdsInFlight++
-		r.lockCmdCtr.Inc()
 		target := n.desiredLock
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: now, Kind: obs.KindOOBIssue,
-				Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
-			})
-		}
+		r.note(obs.Event{
+			At: now, Kind: obs.KindOOBIssue,
+			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
+		})
 		// A burst window dooms the command at issue time (it still consumes
 		// the channel for its full flight, like §3.3's silent failures).
 		doomed := r.inj.OOBBurstFailure(now)
@@ -1285,15 +1301,11 @@ func (r *Row) pumpCommands(now sim.Time) {
 				reason = "node-dead"
 			}
 			if reason != "" {
-				r.metrics.FailedCommands++
-				r.failedCmdCtr.Inc()
-				if r.tracer != nil {
-					r.tracer.Emit(obs.Event{
-						At: t, Kind: obs.KindOOBFail,
-						Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-						Reason: reason,
-					})
-				}
+				r.note(obs.Event{
+					At: t, Kind: obs.KindOOBFail,
+					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
+					Reason: reason,
+				})
 				r.retryAccounting(node, target, t)
 				return // silent failure; re-issued on a later tick
 			}
@@ -1302,28 +1314,23 @@ func (r *Row) pumpCommands(now sim.Time) {
 				// applying it would actuate a decision the policy already
 				// revoked (possibly *uncapping* a row the policy wants
 				// capped). Drop it; the pump re-issues the current target.
-				r.metrics.StaleOOBDrops++
-				if r.tracer != nil {
-					r.tracer.Emit(obs.Event{
-						At: t, Kind: obs.KindOOBStale,
-						Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-						Value: node.desiredLock, Reason: "superseded",
-					})
-				}
+				r.note(obs.Event{
+					At: t, Kind: obs.KindOOBStale,
+					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
+					Value: node.desiredLock, Reason: "superseded",
+				})
 				return
 			}
 			node.appliedLock = target
 			node.dev.LockClock(target)
-			if r.tracer != nil {
-				kind := obs.KindCapApply
-				if target == 0 {
-					kind = obs.KindCapRelease
-				}
-				r.tracer.Emit(obs.Event{
-					At: t, Kind: kind,
-					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-				})
+			kind := obs.KindCapApply
+			if target == 0 {
+				kind = obs.KindCapRelease
 			}
+			r.tracer.Emit(obs.Event{
+				At: t, Kind: kind,
+				Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
+			})
 			r.be.replan(node, t)
 			r.be.admit(node.pri, t)
 		})
@@ -1341,14 +1348,11 @@ func (r *Row) retryAccounting(n *node, target float64, t sim.Time) {
 	}
 	if r.cfg.OOBRetryBudget > 0 && n.retryCount >= r.cfg.OOBRetryBudget {
 		n.retryDead = true
-		r.metrics.OOBRetriesExhausted++
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: t, Kind: obs.KindOOBFail,
-				Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
-				Reason: "retry-exhausted",
-			})
-		}
+		r.note(obs.Event{
+			At: t, Kind: obs.KindOOBFail,
+			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
+			Reason: "retry-exhausted",
+		})
 		return
 	}
 	if r.cfg.OOBRetryBackoff > 0 {

@@ -97,16 +97,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// RowConfigFor derives the simulation RowConfig for one PDU domain of this
-// topology, inheriting everything else from the production defaults.
-func (t Topology) RowConfigFor(added float64) RowConfig {
-	cfg := Production()
-	cfg.BaseServers = t.ServersPerRow()
-	cfg.ProvisionedPerServerWatts = t.ProvisionedPerServerWatts
-	cfg.AddedFraction = added
-	return cfg
-}
-
 // OversubscribedServers returns how many servers the floor hosts at the
 // given oversubscription level, and how many were gained.
 func (t Topology) OversubscribedServers(added float64) (total, gained int) {

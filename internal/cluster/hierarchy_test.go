@@ -49,20 +49,6 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-func TestRowConfigFor(t *testing.T) {
-	top := cluster.ProductionTopology()
-	cfg := top.RowConfigFor(0.30)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.BaseServers != 40 || cfg.AddedFraction != 0.30 {
-		t.Errorf("row config = %+v", cfg)
-	}
-	if cfg.ProvisionedWatts() != top.RowBudgetWatts() {
-		t.Error("row budget mismatch")
-	}
-}
-
 func TestPlanFloor(t *testing.T) {
 	top := cluster.ProductionTopology()
 	plan, err := cluster.PlanFloor(top, 0.30)

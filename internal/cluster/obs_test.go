@@ -1,12 +1,14 @@
 package cluster_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"polca/internal/cluster"
 	"polca/internal/obs"
 	"polca/internal/polca"
+	"polca/internal/serve"
 	"polca/internal/sim"
 	"polca/internal/workload"
 )
@@ -200,4 +202,106 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 			t.Fatalf("utilization sample %d diverged", i)
 		}
 	}
+}
+
+// TestTraceReconcilesUnderFaults extends the reconciliation to every fact
+// the row's record point counts, under the make chaos (slot) and make
+// chaos-serve settings with their fault windows moved inside a two-hour
+// run: each fact's event count, split by reason where one kind feeds two
+// fields, must equal its Metrics field, and its registry counter where it
+// has one. Queue-full sheds need full queues, so the serve case runs twice
+// the load on one-request queues and four-sequence batches, with a
+// circuit-breaker threshold of two sheds; across the two cases every fact
+// occurs at least once.
+func TestTraceReconcilesUnderFaults(t *testing.T) {
+	slot := hardenedConfig(t, "tdrop=0.05,tspike=0.02:0.5,tstuck=50m+5m,crash=30m+20,"+
+		"oobburst=55m+30m,kill=2@40m+10m,slow=2:1.5,drain=2@80m+5m")
+	srv := serveFTConfig(t, "tdrop=0.05,crash=30m+20,oobburst=55m+30m,kill=4@40m+10m,drain=2@80m+5m")
+	srv.Serve = &serve.Config{MaxBatchSize: 4, QueueCap: 1}
+	srv.ServeRetryBackoff = 4 * time.Second
+	srv.ServeCircuitSheds = 2
+	seen := map[string]int{}
+	for _, c := range []struct {
+		name string
+		cfg  cluster.RowConfig
+		busy float64
+	}{{"slot", slot, 0.95}, {"serve", srv, 2}} {
+		ctrl := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
+		m, _, o := runObservedRow(t, c.cfg, ctrl, c.busy, 2*time.Hour)
+		for fact, n := range reconcileFacts(t, c.name, m, o) {
+			seen[fact] += n
+		}
+	}
+	for fact, n := range seen {
+		if n == 0 {
+			t.Errorf("%s never occurred in either case", fact)
+		}
+	}
+}
+
+// reconcileFacts checks, for every fact the row's record point counts,
+// that its events, its Metrics field and its registry counter (where one
+// exists) agree, and that completion events carry the recorded latencies.
+// It returns each fact's count.
+func reconcileFacts(t *testing.T, name string, m *cluster.Metrics, o *obs.Observer) map[string]int {
+	t.Helper()
+	events := map[string]int{}
+	var latency [2][]float64
+	for _, ev := range o.Tracer.Events() {
+		kind := ev.Kind.String()
+		events[kind]++
+		switch {
+		case ev.Reason == "retry-exhausted", ev.Kind == obs.KindDrain && ev.Reason == "maintenance":
+			events[kind+"/"+ev.Reason]++
+		case ev.Kind == obs.KindComplete:
+			latency[ev.Pool] = append(latency[ev.Pool], ev.Value)
+		}
+	}
+	snap := o.Metrics.Snapshot()
+	pools := func(family string) int64 {
+		return snap.Counters[family+`{priority="low"}`] + snap.Counters[family+`{priority="high"}`]
+	}
+	const none = -1 // the fact has no registry counter
+	facts := []struct {
+		fact    string
+		events  int
+		metrics int
+		counter int64
+	}{
+		{"req.arrive", events["req.arrive"], totals(m.Arrived), pools("row_requests_arrived_total")},
+		{"req.complete", events["req.complete"], totals(m.Completed), pools("row_requests_completed_total")},
+		{"req.drop", events["req.drop"], totals(m.Dropped), pools("row_requests_dropped_total")},
+		{"req.drop/retry-exhausted", events["req.drop/retry-exhausted"], m.ServeRetryExhausted, none},
+		{"brake.trigger", events["brake.trigger"], m.BrakeEvents, snap.Counters["row_brake_events_total"]},
+		{"oob.issue", events["oob.issue"], m.LockCommands, snap.Counters["row_oob_commands_total"]},
+		{"oob.fail", events["oob.fail"] - events["oob.fail/retry-exhausted"], m.FailedCommands,
+			snap.Counters["row_oob_failures_total"]},
+		{"oob.fail/retry-exhausted", events["oob.fail/retry-exhausted"], m.OOBRetriesExhausted, none},
+		{"oob.stale", events["oob.stale"], m.StaleOOBDrops, none},
+		{"watchdog.engage", events["watchdog.engage"], m.WatchdogEngagements, none},
+		{"node.death", events["node.death"], m.NodeDeaths, none},
+		{"req.retry", events["req.retry"], m.ServeRetries, none},
+		{"circuit.open", events["circuit.open"], m.CircuitOpens, none},
+		{"replica.drain/maintenance", events["replica.drain/maintenance"], m.NodeDrains, none},
+	}
+	counts := map[string]int{}
+	for _, f := range facts {
+		if f.events != f.metrics {
+			t.Errorf("%s: %s events = %d, Metrics = %d", name, f.fact, f.events, f.metrics)
+		}
+		if f.counter != none && f.counter != int64(f.metrics) {
+			t.Errorf("%s: %s registry counter = %d, Metrics = %d", name, f.fact, f.counter, f.metrics)
+		}
+		counts[f.fact] = f.metrics
+	}
+	for _, p := range []workload.Priority{workload.Low, workload.High} {
+		if !reflect.DeepEqual(latency[p], m.LatencySec[p]) {
+			t.Errorf("%s: %v-priority completion latencies differ from LatencySec", name, p)
+		}
+	}
+	if m.Faults.NodeDeaths != m.NodeDeaths || m.Faults.NodeDrains != m.NodeDrains {
+		t.Errorf("%s: injector counts %+v, Metrics node deaths %d, drains %d",
+			name, m.Faults, m.NodeDeaths, m.NodeDrains)
+	}
+	return counts
 }

@@ -275,7 +275,10 @@ func newServeBackend(r *Row) (*serveBackend, error) {
 			b.tbt.Observe(now, tbt)
 			m.ClassEnergyJ[s.Req.Class] += s.EnergyJ()
 			m.ClassTokens[s.Req.Class] += int64(s.Decoded())
-			b.record(now, obs.KindComplete, srv, &s.Req, "")
+			b.note(obs.Event{
+				At: now, Kind: obs.KindComplete, Server: srv, Pool: int8(s.Req.Priority),
+				Value: (now - s.Req.Arrival).Seconds(),
+			})
 		}
 		rep.OnDrop = func(s *serve.Seq, now sim.Time, reason string) {
 			// Dropped requests keep their partial attribution so per-class
@@ -323,7 +326,7 @@ func (b *serveBackend) watchdog(now sim.Time, engaged bool) {
 	}
 	b.wdDrain = engaged
 	for _, n := range b.nodes {
-		b.traceDrain(n, now, engaged, "watchdog")
+		b.noteDrain(n, now, engaged, "watchdog")
 	}
 }
 
@@ -421,7 +424,6 @@ func (b *serveBackend) fail(now sim.Time, srv int32, req workload.Request, reaso
 			return
 		}
 		reason = "retry-exhausted"
-		b.metrics.ServeRetryExhausted++
 	}
 	b.drop(now, srv, req, reason, spanned)
 }
@@ -432,13 +434,10 @@ func (b *serveBackend) fail(now sim.Time, srv int32, req workload.Request, reaso
 // invariant and byte-identical reruns hold.
 func (b *serveBackend) requeue(now sim.Time, srv int32, req workload.Request, reason string) {
 	req.Retry++
-	b.metrics.ServeRetries++
-	if b.tracer != nil {
-		b.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindRetry, Server: srv, Pool: int8(req.Priority),
-			Value: float64(req.Retry), Reason: reason,
-		})
-	}
+	b.note(obs.Event{
+		At: now, Kind: obs.KindRetry, Server: srv, Pool: int8(req.Priority),
+		Value: float64(req.Retry), Reason: reason,
+	})
 	base := b.cfg.ServeRetryBackoff
 	if base <= 0 {
 		base = b.cfg.TelemetryInterval
@@ -494,13 +493,10 @@ func (b *serveBackend) noteShed(rep *replica, n *node, now sim.Time) {
 		cooldown = 30 * time.Second
 	}
 	rep.circuitUntil = now + cooldown
-	b.metrics.CircuitOpens++
-	if b.tracer != nil {
-		b.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindCircuitOpen, Server: int32(n.idx), Pool: int8(n.pri),
-			Value: float64(rep.shedEpoch),
-		})
-	}
+	b.note(obs.Event{
+		At: now, Kind: obs.KindCircuitOpen, Server: int32(n.idx), Pool: int8(n.pri),
+		Value: float64(rep.shedEpoch),
+	})
 }
 
 // tick runs the serve-mode health bookkeeping once per telemetry epoch —
@@ -516,12 +512,10 @@ func (b *serveBackend) tick(now sim.Time) {
 	if b.cfg.ServeClassShed {
 		if lvl, reason := b.shedTarget(); lvl != b.shedLevel {
 			b.shedLevel = lvl
-			if b.tracer != nil {
-				b.tracer.Emit(obs.Event{
-					At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
-					Value: float64(lvl), Reason: reason,
-				})
-			}
+			b.tracer.Emit(obs.Event{
+				At: now, Kind: obs.KindShedLevel, Server: -1, Pool: obs.PoolNone,
+				Value: float64(lvl), Reason: reason,
+			})
 		}
 	}
 	if b.tsdb == nil {
@@ -593,7 +587,10 @@ const (
 // a full queue, the class shedder, or the end of the run caught it
 // waiting to retry — gets one here, so the analyzer sees every outcome.
 func (b *serveBackend) drop(now sim.Time, srv int32, req workload.Request, reason string, spanned bool) {
-	b.record(now, obs.KindDrop, srv, &req, reason)
+	b.note(obs.Event{
+		At: now, Kind: obs.KindDrop, Server: srv, Pool: int8(req.Priority),
+		Reason: reason,
+	})
 	if b.spanSink != nil && !spanned {
 		b.spanSink.Emit(obs.Span{
 			Req: req.ID, ID: 1, Kind: obs.SpanRequest,

@@ -100,7 +100,10 @@ func (s *slotBackend) dispatch(now sim.Time, req workload.Request) {
 	// Buffering is bounded at one queued request per server (§6.6); a
 	// production load balancer sheds or redirects beyond that.
 	if len(s.frontQ[req.Priority]) >= len(s.pools[req.Priority]) {
-		s.record(now, obs.KindDrop, -1, &req, "buffer-full")
+		s.note(obs.Event{
+			At: now, Kind: obs.KindDrop, Server: -1, Pool: int8(req.Priority),
+			Reason: "buffer-full",
+		})
 		return
 	}
 	q := append(s.frontQ[req.Priority], req)
@@ -253,7 +256,10 @@ func (s *slotBackend) complete(n *node, now sim.Time) {
 	s.active[n.idx] = nil
 	pri := a.req.Priority
 	s.metrics.BusySec[pri] += (now - a.started).Seconds()
-	s.record(now, obs.KindComplete, int32(n.idx), &a.req, "")
+	s.note(obs.Event{
+		At: now, Kind: obs.KindComplete, Server: int32(n.idx), Pool: int8(pri),
+		Value: (now - a.req.Arrival).Seconds(),
+	})
 	s.busy[pri]--
 	s.admit(pri, now)
 }
@@ -267,7 +273,10 @@ func (s *slotBackend) kill(n *node, now sim.Time) {
 	a.timer.Stop()
 	s.active[n.idx] = nil
 	s.busy[a.req.Priority]--
-	s.record(now, obs.KindDrop, int32(n.idx), &a.req, "node-death")
+	s.note(obs.Event{
+		At: now, Kind: obs.KindDrop, Server: int32(n.idx), Pool: int8(a.req.Priority),
+		Reason: "node-death",
+	})
 }
 
 // replan rebuilds the node's in-flight phase after a clock change.

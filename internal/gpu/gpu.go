@@ -590,16 +590,6 @@ func (e Exec) PeakPower() float64 {
 	return peak
 }
 
-// CountersAt returns the counters in effect at the given offset into the
-// execution (the last segment's counters at or past the end; zero Counters
-// for an empty exec).
-func (e Exec) CountersAt(offset time.Duration) Counters {
-	if i := e.segmentAt(offset); i >= 0 {
-		return e.Segments[i].Counters
-	}
-	return Counters{}
-}
-
 // PowerAt returns the instantaneous power at the given offset into the
 // execution.
 func (e Exec) PowerAt(offset time.Duration) float64 {

@@ -317,17 +317,6 @@ func (m Model) TrainStepFLOPs(batch, seqLen int) float64 {
 	return linear + attn
 }
 
-// GradientBytes returns the bytes exchanged per GPU in an all-reduce of the
-// model gradients at the given data-parallel degree (ring all-reduce moves
-// ~2·bytes·(n-1)/n per participant).
-func (m Model) GradientBytes(dt DType, dataParallel int) float64 {
-	if dataParallel <= 1 {
-		return 0
-	}
-	n := float64(dataParallel)
-	return 2 * m.WeightBytes(dt) * (n - 1) / n
-}
-
 // Catalog returns the models characterized in the paper (Table 3), in a
 // stable order. Architecture shapes follow the published model cards.
 func Catalog() []Model {
@@ -375,19 +364,6 @@ func InferenceModels() []Model {
 	for _, m := range Catalog() {
 		switch m.Name {
 		case "Flan-T5-XXL-11B", "GPT-NeoX-20B", "OPT-30B", "Llama2-70B", "BLOOM-176B":
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// TrainingModels returns the catalog subset the paper fine-tunes for the
-// training characterization (Figure 4): RoBERTa, GPT-NeoX, Flan-T5.
-func TrainingModels() []Model {
-	var out []Model
-	for _, m := range Catalog() {
-		switch m.Name {
-		case "RoBERTa-355M", "GPT-NeoX-20B", "Flan-T5-XXL-11B":
 			out = append(out, m)
 		}
 	}

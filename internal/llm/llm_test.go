@@ -196,21 +196,6 @@ func TestTrainVsInferenceCost(t *testing.T) {
 	}
 }
 
-func TestGradientBytes(t *testing.T) {
-	m := MustByName("RoBERTa-355M")
-	if m.GradientBytes(FP16, 1) != 0 {
-		t.Error("no all-reduce needed at data-parallel 1")
-	}
-	g2 := m.GradientBytes(FP16, 2)
-	g8 := m.GradientBytes(FP16, 8)
-	if g2 <= 0 || g8 <= g2 {
-		t.Errorf("gradient traffic should grow with parallel degree: %g, %g", g2, g8)
-	}
-	if g8 >= 2*m.WeightBytes(FP16) {
-		t.Errorf("ring all-reduce bound exceeded: %g", g8)
-	}
-}
-
 func TestKVCacheGQA(t *testing.T) {
 	llama := MustByName("Llama2-70B") // 8 KV heads of 64
 	bloom := MustByName("BLOOM-176B") // full MHA
@@ -239,8 +224,5 @@ func TestArchAndDTypeStrings(t *testing.T) {
 func TestModelSubsets(t *testing.T) {
 	if n := len(InferenceModels()); n != 5 {
 		t.Errorf("inference models = %d, want 5 (Figure 6)", n)
-	}
-	if n := len(TrainingModels()); n != 3 {
-		t.Errorf("training models = %d, want 3 (Figure 4)", n)
 	}
 }

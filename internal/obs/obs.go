@@ -232,13 +232,6 @@ type Event struct {
 	Seq uint64
 }
 
-// Sink consumes events. *Tracer is the canonical implementation; the
-// simulation layers hold the concrete *Tracer so the disabled (nil) path
-// costs a single predictable branch instead of an interface dispatch.
-type Sink interface {
-	Emit(Event)
-}
-
 // Tracer records typed events with simulated timestamps. It is safe for
 // concurrent use; a nil *Tracer is a valid disabled sink.
 type Tracer struct {

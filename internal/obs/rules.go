@@ -362,7 +362,7 @@ func (a *AlertState) Active() bool { return a.active }
 // *Rules is a valid disabled engine.
 type Rules struct {
 	db       *TSDB
-	sink     Sink
+	tracer   *Tracer
 	states   []*AlertState
 	lastEval time.Duration
 	step     time.Duration
@@ -370,10 +370,10 @@ type Rules struct {
 	finished bool
 }
 
-// NewRules binds a parsed rule set to a TSDB. Alert events go to sink
-// (usually the run's *Tracer; nil discards events but keeps the summary).
-func NewRules(db *TSDB, set *RuleSet, sink Sink) *Rules {
-	r := &Rules{db: db, sink: sink, step: db.Step()}
+// NewRules binds a parsed rule set to a TSDB. Alert events go to tracer
+// (usually the run's; nil discards events but keeps the summary).
+func NewRules(db *TSDB, set *RuleSet, tracer *Tracer) *Rules {
+	r := &Rules{db: db, tracer: tracer, step: db.Step()}
 	for _, spec := range set.Specs {
 		st := &AlertState{Spec: spec}
 		if spec.Record {
@@ -556,10 +556,7 @@ func (r *Rules) step2(st *AlertState, cond bool, now time.Duration) {
 }
 
 func (r *Rules) emit(kind Kind, st *AlertState, now time.Duration, value float64) {
-	if r.sink == nil {
-		return
-	}
-	r.sink.Emit(Event{
+	r.tracer.Emit(Event{
 		At:     now,
 		Kind:   kind,
 		Server: -1,

@@ -428,18 +428,3 @@ func parseSpanLine(raw []byte) (Span, error) {
 	}
 	return sp, nil
 }
-
-// ReadSpans parses span JSONL produced by WriteJSONL, skipping blank lines
-// and `#` provenance headers. Consumers that don't need the whole slice at
-// once should prefer ScanSpans, which this wraps.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	var out []Span
-	err := ScanSpans(r, nil, func(sp Span) error {
-		out = append(out, sp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -45,8 +45,11 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSpans(&buf)
-	if err != nil {
+	var got []Span
+	if err := ScanSpans(&buf, nil, func(sp Span) error {
+		got = append(got, sp)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	want := tr.sortedSpans()
@@ -150,11 +153,12 @@ func TestSpanTracerNil(t *testing.T) {
 	}
 }
 
-func TestReadSpansErrors(t *testing.T) {
-	if _, err := ReadSpans(strings.NewReader("{not json}\n")); err == nil {
+func TestScanSpansErrors(t *testing.T) {
+	keep := func(Span) error { return nil }
+	if err := ScanSpans(strings.NewReader("{not json}\n"), nil, keep); err == nil {
 		t.Error("malformed JSON line should error")
 	}
-	if _, err := ReadSpans(strings.NewReader(`{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n")); err == nil {
+	if err := ScanSpans(strings.NewReader(`{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}`+"\n"), nil, keep); err == nil {
 		t.Error("unknown span kind should error")
 	}
 }

@@ -3,12 +3,9 @@ package polca
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"polca/internal/cluster"
-	"polca/internal/gpu"
 	"polca/internal/llm"
-	"polca/internal/plan"
 	"polca/internal/sim"
 	"polca/internal/workload"
 )
@@ -24,8 +21,8 @@ type FrequencyProfile struct {
 }
 
 // FrequencyPlanner precomputes frequency profiles per priority from the
-// workload classes (using the same plan/GPU models the cluster runs on)
-// and answers "what is the deepest cap whose slowdown fits this budget?".
+// workload classes (through cluster.MixCost, the cost model the slot row
+// runs on) and answers "what is the deepest cap whose slowdown fits this budget?".
 type FrequencyPlanner struct {
 	profiles map[workload.Priority][]FrequencyProfile // sorted by clock desc
 }
@@ -41,15 +38,12 @@ func NewFrequencyPlanner(model llm.Model, dt llm.DType, classes []workload.Class
 
 	fp := &FrequencyPlanner{profiles: map[workload.Priority][]FrequencyProfile{}}
 	for _, pri := range []workload.Priority{workload.Low, workload.High} {
-		baseT, baseP, err := mixCost(model, dt, classes, pri, 0)
-		if err != nil {
-			return nil, err
+		baseT, baseP, ok := cluster.MixCost(model, dt, classes, pri, 0)
+		if !ok {
+			return nil, fmt.Errorf("polca: no classes at priority %v", pri)
 		}
 		for _, mhz := range cands {
-			t, p, err := mixCost(model, dt, classes, pri, mhz)
-			if err != nil {
-				return nil, err
-			}
+			t, p, _ := cluster.MixCost(model, dt, classes, pri, mhz)
 			fp.profiles[pri] = append(fp.profiles[pri], FrequencyProfile{
 				ClockMHz:  mhz,
 				PerfLoss:  t/baseT - 1,
@@ -58,45 +52,6 @@ func NewFrequencyPlanner(model llm.Model, dt llm.DType, classes []workload.Class
 		}
 	}
 	return fp, nil
-}
-
-// mixCost returns the share-weighted mean execution time and mean busy
-// power of the priority's class mix under the given lock (0 = boost).
-func mixCost(model llm.Model, dt llm.DType, classes []workload.Class, pri workload.Priority, lockMHz float64) (seconds, watts float64, err error) {
-	dev := gpu.NewDevice(gpu.A100SXM80GB())
-	dev.LockClock(lockMHz)
-	var wsum, tsum, esum float64
-	for _, cl := range classes {
-		w := cl.Share * cl.LowShare
-		if pri == workload.High {
-			w = cl.Share * (1 - cl.LowShare)
-		}
-		if w <= 0 {
-			continue
-		}
-		p, err := plan.NewInference(plan.InferenceConfig{
-			Model: model, DType: dt, BatchSize: 1,
-			InputTokens:  (cl.PromptMin + cl.PromptMax) / 2,
-			OutputTokens: (cl.OutputMin + cl.OutputMax) / 2,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		var dur time.Duration
-		var energy float64
-		for _, ph := range p.Phases() {
-			e := dev.Run(ph)
-			dur += e.Duration
-			energy += e.Energy()
-		}
-		wsum += w
-		tsum += w * dur.Seconds()
-		esum += w * energy / dur.Seconds()
-	}
-	if wsum == 0 {
-		return 0, 0, fmt.Errorf("polca: no classes at priority %v", pri)
-	}
-	return tsum / wsum, esum / wsum, nil
 }
 
 // Profiles returns the planner's profiles for a priority (clock-descending).

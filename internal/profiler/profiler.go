@@ -231,23 +231,6 @@ func FrequencySweep(cfg plan.InferenceConfig, clocksMHz []float64) ([]SweepPoint
 	return out, nil
 }
 
-// PowerCapSweep measures the trade-off of reactive power caps.
-func PowerCapSweep(cfg plan.InferenceConfig, capsWatts []float64) ([]SweepPoint, error) {
-	base, err := MeasureInference(cfg, Knob{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, 0, len(capsWatts))
-	for _, w := range capsWatts {
-		m, err := MeasureInference(cfg, Knob{PowerCapWatts: w})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sweepPoint(Knob{PowerCapWatts: w}, base, m))
-	}
-	return out, nil
-}
-
 func sweepPoint(k Knob, base, m Measurement) SweepPoint {
 	return SweepPoint{
 		Knob:               k,

@@ -324,32 +324,3 @@ func cell(v float64) string {
 	}
 	return fmt.Sprintf("%s%s%.1f", shade, sign, mag)
 }
-
-// Sparkline renders a series as a single line of block glyphs scaled to
-// [lo, hi].
-func Sparkline(s stats.Series, lo, hi float64, width int) string {
-	if s.Len() == 0 {
-		return "(empty)"
-	}
-	if width <= 0 {
-		width = 80
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	vals := resampleMax(s.Values, width)
-	var b strings.Builder
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			b.WriteRune(' ')
-			continue
-		}
-		frac := (v - lo) / (hi - lo)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		b.WriteRune(glyphs[int(frac*float64(len(glyphs)-1)+0.5)])
-	}
-	return b.String()
-}

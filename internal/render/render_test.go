@@ -187,20 +187,6 @@ func TestCellShading(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := ramp(200)
-	out := Sparkline(s, 0, 199, 50)
-	if len([]rune(out)) != 50 {
-		t.Errorf("sparkline width = %d, want 50", len([]rune(out)))
-	}
-	if !strings.HasSuffix(out, "█") {
-		t.Errorf("ramp should end at full block: %q", out)
-	}
-	if Sparkline(stats.Series{}, 0, 1, 10) != "(empty)" {
-		t.Error("empty sparkline")
-	}
-}
-
 func TestLinesSurvivesNonFiniteValues(t *testing.T) {
 	s := stats.Series{Step: time.Second, Values: []float64{
 		1, math.NaN(), math.Inf(1), 2, math.Inf(-1), 3,

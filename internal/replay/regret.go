@@ -6,17 +6,15 @@ import (
 	"time"
 
 	"polca/internal/cluster"
-	"polca/internal/gpu"
 	"polca/internal/llm"
 	"polca/internal/obs"
-	"polca/internal/plan"
 	"polca/internal/polca"
 	"polca/internal/workload"
 )
 
 // Profiler converts a pool lock into execution-time and busy-power factors
-// relative to uncapped, using the same inference cost model the simulation
-// runs on (share-weighted over the priority's class mix). Factors are
+// relative to uncapped, using the class-mix cost model the simulation runs
+// on (cluster.MixCost). Factors are
 // memoized per (priority, lock) — the replay grid revisits a handful of
 // clocks thousands of times.
 type Profiler struct {
@@ -72,53 +70,14 @@ func (p *Profiler) Factors(pri workload.Priority, lockMHz float64) (tf, pf float
 	if v, ok := p.memo[key]; ok {
 		return v[0], v[1]
 	}
-	baseT, baseP := p.mixCost(pri, 0)
-	t, w := p.mixCost(pri, lockMHz)
-	tf, pf = t/baseT, w/baseP
+	// A priority with no classes profiles as uncapped.
+	tf, pf = 1, 1
+	if baseT, baseP, ok := cluster.MixCost(p.model, p.dt, p.classes, pri, 0); ok {
+		t, w, _ := cluster.MixCost(p.model, p.dt, p.classes, pri, lockMHz)
+		tf, pf = t/baseT, w/baseP
+	}
 	p.memo[key] = [2]float64{tf, pf}
 	return tf, pf
-}
-
-// mixCost is the share-weighted mean execution time and mean busy GPU
-// power of the priority's class mix under the lock (0 = boost) — the same
-// construction polca's workload-aware frequency planner profiles with.
-func (p *Profiler) mixCost(pri workload.Priority, lockMHz float64) (seconds, watts float64) {
-	dev := gpu.NewDevice(gpu.A100SXM80GB())
-	dev.LockClock(lockMHz)
-	var wsum, tsum, esum float64
-	for _, cl := range p.classes {
-		w := cl.Share * cl.LowShare
-		if pri == workload.High {
-			w = cl.Share * (1 - cl.LowShare)
-		}
-		if w <= 0 {
-			continue
-		}
-		pl, err := plan.NewInference(plan.InferenceConfig{
-			Model: p.model, DType: p.dt, BatchSize: 1,
-			InputTokens:  (cl.PromptMin + cl.PromptMax) / 2,
-			OutputTokens: (cl.OutputMin + cl.OutputMax) / 2,
-		})
-		if err != nil {
-			// The model/dtype validated at construction; a class that cannot
-			// plan contributes nothing rather than failing every factor call.
-			continue
-		}
-		var dur time.Duration
-		var energy float64
-		for _, ph := range pl.Phases() {
-			e := dev.Run(ph)
-			dur += e.Duration
-			energy += e.Energy()
-		}
-		wsum += w
-		tsum += w * dur.Seconds()
-		esum += w * energy / dur.Seconds()
-	}
-	if wsum == 0 {
-		return 1, 1
-	}
-	return tsum / wsum, esum / wsum
 }
 
 // TickRegret prices one diverged tick: what the alternate's locks would

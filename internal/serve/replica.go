@@ -365,9 +365,6 @@ func (r *Replica) currentSeg(now sim.Time) *spanSeg {
 	return &r.span[r.spanCursor]
 }
 
-// KVCapacityTokens returns the replica's KV capacity in tokens.
-func (r *Replica) KVCapacityTokens() int { return r.kvCapToks }
-
 // Idle reports whether the replica has no work at all.
 func (r *Replica) Idle() bool {
 	return !r.iterActive && len(r.span) == 0 && len(r.running) == 0 && r.waiting.Len() == 0
@@ -1000,12 +997,10 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 	r.spanTimer = r.eng.AfterCancelable(last.end-now, r.spanEndFn)
 }
 
-// settleSeg applies a fully elapsed span segment's deferred effects in
-// order: formation (reservations, high-water note), launch (batch
-// counters), and finish (energy settlement, token advances) — the exact
-// operations, in the exact order, the per-stride scheduler performed at the
-// segment's formation and finish instants.
-func (r *Replica) settleSeg(i int) {
+// launchSeg applies a span segment's deferred formation (reservations,
+// high-water note) and launch (batch counters) effects, each once and in
+// that order, and returns the segment.
+func (r *Replica) launchSeg(i int) *spanSeg {
 	seg := &r.span[i]
 	if i >= r.spanFormed {
 		for _, s := range r.running {
@@ -1021,7 +1016,16 @@ func (r *Replica) settleSeg(i int) {
 		r.batchCtr.Inc()
 		r.spanLaunched = i + 1
 	}
+	return seg
+}
 
+// settleSeg applies a fully elapsed span segment's deferred effects in
+// order: formation and launch (launchSeg), then finish (energy settlement,
+// token advances) — the exact operations, in the exact order, the
+// per-stride scheduler performed at the segment's formation and finish
+// instants.
+func (r *Replica) settleSeg(i int) {
+	seg := r.launchSeg(i)
 	iterJ := seg.exec.Energy()
 	r.stats.EnergyJ += iterJ
 	capSec := seg.exec.Duration.Seconds() - seg.baseSec
@@ -1051,21 +1055,7 @@ func (r *Replica) settleSeg(i int) {
 // segment's execution is swapped (not copied) into iterExec so both
 // Segments backings keep being reused.
 func (r *Replica) materializeSeg(i int, now sim.Time, withTimer bool) {
-	seg := &r.span[i]
-	if i >= r.spanFormed {
-		for _, s := range r.running {
-			s.steps = seg.stride
-			r.reserveKV(s, seg.stride)
-		}
-		r.noteHighWater(seg.start)
-		r.spanFormed = i + 1
-	}
-	if i >= r.spanLaunched {
-		r.stats.Batches++
-		r.stats.DecodeTokens += int64(r.spanSeqs * seg.stride)
-		r.batchCtr.Inc()
-		r.spanLaunched = i + 1
-	}
+	seg := r.launchSeg(i)
 	r.dev.SetMemUsedGB(seg.memGB)
 	r.iterActive = true
 	r.iterPhase = seg.phase

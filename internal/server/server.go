@@ -173,21 +173,6 @@ func (s *Server) PeakWatts() float64 {
 	return s.PowerFromGPUs(gpuPeak)
 }
 
-// LockAllClocks locks every GPU's SM clock (0 unlocks), the action POLCA's
-// BMC applies when a frequency-capping threshold fires.
-func (s *Server) LockAllClocks(mhz float64) {
-	for _, d := range s.gpus {
-		d.LockClock(mhz)
-	}
-}
-
-// SetAllPowerCaps sets every GPU's reactive power cap.
-func (s *Server) SetAllPowerCaps(watts float64) {
-	for _, d := range s.gpus {
-		d.SetPowerCap(watts)
-	}
-}
-
 // SetBrake engages or releases the power brake on every GPU.
 func (s *Server) SetBrake(on bool) {
 	for _, d := range s.gpus {

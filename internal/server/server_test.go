@@ -106,24 +106,6 @@ func TestIdlePower(t *testing.T) {
 
 func TestKnobFanout(t *testing.T) {
 	s := New(3, dgx())
-	s.LockAllClocks(1275)
-	for _, d := range s.GPUs() {
-		if d.LockedClock() != 1275 {
-			t.Fatal("LockAllClocks did not reach every GPU")
-		}
-	}
-	s.LockAllClocks(0)
-	for _, d := range s.GPUs() {
-		if d.LockedClock() != 0 {
-			t.Fatal("unlock did not reach every GPU")
-		}
-	}
-	s.SetAllPowerCaps(325)
-	for _, d := range s.GPUs() {
-		if d.PowerCap() != 325 {
-			t.Fatal("SetAllPowerCaps did not reach every GPU")
-		}
-	}
 	s.SetBrake(true)
 	for _, d := range s.GPUs() {
 		if !d.Brake() {

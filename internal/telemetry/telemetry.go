@@ -189,66 +189,6 @@ func (t *Timeline) SampleInstantUntil(horizon, step time.Duration, sel func(gpu.
 	return out
 }
 
-// SampleIntervalAvg samples sel as an interval-updated counter: each sample
-// at time ts reports the mean over [ts-step-lag, ts-lag). This reproduces
-// the update lag the paper observes on DCGM activity counters (SM activity,
-// tensor core utilization) relative to instantaneous power.
-func (t *Timeline) SampleIntervalAvg(step, lag time.Duration, sel func(gpu.Counters) float64) stats.Series {
-	if step <= 0 {
-		panic("telemetry: non-positive sampling step")
-	}
-	out := stats.Series{Step: step}
-	for ts := time.Duration(0); ts < t.end; ts += step {
-		from := ts - step - lag
-		to := ts - lag
-		if to <= 0 {
-			out.Values = append(out.Values, sel(t.idle))
-			continue
-		}
-		if from < 0 {
-			from = 0
-		}
-		out.Values = append(out.Values, t.MeanBetween(from, to, sel))
-	}
-	return out
-}
-
-// AlignByPeak returns the shift (in samples, >= 0) that best aligns b to a
-// by matching their maxima, the technique the paper uses to undo counter
-// lag before correlating (§3.4). The returned shift is how many samples b
-// lags a.
-func AlignByPeak(a, b stats.Series) int {
-	ai := argmax(a.Values)
-	bi := argmax(b.Values)
-	if ai < 0 || bi < 0 {
-		return 0 // one series is empty; no peaks to align
-	}
-	if bi > ai {
-		return bi - ai
-	}
-	return 0
-}
-
-// ShiftLeft returns a copy of s with the first n samples dropped, used to
-// undo a measured lag.
-func ShiftLeft(s stats.Series, n int) stats.Series {
-	if n <= 0 || n >= len(s.Values) {
-		return s
-	}
-	return stats.Series{Start: s.Start, Step: s.Step, Values: s.Values[n:]}
-}
-
-// argmax returns the index of the maximum value (first on ties), or -1.
-func argmax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Selectors for the counters profiled in Figure 7.
 var (
 	Power     = func(c gpu.Counters) float64 { return c.PowerWatts }

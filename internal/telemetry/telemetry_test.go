@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"polca/internal/gpu"
-	"polca/internal/stats"
 )
 
 func idleCtr() gpu.Counters { return gpu.Counters{PowerWatts: 82} }
@@ -147,42 +146,6 @@ func TestMeanBetween(t *testing.T) {
 	}
 }
 
-func TestSampleIntervalAvgLag(t *testing.T) {
-	// A counter sampled with one-interval lag reports the spike one sample
-	// later than the instantaneous power does.
-	tl := NewTimeline(gpu.Counters{})
-	spike := gpu.Exec{Segments: []gpu.Segment{
-		{Duration: 100 * time.Millisecond, Counters: gpu.Counters{PowerWatts: 0, SMActivity: 0}},
-		{Duration: 100 * time.Millisecond, Counters: gpu.Counters{PowerWatts: 400, SMActivity: 1}},
-		{Duration: 300 * time.Millisecond, Counters: gpu.Counters{PowerWatts: 0, SMActivity: 0}},
-	}, Duration: 500 * time.Millisecond}
-	mustAppend(t, tl, 0, spike)
-	step := 100 * time.Millisecond
-	power := tl.SampleInstant(step, Power)
-	sm := tl.SampleIntervalAvg(step, step, SMAct)
-	lag := AlignByPeak(power, sm)
-	if lag < 1 {
-		t.Errorf("expected lagged activity counter, got shift %d", lag)
-	}
-	aligned := ShiftLeft(sm, lag)
-	if AlignByPeak(power, aligned) != 0 {
-		t.Error("alignment did not cancel the lag")
-	}
-}
-
-func TestShiftLeftEdges(t *testing.T) {
-	s := stats.Series{Step: time.Second, Values: []float64{1, 2, 3}}
-	if got := ShiftLeft(s, 0); len(got.Values) != 3 {
-		t.Error("shift 0 should be identity")
-	}
-	if got := ShiftLeft(s, 5); len(got.Values) != 3 {
-		t.Error("oversized shift should be identity")
-	}
-	if got := ShiftLeft(s, 1); got.Values[0] != 2 {
-		t.Error("shift 1 wrong")
-	}
-}
-
 func TestSampleStepValidation(t *testing.T) {
 	tl := NewTimeline(idleCtr())
 	defer func() {
@@ -219,92 +182,5 @@ func TestEmptyTimeline(t *testing.T) {
 	}
 	if s := tl.SampleInstant(time.Second, Power); len(s.Values) != 0 {
 		t.Errorf("empty timeline samples = %v", s.Values)
-	}
-}
-
-func TestAlignByPeakEmptySeries(t *testing.T) {
-	empty := stats.Series{Step: time.Second}
-	full := stats.Series{Step: time.Second, Values: []float64{1, 2, 9, 3}}
-	cases := []struct {
-		name string
-		a, b stats.Series
-	}{
-		{"both empty", empty, empty},
-		{"empty reference", empty, full},
-		{"empty lagged", full, empty},
-	}
-	for _, c := range cases {
-		if got := AlignByPeak(c.a, c.b); got != 0 {
-			t.Errorf("%s: AlignByPeak = %d, want 0", c.name, got)
-		}
-	}
-	// Shifting an empty series must stay a no-op regardless of n.
-	if got := ShiftLeft(empty, 3); len(got.Values) != 0 {
-		t.Errorf("ShiftLeft on empty series = %v", got.Values)
-	}
-}
-
-func TestAlignByPeakAllEqual(t *testing.T) {
-	// With no unique peak, argmax falls back to the first sample on both
-	// sides, so the flat series are treated as already aligned.
-	flat := func(n int) stats.Series {
-		s := stats.Series{Step: time.Second}
-		for i := 0; i < n; i++ {
-			s.Values = append(s.Values, 0.5)
-		}
-		return s
-	}
-	if got := AlignByPeak(flat(6), flat(6)); got != 0 {
-		t.Errorf("flat vs flat = %d, want 0", got)
-	}
-	// Flat reference against a peaked lagged series still reports the
-	// lagged peak offset from the (first-index) reference peak.
-	peaked := stats.Series{Step: time.Second, Values: []float64{0, 0, 1, 0, 0, 0}}
-	if got := AlignByPeak(flat(6), peaked); got != 2 {
-		t.Errorf("flat vs peaked = %d, want 2", got)
-	}
-	// A lagged series that is flat never looks ahead of the reference.
-	if got := AlignByPeak(peaked, flat(6)); got != 0 {
-		t.Errorf("peaked vs flat = %d, want 0", got)
-	}
-}
-
-func TestAlignByPeakLagLargerThanWindow(t *testing.T) {
-	// The largest expressible shift is the whole window minus one sample;
-	// ShiftLeft refuses anything >= the window so correction stays safe.
-	a := stats.Series{Step: time.Second, Values: []float64{9, 0, 0, 0}}
-	b := stats.Series{Step: time.Second, Values: []float64{0, 0, 0, 9}}
-	lag := AlignByPeak(a, b)
-	if lag != len(b.Values)-1 {
-		t.Fatalf("lag = %d, want %d", lag, len(b.Values)-1)
-	}
-	if got := ShiftLeft(b, lag); len(got.Values) != 1 || got.Values[0] != 9 {
-		t.Errorf("ShiftLeft(b, %d) = %v, want the peak alone", lag, got.Values)
-	}
-	if got := ShiftLeft(b, lag+1); len(got.Values) != len(b.Values) {
-		t.Errorf("shift beyond the window should be identity, got %v", got.Values)
-	}
-}
-
-func TestSampleIntervalAvgLagBeyondWindow(t *testing.T) {
-	// A lag longer than the whole timeline means every sample's averaging
-	// window ends before t=0, so the counter only ever reports idle.
-	tl := NewTimeline(idleCtr())
-	mustAppend(t, tl, 0, exec(400, 500*time.Millisecond))
-	step := 100 * time.Millisecond
-	s := tl.SampleIntervalAvg(step, time.Second, Power)
-	if len(s.Values) != 5 {
-		t.Fatalf("samples = %v", s.Values)
-	}
-	for i, v := range s.Values {
-		if v != 82 {
-			t.Errorf("sample[%d] = %v, want idle 82", i, v)
-		}
-	}
-	// And aligning the all-idle (flat) series against real power is a
-	// zero-shift: there is no peak left to match.
-	power := tl.SampleInstant(step, Power)
-	if got := AlignByPeak(power, s); got != 0 {
-		t.Errorf("align vs all-idle lagged counter = %d, want 0", got)
 	}
 }
