@@ -5,7 +5,18 @@ GO ?= go
 # benchmark smoke, schema validation of the committed BENCH_*.json
 # trajectory, a chaos smoke run, and a fault-spec fuzz smoke.
 .PHONY: ci
-ci: vet staticcheck rand-audit build test bench-smoke bench-check chaos chaos-serve fuzz-smoke scenarios replay-golden
+ci: fmt vet staticcheck rand-audit build test bench-smoke bench-check chaos chaos-serve fuzz-smoke replay-golden
+
+# fmt fails if any tracked Go file is not gofmt-clean, listing the files.
+.PHONY: fmt
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "fmt: not gofmt-clean (run gofmt -w):"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi; \
+	echo "fmt: clean"
 
 .PHONY: vet
 vet:
@@ -156,15 +167,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadRequestsCSV -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecoders -fuzztime 10s ./internal/obs
-
-# scenarios regenerates the committed scenarios/*.scn files from the builtin
-# library and verifies the two are in lockstep (plus the canonical
-# round-trip of every file). Run it after editing a builtin in
-# internal/scenario/library.go.
-.PHONY: scenarios
-scenarios:
-	$(GO) run ./internal/scenario/gen
-	$(GO) test -run 'TestLibraryFilesMatchBuiltins|TestBuiltinsAreCanonical' ./internal/scenario
 
 # replay-golden pins the counterfactual-replay pipeline end to end: the
 # polca-replay CLI over the committed decision-log fixture must reproduce

@@ -350,13 +350,9 @@ func runExtOOB(o Options) (Result, error) {
 		cfg.AddedFraction = 0.30
 		cfg.OOBLatency = lat
 		cfg.Seed = o.Seed
-		arr, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
-		if err != nil {
-			return Result{}, err
-		}
 		horizon := horizonFromDays(o.SweepDays)
 		full := trace.ProductionInference().Reference(horizon, newSeededRand(o.Seed, "ref"))
-		arr, err = trace.FitArrivals(full, cfg.Shape(), 5*time.Minute)
+		arr, err := trace.FitArrivals(full, cfg.Shape(), 5*time.Minute)
 		if err != nil {
 			return Result{}, err
 		}

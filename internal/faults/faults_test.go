@@ -56,7 +56,7 @@ func TestParseFullScenario(t *testing.T) {
 		LatencyScale: 1.5,
 		Kills:        []faults.Kill{{Servers: 2, Window: faults.Window{Start: 8 * time.Hour, Dur: time.Hour}}},
 		Stragglers:   2, StragglerFactor: 1.3,
-		Drains:       []faults.Kill{{Servers: 2, Window: faults.Window{Start: 12 * time.Hour, Dur: 30 * time.Minute}}},
+		Drains: []faults.Kill{{Servers: 2, Window: faults.Window{Start: 12 * time.Hour, Dur: 30 * time.Minute}}},
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Errorf("Parse mismatch:\n got %+v\nwant %+v", s, want)

@@ -30,10 +30,10 @@ func TestPolicyEmitsThresholdEvents(t *testing.T) {
 
 	got := reasons(act.obs.Tracer)
 	want := []string{
-		"t1.engage",      // 0.82
-		"t2.lp.engage",   // 0.90
-		"t2.hp.engage",   // third hot tick (armed on the second)
-		"t2.lp.release",  // 0.70
+		"t1.engage",     // 0.82
+		"t2.lp.engage",  // 0.90
+		"t2.hp.engage",  // third hot tick (armed on the second)
+		"t2.lp.release", // 0.70
 		"t2.hp.release",
 		"t1.release",
 	}

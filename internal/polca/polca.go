@@ -97,7 +97,6 @@ type Policy struct {
 	t1Engaged   bool // LP at base clock
 	t2LPEngaged bool // LP at deep clock
 	t2HPEngaged bool // HP capped
-	t2Since     sim.Time
 	t2Armed     bool
 
 	// Controller-view TSDB series (nil when the run has no TSDB), bound
@@ -132,7 +131,6 @@ func (p *Policy) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
 	switch {
 	case util >= c.T2 && !p.t2LPEngaged:
 		p.t2LPEngaged = true
-		p.t2Since = now
 		p.t2Armed = false
 		emitThreshold(act, now, p.Name(), "t2.lp.engage", util)
 	case util < c.T2-c.UncapMargin && p.t2LPEngaged:
@@ -200,16 +198,7 @@ func (p *Policy) observeState(now sim.Time, util float64, act cluster.Actuator) 
 		}
 	}
 	p.ctrlUtil.Observe(now, util)
-	stage := 0.0
-	switch {
-	case p.t2HPEngaged:
-		stage = 3
-	case p.t2LPEngaged:
-		stage = 2
-	case p.t1Engaged:
-		stage = 1
-	}
-	p.ctrlStage.Observe(now, stage)
+	p.ctrlStage.Observe(now, float64(p.Stage()))
 }
 
 // Engaged reports the current threshold state (for tests and inspection).
@@ -224,7 +213,6 @@ func (p *Policy) Reset() {
 	p.t1Engaged = false
 	p.t2LPEngaged = false
 	p.t2HPEngaged = false
-	p.t2Since = 0
 	p.t2Armed = false
 }
 

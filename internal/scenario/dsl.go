@@ -393,8 +393,8 @@ func reqDur(kv map[string]string, key string) (time.Duration, error) {
 }
 
 // String renders the spec in canonical DSL form: Parse(spec.String())
-// reproduces the spec exactly, and the committed scenarios/*.scn files are
-// kept byte-identical to their builtins' canonical form by make scenarios.
+// reproduces the spec exactly, and every builtin scenarios/*.scn file is
+// its own canonical form (TestBuiltinsAreCanonical).
 func (s Spec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %s\n", s.Name)

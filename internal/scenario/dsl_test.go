@@ -12,9 +12,8 @@ import (
 
 // TestBuiltinsAreCanonical pins every builtin's source to its own
 // canonical form: Parse then String must reproduce the text byte for
-// byte. The committed scenarios/*.scn files carry the same bytes (see
-// TestLibraryFilesMatchBuiltins), so this is what keeps name and file
-// forms interchangeable.
+// byte. A builtin's source is its embedded scenarios/*.scn file, so this
+// is what keeps name and file forms interchangeable.
 func TestBuiltinsAreCanonical(t *testing.T) {
 	for _, name := range Names() {
 		src, err := BuiltinSource(name)

@@ -5,115 +5,47 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"polca/scenarios"
 )
 
-// The builtin library. Each entry is the scenario's canonical DSL source:
-// the committed scenarios/*.scn files carry exactly this text (a test and
-// the make scenarios target hold the two in lockstep), so a scenario can
-// be referenced by name or shipped around as a file interchangeably.
-//
-// Rates are calibrated for the default 16-server row (basis 16): the
-// aggregate mean load lands near the production trace's ~55% power
-// utilization, with peaks (diurnal crest, launch ramp, burst episodes)
-// probing the region POLCA caps in.
-var builtins = map[string]string{
-	// table6 re-expresses the paper's hardcoded workload.Table6 mix as a
-	// scenario: same token ranges, same shares, same priority split
-	// (chat's 50/50 LowShare becomes two cohorts), under the production
-	// diurnal (peak hour 14, relative amplitude ≈ DailyAmp/Base) with the
-	// trace fit's Erlang-32 front-door smoothing expressed as gamma(32).
-	"table6": `scenario table6
-basis 16
-cohort summarize slo=batch rate=0.0625 arrivals=gamma(32) shape=diurnal(peak=14h,amp=0.17) prompt=uniform(2048,8192) output=uniform(256,512)
-cohort search slo=critical rate=0.0625 arrivals=gamma(32) shape=diurnal(peak=14h,amp=0.17) prompt=uniform(512,2048) output=uniform(1024,2048)
-cohort chat-rt slo=standard rate=0.0625 arrivals=gamma(32) shape=diurnal(peak=14h,amp=0.17) prompt=uniform(2048,4096) output=uniform(128,2048)
-cohort chat-bulk slo=sheddable rate=0.0625 arrivals=gamma(32) shape=diurnal(peak=14h,amp=0.17) prompt=uniform(2048,4096) output=uniform(128,2048)
-`,
-
-	// chatbot: consumer chat across two regions plus a free tier. Bursty
-	// per-user arrivals (gamma shape < 1), short lognormal turns, growing
-	// multi-turn context, per-region diurnal offsets, and a shared system
-	// prompt per product surface.
-	"chatbot": `scenario chatbot
-basis 16
-cohort chat-na slo=standard rate=0.055 arrivals=gamma(0.5) shape=diurnal(peak=14h,amp=0.5) prompt=logn(360,0.7) output=logn(180,0.6) sessions=(turns=4,think=45s,grow=0.7) prefix=(groups=8,tokens=64)
-cohort chat-eu slo=standard rate=0.04 arrivals=gamma(0.5) shape=diurnal(peak=14h,amp=0.5,offset=6h) prompt=logn(360,0.7) output=logn(180,0.6) sessions=(turns=4,think=45s,grow=0.7) prefix=(groups=8,tokens=64)
-cohort chat-free slo=sheddable rate=0.045 arrivals=gamma(0.35) shape=diurnal(peak=16h,amp=0.6) prompt=logn(280,0.8) output=logn(140,0.6) sessions=(turns=3,think=1m,grow=0.6) prefix=(groups=2,tokens=48)
-`,
-
-	// contentgen: marketing-copy generation. Small prompts, long outputs,
-	// a Weibull-bursty interactive tier with campaign-day burst episodes,
-	// and a flat template-driven batch tier.
-	"contentgen": `scenario contentgen
-basis 16
-cohort drafts slo=standard rate=0.06 arrivals=weibull(0.6) burst=(gap=3h,dur=10m,x=6) shape=diurnal(peak=11h,amp=0.35) prompt=logn(250,0.5) output=logn(650,0.45)
-cohort rewrite slo=sheddable rate=0.035 arrivals=gamma(0.7) shape=diurnal(peak=15h,amp=0.4) prompt=logn(420,0.5) output=logn(380,0.5)
-cohort templates slo=batch rate=0.03 prompt=point(512) output=uniform(600,1200)
-`,
-
-	// summarization: document pipelines. Long uniform prompts with small
-	// outputs interactively, plus an overnight batch crawl that runs flat
-	// with heavy-tailed submission gaps.
-	"summarization": `scenario summarization
-basis 16
-cohort docsum slo=standard rate=0.05 arrivals=gamma(2) shape=diurnal(peak=10h,amp=0.45) prompt=uniform(3000,8000) output=uniform(200,400)
-cohort inbox slo=critical rate=0.035 arrivals=gamma(1.5) shape=diurnal(peak=9h,amp=0.5) prompt=logn(1800,0.4) output=point(160)
-cohort crawl slo=batch rate=0.04 arrivals=weibull(0.7) prompt=point(6000) output=point(256)
-`,
-
-	// multidoc: retrieval-augmented multi-document QA. Every session pins
-	// one of a few shared corpus prefixes (prefix-cache locality), with a
-	// sheddable background refresh tier re-indexing the corpus.
-	"multidoc": `scenario multidoc
-basis 16
-cohort rag-qa slo=critical rate=0.045 arrivals=gamma(0.8) shape=diurnal(peak=13h,amp=0.4) prompt=logn(2400,0.35) output=logn(280,0.4) sessions=(turns=2,think=30s,grow=0.3) prefix=(groups=4,tokens=1024)
-cohort refresh slo=sheddable rate=0.035 arrivals=weibull(0.8) prompt=uniform(2000,5000) output=point(200) prefix=(groups=4,tokens=1024)
-`,
-
-	// agentic-multiturn: tool-driven agent loops. Many short machine-paced
-	// turns with aggressively carried context, plus a batch evaluation
-	// harness replaying fixed tasks.
-	"agentic-multiturn": `scenario agentic-multiturn
-basis 16
-cohort agents slo=critical rate=0.02 arrivals=gamma(0.6) shape=diurnal(peak=12h,amp=0.3) prompt=logn(200,0.5) output=logn(380,0.5) sessions=(turns=8,think=5s,grow=0.9) prefix=(groups=16,tokens=256)
-cohort evals slo=batch rate=0.015 prompt=point(900) output=point(500) sessions=(turns=5,think=2s,grow=0.8)
-`,
-
-	// launch-day: a product launch on top of steady traffic. The launch
-	// cohort ramps 5x over two hours after the 6h announcement and stays
-	// there, a press spike decays through the morning, and burst episodes
-	// ride the ramp — the adversarial shape for a power-capping policy.
-	"launch-day": `scenario launch-day
-basis 16
-cohort steady slo=standard rate=0.045 arrivals=gamma(4) shape=diurnal(peak=14h,amp=0.3) prompt=logn(500,0.6) output=logn(240,0.5) sessions=(turns=3,think=40s,grow=0.6)
-cohort launch slo=standard rate=0.02 arrivals=weibull(0.55) burst=(gap=2h,dur=8m,x=6) shape=ramp(at=6h,over=2h,x=7) prompt=logn(420,0.7) output=logn(300,0.55) sessions=(turns=2,think=30s,grow=0.5)
-cohort press slo=sheddable rate=0.014 arrivals=gamma(0.4) shape=spike(at=8h,x=10,rise=10m,fall=1h30m) prompt=logn(300,0.6) output=logn(220,0.5)
-`,
-}
+// The builtin library is the scenarios package's embedded .scn files,
+// each a scenario's canonical DSL source, read when asked for rather than
+// into a table at init. The package doc describes each builtin.
 
 // Names returns the builtin scenario names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(builtins))
-	for n := range builtins {
-		out = append(out, n)
+	ents, err := scenarios.Files.ReadDir(".")
+	if err != nil {
+		panic(err) // the embedded root always exists
+	}
+	out := make([]string, 0, len(ents))
+	for _, e := range ents {
+		out = append(out, strings.TrimSuffix(e.Name(), ".scn"))
 	}
 	sort.Strings(out)
 	return out
 }
 
+// source returns the named builtin's canonical DSL text.
+func source(name string) (string, bool) {
+	data, err := scenarios.Files.ReadFile(name + ".scn")
+	return string(data), err == nil
+}
+
 // Builtin returns the named builtin scenario.
 func Builtin(name string) (Spec, error) {
-	src, ok := builtins[name]
+	src, ok := source(name)
 	if !ok {
 		return Spec{}, fmt.Errorf("scenario: unknown scenario %q (have %s)", name, strings.Join(Names(), ", "))
 	}
 	return Parse(src)
 }
 
-// BuiltinSource returns the canonical DSL text of a builtin — what the
-// committed scenarios/*.scn files must contain byte for byte.
+// BuiltinSource returns the canonical DSL text of a builtin: the bytes of
+// its scenarios/<name>.scn file.
 func BuiltinSource(name string) (string, error) {
-	src, ok := builtins[name]
+	src, ok := source(name)
 	if !ok {
 		return "", fmt.Errorf("scenario: unknown scenario %q", name)
 	}
@@ -123,7 +55,7 @@ func BuiltinSource(name string) (string, error) {
 // Load resolves a -scenario argument: a builtin name, or a path to a .scn
 // file when the argument names no builtin (or looks like a path).
 func Load(arg string) (Spec, error) {
-	if src, ok := builtins[arg]; ok {
+	if src, ok := source(arg); ok {
 		return Parse(src)
 	}
 	data, err := os.ReadFile(arg)
