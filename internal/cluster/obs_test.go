@@ -71,59 +71,26 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
-func checkTraceReconciles(t *testing.T, cfg cluster.RowConfig, m *cluster.Metrics, row *cluster.Row, o *obs.Observer) {
+// checkTraceReconciles checks every fact the row's record point counts
+// (reconcileFacts), then the aggregates derived from them, and returns
+// each fact's count.
+func checkTraceReconciles(t *testing.T, cfg cluster.RowConfig, m *cluster.Metrics, row *cluster.Row, o *obs.Observer) map[string]int {
 	t.Helper()
 	tr := o.Tracer
-	if tr.CountKind(obs.KindOOBIssue) == 0 {
+	if m.LockCommands == 0 {
 		t.Fatal("expected capping traffic in an oversubscribed hot run")
 	}
-	// OOB pipeline: issues == LockCommands, fails == FailedCommands, and
-	// every issue either landed (apply/release), failed, was dropped as
-	// stale (superseded while in flight), or is still in flight.
-	if got := tr.CountKind(obs.KindOOBIssue); got != m.LockCommands {
-		t.Errorf("oob.issue events = %d, LockCommands = %d", got, m.LockCommands)
+	if totals(m.Arrived) == 0 {
+		t.Fatal("no arrivals")
 	}
-	if got := tr.CountKind(obs.KindOOBFail); got != m.FailedCommands {
-		t.Errorf("oob.fail events = %d, FailedCommands = %d", got, m.FailedCommands)
-	}
-	if got := tr.CountKind(obs.KindOOBStale); got != m.StaleOOBDrops {
-		t.Errorf("oob.stale events = %d, StaleOOBDrops = %d", got, m.StaleOOBDrops)
-	}
+	counts := reconcileFacts(t, m, o)
+	// Every issued OOB command either landed (apply/release), failed, was
+	// dropped as stale (superseded while in flight), or is still in flight.
 	landed := tr.CountKind(obs.KindCapApply) + tr.CountKind(obs.KindCapRelease)
 	if got := landed + m.FailedCommands + m.StaleOOBDrops + row.InFlightCommands(); got != m.LockCommands {
 		t.Errorf("applies+releases+fails+stale+inflight = %d, want %d issues", got, m.LockCommands)
 	}
-	// Request lifecycle: each outcome's event count and registry counter
-	// must both equal the Metrics count.
 	snap := o.Metrics.Snapshot()
-	for _, c := range []struct {
-		kind   obs.Kind
-		family string
-		counts map[workload.Priority]int
-	}{
-		{obs.KindArrive, "row_requests_arrived_total", m.Arrived},
-		{obs.KindComplete, "row_requests_completed_total", m.Completed},
-		{obs.KindDrop, "row_requests_dropped_total", m.Dropped},
-	} {
-		want := c.counts[workload.Low] + c.counts[workload.High]
-		if got := tr.CountKind(c.kind); got != want {
-			t.Errorf("%s events = %d, Metrics = %d", c.kind, got, want)
-		}
-		ctr := snap.Counters[c.family+`{priority="low"}`] + snap.Counters[c.family+`{priority="high"}`]
-		if ctr != int64(want) {
-			t.Errorf("%s = %d, Metrics = %d", c.family, ctr, want)
-		}
-	}
-	if m.Arrived[workload.Low]+m.Arrived[workload.High] == 0 {
-		t.Fatal("no arrivals")
-	}
-	// Brake engagements.
-	if got := tr.CountKind(obs.KindBrakeTrigger); got != m.BrakeEvents {
-		t.Errorf("brake.trigger events = %d, BrakeEvents = %d", got, m.BrakeEvents)
-	}
-	if got := snap.Counters["row_oob_commands_total"]; got != int64(m.LockCommands) {
-		t.Errorf("row_oob_commands_total = %d, want %d", got, m.LockCommands)
-	}
 	if snap.Counters["sim_events_dispatched_total"] == 0 {
 		t.Error("engine should count dispatched events")
 	}
@@ -162,6 +129,7 @@ func checkTraceReconciles(t *testing.T, cfg cluster.RowConfig, m *cluster.Metric
 			t.Fatalf("event %d out of order: %v after %v", i, evs[i].At, evs[i-1].At)
 		}
 	}
+	return counts
 }
 
 // TestObservedRunMatchesUnobserved locks the perturbation-free contract at
@@ -204,12 +172,10 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	}
 }
 
-// TestTraceReconcilesUnderFaults extends the reconciliation to every fact
-// the row's record point counts, under the make chaos (slot) and make
-// chaos-serve settings with their fault windows moved inside a two-hour
-// run: each fact's event count, split by reason where one kind feeds two
-// fields, must equal its Metrics field, and its registry counter where it
-// has one. Queue-full sheds need full queues, so the serve case runs twice
+// TestTraceReconcilesUnderFaults runs the reconciliation under the make
+// chaos (slot) and make chaos-serve settings, with their fault windows
+// moved inside a two-hour run, so the facts that only faults produce are
+// checked too. Queue-full sheds need full queues, so the serve case runs twice
 // the load on one-request queues and four-sequence batches, with a
 // circuit-breaker threshold of two sheds; across the two cases every fact
 // occurs at least once.
@@ -226,11 +192,13 @@ func TestTraceReconcilesUnderFaults(t *testing.T) {
 		cfg  cluster.RowConfig
 		busy float64
 	}{{"slot", slot, 0.95}, {"serve", srv, 2}} {
-		ctrl := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
-		m, _, o := runObservedRow(t, c.cfg, ctrl, c.busy, 2*time.Hour)
-		for fact, n := range reconcileFacts(t, c.name, m, o) {
-			seen[fact] += n
-		}
+		t.Run(c.name, func(t *testing.T) {
+			ctrl := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
+			m, row, o := runObservedRow(t, c.cfg, ctrl, c.busy, 2*time.Hour)
+			for fact, n := range checkTraceReconciles(t, c.cfg, m, row, o) {
+				seen[fact] += n
+			}
+		})
 	}
 	for fact, n := range seen {
 		if n == 0 {
@@ -240,10 +208,11 @@ func TestTraceReconcilesUnderFaults(t *testing.T) {
 }
 
 // reconcileFacts checks, for every fact the row's record point counts,
-// that its events, its Metrics field and its registry counter (where one
-// exists) agree, and that completion events carry the recorded latencies.
-// It returns each fact's count.
-func reconcileFacts(t *testing.T, name string, m *cluster.Metrics, o *obs.Observer) map[string]int {
+// that its events (split by reason where one kind feeds two fields), its
+// Metrics field and its registry counter (where one exists) agree, and
+// that completion events carry the recorded latencies. It returns each
+// fact's count.
+func reconcileFacts(t *testing.T, m *cluster.Metrics, o *obs.Observer) map[string]int {
 	t.Helper()
 	events := map[string]int{}
 	var latency [2][]float64
@@ -287,21 +256,21 @@ func reconcileFacts(t *testing.T, name string, m *cluster.Metrics, o *obs.Observ
 	counts := map[string]int{}
 	for _, f := range facts {
 		if f.events != f.metrics {
-			t.Errorf("%s: %s events = %d, Metrics = %d", name, f.fact, f.events, f.metrics)
+			t.Errorf("%s events = %d, Metrics = %d", f.fact, f.events, f.metrics)
 		}
 		if f.counter != none && f.counter != int64(f.metrics) {
-			t.Errorf("%s: %s registry counter = %d, Metrics = %d", name, f.fact, f.counter, f.metrics)
+			t.Errorf("%s registry counter = %d, Metrics = %d", f.fact, f.counter, f.metrics)
 		}
 		counts[f.fact] = f.metrics
 	}
 	for _, p := range []workload.Priority{workload.Low, workload.High} {
 		if !reflect.DeepEqual(latency[p], m.LatencySec[p]) {
-			t.Errorf("%s: %v-priority completion latencies differ from LatencySec", name, p)
+			t.Errorf("%v-priority completion latencies differ from LatencySec", p)
 		}
 	}
 	if m.Faults.NodeDeaths != m.NodeDeaths || m.Faults.NodeDrains != m.NodeDrains {
-		t.Errorf("%s: injector counts %+v, Metrics node deaths %d, drains %d",
-			name, m.Faults, m.NodeDeaths, m.NodeDrains)
+		t.Errorf("injector counts %+v, Metrics node deaths %d, drains %d",
+			m.Faults, m.NodeDeaths, m.NodeDrains)
 	}
 	return counts
 }

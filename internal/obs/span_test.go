@@ -153,7 +153,9 @@ func TestSpanTracerNil(t *testing.T) {
 	}
 }
 
-func TestScanSpansErrors(t *testing.T) {
+// TestReadSpansErrors checks that reading spans back through ScanSpans
+// rejects a malformed line and an unknown span kind.
+func TestReadSpansErrors(t *testing.T) {
 	keep := func(Span) error { return nil }
 	if err := ScanSpans(strings.NewReader("{not json}\n"), nil, keep); err == nil {
 		t.Error("malformed JSON line should error")

@@ -22,7 +22,8 @@ type FrequencyProfile struct {
 
 // FrequencyPlanner precomputes frequency profiles per priority from the
 // workload classes (through cluster.MixCost, the cost model the slot row
-// runs on) and answers "what is the deepest cap whose slowdown fits this budget?".
+// runs on) and answers "what is the deepest cap whose slowdown fits this
+// budget?".
 type FrequencyPlanner struct {
 	profiles map[workload.Priority][]FrequencyProfile // sorted by clock desc
 }
@@ -43,6 +44,8 @@ func NewFrequencyPlanner(model llm.Model, dt llm.DType, classes []workload.Class
 			return nil, fmt.Errorf("polca: no classes at priority %v", pri)
 		}
 		for _, mhz := range cands {
+			// ok holds as at the base clock: no class weight or plan
+			// depends on the lock.
 			t, p, _ := cluster.MixCost(model, dt, classes, pri, mhz)
 			fp.profiles[pri] = append(fp.profiles[pri], FrequencyProfile{
 				ClockMHz:  mhz,

@@ -73,7 +73,7 @@ func (p *Profiler) Factors(pri workload.Priority, lockMHz float64) (tf, pf float
 	// A priority with no classes profiles as uncapped.
 	tf, pf = 1, 1
 	if baseT, baseP, ok := cluster.MixCost(p.model, p.dt, p.classes, pri, 0); ok {
-		t, w, _ := cluster.MixCost(p.model, p.dt, p.classes, pri, lockMHz)
+		t, w, _ := cluster.MixCost(p.model, p.dt, p.classes, pri, lockMHz) // ok as at 0 MHz
 		tf, pf = t/baseT, w/baseP
 	}
 	p.memo[key] = [2]float64{tf, pf}
