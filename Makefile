@@ -71,15 +71,15 @@ test:
 # silently drop out of the smoke. One BenchmarkScanJSONL op decodes 1,300
 # records, so the smoke runs it apart from the substrate set, at fewer
 # iterations.
-BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
+BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
 BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
-# The telemetry ingest, rule-evaluation, failover-requeue, scenario
-# request-generation, and decision-input recording ticks run inside the
-# simulator's hot loop; -zero-alloc hard-fails the build the moment any of
+BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
+# The engine's periodic-timer dispatch and the telemetry ingest,
+# rule-evaluation, failover-requeue, scenario request-generation, and
+# decision-input recording ticks run inside the simulator's hot loop; -zero-alloc hard-fails the build the moment any of
 # them allocates, with no baseline artifact needed.
-BENCH_ZERO_ALLOC = BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord
+BENCH_ZERO_ALLOC = BenchmarkEnginePeriodic,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord
 BENCH_PKGS = . ./internal/serve ./internal/obs ./internal/cluster ./internal/scenario
 
 # bench-smoke runs the hot-path set briefly — enough to catch an allocation

@@ -86,6 +86,28 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePeriodic measures dispatch under a row's event mix: the
+// row manager's two periodic timers (the 0.25 s telemetry sub-sample and
+// the 2 s control tick) beside 16 one-shot timers that re-arm themselves
+// like the servers' phase timers. One op is one dispatched event.
+func BenchmarkEnginePeriodic(b *testing.B) {
+	eng := sim.New(1)
+	nop := func(sim.Time) {}
+	eng.Every(250*time.Millisecond, nop)
+	eng.Every(2*time.Second, nop)
+	for i := 0; i < 16; i++ {
+		d := time.Duration(500+311*i) * time.Millisecond
+		var rearm sim.Handler
+		rearm = func(sim.Time) { eng.After(d, rearm) }
+		eng.After(d, rearm)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 // BenchmarkQueuePushPop measures heap insert+extract throughput with
 // batches of out-of-order events (the queue's steady-state access pattern).
 func BenchmarkQueuePushPop(b *testing.B) {

@@ -572,10 +572,13 @@ type node struct {
 	// node, and fetching these through the spec copies it each time.
 	gpuIdleW float64
 	gpuScale float64
-	// nodePower's memo of PowerFromGPUs on its last exact input: a node's
-	// GPU draw is piecewise constant, yet the sampler reads it nine times
-	// per telemetry epoch.
-	memoGPUW, memoSrvW float64
+	// nodePower's cache: the node's server draw and busy flag, valid at
+	// every instant before powUntil. A node's draw is piecewise constant,
+	// and the sampler reads it eight times per telemetry epoch. Every
+	// writer of the node's power source calls Row.powerChanged.
+	powW     float64
+	powBusy  bool
+	powUntil sim.Time
 }
 
 // backend is the request-serving half of a row: it executes requests on
@@ -587,9 +590,10 @@ type node struct {
 type backend interface {
 	// dispatch takes one request the row has recorded as arrived.
 	dispatch(now sim.Time, req workload.Request)
-	// load returns a live node's per-GPU power draw and whether it is
-	// executing work.
-	load(n *node, now sim.Time) (gpuW float64, busy bool)
+	// load returns a live node's per-GPU power draw, whether it is
+	// executing work, and the first instant at which either may differ
+	// without the row being told through Row.powerChanged.
+	load(n *node, now sim.Time) (gpuW float64, busy bool, until sim.Time)
 	// replan re-times the node's in-flight work after its clocks changed
 	// (a landed lock or the power brake).
 	replan(n *node, now sim.Time)
@@ -633,6 +637,10 @@ type Row struct {
 	// Sub-interval power accumulation for interval-averaged row readings.
 	powerSum     float64
 	powerSamples int
+	// instantUtilization's cache, valid at every instant before utilUntil:
+	// the earliest node horizon, reset by Row.powerChanged.
+	util      float64
+	utilUntil sim.Time
 
 	braked       bool
 	brakePending bool
@@ -733,7 +741,6 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 		n := &node{idx: i, pri: pri, srv: s, dev: s.GPUs()[0]}
 		n.gpuIdleW = n.dev.Spec().IdleWatts
 		n.gpuScale = float64(s.Spec().GPUCount) * cfg.PowerIntensity
-		n.memoGPUW = math.NaN()
 		r.nodes = append(r.nodes, n)
 		r.pools[pri] = append(r.pools[pri], n)
 	}
@@ -919,9 +926,11 @@ func (r *Row) startTelemetry() {
 	})
 	r.telemetryTick = r.eng.EveryFrom(r.eng.Now()+r.cfg.TelemetryInterval, r.cfg.TelemetryInterval, func(now sim.Time) {
 		r.updateServerFaults(now)
-		util := r.instantUtilization(now)
+		var util float64
 		if r.powerSamples > 0 {
 			util = r.powerSum / float64(r.powerSamples)
+		} else {
+			util = r.instantUtilization(now)
 		}
 		r.powerSum, r.powerSamples = 0, 0
 		r.metrics.Util.Values = append(r.metrics.Util.Values, util)
@@ -1096,6 +1105,7 @@ func (r *Row) updateServerFaults(now sim.Time) {
 		if dead == n.dead {
 			continue
 		}
+		r.powerChanged(n)
 		if dead {
 			n.dead = true
 			r.inj.CountNodeDeath()
@@ -1194,27 +1204,45 @@ func (r *Row) note(ev obs.Event) {
 }
 
 // nodePower returns the node's current server power draw and whether it
-// is executing work.
+// is executing work, from its cache while the backend's horizon holds. A
+// dead node draws nothing until it revives.
 func (r *Row) nodePower(n *node, now sim.Time) (float64, bool) {
+	if now < n.powUntil {
+		return n.powW, n.powBusy
+	}
 	if n.dead {
-		return 0, false
+		n.powW, n.powBusy, n.powUntil = 0, false, math.MaxInt64
+	} else {
+		gpuW, busy, until := r.be.load(n, now)
+		n.powW, n.powBusy, n.powUntil = n.srv.PowerFromGPUs(gpuW*n.gpuScale), busy, until
 	}
-	gpuW, busy := r.be.load(n, now)
-	if gpuW *= n.gpuScale; gpuW != n.memoGPUW {
-		n.memoGPUW, n.memoSrvW = gpuW, n.srv.PowerFromGPUs(gpuW)
-	}
-	return n.memoSrvW, busy
+	return n.powW, n.powBusy
+}
+
+// powerChanged drops the node's and the row's power caches. Every writer
+// of what a node's draw depends on calls it: its liveness, and in slot
+// mode the request and phase it executes. A lock or the brake reaches a
+// node's draw only through backend.replan.
+func (r *Row) powerChanged(n *node) {
+	n.powUntil, r.utilUntil = 0, 0
 }
 
 // instantUtilization returns row power as a fraction of the provisioned
-// budget at this instant.
+// budget at this instant, from its cache until the earliest node horizon.
+// A recompute sums every node in order, so it is the same float64.
 func (r *Row) instantUtilization(now sim.Time) float64 {
+	if now < r.utilUntil {
+		return r.util
+	}
 	var w float64
+	until := sim.Time(math.MaxInt64)
 	for _, n := range r.nodes {
 		p, _ := r.nodePower(n, now)
 		w += p
+		until = min(until, n.powUntil)
 	}
-	return w / r.metrics.Provisioned
+	r.util, r.utilUntil = w/r.metrics.Provisioned, until
+	return r.util
 }
 
 // brakeLogic engages/releases the row's power brake (§6.2's safety net).

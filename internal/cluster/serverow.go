@@ -302,9 +302,11 @@ func (b *serveBackend) serveConfig() *serve.Config {
 	return &c
 }
 
-func (b *serveBackend) load(n *node, now sim.Time) (float64, bool) {
+// load holds nothing past now: replicas change their draw inside their
+// own iteration events, which the row does not see.
+func (b *serveBackend) load(n *node, now sim.Time) (float64, bool, sim.Time) {
 	rep := b.reps[n.idx].Replica
-	return rep.PowerAt(now), rep.Running() > 0
+	return rep.PowerAt(now), rep.Running() > 0, now
 }
 
 func (b *serveBackend) replan(n *node, now sim.Time) { b.reps[n.idx].Replan(now) }

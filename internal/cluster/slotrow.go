@@ -77,11 +77,18 @@ func (*slotBackend) watchdog(sim.Time, bool)               {}
 func (*slotBackend) finish(sim.Time)                       {}
 func (*slotBackend) tsdbSeries(*rowTSDB) func(int, string) { return func(int, string) {} }
 
-func (s *slotBackend) load(n *node, now sim.Time) (float64, bool) {
-	if a := s.active[n.idx]; a != nil {
-		return a.exec.PowerAt(now - a.phaseStart), true
+// load holds an executing node's draw until its segment ends, and the last
+// segment's and an idle node's until the node's work changes.
+func (s *slotBackend) load(n *node, now sim.Time) (float64, bool, sim.Time) {
+	a := s.active[n.idx]
+	if a == nil {
+		return n.gpuIdleW, false, math.MaxInt64
 	}
-	return n.gpuIdleW, false
+	w, until := a.exec.PowerUntil(now - a.phaseStart)
+	if until != math.MaxInt64 {
+		until += a.phaseStart
+	}
+	return w, true, until
 }
 
 // tick re-runs admission against the epoch's gate (the offered load
@@ -234,6 +241,7 @@ func (s *slotBackend) startPhase(n *node, now sim.Time) {
 		}
 		a.phaseStart = now
 		a.timer = s.eng.AfterCancelable(a.exec.Duration, a.done)
+		s.powerChanged(n)
 		return
 	}
 	s.complete(n, now)
@@ -254,6 +262,7 @@ func (s *slotBackend) phaseDone(n *node, now sim.Time) {
 func (s *slotBackend) complete(n *node, now sim.Time) {
 	a := s.active[n.idx]
 	s.active[n.idx] = nil
+	s.powerChanged(n)
 	pri := a.req.Priority
 	s.metrics.BusySec[pri] += (now - a.started).Seconds()
 	s.note(obs.Event{
@@ -272,6 +281,7 @@ func (s *slotBackend) kill(n *node, now sim.Time) {
 	}
 	a.timer.Stop()
 	s.active[n.idx] = nil
+	s.powerChanged(n)
 	s.busy[a.req.Priority]--
 	s.note(obs.Event{
 		At: now, Kind: obs.KindDrop, Server: int32(n.idx), Pool: int8(a.req.Priority),

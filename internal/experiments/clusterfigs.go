@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -188,9 +189,24 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 	return row.Run(plan), nil
 }
 
-// latp returns the given percentile of the run's latencies for a priority.
-func latp(m *cluster.Metrics, pri workload.Priority, p float64) float64 {
-	return stats.Percentile(m.LatencySec[pri], p)
+// latencies is a run's latency series per priority, sorted ascending, so
+// a figure sorts each series once however many percentiles it reads.
+// Metrics.LatencySec itself is never sorted: cached metrics are shared
+// across experiments and workers, and digested in completion order.
+type latencies [2][]float64
+
+func sortedLatencies(m *cluster.Metrics) latencies {
+	var l latencies
+	for _, pri := range []workload.Priority{workload.Low, workload.High} {
+		l[pri] = append([]float64(nil), m.LatencySec[pri]...)
+		sort.Float64s(l[pri])
+	}
+	return l
+}
+
+// p returns the p-th percentile of the priority's latencies.
+func (l latencies) p(pri workload.Priority, p float64) float64 {
+	return stats.PercentileSorted(l[pri], p)
 }
 
 // --- §6.4 fit ---
@@ -321,11 +337,12 @@ func runFig13(o Options) (Result, error) {
 	}
 	data := Fig13Data{MaxSafeAdded: map[string]float64{}}
 	for ci, c := range combos {
-		var base *cluster.Metrics
+		var base latencies
 		for ai, a := range added {
 			m := ms[ci*len(added)+ai]
+			lat := sortedLatencies(m)
 			if a == 0 {
-				base = m
+				base = lat
 			}
 			pt := Fig13Point{
 				T1: c[0], T2: c[1], Added: a, Brakes: m.BrakeEvents,
@@ -333,8 +350,8 @@ func runFig13(o Options) (Result, error) {
 				NormP99: map[workload.Priority]float64{},
 			}
 			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				pt.NormP50[pri] = latp(m, pri, 50) / latp(base, pri, 50)
-				pt.NormP99[pri] = latp(m, pri, 99) / latp(base, pri, 99)
+				pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
+				pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
 			}
 			data.Points = append(data.Points, pt)
 			if m.BrakeEvents == 0 {
@@ -438,14 +455,14 @@ func runFig15a(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	base := ms[0]
+	base := sortedLatencies(ms[0])
 	var pts []Fig15aPoint
 	for i, f := range freqs {
-		m := ms[i+1]
+		lat := sortedLatencies(ms[i+1])
 		pt := Fig15aPoint{LPBaseMHz: f, NormP50: map[workload.Priority]float64{}, NormP99: map[workload.Priority]float64{}}
 		for _, pri := range []workload.Priority{workload.Low, workload.High} {
-			pt.NormP50[pri] = latp(m, pri, 50) / latp(base, pri, 50)
-			pt.NormP99[pri] = latp(m, pri, 99) / latp(base, pri, 99)
+			pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
+			pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
 		}
 		pts = append(pts, pt)
 	}
@@ -490,11 +507,12 @@ func runFig15b(o Options) (Result, error) {
 	}
 	var pts []Fig15bPoint
 	for i, lp := range fracs {
-		base, m := ms[2*i], ms[2*i+1]
+		m := ms[2*i+1]
+		base, lat := sortedLatencies(ms[2*i]), sortedLatencies(m)
 		pt := Fig15bPoint{LPFraction: lp, Brakes: m.BrakeEvents, NormP50: map[workload.Priority]float64{}, NormP99: map[workload.Priority]float64{}}
 		for _, pri := range []workload.Priority{workload.Low, workload.High} {
-			pt.NormP50[pri] = latp(m, pri, 50) / latp(base, pri, 50)
-			pt.NormP99[pri] = latp(m, pri, 99) / latp(base, pri, 99)
+			pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
+			pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
 		}
 		pts = append(pts, pt)
 	}
@@ -595,13 +613,14 @@ func fig17Rows(o Options) ([]Fig17Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ref *cluster.Metrics
+	var ref latencies
 	var rows []Fig17Row
 	for ii, in := range intensities {
 		for pi, p := range policies {
 			m := ms[ii*len(policies)+pi]
+			lat := sortedLatencies(m)
 			if p == "polca" && in == 1.0 {
-				ref = m
+				ref = lat
 			}
 			row := Fig17Row{
 				Policy: names[p], Intensity: in, Brakes: m.BrakeEvents,
@@ -610,9 +629,9 @@ func fig17Rows(o Options) ([]Fig17Row, error) {
 				NormMax: map[workload.Priority]float64{},
 			}
 			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				row.NormP50[pri] = latp(m, pri, 50) / latp(ref, pri, 50)
-				row.NormP99[pri] = latp(m, pri, 99) / latp(ref, pri, 99)
-				row.NormMax[pri] = latp(m, pri, 100) / latp(ref, pri, 100)
+				row.NormP50[pri] = lat.p(pri, 50) / ref.p(pri, 50)
+				row.NormP99[pri] = lat.p(pri, 99) / ref.p(pri, 99)
+				row.NormMax[pri] = lat.p(pri, 100) / ref.p(pri, 100)
 			}
 			rows = append(rows, row)
 		}

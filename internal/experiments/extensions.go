@@ -208,9 +208,10 @@ func runExtAware(o Options) (Result, error) {
 	def := polca.DefaultConfig()
 	lpB, lpD, hp := aware.Frequencies()
 	summarize := func(m *cluster.Metrics) AwareSummary {
+		lat := sortedLatencies(m)
 		return AwareSummary{
 			PeakUtil: m.Util.Peak(), MeanUtil: m.Util.Mean(), Brakes: m.BrakeEvents,
-			LPp99: latp(m, workload.Low, 99), HPp99: latp(m, workload.High, 99),
+			LPp99: lat.p(workload.Low, 99), HPp99: lat.p(workload.High, 99),
 		}
 	}
 	data := AwareData{
@@ -219,16 +220,16 @@ func runExtAware(o Options) (Result, error) {
 		Static:       summarize(static),
 		Aware:        summarize(awareM),
 	}
-	row := func(name string, m *cluster.Metrics) []string {
+	row := func(name string, s AwareSummary) []string {
 		return []string{
-			name, pct(m.Util.Peak()), pct(m.Util.Mean()), fmt.Sprintf("%d", m.BrakeEvents),
-			f2(latp(m, workload.Low, 99)), f2(latp(m, workload.High, 99)),
+			name, pct(s.PeakUtil), pct(s.MeanUtil), fmt.Sprintf("%d", s.Brakes),
+			f2(s.LPp99), f2(s.HPp99),
 		}
 	}
 	text := fmt.Sprintf("Static Table 5 frequencies:   T1=%.0f T2lp=%.0f T2hp=%.0f MHz\n", data.StaticFreqs[0], data.StaticFreqs[1], data.StaticFreqs[2]) +
 		fmt.Sprintf("Workload-aware planned:       T1=%.0f T2lp=%.0f T2hp=%.0f MHz\n\n", lpB, lpD, hp) +
 		table([]string{"Policy", "Peak util", "Mean util", "Brakes", "LP p99 (s)", "HP p99 (s)"},
-			[][]string{row("POLCA (static)", static), row("POLCA (workload-aware)", awareM)})
+			[][]string{row("POLCA (static)", data.Static), row("POLCA (workload-aware)", data.Aware)})
 	return Result{Text: text, Data: data}, nil
 }
 

@@ -100,9 +100,10 @@ func runExtSeeds(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		lat := sortedLatencies(m)
 		rows = append(rows, SeedRow{
 			Seed: seed, Brakes: m.BrakeEvents, PeakUtil: m.Util.Peak(),
-			LPp99: latp(m, workload.Low, 99), HPp99: latp(m, workload.High, 99),
+			LPp99: lat.p(workload.Low, 99), HPp99: lat.p(workload.High, 99),
 		})
 	}
 	var cells [][]string
@@ -310,10 +311,11 @@ func runExtLadder(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		lat := sortedLatencies(m)
 		rows = append(rows, LadderRow{
 			Policy: v.label, Brakes: m.BrakeEvents,
 			PeakUtil: m.Util.Peak(), MeanUtil: m.Util.Mean(),
-			LPp99: latp(m, workload.Low, 99), HPp99: latp(m, workload.High, 99),
+			LPp99: lat.p(workload.Low, 99), HPp99: lat.p(workload.High, 99),
 			Commands: m.LockCommands,
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"polca/internal/cluster"
 	"polca/internal/faults"
 	"polca/internal/workload"
 )
@@ -114,11 +113,12 @@ func runFigFault(o Options) (Result, error) {
 
 	var rows []FigFaultRow
 	for pi, p := range policies {
-		var base *cluster.Metrics
+		var base latencies
 		for ii, fi := range intensities {
 			m := ms[pi*len(intensities)+ii]
+			lat := sortedLatencies(m)
 			if fi == 0 {
-				base = m
+				base = lat
 			}
 			row := FigFaultRow{
 				Policy:           p.name,
@@ -135,7 +135,7 @@ func runFigFault(o Options) (Result, error) {
 				NormP99:          map[workload.Priority]float64{},
 			}
 			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				row.NormP99[pri] = latp(m, pri, 99) / latp(base, pri, 99)
+				row.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
 			}
 			rows = append(rows, row)
 		}

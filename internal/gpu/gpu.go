@@ -593,23 +593,36 @@ func (e Exec) PeakPower() float64 {
 // PowerAt returns the instantaneous power at the given offset into the
 // execution.
 func (e Exec) PowerAt(offset time.Duration) float64 {
-	if i := e.segmentAt(offset); i >= 0 {
-		return e.Segments[i].Counters.PowerWatts
+	w, _ := e.PowerUntil(offset)
+	return w
+}
+
+// PowerUntil returns PowerAt(offset) and the first offset at which
+// PowerAt may return something else: the end of the segment in effect, or
+// math.MaxInt64 in the last segment, which PowerAt extends past the end,
+// and in an empty exec.
+func (e Exec) PowerUntil(offset time.Duration) (watts float64, until time.Duration) {
+	i, until := e.segmentAt(offset)
+	if i < 0 {
+		return 0, until
 	}
-	return 0
+	return e.Segments[i].Counters.PowerWatts, until
 }
 
 // segmentAt returns the index of the segment in effect at the given offset
-// (the last at or past the end; -1 for an empty exec).
-func (e Exec) segmentAt(offset time.Duration) int {
+// (the last at or past the end; -1 for an empty exec) and the offset at
+// which that segment ends (math.MaxInt64 for the last, and for an empty
+// exec).
+func (e Exec) segmentAt(offset time.Duration) (int, time.Duration) {
 	var at time.Duration
-	for i := range e.Segments {
+	last := len(e.Segments) - 1
+	for i := 0; i < last; i++ {
 		at += e.Segments[i].Duration
 		if offset < at {
-			return i
+			return i, at
 		}
 	}
-	return len(e.Segments) - 1
+	return last, math.MaxInt64
 }
 
 // Energy returns the energy of an Exec in joules.

@@ -280,6 +280,49 @@ func TestExecAggregates(t *testing.T) {
 	}
 }
 
+// TestExecPowerUntil pins the horizon the row's power cache relies on: the
+// power in effect at an offset holds until the segment's end, a boundary
+// belongs to the next segment, and the last segment holds forever.
+func TestExecPowerUntil(t *testing.T) {
+	const forever = time.Duration(math.MaxInt64)
+	e := Exec{
+		Segments: []Segment{
+			{Duration: time.Second, Counters: Counters{PowerWatts: 100}},
+			{Duration: 0, Counters: Counters{PowerWatts: 999}}, // never in effect
+			{Duration: 2 * time.Second, Counters: Counters{PowerWatts: 200}},
+			{Duration: time.Second, Counters: Counters{PowerWatts: 300}},
+		},
+		Duration: 4 * time.Second,
+	}
+	for _, c := range []struct {
+		name   string
+		e      Exec
+		offset time.Duration
+		watts  float64
+		until  time.Duration
+	}{
+		{"offset 0", e, 0, 100, time.Second},
+		{"inside the first segment", e, 500 * time.Millisecond, 100, time.Second},
+		{"first boundary", e, time.Second, 200, 3 * time.Second},
+		{"inside a segment", e, 2 * time.Second, 200, 3 * time.Second},
+		{"last boundary", e, 3 * time.Second, 300, forever},
+		{"at the end", e, 4 * time.Second, 300, forever},
+		{"past the end", e, time.Hour, 300, forever},
+		{"one segment", Exec{Segments: e.Segments[:1], Duration: time.Second}, 0, 100, forever},
+		{"empty exec", Exec{}, 0, 0, forever},
+		{"empty exec past the end", Exec{}, time.Second, 0, forever},
+	} {
+		watts, until := c.e.PowerUntil(c.offset)
+		if watts != c.watts || until != c.until {
+			t.Errorf("%s: PowerUntil(%v) = %v W until %v, want %v W until %v",
+				c.name, c.offset, watts, until, c.watts, c.until)
+		}
+		if p := c.e.PowerAt(c.offset); p != watts {
+			t.Errorf("%s: PowerAt(%v) = %v, PowerUntil says %v", c.name, c.offset, p, watts)
+		}
+	}
+}
+
 func TestRunNegativeWorkPanics(t *testing.T) {
 	d := NewDevice(A100SXM80GB())
 	defer func() {

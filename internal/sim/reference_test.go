@@ -1,0 +1,328 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// refEngine is the reference scheduler the engine is checked against:
+// every pending event in one slice, the least (at, seq) found by a linear
+// scan, and the engine's seq rules — one number per scheduled event, one
+// when a periodic timer starts and one per re-arm, taken after its handler
+// returns. It also counts the cases the property test must reach.
+type refEngine struct {
+	now        Time
+	seq        uint64
+	pending    []*refEvent
+	dispatched uint64
+	firing     *refEvent // the event whose handler is running
+	cov        map[string]int
+}
+
+type refEvent struct {
+	r       *refEngine
+	at      Time
+	seq     uint64
+	fn      Handler
+	period  time.Duration // 0 for a one-shot event
+	stopped bool          // stopped, or a one-shot that fired
+}
+
+func newRefEngine() *refEngine { return &refEngine{cov: map[string]int{}} }
+
+func (r *refEngine) schedule(at Time, fn Handler, period time.Duration) *refEvent {
+	if at < r.now {
+		panic(fmt.Sprintf("ref: schedule at %v before now %v", at, r.now))
+	}
+	if period > 0 && r.firing != nil {
+		r.cov["periodic started in a handler"]++
+	}
+	r.seq++
+	ev := &refEvent{r: r, at: at, seq: r.seq, fn: fn, period: period}
+	r.pending = append(r.pending, ev)
+	return ev
+}
+
+func (ev *refEvent) Stop() {
+	r := ev.r
+	if ev.stopped {
+		return
+	}
+	ev.stopped = true
+	if ev.period > 0 {
+		switch r.firing {
+		case ev:
+			r.cov["periodic stopped in its own handler"]++
+		case nil:
+		default:
+			r.cov["periodic stopped in another handler"]++
+		}
+	}
+	for i, p := range r.pending {
+		if p == ev {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// next returns the index of the least pending event by (at, seq), or -1.
+func (r *refEngine) next() int {
+	best := -1
+	for i, ev := range r.pending {
+		if best < 0 || ev.at < r.pending[best].at ||
+			ev.at == r.pending[best].at && ev.seq < r.pending[best].seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refEngine) dispatch(i int) {
+	ev := r.pending[i]
+	r.pending = append(r.pending[:i], r.pending[i+1:]...)
+	for _, p := range r.pending {
+		if p.at == ev.at && (p.period > 0) != (ev.period > 0) {
+			r.cov["periodic and one-shot at one instant"]++
+			break
+		}
+	}
+	r.now = ev.at
+	r.dispatched++
+	r.firing = ev
+	ev.fn(ev.at)
+	r.firing = nil
+	if ev.period == 0 {
+		ev.stopped = true
+		return
+	}
+	if !ev.stopped {
+		r.seq++
+		ev.at, ev.seq = ev.at+ev.period, r.seq
+		r.pending = append(r.pending, ev)
+	}
+}
+
+func (r *refEngine) Now() Time          { return r.now }
+func (r *refEngine) Dispatched() uint64 { return r.dispatched }
+func (r *refEngine) Pending() int       { return len(r.pending) }
+func (r *refEngine) At(at Time, fn Handler) {
+	r.schedule(at, fn, 0)
+}
+func (r *refEngine) After(d time.Duration, fn Handler) { r.schedule(r.now+d, fn, 0) }
+func (r *refEngine) AfterCancelable(d time.Duration, fn Handler) stopper {
+	return r.schedule(r.now+d, fn, 0)
+}
+func (r *refEngine) Every(period time.Duration, fn Handler) stopper {
+	return r.schedule(r.now+period, fn, period)
+}
+func (r *refEngine) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
+	return r.schedule(start, fn, period)
+}
+
+func (r *refEngine) Step() bool {
+	i := r.next()
+	if i >= 0 {
+		r.dispatch(i)
+	}
+	return i >= 0
+}
+
+func (r *refEngine) RunUntil(deadline Time) {
+	for {
+		i := r.next()
+		if i < 0 || r.pending[i].at > deadline {
+			if i >= 0 && r.pending[i].at > deadline {
+				r.cov["RunUntil deadline before a pending event"]++
+			}
+			break
+		}
+		r.dispatch(i)
+	}
+	if deadline > r.now {
+		r.now = deadline
+	}
+}
+
+func (r *refEngine) Run() {
+	for r.Step() {
+	}
+}
+
+type stopper interface{ Stop() }
+
+// scheduler is the API the property test drives on both implementations.
+type scheduler interface {
+	Now() Time
+	Dispatched() uint64
+	Pending() int
+	At(Time, Handler)
+	After(time.Duration, Handler)
+	AfterCancelable(time.Duration, Handler) stopper
+	Every(time.Duration, Handler) stopper
+	EveryFrom(Time, time.Duration, Handler) stopper
+	Step() bool
+	RunUntil(Time)
+	Run()
+}
+
+// engineSched adapts Engine's Timer-returning methods to scheduler.
+type engineSched struct{ *Engine }
+
+func (e engineSched) AfterCancelable(d time.Duration, fn Handler) stopper {
+	return e.Engine.AfterCancelable(d, fn)
+}
+func (e engineSched) Every(period time.Duration, fn Handler) stopper {
+	return e.Engine.Every(period, fn)
+}
+func (e engineSched) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
+	return e.Engine.EveryFrom(start, period, fn)
+}
+
+// firing is one dispatched handler as the workload logs it: which event,
+// at what instant, and what Pending read inside the handler.
+type firing struct {
+	id      int
+	at      Time
+	pending int
+}
+
+// workload drives one scheduler with a seeded random mix of scheduling
+// calls, from the top level and from inside handlers. Two workloads with
+// the same seed make the same calls as long as their schedulers dispatch
+// in the same order, so the first divergence shows in the logs.
+type workload struct {
+	s       scheduler
+	rng     *rand.Rand
+	log     []firing
+	handles []stopper
+	budget  int // schedulings left, so Run always drains
+	ids     int
+}
+
+// grid is the scheduling granularity: coarse, so periodic timers and
+// one-shot events often share an instant.
+const grid = 250 * time.Millisecond
+
+func (w *workload) handler(id int) Handler {
+	return func(now Time) {
+		w.log = append(w.log, firing{id, now, w.s.Pending()})
+		if w.rng.Intn(3) == 0 {
+			w.act()
+		}
+	}
+}
+
+// periodicHandler stops its own timer (handle index h) after its k-th
+// firing.
+func (w *workload) periodicHandler(id, h, k int) Handler {
+	fired := 0
+	return func(now Time) {
+		w.log = append(w.log, firing{id, now, w.s.Pending()})
+		if fired++; fired == k {
+			w.handles[h].Stop()
+		}
+		if w.rng.Intn(3) == 0 {
+			w.act()
+		}
+	}
+}
+
+// act makes one random scheduling call, or stops a random handle.
+func (w *workload) act() {
+	op := w.rng.Intn(6)
+	if op < 5 && w.budget <= 0 {
+		return
+	}
+	w.ids++
+	id := w.ids
+	d := time.Duration(w.rng.Intn(9)) * grid
+	period := time.Duration(1+w.rng.Intn(4)) * grid
+	switch op {
+	case 0:
+		w.s.At(w.s.Now()+d, w.handler(id))
+	case 1:
+		w.s.After(d, w.handler(id))
+	case 2:
+		w.handles = append(w.handles, w.s.AfterCancelable(d, w.handler(id)))
+	case 3:
+		h := len(w.handles)
+		w.handles = append(w.handles, nil)
+		w.handles[h] = w.s.Every(period, w.periodicHandler(id, h, 1+w.rng.Intn(6)))
+	case 4:
+		h := len(w.handles)
+		w.handles = append(w.handles, nil)
+		w.handles[h] = w.s.EveryFrom(w.s.Now()+d, period, w.periodicHandler(id, h, 1+w.rng.Intn(6)))
+	case 5:
+		if len(w.handles) > 0 {
+			w.handles[w.rng.Intn(len(w.handles))].Stop()
+		}
+		return
+	}
+	w.budget--
+}
+
+// TestEngineMatchesReference runs seeded random workloads on the engine and
+// on the reference scheduler and, after every top-level call, requires the
+// same dispatch log (handler, instant, Pending inside the handler), Now,
+// Dispatched and Pending.
+func TestEngineMatchesReference(t *testing.T) {
+	cov := map[string]int{}
+	for seed := int64(1); seed <= 300; seed++ {
+		ref := newRefEngine()
+		got := &workload{s: engineSched{New(seed)}, rng: rand.New(rand.NewSource(seed)), budget: 120}
+		want := &workload{s: ref, rng: rand.New(rand.NewSource(seed)), budget: 120}
+		ops := rand.New(rand.NewSource(-seed))
+		for call := 0; call < 80; call++ {
+			var name string
+			switch op := ops.Intn(10); {
+			case op < 5:
+				name = "act"
+				got.act()
+				want.act()
+			case op < 7:
+				name = "Step"
+				got.s.Step()
+				want.s.Step()
+			case op < 9:
+				deadline := got.s.Now() + time.Duration(ops.Intn(3000))*time.Millisecond
+				name = fmt.Sprintf("RunUntil(%v)", deadline)
+				got.s.RunUntil(deadline)
+				want.s.RunUntil(deadline)
+			default:
+				name = "Run"
+				got.s.Run()
+				want.s.Run()
+				cov["Run"]++
+			}
+			if !reflect.DeepEqual(got.log, want.log) || got.s.Now() != want.s.Now() ||
+				got.s.Dispatched() != want.s.Dispatched() || got.s.Pending() != want.s.Pending() {
+				t.Fatalf("seed %d call %d (%s): engine diverged from reference\n"+
+					"engine: now %v dispatched %d pending %d log %v\n"+
+					"ref:    now %v dispatched %d pending %d log %v",
+					seed, call, name,
+					got.s.Now(), got.s.Dispatched(), got.s.Pending(), got.log,
+					want.s.Now(), want.s.Dispatched(), want.s.Pending(), want.log)
+			}
+		}
+		for k, v := range ref.cov {
+			cov[k] += v
+		}
+	}
+	for _, c := range []string{
+		"periodic stopped in its own handler",
+		"periodic stopped in another handler",
+		"periodic started in a handler",
+		"periodic and one-shot at one instant",
+		"RunUntil deadline before a pending event",
+		"Run",
+	} {
+		if cov[c] == 0 {
+			t.Errorf("no workload reached case %q", c)
+		}
+	}
+	t.Logf("cases reached: %v", cov)
+}

@@ -9,13 +9,24 @@
 // streams seeded from the engine's root seed. No wall-clock time is read
 // anywhere in the simulation.
 //
-// The event queue is a value-based 4-ary min-heap ordered by (time, seq):
-// events are plain structs stored in a reusable slice, so the steady-state
-// schedule/dispatch path performs no allocation. Cancelable timers use
-// generation-stamped slots instead of per-timer flag allocations; Timer.Stop
-// is O(1), canceled events are counted as tombstones, and the queue compacts
-// itself when tombstones outnumber live events, so a six-week simulation
-// that starts and cancels millions of phase timers stays lean.
+// Every pending event has a place in one total order, (time, seq): seq is
+// a counter the engine takes one number from for each event it schedules,
+// so same-instant events fire in scheduling order. One-shot events live in
+// a value-based 4-ary min-heap: events are plain structs stored in a
+// reusable slice, so the steady-state schedule/dispatch path performs no
+// allocation. Cancelable timers use generation-stamped slots instead of
+// per-timer flag allocations; Timer.Stop is O(1), canceled events are
+// counted as tombstones, and the queue compacts itself when tombstones
+// outnumber live events, so a six-week simulation that starts and cancels
+// millions of phase timers stays lean.
+//
+// Periodic timers (Every, EveryFrom) never enter the heap. A row has two —
+// its telemetry sub-sample and its control tick — yet they fire most of its
+// events, so each lives as one entry in a small slice beside the heap, and
+// dispatch takes whichever of the heap top and the earliest entry is less
+// by (time, seq). A periodic timer takes one seq when it starts and one
+// per re-arm, after its handler returns: the numbers a re-scheduled heap
+// event would take, so the order is the one a single heap would give.
 package sim
 
 import (
@@ -47,15 +58,27 @@ type event struct {
 
 const noTimer int32 = -1
 
+// periodic is a live Every or EveryFrom timer: its next firing at (at,
+// seq), its period and its handler. timer and gen are its slot, which
+// holds the handle's Stop state.
+type periodic struct {
+	at     Time
+	seq    uint64
+	period time.Duration
+	fn     Handler
+	timer  int32
+	gen    uint32
+}
+
 // timerSlot is the engine-side state of one cancelable timer. Slots are
 // recycled through a free list; gen distinguishes the current occupant from
 // stale Timer handles to an earlier one, which makes Stop idempotent and
 // safe after slot reuse.
 type timerSlot struct {
-	gen     uint32
-	queued  int32 // events currently in the queue referencing this slot
-	stopped bool
-	oneshot bool // AfterCancelable timers retire when their event fires
+	gen      uint32
+	queued   int32 // events currently in the queue referencing this slot
+	stopped  bool
+	periodic bool // an Every/EveryFrom timer, in Engine.periodic
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -63,7 +86,8 @@ type timerSlot struct {
 type Engine struct {
 	now        Time
 	seq        uint64
-	queue      []event // 4-ary min-heap ordered by (at, seq)
+	queue      []event    // 4-ary min-heap ordered by (at, seq)
+	periodic   []periodic // live periodic timers, unordered
 	timers     []timerSlot
 	freeTimers []int32
 	tombstones int // queued events whose timer has been stopped
@@ -223,12 +247,15 @@ func (e *Engine) settle(ev *event) bool {
 		}
 		return false
 	}
-	if s.oneshot {
-		// The one-shot fired: retire the slot so a later Stop is a no-op.
-		s.stopped = true
-		e.freeTimerSlot(ev.timer)
-	}
+	// The one-shot fired: retire the slot so a later Stop is a no-op.
+	s.stopped = true
+	e.freeTimerSlot(ev.timer)
 	return true
+}
+
+// canceled reports whether a queued event's timer has been stopped.
+func (e *Engine) canceled(ev *event) bool {
+	return ev.timer != noTimer && e.timers[ev.timer].stopped
 }
 
 // maybeCompact rebuilds the heap without its canceled events once they
@@ -267,7 +294,7 @@ func (e *Engine) maybeCompact() {
 
 // --- timer slots ---
 
-func (e *Engine) newTimerSlot(oneshot bool) (int32, uint32) {
+func (e *Engine) newTimerSlot(periodic bool) (int32, uint32) {
 	var id int32
 	if n := len(e.freeTimers); n > 0 {
 		id = e.freeTimers[n-1]
@@ -279,12 +306,13 @@ func (e *Engine) newTimerSlot(oneshot bool) (int32, uint32) {
 	s := &e.timers[id]
 	s.queued = 0
 	s.stopped = false
-	s.oneshot = oneshot
+	s.periodic = periodic
 	return id, s.gen
 }
 
 // freeTimerSlot recycles a slot; bumping gen invalidates outstanding Timer
-// handles and tick closures that still reference it.
+// handles, and the periodic entry of a timer stopped inside its own
+// handler, that still reference it.
 func (e *Engine) freeTimerSlot(id int32) {
 	e.timers[id].gen++
 	e.freeTimers = append(e.freeTimers, id)
@@ -329,6 +357,9 @@ func (t Timer) Stop() {
 		return
 	}
 	s.stopped = true
+	if s.periodic {
+		t.e.dropPeriodic(t.id)
+	}
 	if s.queued == 0 {
 		t.e.freeTimerSlot(t.id)
 		return
@@ -340,7 +371,7 @@ func (t Timer) Stop() {
 // AfterCancelable schedules fn after d and returns a Timer that can cancel
 // it before it fires.
 func (e *Engine) AfterCancelable(d time.Duration, fn Handler) Timer {
-	id, gen := e.newTimerSlot(true)
+	id, gen := e.newTimerSlot(false)
 	e.schedule(e.now+d, fn, id)
 	return Timer{e: e, id: id, gen: gen}
 }
@@ -367,39 +398,94 @@ func (e *Engine) EveryFrom(start Time, period time.Duration, fn Handler) Timer {
 }
 
 func (e *Engine) startRepeating(first Time, period time.Duration, fn Handler) Timer {
-	id, gen := e.newTimerSlot(false)
-	var tick Handler
-	tick = func(now Time) {
-		fn(now)
-		// fn may have stopped the timer (freeing, and possibly recycling,
-		// the slot); the generation check catches both.
-		if e.timerActive(id, gen) {
-			e.schedule(now+period, tick, id)
+	id, gen := e.newTimerSlot(true)
+	e.seq++
+	e.periodic = append(e.periodic, periodic{at: first, seq: e.seq, period: period, fn: fn, timer: id, gen: gen})
+	return Timer{e: e, id: id, gen: gen}
+}
+
+// dropPeriodic removes the periodic entry of slot id, if it is in the
+// list: it is not while its own handler runs.
+func (e *Engine) dropPeriodic(id int32) {
+	for i := range e.periodic {
+		if e.periodic[i].timer == id {
+			e.removePeriodic(i)
+			return
 		}
 	}
-	e.schedule(first, tick, id)
-	return Timer{e: e, id: id, gen: gen}
+}
+
+func (e *Engine) removePeriodic(i int) {
+	last := len(e.periodic) - 1
+	e.periodic[i] = e.periodic[last]
+	e.periodic[last] = periodic{} // release the handler for GC
+	e.periodic = e.periodic[:last]
 }
 
 // --- dispatch ---
 
-// Step dispatches the next pending event and reports whether one existed.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.popMin()
-		if !e.settle(&ev) {
-			continue
-		}
-		e.now = ev.at
-		e.events++
-		e.dispatched.Inc()
-		ev.fn(ev.at)
-		return true
+// nextPeriodic returns the index of the periodic timer that fires before
+// the heap top, or -1 when the heap top (live or canceled) goes first.
+func (e *Engine) nextPeriodic() int {
+	if len(e.periodic) == 0 {
+		return -1
 	}
-	return false
+	pi := 0
+	for i := 1; i < len(e.periodic); i++ {
+		if e.periodic[i].before(e.periodic[pi].at, e.periodic[pi].seq) {
+			pi = i
+		}
+	}
+	if len(e.queue) > 0 && !e.periodic[pi].before(e.queue[0].at, e.queue[0].seq) {
+		return -1
+	}
+	return pi
 }
 
-// RunUntil dispatches events in timestamp order until the queue is empty or
+// before reports whether the timer's next firing precedes (at, seq).
+func (p *periodic) before(at Time, seq uint64) bool {
+	return p.at < at || p.at == at && p.seq < seq
+}
+
+// firePeriodic dispatches periodic timer pi. The timer leaves the list
+// while its handler runs, and returns with the next seq unless the handler
+// stopped it.
+func (e *Engine) firePeriodic(pi int) {
+	p := e.periodic[pi]
+	e.removePeriodic(pi)
+	e.fire(p.at, p.fn)
+	if e.timerActive(p.timer, p.gen) {
+		e.seq++
+		p.at, p.seq = p.at+p.period, e.seq
+		e.periodic = append(e.periodic, p)
+	}
+}
+
+func (e *Engine) fire(at Time, fn Handler) {
+	e.now = at
+	e.events++
+	e.dispatched.Inc()
+	fn(at)
+}
+
+// Step dispatches the next pending event and reports whether one existed.
+func (e *Engine) Step() bool {
+	for {
+		if pi := e.nextPeriodic(); pi >= 0 {
+			e.firePeriodic(pi)
+			return true
+		}
+		if len(e.queue) == 0 {
+			return false
+		}
+		if ev := e.popMin(); e.settle(&ev) {
+			e.fire(ev.at, ev.fn)
+			return true
+		}
+	}
+}
+
+// RunUntil dispatches events in timestamp order until none is pending or
 // the next event is strictly after deadline. The clock is left at the later
 // of its current value and deadline, so back-to-back RunUntil calls advance
 // time monotonically even across idle gaps.
@@ -409,37 +495,39 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		next := &e.queue[0]
-		if next.timer != noTimer && e.timers[next.timer].stopped {
-			ev := e.popMin()
-			e.settle(&ev)
+	for {
+		if pi := e.nextPeriodic(); pi >= 0 {
+			if e.periodic[pi].at > deadline {
+				break
+			}
+			e.firePeriodic(pi)
 			continue
 		}
-		if next.at > deadline {
+		if len(e.queue) == 0 {
 			break
 		}
-		ev := e.popMin()
-		if !e.settle(&ev) {
-			continue
+		// A canceled top is dropped whatever its time, so tombstones past
+		// the deadline do not linger.
+		if top := &e.queue[0]; top.at > deadline && !e.canceled(top) {
+			break
 		}
-		e.now = ev.at
-		e.events++
-		e.dispatched.Inc()
-		ev.fn(ev.at)
+		if ev := e.popMin(); e.settle(&ev) {
+			e.fire(ev.at, ev.fn)
+		}
 	}
 	if deadline > e.now {
 		e.now = deadline
 	}
 }
 
-// Run dispatches all pending events until the queue is empty. Use with
-// care: self-rescheduling timers make the queue inexhaustible; prefer
-// RunUntil for simulations that contain periodic tasks.
+// Run dispatches all pending events until none is left. Use with care:
+// periodic and self-rescheduling timers never run out; prefer RunUntil for
+// simulations that contain periodic tasks.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
-// Pending returns the number of live (non-canceled) scheduled events.
-func (e *Engine) Pending() int { return len(e.queue) - e.tombstones }
+// Pending returns the number of live (non-canceled) scheduled events. A
+// periodic timer counts as one, except while its own handler runs.
+func (e *Engine) Pending() int { return len(e.queue) - e.tombstones + len(e.periodic) }
