@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +18,10 @@ import (
 	"polca/internal/obs"
 	"polca/internal/serve"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/report.sha256 from the current output")
+
+const digestPath = "testdata/report.sha256"
 
 var timingRe = regexp.MustCompile(`Done in \d+\.\d+s`)
 
@@ -57,6 +68,7 @@ func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkDigest(t, mode.name+"-polca", reportDigest(t, plain, filepath.Join(d1, "util.csv")))
 			o := baseOpts(mode.serve, d2)
 			o.obs = &obs.Observer{Metrics: obs.NewRegistry(), Spans: obs.NewSpanTracer()}
 			o.spansPath = filepath.Join(d2, "spans.jsonl")
@@ -108,6 +120,92 @@ func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 				t.Errorf("slot mode emitted %d spans, want 0", len(spans))
 			}
 		})
+	}
+}
+
+// TestPolicyReportDigests pins the report and utilization CSV of the
+// one-day, 16-server slot row under each baseline policy by SHA-256.
+// TestSpanTracingDoesNotPerturbResults pins the POLCA slot and serve runs
+// the same way. After an intentional output change, regenerate with
+//
+//	go test ./cmd/polca-sim -update
+func TestPolicyReportDigests(t *testing.T) {
+	for _, p := range []string{"1tl", "1ta", "nocap"} {
+		t.Run(p, func(t *testing.T) {
+			o := baseOpts(false, t.TempDir())
+			o.policy = p
+			report, err := runOne(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, "slot-"+p, reportDigest(t, report, o.csvPath))
+		})
+	}
+}
+
+// reportDigest hashes the normalized report and the data rows of the
+// utilization CSV. The CSV's '#' provenance lines carry `git describe`,
+// so they are skipped.
+func reportDigest(t *testing.T, report, csvPath string) string {
+	t.Helper()
+	data, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	io.WriteString(h, normalizeReport(report)+"\n")
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			io.WriteString(h, line)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkDigest compares a run's digest with its line in digestPath or,
+// under -update, rewrites that line.
+func checkDigest(t *testing.T, name, got string) {
+	t.Helper()
+	want := map[string]string{}
+	f, err := os.Open(digestPath)
+	switch {
+	case err == nil:
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if fields := strings.Fields(sc.Text()); len(fields) == 2 {
+				want[fields[1]] = fields[0]
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	case !*update || !os.IsNotExist(err):
+		t.Fatal(err)
+	}
+	if !*update {
+		if want[name] == "" {
+			t.Errorf("%s: no golden digest; regenerate with -update", name)
+		} else if got != want[name] {
+			t.Errorf("%s: output digest %s, golden %s", name, got, want[name])
+		}
+		return
+	}
+	want[name] = got
+	names := make([]string, 0, len(want))
+	for n := range want {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s  %s\n", want[n], n)
+	}
+	if err := os.MkdirAll(filepath.Dir(digestPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(digestPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
