@@ -110,24 +110,16 @@ func cli(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// request is one span tree folded into per-request aggregates.
+// request is one span tree folded into per-request aggregates: its root
+// spans across failover attempts (the outcome Root, with the superseded
+// attempts' energy, tokens and cap attribution kept so the report stays
+// conserved) and the outcome's critical path.
 type request struct {
-	root obs.Span
+	obs.RequestRoots
 	// critical-path components inside the [arrival, first token] window,
 	// in seconds
 	queue, prefill, recompute, stall float64
 	preempts                         int
-	haveRoot                         bool
-	// attempts counts root spans superseded by a higher-Retry root: the
-	// failover path emits one root per admission, and the latest attempt
-	// is the request's outcome. The superseded attempts' energy, tokens,
-	// and cap attribution accumulate here so the report stays conserved —
-	// a failed attempt's work was still performed.
-	attempts       int
-	attemptEnergyJ float64
-	attemptCapSec  float64
-	attemptCapJ    float64
-	attemptTokens  int32
 	// pending buffers children that arrived before their root — the
 	// critical-path window is unknown until the root supplies Start and
 	// TTFT. WriteJSONL emits each root first, so this stays empty on
@@ -145,23 +137,7 @@ type pendingChild struct {
 }
 
 // latencySec is the request's total residency (arrival to completion/drop).
-func (r *request) latencySec() float64 { return (r.root.End - r.root.Start).Seconds() }
-
-// foldAttempt accumulates a superseded root span's attribution.
-func (r *request) foldAttempt(sp obs.Span) {
-	r.attempts++
-	r.attemptEnergyJ += sp.EnergyJ
-	r.attemptCapSec += sp.CapSec
-	r.attemptCapJ += sp.CapJ
-	r.attemptTokens += sp.Tokens
-}
-
-// energyJ, capSec, capJ, and tokens are the request's totals across every
-// admission attempt; on an unretried request they are just the root's.
-func (r *request) energyJ() float64 { return r.root.EnergyJ + r.attemptEnergyJ }
-func (r *request) capSec() float64  { return r.root.CapSec + r.attemptCapSec }
-func (r *request) capJ() float64    { return r.root.CapJ + r.attemptCapJ }
-func (r *request) tokens() int64    { return int64(r.root.Tokens) + int64(r.attemptTokens) }
+func (r *request) latencySec() float64 { return (r.Root.End - r.Root.Start).Seconds() }
 
 // Analyze is AnalyzeSLO at the simulator's default 15 s TTFT SLO.
 func Analyze(r io.Reader, top int) (string, error) {
@@ -225,22 +201,9 @@ func (f *folder) add(sp obs.Span) error {
 		f.byReq[sp.Req] = req
 	}
 	if sp.Kind == obs.SpanRequest {
-		// A retried request emits one root span per admission attempt; the
-		// highest Retry is the outcome, earlier roots are counted as
-		// superseded attempts. Two roots for the *same* attempt is still a
-		// malformed trace.
-		if req.haveRoot {
-			switch {
-			case sp.Retry == req.root.Retry:
-				return fmt.Errorf("request %d has two root spans", sp.Req)
-			case sp.Retry < req.root.Retry:
-				req.foldAttempt(sp)
-				return nil
-			}
-			req.foldAttempt(req.root)
+		if err := req.Add(sp); err != nil {
+			return err
 		}
-		req.root = sp
-		req.haveRoot = true
 		for _, c := range req.pending {
 			req.fold(c)
 		}
@@ -248,7 +211,7 @@ func (f *folder) add(sp obs.Span) error {
 		return nil
 	}
 	c := pendingChild{id: sp.ID, kind: sp.Kind, start: sp.Start, end: sp.End, recompute: sp.Recompute}
-	if !req.haveRoot {
+	if !req.Has() {
 		req.pending = append(req.pending, c)
 		return nil
 	}
@@ -263,11 +226,11 @@ func (r *request) fold(c pendingChild) {
 		r.preempts++
 		return
 	}
-	if r.root.TTFTSec < 0 {
+	if r.Root.TTFTSec < 0 {
 		return // never produced a token: no critical path to split
 	}
-	windowEnd := r.root.Start + time.Duration(r.root.TTFTSec*float64(time.Second))
-	clipped := clip(c.start, c.end, r.root.Start, windowEnd)
+	windowEnd := r.Root.Start + time.Duration(r.Root.TTFTSec*float64(time.Second))
+	clipped := clip(c.start, c.end, r.Root.Start, windowEnd)
 	switch c.kind {
 	case obs.SpanQueue:
 		r.queue += clipped
@@ -285,17 +248,17 @@ func (r *request) fold(c pendingChild) {
 func (f *folder) finish() ([]*request, error) {
 	reqs := make([]*request, 0, len(f.byReq))
 	for id, req := range f.byReq {
-		if !req.haveRoot {
+		if !req.Has() {
 			return nil, fmt.Errorf("span %d/%d has no request root", id, req.pending[0].id)
 		}
-		if req.root.TTFTSec >= 0 {
-			if stall := req.root.TTFTSec - req.queue - req.prefill - req.recompute; stall > 0 {
+		if req.Root.TTFTSec >= 0 {
+			if stall := req.Root.TTFTSec - req.queue - req.prefill - req.recompute; stall > 0 {
 				req.stall = stall
 			}
 		}
 		reqs = append(reqs, req)
 	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].root.Req < reqs[j].root.Req })
+	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Root.Req < reqs[j].Root.Req })
 	return reqs, nil
 }
 
@@ -319,24 +282,24 @@ func writeOverview(b *strings.Builder, reqs []*request) {
 	completed, dropped, preempted, attempts, retriedReqs := 0, 0, 0, 0, 0
 	reasons := map[string]int{}
 	for _, r := range reqs {
-		energy += r.energyJ()
-		capSec += r.capSec()
-		capJ += r.capJ()
-		tokens += r.tokens()
-		if r.root.Reason == "" {
+		energy += r.EnergyJ()
+		capSec += r.CapSec()
+		capJ += r.CapJ()
+		tokens += r.Tokens()
+		if r.Root.Reason == "" {
 			completed++
 		} else {
 			dropped++
-			reasons[r.root.Reason]++
+			reasons[r.Root.Reason]++
 		}
-		if r.root.Preempts > 0 {
+		if r.Root.Preempts > 0 {
 			preempted++
 		}
 		// In a complete trace the superseded-root count equals the final
 		// root's Retry; on a truncated trace take whichever survived.
-		n := r.attempts
-		if int(r.root.Retry) > n {
-			n = int(r.root.Retry)
+		n := r.Superseded
+		if int(r.Root.Retry) > n {
+			n = int(r.Root.Retry)
 		}
 		if n > 0 {
 			attempts += n
@@ -350,10 +313,10 @@ func writeOverview(b *strings.Builder, reqs []*request) {
 	sessions := map[int64]bool{}
 	maxTurn := int32(0)
 	for _, r := range reqs {
-		if r.root.Session != 0 {
-			sessions[r.root.Session] = true
-			if r.root.Turn > maxTurn {
-				maxTurn = r.root.Turn
+		if r.Root.Session != 0 {
+			sessions[r.Root.Session] = true
+			if r.Root.Turn > maxTurn {
+				maxTurn = r.Root.Turn
 			}
 		}
 	}
@@ -391,16 +354,16 @@ func writeCriticalPath(b *strings.Builder, reqs []*request) {
 	var ttft, queue, prefill, recompute, stall, capSec []float64
 	var totTTFT float64
 	for _, r := range reqs {
-		if r.root.TTFTSec < 0 {
+		if r.Root.TTFTSec < 0 {
 			continue
 		}
-		ttft = append(ttft, r.root.TTFTSec)
+		ttft = append(ttft, r.Root.TTFTSec)
 		queue = append(queue, r.queue)
 		prefill = append(prefill, r.prefill)
 		recompute = append(recompute, r.recompute)
 		stall = append(stall, r.stall)
-		capSec = append(capSec, r.root.CapSec)
-		totTTFT += r.root.TTFTSec
+		capSec = append(capSec, r.Root.CapSec)
+		totTTFT += r.Root.TTFTSec
 	}
 	if len(ttft) == 0 {
 		fmt.Fprintf(b, "Critical path: no request produced a first token\n\n")
@@ -437,7 +400,7 @@ func writeClassTable(b *strings.Builder, reqs []*request, sloSec float64) {
 	classes := map[string]*agg{}
 	var names []string
 	for _, r := range reqs {
-		name := r.root.Class
+		name := r.Root.Class
 		if name == "" {
 			name = "(none)"
 		}
@@ -447,16 +410,16 @@ func writeClassTable(b *strings.Builder, reqs []*request, sloSec float64) {
 			classes[name] = a
 			names = append(names, name)
 		}
-		if r.root.TTFTSec >= 0 {
-			a.ttft = append(a.ttft, r.root.TTFTSec)
-			if r.root.TTFTSec <= sloSec {
+		if r.Root.TTFTSec >= 0 {
+			a.ttft = append(a.ttft, r.Root.TTFTSec)
+			if r.Root.TTFTSec <= sloSec {
 				a.sloOK++
 			}
 		}
 		a.lat = append(a.lat, r.latencySec())
-		a.energy = append(a.energy, r.energyJ())
-		a.capSec += r.capSec()
-		a.tokens += r.tokens()
+		a.energy = append(a.energy, r.EnergyJ())
+		a.capSec += r.CapSec()
+		a.tokens += r.Tokens()
 	}
 	sort.Strings(names)
 	fmt.Fprintf(b, "Per-class latency and energy (exact percentiles over the trace; SLO = TTFT <= %gs):\n", sloSec)
@@ -489,15 +452,15 @@ func writeTopK(b *strings.Builder, reqs []*request, top int) {
 	}
 	byTTFT := make([]*request, 0, len(reqs))
 	for _, r := range reqs {
-		if r.root.TTFTSec >= 0 {
+		if r.Root.TTFTSec >= 0 {
 			byTTFT = append(byTTFT, r)
 		}
 	}
-	sort.SliceStable(byTTFT, func(i, j int) bool { return byTTFT[i].root.TTFTSec > byTTFT[j].root.TTFTSec })
+	sort.SliceStable(byTTFT, func(i, j int) bool { return byTTFT[i].Root.TTFTSec > byTTFT[j].Root.TTFTSec })
 	writeRanked(b, fmt.Sprintf("Top %d slowest first tokens:", min(top, len(byTTFT))), byTTFT, top)
 
 	byEnergy := append([]*request(nil), reqs...)
-	sort.SliceStable(byEnergy, func(i, j int) bool { return byEnergy[i].energyJ() > byEnergy[j].energyJ() })
+	sort.SliceStable(byEnergy, func(i, j int) bool { return byEnergy[i].EnergyJ() > byEnergy[j].EnergyJ() })
 	writeRanked(b, fmt.Sprintf("Top %d most energy-expensive:", min(top, len(byEnergy))), byEnergy, top)
 }
 
@@ -510,12 +473,12 @@ func writeRanked(b *strings.Builder, title string, ranked []*request, top int) {
 			break
 		}
 		ttft := "-"
-		if r.root.TTFTSec >= 0 {
-			ttft = fmt.Sprintf("%.3f", r.root.TTFTSec)
+		if r.Root.TTFTSec >= 0 {
+			ttft = fmt.Sprintf("%.3f", r.Root.TTFTSec)
 		}
 		fmt.Fprintf(b, "%8d %-12s %6d %8s %9.2f %9.1f %9.1f %8d %8d\n",
-			r.root.Req, r.root.Class, r.root.Server, ttft, r.latencySec(),
-			r.energyJ(), r.capSec(), r.tokens(), r.root.Preempts)
+			r.Root.Req, r.Root.Class, r.Root.Server, ttft, r.latencySec(),
+			r.EnergyJ(), r.CapSec(), r.Tokens(), r.Root.Preempts)
 	}
 	fmt.Fprintln(b)
 }

@@ -362,6 +362,57 @@ func ScanSpans(r io.Reader, comment func(line string), fn func(sp Span) error) e
 	})
 }
 
+// RequestRoots folds one request's root spans across its admission
+// attempts. The failover path emits one root per admission; the
+// highest-Retry root is the request's outcome, and the energy, cap
+// attribution and tokens of the attempts it superseded accumulate beside
+// it, since a failed attempt's work was still performed.
+type RequestRoots struct {
+	// Root is the outcome attempt; Superseded counts the earlier ones.
+	Root       Span
+	Superseded int
+
+	has bool
+	// Totals of the superseded attempts.
+	energyJ, capSec, capJ float64
+	tokens                int32
+}
+
+// Add folds one root span of the request. Two roots for the same attempt
+// is an error.
+func (r *RequestRoots) Add(sp Span) error {
+	if r.has {
+		switch {
+		case sp.Retry == r.Root.Retry:
+			return fmt.Errorf("request %d has two root spans", sp.Req)
+		case sp.Retry < r.Root.Retry:
+			r.supersede(sp)
+			return nil
+		}
+		r.supersede(r.Root)
+	}
+	r.Root, r.has = sp, true
+	return nil
+}
+
+func (r *RequestRoots) supersede(sp Span) {
+	r.Superseded++
+	r.energyJ += sp.EnergyJ
+	r.capSec += sp.CapSec
+	r.capJ += sp.CapJ
+	r.tokens += sp.Tokens
+}
+
+// Has reports whether a root has been folded.
+func (r *RequestRoots) Has() bool { return r.has }
+
+// EnergyJ, CapSec, CapJ and Tokens are the request's totals across every
+// admission attempt; on an unretried request they are just the root's.
+func (r *RequestRoots) EnergyJ() float64 { return r.Root.EnergyJ + r.energyJ }
+func (r *RequestRoots) CapSec() float64  { return r.Root.CapSec + r.capSec }
+func (r *RequestRoots) CapJ() float64    { return r.Root.CapJ + r.capJ }
+func (r *RequestRoots) Tokens() int64    { return int64(r.Root.Tokens) + int64(r.tokens) }
+
 // spanFields are the member names of appendSpanJSON's wire format.
 var spanFields = []string{
 	"req", "id", "parent", "kind", "start_us", "end_us", "server", "pool", "class", "tokens",

@@ -279,3 +279,31 @@ func TestScanSpansOutOfOrder(t *testing.T) {
 		t.Errorf("ids = %v, want file order [2 1]", ids)
 	}
 }
+
+// TestRequestRoots folds a failed-over request's roots in any order: the
+// highest Retry is the outcome, the superseded attempts' attribution
+// accumulates beside it, and a second root for one attempt is an error.
+func TestRequestRoots(t *testing.T) {
+	var r RequestRoots
+	if r.Has() {
+		t.Fatal("empty fold has a root")
+	}
+	for _, sp := range []Span{
+		{Req: 5, Kind: SpanRequest, Retry: 1, EnergyJ: 10, CapSec: 1, CapJ: 2, Tokens: 3, TTFTSec: 0.5},
+		{Req: 5, Kind: SpanRequest, Retry: 0, EnergyJ: 20, CapSec: 4, CapJ: 5, Tokens: 6, TTFTSec: 0.25},
+		{Req: 5, Kind: SpanRequest, Retry: 2, EnergyJ: 40, CapSec: 8, CapJ: 9, Tokens: 10, TTFTSec: 1},
+	} {
+		if err := r.Add(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.Has() || r.Root.Retry != 2 || r.Root.TTFTSec != 1 || r.Superseded != 2 {
+		t.Errorf("outcome = retry %d ttft %v, %d superseded", r.Root.Retry, r.Root.TTFTSec, r.Superseded)
+	}
+	if r.EnergyJ() != 70 || r.CapSec() != 13 || r.CapJ() != 16 || r.Tokens() != 19 {
+		t.Errorf("totals = %v J, %v cap-s, %v cap-J, %d tokens", r.EnergyJ(), r.CapSec(), r.CapJ(), r.Tokens())
+	}
+	if err := r.Add(Span{Req: 5, Kind: SpanRequest, Retry: 2}); err == nil {
+		t.Error("second root for the outcome attempt accepted")
+	}
+}

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -296,5 +297,32 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	buf.WriteString(`{"seq":3,"t_us":4000000,"kind":"tick","true_util":0.5,"lp_mhz":0,"hp_mhz":0}` + "\n")
 	if _, err := replay.Load(&buf); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap not detected: %v", err)
+	}
+}
+
+// TestLoadSpanStatsFoldsAttempts pins the recorded baseline's fold: a
+// failed-over request counts once, with its final attempt's TTFT and every
+// attempt's energy and cap time, and two roots for one attempt is an
+// error.
+func TestLoadSpanStatsFoldsAttempts(t *testing.T) {
+	write := func(lines ...string) string {
+		path := t.TempDir() + "/spans.jsonl"
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	first := `{"req":1,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":100,"cap_s":2,"ttft_s":0.5,"reason":"node-death"}`
+	retry := `{"req":1,"id":1,"kind":"request","start_us":2000000,"end_us":3000000,"energy_j":300,"cap_s":1,"ttft_s":1.5,"retry":1}`
+	other := `{"req":2,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":200,"ttft_s":0.5}`
+	st, err := replay.LoadSpanStats(write(retry, first, other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 2 || st.MeanTTFTSec != 1 || st.TotalCapSec != 3 || st.TotalEnergyJ != 600 {
+		t.Errorf("stats = %+v, want 2 requests, mean TTFT 1 s, 3 cap-s, 600 J", *st)
+	}
+	if _, err := replay.LoadSpanStats(write(first, first)); err == nil {
+		t.Error("two roots for one attempt accepted")
 	}
 }

@@ -11,55 +11,55 @@ import (
 // TTFT the deployed run actually charged each request (PR 5's attribution),
 // against which a replay's estimated latency deltas can be read.
 type SpanStats struct {
-	// Requests counts root request spans (failover attempts folded: only
-	// the final attempt of each request id counts).
+	// Requests counts request ids: a failed-over request's root spans fold
+	// into one request.
 	Requests int
-	// MeanTTFTSec is the mean recorded time-to-first-token.
+	// MeanTTFTSec is the mean recorded time-to-first-token of each
+	// request's final attempt.
 	MeanTTFTSec float64
 	// TotalCapSec is the recorded cap-attributed slowdown summed over
-	// requests; MeanCapSec is the per-request mean.
+	// requests, superseded attempts included; MeanCapSec is the
+	// per-request mean.
 	TotalCapSec float64
 	MeanCapSec  float64
-	// TotalEnergyJ is the recorded GPU energy summed over requests;
-	// MeanEnergyJ is the per-request mean.
+	// TotalEnergyJ is the recorded GPU energy summed over requests,
+	// superseded attempts included; MeanEnergyJ is the per-request mean.
 	TotalEnergyJ float64
 	MeanEnergyJ  float64
 }
 
 // LoadSpanStats streams a span trace (polca-sim -spans output) and folds
-// it into SpanStats. Only root request spans contribute; for failed-over
-// requests the highest-retry attempt wins, matching polca-analyze.
+// it into SpanStats. Only root request spans contribute, folded per request
+// by obs.RequestRoots exactly as polca-analyze folds them.
 func LoadSpanStats(path string) (*SpanStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	type reqAgg struct {
-		retry   int32
-		ttft    float64
-		capSec  float64
-		energyJ float64
-	}
-	reqs := map[int64]reqAgg{}
+	reqs := map[int64]*obs.RequestRoots{}
+	var ids []int64
 	err = obs.ScanSpans(f, nil, func(sp obs.Span) error {
 		if sp.Kind != obs.SpanRequest {
 			return nil
 		}
-		if prev, ok := reqs[sp.Req]; ok && prev.retry >= sp.Retry {
-			return nil
+		r := reqs[sp.Req]
+		if r == nil {
+			r = &obs.RequestRoots{}
+			reqs[sp.Req] = r
+			ids = append(ids, sp.Req)
 		}
-		reqs[sp.Req] = reqAgg{retry: sp.Retry, ttft: sp.TTFTSec, capSec: sp.CapSec, energyJ: sp.EnergyJ}
-		return nil
+		return r.Add(sp)
 	})
 	if err != nil {
 		return nil, err
 	}
 	st := &SpanStats{Requests: len(reqs)}
-	for _, a := range reqs {
-		st.MeanTTFTSec += a.ttft
-		st.TotalCapSec += a.capSec
-		st.TotalEnergyJ += a.energyJ
+	for _, id := range ids {
+		r := reqs[id]
+		st.MeanTTFTSec += r.Root.TTFTSec
+		st.TotalCapSec += r.CapSec()
+		st.TotalEnergyJ += r.EnergyJ()
 	}
 	if st.Requests > 0 {
 		n := float64(st.Requests)
