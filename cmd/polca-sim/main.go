@@ -127,7 +127,6 @@ import (
 	"polca/internal/serve"
 	"polca/internal/sim"
 	"polca/internal/stats"
-	"polca/internal/trace"
 	"polca/internal/workload"
 )
 
@@ -396,20 +395,11 @@ func policyCSVPath(base, policy string, multi bool) string {
 // runOne simulates a single policy on a private engine and renders its
 // report.
 func runOne(o runOpts) (string, error) {
-	var ctrl cluster.Controller
-	switch o.policy {
-	case "polca":
-		pc := polca.DefaultConfig()
-		pc.T1, pc.T2 = o.t1, o.t2
-		ctrl = polca.New(pc)
-	case "1tl":
-		ctrl = polca.NewSingleThresholdLowPri()
-	case "1ta":
-		ctrl = polca.NewSingleThresholdAll()
-	case "nocap":
-		ctrl = polca.NoCap{}
-	default:
-		return "", fmt.Errorf("unknown policy %q", o.policy)
+	pc := polca.DefaultConfig()
+	pc.T1, pc.T2 = o.t1, o.t2
+	ctrl, err := polca.NewNamed(o.policy, pc)
+	if err != nil {
+		return "", err
 	}
 	var guard *polca.Guard
 	if o.guard {
@@ -430,8 +420,6 @@ func runOne(o runOpts) (string, error) {
 	}
 
 	cfg := o.cfg
-	fitCfg := cfg
-	fitCfg.PowerIntensity = 1
 	horizon := time.Duration(o.days) * 24 * time.Hour
 	eng := sim.New(o.seed)
 	eng.SetObserver(o.obs)
@@ -465,12 +453,11 @@ func runOne(o runOpts) (string, error) {
 		fmt.Fprintf(&b, "Replaying %d requests\n", len(o.reqs))
 		m = row.RunRequests(o.reqs, horizon)
 	} else {
-		ref := trace.ProductionInference().Reference(horizon, eng.Rand("reference"))
-		plan, err := trace.FitArrivals(ref, fitCfg.Shape(), 5*time.Minute)
+		plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("reference"))
 		if err != nil {
 			return "", err
 		}
-		m = row.Run(plan.Scale(1 + cfg.AddedFraction))
+		m = row.Run(plan)
 	}
 	fmt.Fprintf(&b, "Done in %.1fs (%d requests served)\n\n", time.Since(start).Seconds(),
 		m.Completed[workload.Low]+m.Completed[workload.High])

@@ -12,7 +12,6 @@ import (
 	"polca/internal/polca"
 	"polca/internal/sim"
 	"polca/internal/stats"
-	"polca/internal/trace"
 	"polca/internal/workload"
 )
 
@@ -21,12 +20,11 @@ func run(added float64, ctrl cluster.Controller, seed int64) *cluster.Metrics {
 	cfg := cluster.Production()
 	cfg.AddedFraction = added
 	eng := sim.New(seed)
-	ref := trace.ProductionInference().Reference(24*time.Hour, eng.Rand("reference"))
-	plan, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
+	plan, err := cluster.ProductionArrivals(cfg, 24*time.Hour, eng.Rand("reference"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	return cluster.MustRow(eng, cfg, ctrl).Run(plan.Scale(1 + added))
+	return cluster.MustRow(eng, cfg, ctrl).Run(plan)
 }
 
 func main() {

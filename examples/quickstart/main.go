@@ -12,7 +12,6 @@ import (
 	"polca/internal/polca"
 	"polca/internal/sim"
 	"polca/internal/stats"
-	"polca/internal/trace"
 	"polca/internal/workload"
 )
 
@@ -27,12 +26,10 @@ func main() {
 	//    for the extra servers.
 	horizon := 6 * time.Hour
 	eng := sim.New(42)
-	ref := trace.ProductionInference().Reference(horizon, eng.Rand("reference"))
-	plan, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
+	plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("reference"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan = plan.Scale(1 + cfg.AddedFraction)
 
 	// 3. Attach POLCA (Table 5's dual-threshold policy) and run.
 	row, err := cluster.NewRow(eng, cfg, polca.New(polca.DefaultConfig()))

@@ -84,14 +84,9 @@ type RowConfig struct {
 
 	// WatchdogEpochs arms the row-side deadman watchdog: after this many
 	// consecutive telemetry epochs without controller contact the row
-	// self-caps both pools at the watchdog clocks. 0 disables (the
-	// pre-hardening behaviour).
+	// self-caps both pools at the Table 5 deep caps (1110 MHz low priority,
+	// 1305 MHz high priority). 0 disables (the pre-hardening behaviour).
 	WatchdogEpochs int
-	// WatchdogLPMHz and WatchdogHPMHz are the watchdog's conservative
-	// self-cap clocks; zero values default to the Table 5 deep caps
-	// (1110 MHz low priority, 1305 MHz high priority).
-	WatchdogLPMHz float64
-	WatchdogHPMHz float64
 
 	// OOBRetryBudget bounds how many times one desired-lock change may be
 	// issued to a server before the row stops retrying it (0 = retry
@@ -165,6 +160,14 @@ type RowConfig struct {
 	// Seed drives all of the row's randomness.
 	Seed int64
 }
+
+// watchdogLPMHz and watchdogHPMHz are the deadman watchdog's
+// conservative self-cap clocks: the Table 5 deep caps for low and high
+// priority.
+const (
+	watchdogLPMHz = 1110
+	watchdogHPMHz = 1305
+)
 
 // Production returns the paper's production row configuration (Table 2)
 // serving BLOOM-176B.
@@ -328,6 +331,22 @@ func (c RowConfig) Shape() trace.ClusterShape {
 	}
 }
 
+// ProductionArrivals is the §6.4 arrival recipe every trace-fitted row
+// runs on: a production reference power trace over the horizon, drawn from
+// rng, fitted on 5-minute buckets to the rate plan that reproduces it on
+// this row's shape at PowerIntensity 1 (operators sized the row on the
+// profiled workload, before it drifted), then scaled by 1+AddedFraction
+// for the servers added under the same budget.
+func ProductionArrivals(c RowConfig, horizon time.Duration, rng *rand.Rand) (trace.RatePlan, error) {
+	c.PowerIntensity = 1
+	ref := trace.ProductionInference().Reference(horizon, rng)
+	plan, err := trace.FitArrivals(ref, c.Shape(), 5*time.Minute)
+	if err != nil {
+		return trace.RatePlan{}, err
+	}
+	return plan.Scale(1 + c.AddedFraction), nil
+}
+
 // Servers returns the deployed server count including oversubscription.
 func (c RowConfig) Servers() int {
 	n := int(float64(c.BaseServers)*(1+c.AddedFraction) + 0.5)
@@ -368,8 +387,6 @@ func (c RowConfig) Validate() error {
 		return fmt.Errorf("cluster: bad power intensity")
 	case c.WatchdogEpochs < 0:
 		return fmt.Errorf("cluster: negative watchdog epochs")
-	case c.WatchdogLPMHz < 0 || c.WatchdogHPMHz < 0:
-		return fmt.Errorf("cluster: negative watchdog clock")
 	case c.OOBRetryBudget < 0:
 		return fmt.Errorf("cluster: negative OOB retry budget")
 	case c.OOBRetryBackoff < 0:
@@ -611,8 +628,6 @@ type backend interface {
 	tsdbSeries(ts *rowTSDB) func(i int, lbl string)
 	// finish settles the backend's state into the metrics at end of run.
 	finish(now sim.Time)
-	// serveConfig returns the resolved serving configuration, or nil.
-	serveConfig() *serve.Config
 }
 
 // Row is the simulated PDU power domain.
@@ -657,8 +672,6 @@ type Row struct {
 	ctrlDown        bool
 	ctrlSilent      int
 	watchdogEngaged bool
-	wdLPMHz         float64
-	wdHPMHz         float64
 
 	telemetryTick sim.Timer
 	telemetrySub  sim.Timer
@@ -748,13 +761,6 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	// one branch. Its streams are named, independent draws from the engine:
 	// creating them perturbs nothing.
 	r.inj = faults.New(cfg.Faults, total, eng.Rand)
-	r.wdLPMHz, r.wdHPMHz = cfg.WatchdogLPMHz, cfg.WatchdogHPMHz
-	if r.wdLPMHz == 0 {
-		r.wdLPMHz = 1110
-	}
-	if r.wdHPMHz == 0 {
-		r.wdHPMHz = 1305
-	}
 	o := eng.Observer()
 	if o != nil {
 		r.obs = o
@@ -783,7 +789,7 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	r.dec.UpdateMeta(func(m *obs.DecisionMeta) {
 		m.Policy = ctrl.Name()
 		m.WatchdogEpochs = cfg.WatchdogEpochs
-		m.WatchdogLPMHz, m.WatchdogHPMHz = r.wdLPMHz, r.wdHPMHz
+		m.WatchdogLPMHz, m.WatchdogHPMHz = watchdogLPMHz, watchdogHPMHz
 		m.TelemetrySec = cfg.TelemetryInterval.Seconds()
 		m.Servers = cfg.Servers()
 		m.LPServers = len(r.pools[workload.Low])
@@ -828,10 +834,6 @@ func (r *Row) GPUSpec() gpu.Spec { return gpu.A100SXM80GB() }
 
 // Observer implements Actuator.
 func (r *Row) Observer() *obs.Observer { return r.obs }
-
-// ServeConfig returns the resolved serving configuration, or nil in slot
-// mode.
-func (r *Row) ServeConfig() *serve.Config { return r.be.serveConfig() }
 
 // InFlightCommands returns the number of issued OOB commands that have not
 // yet landed or failed — the trace reconciliation remainder: issues =
@@ -1073,8 +1075,8 @@ func (r *Row) controllerSilent(now sim.Time) {
 		At: now, Kind: obs.KindWatchdogEngage, Server: -1, Pool: obs.PoolNone,
 		Value: float64(r.ctrlSilent),
 	})
-	r.SetPoolLock(workload.Low, r.wdLPMHz)
-	r.SetPoolLock(workload.High, r.wdHPMHz)
+	r.SetPoolLock(workload.Low, watchdogLPMHz)
+	r.SetPoolLock(workload.High, watchdogHPMHz)
 	r.be.watchdog(now, true)
 }
 

@@ -22,25 +22,6 @@ func serveConfig() cluster.RowConfig {
 	return cfg
 }
 
-func TestServeConfigAccessors(t *testing.T) {
-	cfg := serveConfig()
-	eng := sim.New(cfg.Seed)
-	row := cluster.MustRow(eng, cfg, &recordingCtrl{})
-	sc := row.ServeConfig()
-	if sc == nil {
-		t.Fatal("ServeConfig() = nil in serve mode")
-	}
-	// The serving model defaults to the row's model with resolved defaults.
-	if sc.Model.Name != cfg.Model.Name || sc.MaxBatchSize != 32 || sc.Router != "least-queue" {
-		t.Errorf("resolved serve config = %+v", sc)
-	}
-	slot := testConfig()
-	row2 := cluster.MustRow(sim.New(1), slot, &recordingCtrl{})
-	if row2.ServeConfig() != nil {
-		t.Error("ServeConfig() non-nil in slot mode")
-	}
-}
-
 func TestServeConfigValidation(t *testing.T) {
 	cfg := serveConfig()
 	cfg.Serve.Router = "bogus"
@@ -312,12 +293,13 @@ func TestServeSpanConservation(t *testing.T) {
 }
 
 // TestServeCoalescingEquivalence runs the same serve-mode scenarios with
-// decode-span coalescing on (the default) and forced off, and requires
-// every row-level aggregate to be byte-identical. This is the cluster-scale
-// counterpart of the replica equivalence property: cap replans from the
-// controller, KV-pressure preemption, node death mid-decode, and a combined
-// chaos spec must all leave the coalesced trajectory indistinguishable from
-// the per-stride one.
+// decode-span coalescing on (the default) and forced off by an attached
+// event tracer, and requires every row-level aggregate to be
+// byte-identical. This is the cluster-scale counterpart of the replica
+// equivalence property: cap replans from the controller, KV-pressure
+// preemption, node death mid-decode, and a combined chaos spec must all
+// leave the coalesced trajectory indistinguishable from the per-stride
+// one.
 func TestServeCoalescingEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -357,11 +339,16 @@ func TestServeCoalescingEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(noCoalesce bool) *cluster.Metrics {
+			run := func(perStride bool) *cluster.Metrics {
 				cfg := serveConfig()
 				ctrl := sc.prep(&cfg)
-				cfg.Serve.NoCoalesce = noCoalesce
-				return runRow(t, cfg, ctrl, flatPlan(cfg, 0.8, 40*time.Minute))
+				eng := sim.New(cfg.Seed)
+				if perStride {
+					// The tracer observes individual iterations, so the
+					// replicas take the per-stride path.
+					eng.SetObserver(&obs.Observer{Tracer: obs.NewTracer()})
+				}
+				return cluster.MustRow(eng, cfg, ctrl).Run(flatPlan(cfg, 0.8, 40*time.Minute))
 			}
 			a, b := run(false), run(true)
 			if a.Serve != b.Serve {

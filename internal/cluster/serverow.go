@@ -297,11 +297,6 @@ func newServeBackend(r *Row) (*serveBackend, error) {
 	return b, nil
 }
 
-func (b *serveBackend) serveConfig() *serve.Config {
-	c := b.scfg
-	return &c
-}
-
 // load holds nothing past now: replicas change their draw inside their
 // own iteration events, which the row does not see.
 func (b *serveBackend) load(n *node, now sim.Time) (float64, bool, sim.Time) {
@@ -555,7 +550,7 @@ func (b *serveBackend) shedTarget() (int, string) {
 		if n.dead {
 			continue
 		}
-		if n.appliedLock > 0 && n.appliedLock <= b.wdLPMHz {
+		if n.appliedLock > 0 && n.appliedLock <= watchdogLPMHz {
 			deep = true
 		}
 		if b.reps[n.idx].KVFrac() >= serveKVShedFrac {

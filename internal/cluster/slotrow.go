@@ -6,7 +6,6 @@ import (
 	"polca/internal/gpu"
 	"polca/internal/obs"
 	"polca/internal/plan"
-	"polca/internal/serve"
 	"polca/internal/sim"
 	"polca/internal/workload"
 )
@@ -69,10 +68,9 @@ func newSlotBackend(r *Row, svc [2]float64) *slotBackend {
 	return s
 }
 
-// The slot model has no serving config, no watchdog drain, no TSDB series
-// of its own (tick samples the control plane's row.queue) and nothing to
-// settle at end of run.
-func (*slotBackend) serveConfig() *serve.Config            { return nil }
+// The slot model has no watchdog drain, no TSDB series of its own (tick
+// samples the control plane's row.queue) and nothing to settle at end of
+// run.
 func (*slotBackend) watchdog(sim.Time, bool)               {}
 func (*slotBackend) finish(sim.Time)                       {}
 func (*slotBackend) tsdbSeries(*rowTSDB) func(int, string) { return func(int, string) {} }

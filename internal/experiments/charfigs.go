@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -13,16 +11,9 @@ import (
 	"polca/internal/profiler"
 	"polca/internal/render"
 	"polca/internal/server"
+	"polca/internal/sim"
 	"polca/internal/stats"
 )
-
-// newSeededRand derives a deterministic stream from the option seed and a
-// per-experiment name.
-func newSeededRand(seed int64, name string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, name)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
-}
 
 func init() {
 	register("fig3", "Figure 3: Provisioned power breakdown (8xA100-80GB server)", runFig3)
@@ -437,7 +428,7 @@ func runFig11(o Options) (Result, error) {
 	}
 	spec := server.DGXA100(gpu.A100SXM80GB())
 	srv := server.New(0, spec)
-	rng := newSeededRand(o.Seed, "fig11")
+	rng := sim.New(o.Seed).Rand("fig11")
 	classes := []plan.InferenceConfig{}
 	for _, m := range llm.InferenceModels() {
 		classes = append(classes, plan.InferenceConfig{Model: m, DType: llm.FP16, BatchSize: 1, InputTokens: 2048, OutputTokens: 256})

@@ -32,13 +32,13 @@ func init() {
 
 // rowSpec identifies one cluster simulation for caching.
 type rowSpec struct {
-	policy    string
-	added     float64
-	intensity float64
-	lpFrac    float64
-	days      int
-	lpBaseMHz float64 // 0 = policy default
-	t1, t2    float64 // 0 = policy default
+	policy     string
+	pc         polca.Config // the "polca" policy's config; zero = polca.DefaultConfig()
+	added      float64
+	intensity  float64
+	lpFrac     float64
+	days       int
+	oobLatency time.Duration // OOB actuation latency, 0 = Table 2's 40 s
 
 	// Fault-experiment knobs (figfault); all zero for the paper figures,
 	// which keeps those rows byte-identical to the fault-free simulator.
@@ -57,11 +57,10 @@ type rowSpec struct {
 	// Serve-mode fault-tolerance knobs (figservefault); all zero for the
 	// other serve experiments, which keeps their rows byte-identical to
 	// the drop-only serving backend.
-	serveRetries      int           // failover requeue budget, 0 = drop-only
-	serveRetryBackoff time.Duration // base failover backoff, 0 = telemetry interval
-	serveClassShed    bool          // SLO-class-aware shedding under emergencies
-	serveCircuit      int           // per-replica circuit-breaker shed threshold
-	wdDrain           bool          // engaged watchdog drains serve replicas
+	serveRetries   int  // failover requeue budget, 0 = drop-only
+	serveClassShed bool // SLO-class-aware shedding under emergencies
+	serveCircuit   int  // per-replica circuit-breaker shed threshold
+	wdDrain        bool // engaged watchdog drains serve replicas
 
 	// Scenario knob (figscenario): a workload scenario name or .scn path
 	// that replaces the fitted Table 6 arrivals with generated cohort
@@ -71,44 +70,28 @@ type rowSpec struct {
 }
 
 // buildController instantiates the policy named in the spec.
-func buildController(s rowSpec) cluster.Controller {
-	ctrl := buildBaseController(s)
-	if s.guard {
-		return polca.NewGuard(ctrl, polca.DefaultGuardConfig())
+func buildController(s rowSpec) (cluster.Controller, error) {
+	ctrl, err := buildBaseController(s)
+	if err != nil || !s.guard {
+		return ctrl, err
 	}
-	return ctrl
+	return polca.NewGuard(ctrl, polca.DefaultGuardConfig()), nil
 }
 
-func buildBaseController(s rowSpec) cluster.Controller {
-	switch s.policy {
-	case "polca":
-		cfg := polca.DefaultConfig()
-		if s.t1 > 0 {
-			cfg.T1, cfg.T2 = s.t1, s.t2
-		}
-		if s.lpBaseMHz > 0 {
-			cfg.LPBaseMHz = s.lpBaseMHz
-		}
-		return polca.New(cfg)
-	case "1tl":
-		return polca.NewSingleThresholdLowPri()
-	case "1ta":
-		return polca.NewSingleThresholdAll()
-	case "nocap":
-		return polca.NoCap{}
-	case "ladder3":
-		ladder, err := polca.NewLadder("3-rung", []polca.Rung{
+func buildBaseController(s rowSpec) (cluster.Controller, error) {
+	if s.policy == "ladder3" {
+		return polca.NewLadder("3-rung", []polca.Rung{
 			{Trigger: 0.76, Margin: 0.05, Pool: workload.Low, LockMHz: 1335},
 			{Trigger: 0.83, Margin: 0.05, Pool: workload.Low, LockMHz: 1200},
 			{Trigger: 0.89, Margin: 0.05, Pool: workload.Low, LockMHz: 1050},
 			{Trigger: 0.89, Margin: 0.05, Pool: workload.High, LockMHz: 1305, Delay: 1},
 		})
-		if err != nil {
-			panic(err)
-		}
-		return ladder
 	}
-	panic("experiments: unknown policy " + s.policy)
+	pc := s.pc
+	if pc == (polca.Config{}) {
+		pc = polca.DefaultConfig()
+	}
+	return polca.NewNamed(s.policy, pc)
 }
 
 // runRowSpec executes one row simulation on a private engine; simulateRow
@@ -122,6 +105,9 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		cfg.LowPriorityFraction = s.lpFrac
 	}
 	cfg.Seed = o.Seed
+	if s.oobLatency > 0 {
+		cfg.OOBLatency = s.oobLatency
+	}
 	if s.faults != "" {
 		fs, err := faults.Parse(s.faults)
 		if err != nil {
@@ -137,27 +123,35 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		cfg.Serve = &serve.Config{Router: s.serveRouter}
 	}
 	cfg.ServeRetries = s.serveRetries
-	cfg.ServeRetryBackoff = s.serveRetryBackoff
 	cfg.ServeClassShed = s.serveClassShed
 	cfg.ServeCircuitSheds = s.serveCircuit
 	cfg.WatchdogDrain = s.wdDrain
-
+	var spec scenario.Spec
 	if s.scenario != "" {
-		spec, err := scenario.Load(s.scenario)
-		if err != nil {
+		var err error
+		if spec, err = scenario.Load(s.scenario); err != nil {
 			return nil, err
 		}
 		// The cohorts' analytic moments become the class table admission
 		// plans on, and their SLO classes pin the serve-mode shed ranks.
 		cfg.Classes = spec.Classes()
 		cfg.ShedRanks = spec.ShedRanks()
-		eng := sim.New(o.Seed)
-		eng.SetObserver(o.Obs.MetricsOnly())
-		row, err := cluster.NewRow(eng, cfg, buildController(s))
-		if err != nil {
-			return nil, err
-		}
-		horizon := horizonFromDays(s.days)
+	}
+
+	ctrl, err := buildController(s)
+	if err != nil {
+		return nil, err
+	}
+	eng := sim.New(o.Seed)
+	// Metrics only: per-request trace events from dozens of grid points
+	// would flood a sweep-level trace, but aggregate counters stay useful.
+	eng.SetObserver(o.Obs.MetricsOnly())
+	row, err := cluster.NewRow(eng, cfg, ctrl)
+	if err != nil {
+		return nil, err
+	}
+	horizon := horizonFromDays(s.days)
+	if s.scenario != "" {
 		// Generation draws on the engine's named scenario streams, so every
 		// policy arm of a sweep sees the identical request trace.
 		reqs, err := scenario.Generate(spec, horizon, float64(cfg.Servers())/float64(spec.Basis), eng.Rand)
@@ -166,23 +160,7 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		}
 		return row.RunRequests(reqs, horizon), nil
 	}
-
-	// The trace is fitted against the *profiled* workload (intensity 1):
-	// POLCA's operators sized the policy before workloads drifted.
-	fitCfg := cfg
-	fitCfg.PowerIntensity = 1
-	ref := trace.ProductionInference().Reference(horizonFromDays(s.days), newSeededRand(o.Seed, "ref"))
-	plan, err := trace.FitArrivals(ref, fitCfg.Shape(), 5*time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	plan = plan.Scale(1 + s.added)
-
-	eng := sim.New(o.Seed)
-	// Metrics only: per-request trace events from dozens of grid points
-	// would flood a sweep-level trace, but aggregate counters stay useful.
-	eng.SetObserver(o.Obs.MetricsOnly())
-	row, err := cluster.NewRow(eng, cfg, buildController(s))
+	plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("ref"))
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +205,7 @@ type FitData struct {
 func runFit(o Options) (Result, error) {
 	cfg := cluster.Production()
 	cfg.BaseServers = o.RowServers
-	ref := trace.ProductionInference().Reference(horizonFromDays(o.TrainDays), newSeededRand(o.Seed, "ref"))
+	ref := trace.ProductionInference().Reference(horizonFromDays(o.TrainDays), sim.New(o.Seed).Rand("ref"))
 	plan, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
 	if err != nil {
 		return Result{}, err
@@ -274,7 +252,7 @@ type Table4Data struct {
 
 func runTable4(o Options) (Result, error) {
 	trainDays := 1
-	trainUtil, err := cluster.SimulateTraining(cluster.ProductionTraining(), horizonFromDays(trainDays), newSeededRand(o.Seed, "train-row"))
+	trainUtil, err := cluster.SimulateTraining(cluster.ProductionTraining(), horizonFromDays(trainDays), sim.New(o.Seed).Rand("train-row"))
 	if err != nil {
 		return Result{}, err
 	}
@@ -327,8 +305,10 @@ func runFig13(o Options) (Result, error) {
 	}
 	specs := make([]rowSpec, 0, len(combos)*len(added))
 	for _, c := range combos {
+		pc := polca.DefaultConfig()
+		pc.T1, pc.T2 = c[0], c[1]
 		for _, a := range added {
-			specs = append(specs, rowSpec{policy: "polca", t1: c[0], t2: c[1], added: a, intensity: 1, days: o.SweepDays})
+			specs = append(specs, rowSpec{policy: "polca", pc: pc, added: a, intensity: 1, days: o.SweepDays})
 		}
 	}
 	ms, err := simulateRows(o, specs)
@@ -449,7 +429,9 @@ func runFig15a(o Options) (Result, error) {
 	}
 	specs := []rowSpec{{policy: "nocap", added: 0.30, intensity: 1, days: o.SweepDays}}
 	for _, f := range freqs {
-		specs = append(specs, rowSpec{policy: "polca", lpBaseMHz: f, added: 0.30, intensity: 1, days: o.SweepDays})
+		pc := polca.DefaultConfig()
+		pc.LPBaseMHz = f
+		specs = append(specs, rowSpec{policy: "polca", pc: pc, added: 0.30, intensity: 1, days: o.SweepDays})
 	}
 	ms, err := simulateRows(o, specs)
 	if err != nil {

@@ -173,40 +173,18 @@ type AwareData struct {
 }
 
 func runExtAware(o Options) (Result, error) {
-	aware, err := polca.NewWorkloadAware(polca.DefaultConfig(),
-		llm.MustByName("BLOOM-176B"), llm.FP16, workload.Table6())
-	if err != nil {
-		return Result{}, err
-	}
-	days := o.SweepDays
-
-	runWith := func(ctrl cluster.Controller) (*cluster.Metrics, error) {
-		cfg := cluster.Production()
-		cfg.BaseServers = o.RowServers
-		cfg.AddedFraction = 0.30
-		cfg.Seed = o.Seed
-		ref := trace.ProductionInference().Reference(horizonFromDays(days), newSeededRand(o.Seed, "ref"))
-		arr, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
-		if err != nil {
-			return nil, err
-		}
-		eng := sim.New(o.Seed)
-		row, err := cluster.NewRow(eng, cfg, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		return row.Run(arr.Scale(1.30)), nil
-	}
-	static, err := runWith(polca.New(polca.DefaultConfig()))
-	if err != nil {
-		return Result{}, err
-	}
-	awareM, err := runWith(aware)
-	if err != nil {
-		return Result{}, err
-	}
 	def := polca.DefaultConfig()
-	lpB, lpD, hp := aware.Frequencies()
+	planned, err := polca.PlanWorkloadAware(def, llm.MustByName("BLOOM-176B"), llm.FP16, workload.Table6())
+	if err != nil {
+		return Result{}, err
+	}
+	ms, err := simulateRows(o, []rowSpec{
+		{policy: "polca", added: 0.30, intensity: 1, days: o.SweepDays},
+		{policy: "polca", pc: planned, added: 0.30, intensity: 1, days: o.SweepDays},
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	summarize := func(m *cluster.Metrics) AwareSummary {
 		lat := sortedLatencies(m)
 		return AwareSummary{
@@ -216,9 +194,9 @@ func runExtAware(o Options) (Result, error) {
 	}
 	data := AwareData{
 		StaticFreqs:  [3]float64{def.LPBaseMHz, def.LPDeepMHz, def.HPCapMHz},
-		PlannedFreqs: [3]float64{lpB, lpD, hp},
-		Static:       summarize(static),
-		Aware:        summarize(awareM),
+		PlannedFreqs: [3]float64{planned.LPBaseMHz, planned.LPDeepMHz, planned.HPCapMHz},
+		Static:       summarize(ms[0]),
+		Aware:        summarize(ms[1]),
 	}
 	row := func(name string, s AwareSummary) []string {
 		return []string{
@@ -227,7 +205,7 @@ func runExtAware(o Options) (Result, error) {
 		}
 	}
 	text := fmt.Sprintf("Static Table 5 frequencies:   T1=%.0f T2lp=%.0f T2hp=%.0f MHz\n", data.StaticFreqs[0], data.StaticFreqs[1], data.StaticFreqs[2]) +
-		fmt.Sprintf("Workload-aware planned:       T1=%.0f T2lp=%.0f T2hp=%.0f MHz\n\n", lpB, lpD, hp) +
+		fmt.Sprintf("Workload-aware planned:       T1=%.0f T2lp=%.0f T2hp=%.0f MHz\n\n", data.PlannedFreqs[0], data.PlannedFreqs[1], data.PlannedFreqs[2]) +
 		table([]string{"Policy", "Peak util", "Mean util", "Brakes", "LP p99 (s)", "HP p99 (s)"},
 			[][]string{row("POLCA (static)", data.Static), row("POLCA (workload-aware)", data.Aware)})
 	return Result{Text: text, Data: data}, nil
@@ -276,7 +254,7 @@ func runExtSwing(o Options) (Result, error) {
 	}
 	var rows []SwingRow
 	for _, s := range strategies {
-		util, err := cluster.SimulateTraining(s.cfg, horizon, newSeededRand(o.Seed, "swing/"+s.name))
+		util, err := cluster.SimulateTraining(s.cfg, horizon, sim.New(o.Seed).Rand("swing/"+s.name))
 		if err != nil {
 			return Result{}, err
 		}
@@ -306,16 +284,20 @@ type HysteresisRow struct {
 
 func runExtHysteresis(o Options) (Result, error) {
 	margins := []float64{0.01, 0.05, 0.10}
+	specs := make([]rowSpec, len(margins))
+	for i, margin := range margins {
+		pc := polca.DefaultConfig()
+		pc.UncapMargin = margin
+		specs[i] = rowSpec{policy: "polca", pc: pc, added: 0.30, intensity: 1, days: o.SweepDays}
+	}
+	ms, err := simulateRows(o, specs)
+	if err != nil {
+		return Result{}, err
+	}
 	var rows []HysteresisRow
-	for _, margin := range margins {
-		cfg := polca.DefaultConfig()
-		cfg.UncapMargin = margin
-		m, err := simulateRowWith(o, cfg, 0.30, o.SweepDays)
-		if err != nil {
-			return Result{}, err
-		}
+	for i, m := range ms {
 		rows = append(rows, HysteresisRow{
-			Margin: margin, LockCommands: m.LockCommands,
+			Margin: margins[i], LockCommands: m.LockCommands,
 			Brakes: m.BrakeEvents, PeakUtil: m.Util.Peak(),
 		})
 	}
@@ -343,29 +325,20 @@ type OOBRow struct {
 
 func runExtOOB(o Options) (Result, error) {
 	latencies := []time.Duration{5 * time.Second, 40 * time.Second, 80 * time.Second}
-	ref := trace.ProductionInference().Reference(horizonFromDays(o.TrainDays), newSeededRand(o.Seed, "ref"))
+	specs := make([]rowSpec, len(latencies))
+	for i, lat := range latencies {
+		specs[i] = rowSpec{policy: "polca", oobLatency: lat, added: 0.30, intensity: 1, days: o.SweepDays}
+	}
+	ms, err := simulateRows(o, specs)
+	if err != nil {
+		return Result{}, err
+	}
+	ref := trace.ProductionInference().Reference(horizonFromDays(o.TrainDays), sim.New(o.Seed).Rand("ref"))
 	var rows []OOBRow
-	for _, lat := range latencies {
-		cfg := cluster.Production()
-		cfg.BaseServers = o.RowServers
-		cfg.AddedFraction = 0.30
-		cfg.OOBLatency = lat
-		cfg.Seed = o.Seed
-		horizon := horizonFromDays(o.SweepDays)
-		full := trace.ProductionInference().Reference(horizon, newSeededRand(o.Seed, "ref"))
-		arr, err := trace.FitArrivals(full, cfg.Shape(), 5*time.Minute)
-		if err != nil {
-			return Result{}, err
-		}
-		eng := sim.New(o.Seed)
-		row, err := cluster.NewRow(eng, cfg, polca.New(polca.DefaultConfig()))
-		if err != nil {
-			return Result{}, err
-		}
-		m := row.Run(arr.Scale(1.30))
+	for i, m := range ms {
 		rows = append(rows, OOBRow{
-			Latency: lat, Brakes: m.BrakeEvents, PeakUtil: m.Util.Peak(),
-			SafeT2: polca.TrainThresholds(ref, cfg.BrakeUtil, lat).T2,
+			Latency: latencies[i], Brakes: m.BrakeEvents, PeakUtil: m.Util.Peak(),
+			SafeT2: polca.TrainThresholds(ref, m.Config.BrakeUtil, latencies[i]).T2,
 		})
 	}
 	var cells [][]string
@@ -377,24 +350,4 @@ func runExtOOB(o Options) (Result, error) {
 	text := table([]string{"OOB latency", "Brakes", "Peak util", "Trainable T2"}, cells) +
 		"\nFaster, standardized OOB interfaces (§5) raise the safe T2 and shrink\nthe window in which power can run away before a cap lands.\n"
 	return Result{Text: text, Data: rows}, nil
-}
-
-// simulateRowWith runs the row with a custom POLCA config at the given
-// oversubscription.
-func simulateRowWith(o Options, pc polca.Config, added float64, days int) (*cluster.Metrics, error) {
-	cfg := cluster.Production()
-	cfg.BaseServers = o.RowServers
-	cfg.AddedFraction = added
-	cfg.Seed = o.Seed
-	ref := trace.ProductionInference().Reference(horizonFromDays(days), newSeededRand(o.Seed, "ref"))
-	arr, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.New(o.Seed)
-	row, err := cluster.NewRow(eng, cfg, polca.New(pc))
-	if err != nil {
-		return nil, err
-	}
-	return row.Run(arr.Scale(1 + added)), nil
 }

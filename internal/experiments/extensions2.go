@@ -9,6 +9,7 @@ import (
 	"polca/internal/llm"
 	"polca/internal/plan"
 	"polca/internal/profiler"
+	"polca/internal/sim"
 	"polca/internal/workload"
 )
 
@@ -213,7 +214,7 @@ func runExtTrainOversub(o Options) (Result, error) {
 		base := cluster.ProductionTraining()
 		base.ProvisionedPerServerWatts /= 1 + added
 
-		util, err := cluster.SimulateTraining(base, horizon, newSeededRand(o.Seed, fmt.Sprintf("to/%v", added)))
+		util, err := cluster.SimulateTraining(base, horizon, sim.New(o.Seed).Rand(fmt.Sprintf("to/%v", added)))
 		if err != nil {
 			return Result{}, err
 		}
@@ -232,7 +233,7 @@ func runExtTrainOversub(o Options) (Result, error) {
 		for _, cap := range caps {
 			capped := base
 			capped.PowerCapWatts = cap
-			cu, err := cluster.SimulateTraining(capped, horizon/2, newSeededRand(o.Seed, fmt.Sprintf("toc/%v/%v", added, cap)))
+			cu, err := cluster.SimulateTraining(capped, horizon/2, sim.New(o.Seed).Rand(fmt.Sprintf("toc/%v/%v", added, cap)))
 			if err != nil {
 				return Result{}, err
 			}

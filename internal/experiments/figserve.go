@@ -6,6 +6,7 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/obs"
+	"polca/internal/polca"
 	"polca/internal/stats"
 	"polca/internal/workload"
 )
@@ -75,7 +76,8 @@ func runFigServe(o Options) (Result, error) {
 	}
 	for _, c := range combos {
 		s := srvPOLCA
-		s.t1, s.t2 = c[0], c[1]
+		s.pc = polca.DefaultConfig()
+		s.pc.T1, s.pc.T2 = c[0], c[1]
 		specs = append(specs, s)
 	}
 

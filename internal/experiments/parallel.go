@@ -7,6 +7,7 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/obs"
+	"polca/internal/polca"
 )
 
 // evalCall is one in-flight or completed row simulation. Callers wait on
@@ -32,10 +33,28 @@ func resetEvalCache() {
 	evalMu.Unlock()
 }
 
-// specLabel names a grid point for progress tracking and grid events.
+// specLabel names a grid point for progress tracking and grid events,
+// including the POLCA config fields that differ from polca.DefaultConfig.
 func specLabel(s rowSpec) string {
-	l := fmt.Sprintf("%s added=%g int=%g lp=%g d=%d mhz=%g t=%g/%g",
-		s.policy, s.added, s.intensity, s.lpFrac, s.days, s.lpBaseMHz, s.t1, s.t2)
+	l := fmt.Sprintf("%s added=%g int=%g lp=%g d=%d", s.policy, s.added, s.intensity, s.lpFrac, s.days)
+	if s.pc != (polca.Config{}) {
+		def := polca.DefaultConfig()
+		for _, f := range []struct {
+			name   string
+			v, def float64
+		}{
+			{"t1", s.pc.T1, def.T1}, {"t2", s.pc.T2, def.T2}, {"margin", s.pc.UncapMargin, def.UncapMargin},
+			{"lpbase", s.pc.LPBaseMHz, def.LPBaseMHz}, {"lpdeep", s.pc.LPDeepMHz, def.LPDeepMHz},
+			{"hpcap", s.pc.HPCapMHz, def.HPCapMHz},
+		} {
+			if f.v != f.def {
+				l += fmt.Sprintf(" %s=%g", f.name, f.v)
+			}
+		}
+	}
+	if s.oobLatency > 0 {
+		l += " oob=" + s.oobLatency.String()
+	}
 	if s.serveRouter != "" {
 		l += " serve=" + s.serveRouter
 	}

@@ -12,7 +12,6 @@ import (
 	"polca/internal/replay"
 	"polca/internal/serve"
 	"polca/internal/sim"
-	"polca/internal/trace"
 )
 
 func init() {
@@ -110,15 +109,11 @@ func runFigRegret(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-
-	fitCfg := cfg
-	fitCfg.PowerIntensity = 1
-	ref := trace.ProductionInference().Reference(horizon, newSeededRand(o.Seed, "ref"))
-	plan, err := trace.FitArrivals(ref, fitCfg.Shape(), 5*time.Minute)
+	plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("ref"))
 	if err != nil {
 		return Result{}, err
 	}
-	row.Run(plan.Scale(1 + cfg.AddedFraction))
+	row.Run(plan)
 
 	// Round-trip through the wire format: the experiment replays exactly
 	// what polca-replay would read, not the in-memory recorder state.

@@ -17,11 +17,10 @@ import (
 	"polca/internal/gpu"
 	"polca/internal/llm"
 	"polca/internal/plan"
+	"polca/internal/polca"
 	"polca/internal/profiler"
 	"polca/internal/server"
 	"polca/internal/sim"
-	"polca/internal/trace"
-	"polca/internal/workload"
 )
 
 // Check is the outcome of verifying one insight.
@@ -232,13 +231,11 @@ func insight9(seed int64) (Check, error) {
 	cfg.BaseServers = 16
 	cfg.Seed = seed
 	eng := sim.New(seed)
-	horizon := 6 * time.Hour
-	ref := trace.ProductionInference().Reference(horizon, eng.Rand("reference"))
-	arr, err := trace.FitArrivals(ref, cfg.Shape(), 5*time.Minute)
+	arr, err := cluster.ProductionArrivals(cfg, 6*time.Hour, eng.Rand("reference"))
 	if err != nil {
 		return c, err
 	}
-	row, err := cluster.NewRow(eng, cfg, noCap{})
+	row, err := cluster.NewRow(eng, cfg, polca.NoCap{})
 	if err != nil {
 		return c, err
 	}
@@ -251,16 +248,6 @@ func insight9(seed int64) (Check, error) {
 	c.Evidence = fmt.Sprintf("peak utilization: training %.1f%% (headroom %.1f%%) vs inference %.1f%% (headroom %.1f%%)",
 		trainPeak*100, trainHeadroom*100, inferPeak*100, inferHeadroom*100)
 	return c, nil
-}
-
-// noCap is a local uncontrolled policy (avoids importing polca, which
-// would be a dependency cycle risk for future polca->insights tests).
-type noCap struct{}
-
-func (noCap) Name() string { return "no-cap" }
-func (noCap) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
-	act.SetPoolLock(workload.Low, 0)
-	act.SetPoolLock(workload.High, 0)
 }
 
 // Render formats checks as a report table.

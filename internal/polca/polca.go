@@ -292,6 +292,26 @@ func (NoCap) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
 // Reset implements cluster.Restartable (stateless, so a no-op).
 func (NoCap) Reset() {}
 
+// NewNamed builds the controller a policy name selects: "polca" (the
+// dual-threshold policy under cfg), "1tl" and "1ta" (the single-threshold
+// baselines) or "nocap". Only "polca" reads cfg.
+func NewNamed(name string, cfg Config) (cluster.Controller, error) {
+	switch name {
+	case "polca":
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return New(cfg), nil
+	case "1tl":
+		return NewSingleThresholdLowPri(), nil
+	case "1ta":
+		return NewSingleThresholdAll(), nil
+	case "nocap":
+		return NoCap{}, nil
+	}
+	return nil, fmt.Errorf("polca: unknown policy %q", name)
+}
+
 // TrainThresholds derives T1/T2 from a historical utilization trace
 // (§6.3/§6.5): T2 sits below the brake point by the largest power rise
 // observed within the OOB capping latency (so a spike that begins just as

@@ -192,6 +192,32 @@ func TestNames(t *testing.T) {
 	}
 }
 
+func TestNewNamed(t *testing.T) {
+	cfg := polca.DefaultConfig()
+	cfg.T1, cfg.T2 = 0.75, 0.85
+	for name, want := range map[string]string{
+		"polca": "POLCA(T1=75%,T2=85%)",
+		"1tl":   "1-Thresh-Low-Pri(89%)",
+		"1ta":   "1-Thresh-All(89%)",
+		"nocap": "No-cap",
+	} {
+		ctrl, err := polca.NewNamed(name, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ctrl.Name() != want {
+			t.Errorf("%s builds %q, want %q", name, ctrl.Name(), want)
+		}
+	}
+	if _, err := polca.NewNamed("ladder", cfg); err == nil {
+		t.Error("unknown policy name accepted")
+	}
+	cfg.T2 = cfg.T1
+	if _, err := polca.NewNamed("polca", cfg); err == nil {
+		t.Error("invalid POLCA config accepted")
+	}
+}
+
 func TestTrainThresholds(t *testing.T) {
 	ref := trace.ProductionInference().Reference(trace.Day, rand.New(rand.NewSource(5)))
 	cfg := polca.TrainThresholds(ref, 1.0, 40*time.Second)

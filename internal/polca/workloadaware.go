@@ -6,7 +6,6 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/llm"
-	"polca/internal/sim"
 	"polca/internal/workload"
 )
 
@@ -75,83 +74,33 @@ func (fp *FrequencyPlanner) DeepestWithin(p workload.Priority, perfBudget float6
 	return best
 }
 
-// WorkloadAware is the §6.7 extension of the dual-threshold policy: instead
-// of the fixed Table 5 frequencies, it picks per-priority capping clocks
-// from profiled workload sensitivity so each action reclaims the most
-// power its SLO budget allows.
-type WorkloadAware struct {
-	base    Config
-	planner *FrequencyPlanner
-
-	// Per-threshold budgets (fractions of execution slowdown).
-	T1Budget   float64 // low priority at T1
-	T2LPBudget float64 // low priority at T2
-	T2HPBudget float64 // high priority at T2
-
-	inner *Policy
-}
-
-// NewWorkloadAware builds the workload-aware policy: the dual-threshold
-// structure of cfg with frequencies replanned from the classes' profiles.
-// Budgets default to the Table 6 SLO p50 bounds (LP 5%, HP 1%) with the
-// T1 action at half the low-priority budget.
-func NewWorkloadAware(cfg Config, model llm.Model, dt llm.DType, classes []workload.Class) (*WorkloadAware, error) {
+// PlanWorkloadAware is the §6.7 extension of the dual-threshold policy:
+// cfg's thresholds with the three capping clocks replanned from the
+// classes' profiled sensitivity, so each action reclaims the most power its
+// SLO budget allows. The budgets are the Table 6 SLO p50 bounds (LP 5%,
+// HP 1%), with the T1 action at half the low-priority budget. Run the plan
+// with New.
+func PlanWorkloadAware(cfg Config, model llm.Model, dt llm.DType, classes []workload.Class) (Config, error) {
 	planner, err := NewFrequencyPlanner(model, dt, classes,
 		[]float64{1380, 1350, 1305, 1275, 1230, 1185, 1140, 1110, 1050, 990})
 	if err != nil {
-		return nil, err
+		return Config{}, err
 	}
 	slos := workload.SLOs()
-	w := &WorkloadAware{
-		base:       cfg,
-		planner:    planner,
-		T1Budget:   slos[workload.Low].P50Impact / 2,
-		T2LPBudget: slos[workload.Low].P50Impact,
-		T2HPBudget: slos[workload.High].P50Impact,
+	if mhz := planner.DeepestWithin(workload.Low, slos[workload.Low].P50Impact/2); mhz > 0 {
+		cfg.LPBaseMHz = mhz
 	}
-	tuned := cfg
-	if mhz := planner.DeepestWithin(workload.Low, w.T1Budget); mhz > 0 {
-		tuned.LPBaseMHz = mhz
+	if mhz := planner.DeepestWithin(workload.Low, slos[workload.Low].P50Impact); mhz > 0 {
+		cfg.LPDeepMHz = mhz
 	}
-	if mhz := planner.DeepestWithin(workload.Low, w.T2LPBudget); mhz > 0 {
-		tuned.LPDeepMHz = mhz
+	if mhz := planner.DeepestWithin(workload.High, slos[workload.High].P50Impact); mhz > 0 {
+		cfg.HPCapMHz = mhz
 	}
-	if mhz := planner.DeepestWithin(workload.High, w.T2HPBudget); mhz > 0 {
-		tuned.HPCapMHz = mhz
+	if cfg.LPDeepMHz > cfg.LPBaseMHz {
+		cfg.LPDeepMHz = cfg.LPBaseMHz
 	}
-	if tuned.LPDeepMHz > tuned.LPBaseMHz {
-		tuned.LPDeepMHz = tuned.LPBaseMHz
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
 	}
-	if err := tuned.Validate(); err != nil {
-		return nil, err
-	}
-	w.inner = New(tuned)
-	return w, nil
+	return cfg, nil
 }
-
-// Name implements cluster.Controller.
-func (w *WorkloadAware) Name() string {
-	c := w.inner.Config()
-	return fmt.Sprintf("POLCA-aware(%.0f/%.0f/%.0f MHz)", c.LPBaseMHz, c.LPDeepMHz, c.HPCapMHz)
-}
-
-// Frequencies returns the planned capping clocks (T1 LP, T2 LP, T2 HP).
-func (w *WorkloadAware) Frequencies() (lpBase, lpDeep, hpCap float64) {
-	c := w.inner.Config()
-	return c.LPBaseMHz, c.LPDeepMHz, c.HPCapMHz
-}
-
-// OnTelemetry implements cluster.Controller by delegating to the tuned
-// dual-threshold state machine.
-func (w *WorkloadAware) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
-	w.inner.OnTelemetry(now, util, act)
-}
-
-// Reset implements cluster.Restartable by restarting the tuned state
-// machine (the planned frequencies are configuration, not state).
-func (w *WorkloadAware) Reset() { w.inner.Reset() }
-
-var (
-	_ cluster.Controller  = (*WorkloadAware)(nil)
-	_ cluster.Restartable = (*WorkloadAware)(nil)
-)

@@ -74,12 +74,12 @@ func TestPlannerErrors(t *testing.T) {
 }
 
 func TestWorkloadAwarePolicy(t *testing.T) {
-	w, err := polca.NewWorkloadAware(polca.DefaultConfig(),
+	planned, err := polca.PlanWorkloadAware(polca.DefaultConfig(),
 		llm.MustByName("BLOOM-176B"), llm.FP16, workload.Table6())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpBase, lpDeep, hpCap := w.Frequencies()
+	lpBase, lpDeep, hpCap := planned.LPBaseMHz, planned.LPDeepMHz, planned.HPCapMHz
 	// Ordering invariants: the T2 LP action is at least as deep as T1's,
 	// and the HP cap is gentler than the LP deep cap.
 	if lpDeep > lpBase {
@@ -88,11 +88,14 @@ func TestWorkloadAwarePolicy(t *testing.T) {
 	if hpCap < lpDeep {
 		t.Errorf("HP cap %v deeper than LP deep %v (priorities inverted)", hpCap, lpDeep)
 	}
-	if w.Name() == "" {
-		t.Error("empty name")
+	// The plan keeps the thresholds; only the clocks move.
+	def := polca.DefaultConfig()
+	if planned.T1 != def.T1 || planned.T2 != def.T2 || planned.UncapMargin != def.UncapMargin {
+		t.Errorf("plan moved the thresholds: %+v", planned)
 	}
 
-	// Behaves like a dual-threshold controller.
+	// Runs as a dual-threshold controller.
+	w := polca.New(planned)
 	act := newFake()
 	tick(w, act, 0.90)
 	if act.locks[workload.Low] != lpDeep {
@@ -114,12 +117,12 @@ func TestWorkloadAwarePlansDeeperLPCap(t *testing.T) {
 	// power from the workloads that can afford it — while the strict 1%
 	// high-priority budget keeps the HP cap conservative (our profiles rate
 	// the static 1305 MHz at just over 1% for the Search-heavy HP mix).
-	w, err := polca.NewWorkloadAware(polca.DefaultConfig(),
+	planned, err := polca.PlanWorkloadAware(polca.DefaultConfig(),
 		llm.MustByName("BLOOM-176B"), llm.FP16, workload.Table6())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lpDeep, hpCap := w.Frequencies()
+	lpDeep, hpCap := planned.LPDeepMHz, planned.HPCapMHz
 	if lpDeep > polca.DefaultConfig().LPDeepMHz {
 		t.Errorf("planned LP deep cap %v is shallower than the static 1110", lpDeep)
 	}

@@ -50,15 +50,20 @@ type coalesceTrace struct {
 }
 
 // runCoalesceScenario executes the scenario and records its full trace.
-func runCoalesceScenario(t *testing.T, sc coalesceScenario, noCoalesce bool) coalesceTrace {
+// With perStride set, an attached event tracer forces the per-stride path.
+func runCoalesceScenario(t *testing.T, sc coalesceScenario, perStride bool) coalesceTrace {
 	t.Helper()
-	cfg := sc.cfg
-	cfg.NoCoalesce = noCoalesce
 	eng := sim.New(7)
+	if perStride {
+		eng.SetObserver(&obs.Observer{Tracer: obs.NewTracer()})
+	}
 	dev := gpu.NewDevice(sc.spec)
-	rep, err := NewReplica(eng, cfg, dev, 0, 0)
+	rep, err := NewReplica(eng, sc.cfg, dev, 0, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.coalesce == perStride {
+		t.Fatalf("replica coalesce = %v with perStride = %v", rep.coalesce, perStride)
 	}
 	var tr coalesceTrace
 	snap := func(s *Seq, at sim.Time, reason string) retired {
@@ -235,24 +240,18 @@ func TestCoalescingMatchesPerStride(t *testing.T) {
 }
 
 // TestCoalesceGateRespectsObservers pins when coalescing may engage: never
-// under NoCoalesce, and never while an iteration-granular observer (tracer
-// or span sink) is attached.
+// while an iteration-granular observer (tracer or span sink) is attached.
 func TestCoalesceGateRespectsObservers(t *testing.T) {
 	cfg, spec := Config{Model: bloom(), DType: llm.FP16}, gpu.A100SXM80GB()
-	mk := func(eng *sim.Engine, nc bool) *Replica {
-		c := cfg
-		c.NoCoalesce = nc
-		rep, err := NewReplica(eng, c, gpu.NewDevice(spec), 0, 0)
+	mk := func(eng *sim.Engine) *Replica {
+		rep, err := NewReplica(eng, cfg, gpu.NewDevice(spec), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	if rep := mk(sim.New(1), false); !rep.coalesce {
+	if rep := mk(sim.New(1)); !rep.coalesce {
 		t.Error("bare replica should coalesce")
-	}
-	if rep := mk(sim.New(1), true); rep.coalesce {
-		t.Error("NoCoalesce replica must not coalesce")
 	}
 	for _, tc := range []struct {
 		name string
@@ -263,7 +262,7 @@ func TestCoalesceGateRespectsObservers(t *testing.T) {
 	} {
 		eng := sim.New(1)
 		eng.SetObserver(tc.obs)
-		if rep := mk(eng, false); rep.coalesce {
+		if rep := mk(eng); rep.coalesce {
 			t.Errorf("replica with %s attached must not coalesce", tc.name)
 		}
 	}

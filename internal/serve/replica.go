@@ -286,7 +286,7 @@ func NewReplica(eng *sim.Engine, cfg Config, dev *gpu.Device, idx int, pool int8
 	r.kvGauge = o.Gauge("serve_kv_highwater_frac")
 	// Coalescing is exact, but the tracer and span sink observe individual
 	// iterations, so their presence forces the per-stride path.
-	r.coalesce = !cfg.NoCoalesce && r.tracer == nil && r.spans == nil
+	r.coalesce = r.tracer == nil && r.spans == nil
 	r.finishFn = r.finishIteration
 	r.spanEndFn = r.spanEnd
 	return r, nil

@@ -75,14 +75,6 @@ type Config struct {
 	// A100 default, matching internal/plan).
 	NVLinkGBps float64
 
-	// NoCoalesce disables decode-span coalescing, forcing one engine event
-	// per iteration even on stable pure-decode stretches. Coalescing never
-	// changes results — the equivalence property tests pin that — so the
-	// knob exists for those tests and for debugging, not for tuning.
-	// Coalescing also turns itself off while an event tracer or span tracer
-	// is attached, since both observe individual iterations.
-	NoCoalesce bool
-
 	// Router names the routing policy used when the replica pool routes
 	// arrivals (default "least-queue"): one of RouterNames.
 	Router string
