@@ -158,8 +158,10 @@ chaos-serve:
 
 # fuzz-smoke runs the fuzzers briefly: round-trip and never-panic
 # properties over the faults and scenario grammars and the request-trace
-# CSV loader, the GPU power-cap solver against its reference bisection, and
-# the JSONL record decoder against its encoding/json reference.
+# CSV loader, the GPU power-cap solver against its reference bisection, the
+# JSONL record decoder against its encoding/json reference, and the
+# rung-table threshold policies against hand-written Table 5 and 1-Thresh
+# state machines.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/faults
@@ -167,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadRequestsCSV -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecoders -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzPolicyMatchesTable5 -fuzztime 10s ./internal/polca
 
 # replay-golden pins the counterfactual-replay pipeline end to end: the
 # polca-replay CLI over the committed decision-log fixture must reproduce

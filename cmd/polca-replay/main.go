@@ -21,8 +21,8 @@
 // The report opens with the self-replay fidelity check — the recorded
 // configuration replayed against its own log must reproduce 100% of
 // decisions, which is what proves the log complete — then compares the
-// deployed cap policy against the standard alternates (single-threshold
-// variants, the ladder equivalent, no-cap) and a T1/T2 threshold grid
+// deployed cap policy against the standard alternates (the 1-Thresh
+// baselines and no-cap) and a T1/T2 threshold grid
 // around the deployed values. Each diverged tick is priced from the
 // recorded busy/power snapshot using the same inference cost model the
 // simulator runs on: headroom joules the deployed config left unreclaimed

@@ -45,12 +45,14 @@ func main() {
 	fmt.Printf("%-8s %-8s %8s %9s %9s %9s %9s %8s\n",
 		"added", "policy", "peak", "LP p50", "LP p99", "HP p50", "HP p99", "brakes")
 	for _, added := range levels {
-		for _, mk := range []func() cluster.Controller{
-			func() cluster.Controller { return polca.NoCap{} },
-			func() cluster.Controller { return polca.New(polca.DefaultConfig()) },
+		for _, p := range []struct {
+			name string
+			mk   func() cluster.Controller
+		}{
+			{"No-cap", func() cluster.Controller { return polca.NoCap{} }},
+			{"POLCA", func() cluster.Controller { return polca.New(polca.DefaultConfig()) }},
 		} {
-			ctrl := mk()
-			m := run(added, ctrl, seed)
+			m := run(added, p.mk(), seed)
 			impact := func(pri workload.Priority, p float64, base float64) float64 {
 				return stats.Percentile(m.LatencySec[pri], p)/base - 1
 			}
@@ -64,12 +66,8 @@ func main() {
 				hp50 > slos[workload.High].P50Impact || hp99 > slos[workload.High].P99Impact {
 				ok = "SLO MISS"
 			}
-			name := "No-cap"
-			if _, isPolca := ctrl.(*polca.Policy); isPolca {
-				name = "POLCA"
-			}
 			fmt.Printf("%-8s %-8s %7.1f%% %+8.1f%% %+8.1f%% %+8.1f%% %+8.1f%% %8d  %s\n",
-				fmt.Sprintf("+%.0f%%", added*100), name, m.Util.Peak()*100,
+				fmt.Sprintf("+%.0f%%", added*100), p.name, m.Util.Peak()*100,
 				lp50*100, lp99*100, hp50*100, hp99*100, m.BrakeEvents, ok)
 		}
 	}

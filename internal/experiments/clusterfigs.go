@@ -81,10 +81,10 @@ func buildController(s rowSpec) (cluster.Controller, error) {
 func buildBaseController(s rowSpec) (cluster.Controller, error) {
 	if s.policy == "ladder3" {
 		return polca.NewLadder("3-rung", []polca.Rung{
-			{Trigger: 0.76, Margin: 0.05, Pool: workload.Low, LockMHz: 1335},
-			{Trigger: 0.83, Margin: 0.05, Pool: workload.Low, LockMHz: 1200},
-			{Trigger: 0.89, Margin: 0.05, Pool: workload.Low, LockMHz: 1050},
-			{Trigger: 0.89, Margin: 0.05, Pool: workload.High, LockMHz: 1305, Delay: 1},
+			{Name: "t1", Trigger: 0.76, Margin: 0.05, LowMHz: 1335},
+			{Name: "t2", Trigger: 0.83, Margin: 0.05, LowMHz: 1200},
+			{Name: "t3.lp", Trigger: 0.89, Margin: 0.05, LowMHz: 1050},
+			{Name: "t3.hp", Trigger: 0.89, Margin: 0.05, HighMHz: 1305, Delay: 1},
 		})
 	}
 	pc := s.pc

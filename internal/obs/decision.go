@@ -133,12 +133,14 @@ func (d Decision) Candidates(arena []RouteCandidate) []RouteCandidate {
 	return arena[d.EpOff : d.EpOff+d.EpLen]
 }
 
-// RungSpec mirrors polca.Rung in the decision-log header.
+// RungSpec mirrors polca.Rung in the decision-log header: a clock of 0
+// leaves that pool alone.
 type RungSpec struct {
+	Name    string  `json:"name,omitempty"`
 	Trigger float64 `json:"trigger"`
 	Margin  float64 `json:"margin"`
-	Pool    int8    `json:"pool"`
-	LockMHz float64 `json:"lock_mhz"`
+	LowMHz  float64 `json:"low_mhz,omitempty"`
+	HighMHz float64 `json:"high_mhz,omitempty"`
 	Delay   int     `json:"delay,omitempty"`
 }
 

@@ -3,177 +3,81 @@ package polca
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"polca/internal/cluster"
 	"polca/internal/obs"
-	"polca/internal/sim"
-	"polca/internal/workload"
 )
 
 // Rung is one threshold of a capping ladder: when row utilization reaches
-// Trigger, the target pool is locked to LockMHz; the action releases when
-// utilization falls below Trigger - Margin. The paper's §6.3 notes the
-// two-threshold design "can be easily extended to support more priorities
-// by adding thresholds accordingly" — Ladder is that extension.
+// Trigger, the rung locks the low-priority pool to LowMHz and the
+// high-priority pool to HighMHz (0 leaves that pool alone); it releases
+// when utilization falls below Trigger - Margin. When several engaged
+// rungs lock the same pool, the deepest (lowest) clock wins. The paper's
+// §6.3 notes the two-threshold design "can be easily extended to support
+// more priorities by adding thresholds accordingly" — a rung table is that
+// extension, and POLCA itself is the three-rung table New builds.
 type Rung struct {
+	// Name prefixes the rung's trace reasons ("t2.lp" traces
+	// "t2.lp.engage" and "t2.lp.release"); an unnamed rung traces bare
+	// "engage" and "release".
+	Name string
 	// Trigger is the utilization (fraction of provisioned power) at which
 	// the rung engages.
 	Trigger float64
 	// Margin is the hysteresis band below Trigger for release.
 	Margin float64
-	// Pool is the priority pool the action applies to.
-	Pool workload.Priority
-	// LockMHz is the SM clock the pool is locked to while engaged.
-	LockMHz float64
-	// Delay requires the utilization to remain at or above Trigger for
-	// this many consecutive telemetry ticks before engaging (0 = engage
-	// immediately). POLCA's high-priority T2 action uses 1: it fires only
-	// if the low-priority action did not bring power down by the next
-	// tick.
+	// LowMHz and HighMHz are the SM clocks the low- and high-priority
+	// pools are locked to while the rung is engaged.
+	LowMHz  float64
+	HighMHz float64
+	// Delay is how many hot ticks (utilization at or above Trigger) must
+	// precede the one that engages, counted since utilization was last
+	// below Trigger - Margin; a tick inside the hysteresis band neither
+	// counts nor resets. POLCA's high-priority T2 rung uses 1: it fires
+	// only if utilization is still at T2 on a later tick (Table 5).
 	Delay int
 }
 
-// Ladder is a generalized multi-threshold capping policy: any number of
-// rungs, each with its own pool, clock, hysteresis, and engagement delay.
-// When several engaged rungs target the same pool, the deepest (lowest
-// frequency) wins.
-type Ladder struct {
-	name  string
-	rungs []Rung
-
-	engaged []bool
-	streak  []int
+// NewLadder validates and builds a rung-table policy named name (by
+// default "Ladder(N rungs)").
+func NewLadder(name string, rungs []Rung) (*Policy, error) {
+	if name == "" {
+		name = fmt.Sprintf("Ladder(%d rungs)", len(rungs))
+	}
+	spec := obs.PolicySpec{Kind: "ladder", Name: name}
+	for _, r := range rungs {
+		spec.Rungs = append(spec.Rungs, obs.RungSpec{
+			Name: r.Name, Trigger: r.Trigger, Margin: r.Margin,
+			LowMHz: r.LowMHz, HighMHz: r.HighMHz, Delay: r.Delay,
+		})
+	}
+	return newPolicy(name, spec, rungs)
 }
 
-// NewLadder validates and builds a ladder policy.
-func NewLadder(name string, rungs []Rung) (*Ladder, error) {
+// newPolicy validates rungs and builds the policy that evaluates and
+// traces them in descending trigger order (stable, so same-trigger rungs
+// keep their table order).
+func newPolicy(name string, spec obs.PolicySpec, rungs []Rung) (*Policy, error) {
 	if len(rungs) == 0 {
 		return nil, fmt.Errorf("polca: ladder with no rungs")
 	}
+	p := &Policy{name: name, spec: spec, rungs: make([]rungState, len(rungs))}
 	for i, r := range rungs {
 		switch {
 		case r.Trigger <= 0 || r.Trigger > 1.2:
 			return nil, fmt.Errorf("polca: rung %d: bad trigger %v", i, r.Trigger)
 		case r.Margin <= 0 || r.Margin >= r.Trigger:
 			return nil, fmt.Errorf("polca: rung %d: bad margin %v", i, r.Margin)
-		case r.LockMHz <= 0:
-			return nil, fmt.Errorf("polca: rung %d: bad lock frequency %v", i, r.LockMHz)
+		case r.LowMHz < 0 || r.HighMHz < 0 || r.LowMHz == 0 && r.HighMHz == 0:
+			return nil, fmt.Errorf("polca: rung %d: bad lock frequencies %v/%v", i, r.LowMHz, r.HighMHz)
 		case r.Delay < 0:
 			return nil, fmt.Errorf("polca: rung %d: negative delay", i)
 		}
-	}
-	sorted := append([]Rung(nil), rungs...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Trigger < sorted[b].Trigger })
-	return &Ladder{
-		name:    name,
-		rungs:   sorted,
-		engaged: make([]bool, len(sorted)),
-		streak:  make([]int, len(sorted)),
-	}, nil
-}
-
-// FromConfig expresses the paper's dual-threshold policy as a ladder —
-// useful both as a construction shortcut and as the equivalence anchor for
-// tests.
-func FromConfig(cfg Config) (*Ladder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewLadder(fmt.Sprintf("Ladder(T1=%.0f%%,T2=%.0f%%)", cfg.T1*100, cfg.T2*100), []Rung{
-		{Trigger: cfg.T1, Margin: cfg.UncapMargin, Pool: workload.Low, LockMHz: cfg.LPBaseMHz},
-		{Trigger: cfg.T2, Margin: cfg.UncapMargin, Pool: workload.Low, LockMHz: cfg.LPDeepMHz},
-		{Trigger: cfg.T2, Margin: cfg.UncapMargin, Pool: workload.High, LockMHz: cfg.HPCapMHz, Delay: 1},
-	})
-}
-
-// Name implements cluster.Controller.
-func (l *Ladder) Name() string { return l.name }
-
-// Rungs returns the ladder's rungs in trigger order.
-func (l *Ladder) Rungs() []Rung {
-	return append([]Rung(nil), l.rungs...)
-}
-
-// emitRung traces one rung transition; Pool and MHz carry the rung's
-// target so a trace distinguishes same-trigger rungs.
-func (l *Ladder) emitRung(act cluster.Actuator, now sim.Time, r Rung, reason string, util float64) {
-	tr := act.Observer().Trace()
-	if tr == nil {
-		return
-	}
-	tr.Emit(obs.Event{
-		At: now, Kind: obs.KindThreshold, Server: -1, Pool: int8(r.Pool),
-		MHz: r.LockMHz, Value: util, Reason: reason, Label: l.name,
-	})
-}
-
-// OnTelemetry implements cluster.Controller.
-func (l *Ladder) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
-	for i, r := range l.rungs {
-		switch {
-		case util >= r.Trigger:
-			l.streak[i]++
-			if l.streak[i] > r.Delay && !l.engaged[i] {
-				l.engaged[i] = true
-				l.emitRung(act, now, r, "rung.engage", util)
-			}
-		case util < r.Trigger-r.Margin:
-			if l.engaged[i] {
-				l.engaged[i] = false
-				l.emitRung(act, now, r, "rung.release", util)
-			}
-			l.streak[i] = 0
-		default:
-			// Inside the hysteresis band: hold state, reset the streak so
-			// delayed rungs need a fresh run of hot ticks.
-			l.streak[i] = 0
+		s := rungState{Rung: r, engage: "engage", release: "release"}
+		if r.Name != "" {
+			s.engage, s.release = r.Name+".engage", r.Name+".release"
 		}
+		p.rungs[i] = s
 	}
-	// Deepest engaged lock per pool.
-	locks := map[workload.Priority]float64{}
-	for i, r := range l.rungs {
-		if !l.engaged[i] {
-			continue
-		}
-		if cur, ok := locks[r.Pool]; !ok || r.LockMHz < cur {
-			locks[r.Pool] = r.LockMHz
-		}
-	}
-	for _, pool := range []workload.Priority{workload.Low, workload.High} {
-		act.SetPoolLock(pool, locks[pool]) // zero value = unlock
-	}
+	sort.SliceStable(p.rungs, func(a, b int) bool { return p.rungs[a].Trigger > p.rungs[b].Trigger })
+	return p, nil
 }
-
-// Reset implements cluster.Restartable: all rungs disengage and delayed
-// rungs need a fresh run of hot ticks.
-func (l *Ladder) Reset() {
-	for i := range l.engaged {
-		l.engaged[i] = false
-		l.streak[i] = 0
-	}
-}
-
-// Describe renders the ladder for operators.
-func (l *Ladder) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", l.name)
-	for i, r := range l.rungs {
-		state := " "
-		if l.engaged[i] {
-			state = "*"
-		}
-		delay := ""
-		if r.Delay > 0 {
-			delay = fmt.Sprintf(" after %d hot tick(s)", r.Delay)
-		}
-		fmt.Fprintf(&b, "%s at %4.0f%% (release < %4.0f%%): %s priority -> %.0f MHz%s\n",
-			state, r.Trigger*100, (r.Trigger-r.Margin)*100, r.Pool, r.LockMHz, delay)
-	}
-	return b.String()
-}
-
-var (
-	_ cluster.Controller  = (*Ladder)(nil)
-	_ cluster.Restartable = (*Ladder)(nil)
-)

@@ -1,7 +1,6 @@
 package polca_test
 
 import (
-	"strings"
 	"testing"
 
 	"polca/internal/polca"
@@ -13,54 +12,37 @@ func TestLadderValidation(t *testing.T) {
 		t.Error("empty ladder should fail")
 	}
 	bad := [][]polca.Rung{
-		{{Trigger: 0, Margin: 0.05, LockMHz: 1}},
-		{{Trigger: 0.8, Margin: 0, LockMHz: 1}},
-		{{Trigger: 0.8, Margin: 0.9, LockMHz: 1}},
-		{{Trigger: 0.8, Margin: 0.05, LockMHz: 0}},
-		{{Trigger: 0.8, Margin: 0.05, LockMHz: 1, Delay: -1}},
+		{{Trigger: 0, Margin: 0.05, LowMHz: 1}},
+		{{Trigger: 1.3, Margin: 0.05, LowMHz: 1}},
+		{{Trigger: 0.8, Margin: 0, LowMHz: 1}},
+		{{Trigger: 0.8, Margin: 0.9, LowMHz: 1}},
+		{{Trigger: 0.8, Margin: 0.05}},
+		{{Trigger: 0.8, Margin: 0.05, LowMHz: -1, HighMHz: 1305}},
+		{{Trigger: 0.8, Margin: 0.05, HighMHz: -1}},
+		{{Trigger: 0.8, Margin: 0.05, LowMHz: 1, Delay: -1}},
+		{{Trigger: 0.8, Margin: 0.05, LowMHz: 1}, {Trigger: 0.9, Margin: 0.05}},
 	}
 	for i, rungs := range bad {
 		if _, err := polca.NewLadder("x", rungs); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
-}
-
-func TestLadderMatchesDualThresholdPolicy(t *testing.T) {
-	// The ladder expressing the paper's config must act like the
-	// hand-written dual-threshold state machine across a utilization
-	// journey covering engage, escalate, hysteresis, and release.
-	ladder, err := polca.FromConfig(polca.DefaultConfig())
+	l, err := polca.NewLadder("", []polca.Rung{{Trigger: 0.8, Margin: 0.05, LowMHz: 1275}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := polca.New(polca.DefaultConfig())
-
-	journey := []float64{
-		0.70, 0.82, 0.85, 0.90, 0.90, 0.90, // climb through T1, T2, escalate
-		0.86, 0.82, 0.78, 0.74, 0.70, // descend through the bands
-		0.90, 0.90, 0.90, // re-engage
-	}
-	la, pa := newFake(), newFake()
-	for _, u := range journey {
-		tick(ladder, la, u)
-		tick(policy, pa, u)
-		for _, pool := range []workload.Priority{workload.Low, workload.High} {
-			if la.locks[pool] != pa.locks[pool] {
-				t.Fatalf("at util %.2f: ladder %s=%v, policy %s=%v",
-					u, pool, la.locks[pool], pool, pa.locks[pool])
-			}
-		}
+	if l.Name() != "Ladder(1 rungs)" {
+		t.Errorf("unnamed ladder is called %q", l.Name())
 	}
 }
 
 func TestLadderThreePriorityStyle(t *testing.T) {
 	// A deeper ladder: three escalating LP actions plus a guarded HP one.
 	ladder, err := polca.NewLadder("3-step", []polca.Rung{
-		{Trigger: 0.75, Margin: 0.05, Pool: workload.Low, LockMHz: 1335},
-		{Trigger: 0.82, Margin: 0.05, Pool: workload.Low, LockMHz: 1200},
-		{Trigger: 0.90, Margin: 0.05, Pool: workload.Low, LockMHz: 1050},
-		{Trigger: 0.90, Margin: 0.05, Pool: workload.High, LockMHz: 1305, Delay: 1},
+		{Trigger: 0.75, Margin: 0.05, LowMHz: 1335},
+		{Trigger: 0.82, Margin: 0.05, LowMHz: 1200},
+		{Trigger: 0.90, Margin: 0.05, LowMHz: 1050},
+		{Trigger: 0.90, Margin: 0.05, HighMHz: 1305, Delay: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +63,13 @@ func TestLadderThreePriorityStyle(t *testing.T) {
 	if act.locks[workload.High] != 0 {
 		t.Error("delayed HP rung engaged immediately")
 	}
+	tick(ladder, act, 0.88) // inside the top rungs' band: holds, does not re-arm
 	tick(ladder, act, 0.91)
 	if act.locks[workload.High] != 1305 {
 		t.Error("delayed HP rung did not engage on the second hot tick")
+	}
+	if ladder.Stage() != 4 {
+		t.Errorf("stage = %d, want all 4 rungs engaged", ladder.Stage())
 	}
 	// Deep release unlocks everything.
 	tick(ladder, act, 0.60)
@@ -94,7 +80,7 @@ func TestLadderThreePriorityStyle(t *testing.T) {
 
 func TestLadderHysteresisHoldsState(t *testing.T) {
 	ladder, err := polca.NewLadder("h", []polca.Rung{
-		{Trigger: 0.80, Margin: 0.05, Pool: workload.Low, LockMHz: 1275},
+		{Trigger: 0.80, Margin: 0.05, LowMHz: 1275},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,31 +99,15 @@ func TestLadderHysteresisHoldsState(t *testing.T) {
 
 func TestLadderDeepestWinsPerPool(t *testing.T) {
 	ladder, err := polca.NewLadder("d", []polca.Rung{
-		{Trigger: 0.70, Margin: 0.05, Pool: workload.Low, LockMHz: 1300},
-		{Trigger: 0.75, Margin: 0.05, Pool: workload.Low, LockMHz: 1100},
+		{Trigger: 0.70, Margin: 0.05, LowMHz: 1300, HighMHz: 1100},
+		{Trigger: 0.75, Margin: 0.05, LowMHz: 1100, HighMHz: 1305},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	act := newFake()
 	tick(ladder, act, 0.80)
-	if act.locks[workload.Low] != 1100 {
-		t.Errorf("deepest engaged rung should win: %v", act.locks[workload.Low])
-	}
-}
-
-func TestLadderDescribe(t *testing.T) {
-	ladder, _ := polca.FromConfig(polca.DefaultConfig())
-	act := newFake()
-	tick(ladder, act, 0.85)
-	out := ladder.Describe()
-	if !strings.Contains(out, "80%") || !strings.Contains(out, "1275") {
-		t.Errorf("describe missing content:\n%s", out)
-	}
-	if !strings.Contains(out, "*") {
-		t.Error("engaged rung not marked")
-	}
-	if len(ladder.Rungs()) != 3 {
-		t.Errorf("rungs = %d", len(ladder.Rungs()))
+	if act.locks[workload.Low] != 1100 || act.locks[workload.High] != 1100 {
+		t.Errorf("deepest engaged clock should win per pool: %v", act.locks)
 	}
 }

@@ -76,27 +76,29 @@ func TestSingleThresholdEmitsEngageRelease(t *testing.T) {
 func TestLadderEmitsRungEvents(t *testing.T) {
 	act := newFake()
 	act.obs = &obs.Observer{Tracer: obs.NewTracer()}
-	l, err := polca.FromConfig(polca.DefaultConfig())
+	l, err := polca.NewLadder("two-step", []polca.Rung{
+		{Trigger: 0.80, Margin: 0.05, LowMHz: 1275},
+		{Name: "deep", Trigger: 0.89, Margin: 0.05, LowMHz: 1110, HighMHz: 1305, Delay: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick(l, act, 0.90, 0.90, 0.90, 0.70)
-	engages, releases := 0, 0
-	for _, r := range reasons(act.obs.Tracer) {
-		switch r {
-		case "rung.engage":
-			engages++
-		case "rung.release":
-			releases++
+	tick(l, act, 0.90, 0.90, 0.70)
+	// Rungs trace in descending trigger order; the unnamed one traces bare
+	// engage/release.
+	got := reasons(act.obs.Tracer)
+	want := []string{"engage", "deep.engage", "deep.release", "release"}
+	if len(got) != len(want) {
+		t.Fatalf("events = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %q, want %q (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	// Three rungs engage (T1-LP, T2-LP, delayed T2-HP) and all release.
-	if engages != 3 || releases != 3 {
-		t.Fatalf("engages=%d releases=%d, want 3/3 (events: %v)", engages, releases, reasons(act.obs.Tracer))
-	}
 	for _, ev := range act.obs.Tracer.Events() {
-		if ev.Kind == obs.KindThreshold && ev.MHz == 0 {
-			t.Fatalf("rung event missing lock frequency: %+v", ev)
+		if ev.Label != "two-step" || ev.Pool != obs.PoolNone || ev.MHz != 0 {
+			t.Fatalf("rung event should carry the controller label and no pool or clock: %+v", ev)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // policies: the dual-threshold priority-aware frequency-capping policy of
 // Table 5, the baselines it is evaluated against (1-Thresh-Low-Pri,
 // 1-Thresh-All, No-cap), and the threshold-training procedure that derives
-// T1/T2 from a historical power trace.
+// T1/T2 from a historical power trace. Every threshold policy is a table
+// of rungs on one state machine, Policy.
 //
 // The policy is deliberately simple (§6.2): thresholds on row-level power
 // utilization, hysteresis to avoid capping/uncapping oscillation, and
@@ -22,21 +23,6 @@ import (
 	"polca/internal/stats"
 	"polca/internal/workload"
 )
-
-// emitThreshold traces one policy threshold transition through the
-// actuator's observer. Reasons are static strings ("t1.engage",
-// "t2.hp.release") so emission never allocates; a disabled observer
-// returns before the event value is even built.
-func emitThreshold(act cluster.Actuator, now sim.Time, label, reason string, util float64) {
-	tr := act.Observer().Trace()
-	if tr == nil {
-		return
-	}
-	tr.Emit(obs.Event{
-		At: now, Kind: obs.KindThreshold, Server: -1, Pool: obs.PoolNone,
-		Value: util, Reason: reason, Label: label,
-	})
-}
 
 // Config parameterizes the dual-threshold policy. Utilizations are
 // fractions of the row's provisioned power.
@@ -88,16 +74,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Policy is the dual-threshold POLCA controller. It is stateful (engaged
-// thresholds with hysteresis) and not safe for concurrent use; each
-// simulated row owns one.
+// Policy is the threshold controller every capping policy in this package
+// runs on: a table of rungs (see Rung), each locking pool clocks with its
+// own trigger, hysteresis and delay. POLCA, the 1-Thresh baselines and the
+// §6.3 multi-rung extension are rung tables built by New,
+// NewSingleThresholdLowPri, NewSingleThresholdAll and NewLadder. It is
+// stateful and not safe for concurrent use; each simulated row owns one.
 type Policy struct {
-	cfg Config
-
-	t1Engaged   bool // LP at base clock
-	t2LPEngaged bool // LP at deep clock
-	t2HPEngaged bool // HP capped
-	t2Armed     bool
+	name  string
+	spec  obs.PolicySpec // what DescribeController reports
+	rungs []rungState    // descending trigger order, stable
 
 	// Controller-view TSDB series (nil when the run has no TSDB), bound
 	// lazily on the first telemetry tick so construction needs no actuator.
@@ -106,88 +92,132 @@ type Policy struct {
 	tsdbBound bool
 }
 
-// New returns a Policy with the given configuration. It panics on an
-// invalid configuration.
-func New(cfg Config) *Policy {
-	if err := cfg.Validate(); err != nil {
+// rungState is one rung with its trace reasons (built once, so emission
+// never formats) and its hysteresis state.
+type rungState struct {
+	Rung
+	engage, release string
+	engaged         bool
+	hot             int // hot ticks since utilization was last below Trigger-Margin
+}
+
+// New returns the dual-threshold POLCA policy of Table 5 as three rungs:
+// "t1" locks low priority to LPBaseMHz at T1, "t2.lp" locks it to
+// LPDeepMHz at T2, and "t2.hp" locks high priority to HPCapMHz if
+// utilization is still at T2 on a later tick. It panics on an invalid
+// configuration.
+func New(cfg Config) *Policy { return must(newPOLCA(cfg)) }
+
+// must panics on a constructor error; the paper's fixed settings are
+// valid, and New documents its panic.
+func must(p *Policy, err error) *Policy {
+	if err != nil {
 		panic(err)
 	}
-	return &Policy{cfg: cfg}
+	return p
+}
+
+func newPOLCA(cfg Config) (*Policy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := cfg.UncapMargin
+	return newPolicy(
+		fmt.Sprintf("POLCA(T1=%.0f%%,T2=%.0f%%)", cfg.T1*100, cfg.T2*100),
+		obs.PolicySpec{
+			Kind: "polca",
+			T1:   cfg.T1, T2: cfg.T2, UncapMargin: m,
+			LPBaseMHz: cfg.LPBaseMHz, LPDeepMHz: cfg.LPDeepMHz, HPCapMHz: cfg.HPCapMHz,
+		},
+		[]Rung{
+			{Name: "t1", Trigger: cfg.T1, Margin: m, LowMHz: cfg.LPBaseMHz},
+			{Name: "t2.lp", Trigger: cfg.T2, Margin: m, LowMHz: cfg.LPDeepMHz},
+			{Name: "t2.hp", Trigger: cfg.T2, Margin: m, HighMHz: cfg.HPCapMHz, Delay: 1},
+		})
+}
+
+// NewSingleThresholdLowPri returns the paper's 1-Thresh-Low-Pri baseline:
+// one unnamed rung at 89% that locks the low-priority pool straight to the
+// deep 1110 MHz clock, with POLCA's 5% hysteresis.
+func NewSingleThresholdLowPri() *Policy { return must(newSingleThreshold(0.89, 0.05, 1110, false)) }
+
+// NewSingleThresholdAll returns the paper's 1-Thresh-All baseline: the
+// same rung, locking both pools.
+func NewSingleThresholdAll() *Policy { return must(newSingleThreshold(0.89, 0.05, 1110, true)) }
+
+// newSingleThreshold builds the 1-Thresh family: one rung locking the
+// low-priority pool, or both pools when all is set.
+func newSingleThreshold(threshold, margin, lockMHz float64, all bool) (*Policy, error) {
+	name, high := "1-Thresh-Low-Pri", 0.0
+	if all {
+		name, high = "1-Thresh-All", lockMHz
+	}
+	return newPolicy(
+		fmt.Sprintf("%s(%.0f%%)", name, threshold*100),
+		obs.PolicySpec{Kind: "1t", Threshold: threshold, Margin: margin, LockMHz: lockMHz, All: all},
+		[]Rung{{Trigger: threshold, Margin: margin, LowMHz: lockMHz, HighMHz: high}})
 }
 
 // Name implements cluster.Controller.
-func (p *Policy) Name() string {
-	return fmt.Sprintf("POLCA(T1=%.0f%%,T2=%.0f%%)", p.cfg.T1*100, p.cfg.T2*100)
-}
+func (p *Policy) Name() string { return p.name }
 
-// Config returns the policy's configuration.
-func (p *Policy) Config() Config { return p.cfg }
-
-// OnTelemetry implements cluster.Controller: the Table 5 state machine.
+// OnTelemetry implements cluster.Controller: each rung engages at its
+// trigger once Delay earlier hot ticks have passed and releases below
+// Trigger - Margin; inside that band it holds both its state and its count
+// of hot ticks. Every pool is then locked to the deepest clock among the
+// engaged rungs (0 = unlocked).
 func (p *Policy) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
-	c := p.cfg
-
-	// T2, low priority: engage at T2, release below T2 - margin.
-	switch {
-	case util >= c.T2 && !p.t2LPEngaged:
-		p.t2LPEngaged = true
-		p.t2Armed = false
-		emitThreshold(act, now, p.Name(), "t2.lp.engage", util)
-	case util < c.T2-c.UncapMargin && p.t2LPEngaged:
-		p.t2LPEngaged = false
-		emitThreshold(act, now, p.Name(), "t2.lp.release", util)
-		if p.t2HPEngaged {
-			p.t2HPEngaged = false
-			emitThreshold(act, now, p.Name(), "t2.hp.release", util)
+	var lp, hp float64
+	for i := range p.rungs {
+		r := &p.rungs[i]
+		switch {
+		case util >= r.Trigger:
+			r.hot++
+			if !r.engaged && r.hot > r.Delay {
+				r.engaged = true
+				p.emit(act, now, r.engage, util)
+			}
+		case util < r.Trigger-r.Margin:
+			r.hot = 0
+			if r.engaged {
+				r.engaged = false
+				p.emit(act, now, r.release, util)
+			}
 		}
-	}
-
-	// T2, high priority: only if utilization remains at T2 after the LP
-	// action had a chance to land (a later tick), to avoid touching
-	// high-priority workloads until absolutely necessary (§6.3).
-	if p.t2LPEngaged && util >= c.T2 {
-		if p.t2Armed && !p.t2HPEngaged {
-			p.t2HPEngaged = true
-			emitThreshold(act, now, p.Name(), "t2.hp.engage", util)
+		if r.engaged {
+			lp = deeper(lp, r.LowMHz)
+			hp = deeper(hp, r.HighMHz)
 		}
-		p.t2Armed = true
-	}
-	if p.t2HPEngaged && util < c.T2-c.UncapMargin {
-		p.t2HPEngaged = false
-		emitThreshold(act, now, p.Name(), "t2.hp.release", util)
-	}
-
-	// T1: engage at T1, release below T1 - margin.
-	switch {
-	case util >= c.T1 && !p.t1Engaged:
-		p.t1Engaged = true
-		emitThreshold(act, now, p.Name(), "t1.engage", util)
-	case util < c.T1-c.UncapMargin && p.t1Engaged:
-		p.t1Engaged = false
-		emitThreshold(act, now, p.Name(), "t1.release", util)
-	}
-
-	// Desired state for the pools.
-	lp := 0.0
-	if p.t1Engaged {
-		lp = c.LPBaseMHz
-	}
-	if p.t2LPEngaged {
-		lp = c.LPDeepMHz
-	}
-	hp := 0.0
-	if p.t2HPEngaged {
-		hp = c.HPCapMHz
 	}
 	act.SetPoolLock(workload.Low, lp)
 	act.SetPoolLock(workload.High, hp)
 	p.observeState(now, util, act)
 }
 
+// deeper returns the lower of two pool clocks, where 0 means unlocked.
+func deeper(cur, mhz float64) float64 {
+	if mhz > 0 && (cur == 0 || mhz < cur) {
+		return mhz
+	}
+	return cur
+}
+
+// emit traces one rung transition through the actuator's observer; a
+// disabled observer returns before the event value is even built.
+func (p *Policy) emit(act cluster.Actuator, now sim.Time, reason string, util float64) {
+	tr := act.Observer().Trace()
+	if tr == nil {
+		return
+	}
+	tr.Emit(obs.Event{
+		At: now, Kind: obs.KindThreshold, Server: -1, Pool: obs.PoolNone,
+		Value: util, Reason: reason, Label: p.name,
+	})
+}
+
 // observeState records the controller's view into the run's sim-time
 // TSDB: the utilization it acted on (which under telemetry faults can
-// diverge from the row's physical reading) and the engaged stage as a
-// step series (0 = uncapped, 1 = T1, 2 = T2 low-priority, 3 = T2 both).
+// diverge from the row's physical reading) and Stage as a step series.
 // Observation-only; a run without a TSDB pays two nil-receiver branches.
 func (p *Policy) observeState(now sim.Time, util float64, act cluster.Actuator) {
 	if !p.tsdbBound {
@@ -201,79 +231,14 @@ func (p *Policy) observeState(now sim.Time, util float64, act cluster.Actuator) 
 	p.ctrlStage.Observe(now, float64(p.Stage()))
 }
 
-// Engaged reports the current threshold state (for tests and inspection).
-func (p *Policy) Engaged() (t1, t2LP, t2HP bool) {
-	return p.t1Engaged, p.t2LPEngaged, p.t2HPEngaged
-}
-
 // Reset implements cluster.Restartable: a cold-restarted controller comes
-// back with no thresholds engaged and re-derives its state from the next
-// telemetry tick.
+// back with no rung engaged and re-derives its state from the next
+// telemetry tick; delayed rungs need a fresh run of hot ticks.
 func (p *Policy) Reset() {
-	p.t1Engaged = false
-	p.t2LPEngaged = false
-	p.t2HPEngaged = false
-	p.t2Armed = false
-}
-
-// SingleThreshold is the 1-Thresh baseline family: one trigger that locks
-// the selected pools straight to the deep frequency, with the same
-// hysteresis margin.
-type SingleThreshold struct {
-	// Threshold is the trigger utilization (the paper evaluates 89%).
-	Threshold float64
-	// Margin is the uncap hysteresis band.
-	Margin float64
-	// LockMHz is the capping frequency applied when triggered.
-	LockMHz float64
-	// AllPriorities selects 1-Thresh-All (cap both pools) over
-	// 1-Thresh-Low-Pri (cap only low priority).
-	AllPriorities bool
-
-	engaged bool
-}
-
-// Name implements cluster.Controller.
-func (s *SingleThreshold) Name() string {
-	if s.AllPriorities {
-		return fmt.Sprintf("1-Thresh-All(%.0f%%)", s.Threshold*100)
+	for i := range p.rungs {
+		p.rungs[i].engaged = false
+		p.rungs[i].hot = 0
 	}
-	return fmt.Sprintf("1-Thresh-Low-Pri(%.0f%%)", s.Threshold*100)
-}
-
-// OnTelemetry implements cluster.Controller.
-func (s *SingleThreshold) OnTelemetry(now sim.Time, util float64, act cluster.Actuator) {
-	switch {
-	case util >= s.Threshold && !s.engaged:
-		s.engaged = true
-		emitThreshold(act, now, s.Name(), "engage", util)
-	case util < s.Threshold-s.Margin && s.engaged:
-		s.engaged = false
-		emitThreshold(act, now, s.Name(), "release", util)
-	}
-	lock := 0.0
-	if s.engaged {
-		lock = s.LockMHz
-	}
-	act.SetPoolLock(workload.Low, lock)
-	if s.AllPriorities {
-		act.SetPoolLock(workload.High, lock)
-	} else {
-		act.SetPoolLock(workload.High, 0)
-	}
-}
-
-// Reset implements cluster.Restartable.
-func (s *SingleThreshold) Reset() { s.engaged = false }
-
-// NewSingleThresholdLowPri returns the paper's 1-Thresh-Low-Pri baseline.
-func NewSingleThresholdLowPri() *SingleThreshold {
-	return &SingleThreshold{Threshold: 0.89, Margin: 0.05, LockMHz: 1110}
-}
-
-// NewSingleThresholdAll returns the paper's 1-Thresh-All baseline.
-func NewSingleThresholdAll() *SingleThreshold {
-	return &SingleThreshold{Threshold: 0.89, Margin: 0.05, LockMHz: 1110, AllPriorities: true}
 }
 
 // NoCap is the uncontrolled baseline: it never caps; only the row's
@@ -336,9 +301,7 @@ func TrainThresholds(ref stats.Series, brakeUtil float64, oobLatency time.Durati
 
 var (
 	_ cluster.Controller  = (*Policy)(nil)
-	_ cluster.Controller  = (*SingleThreshold)(nil)
 	_ cluster.Controller  = NoCap{}
 	_ cluster.Restartable = (*Policy)(nil)
-	_ cluster.Restartable = (*SingleThreshold)(nil)
 	_ cluster.Restartable = NoCap{}
 )

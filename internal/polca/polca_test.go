@@ -141,9 +141,8 @@ func TestT2ReleaseFallsBackToT1(t *testing.T) {
 	if act.locks[workload.High] != 0 {
 		t.Errorf("HP lock = %v, want released", act.locks[workload.High])
 	}
-	t1, t2lp, t2hp := p.Engaged()
-	if !t1 || t2lp || t2hp {
-		t.Errorf("engagement state = %v/%v/%v, want T1 only", t1, t2lp, t2hp)
+	if got := p.Stage(); got != 1 {
+		t.Errorf("stage = %d, want 1 (T1 only)", got)
 	}
 }
 

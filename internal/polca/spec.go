@@ -5,45 +5,24 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/obs"
-	"polca/internal/workload"
 )
 
-// Stage implements cluster.StageReporter: 0 = uncapped, 1 = T1, 2 = T2
-// low-priority, 3 = T2 both pools (the same encoding observeState writes
-// to the ctrl.stage TSDB series).
-func (p *Policy) Stage() int {
-	switch {
-	case p.t2HPEngaged:
-		return 3
-	case p.t2LPEngaged:
-		return 2
-	case p.t1Engaged:
-		return 1
-	}
-	return 0
-}
-
-// Stage implements cluster.StageReporter (0 or 1).
-func (s *SingleThreshold) Stage() int {
-	if s.engaged {
-		return 1
-	}
-	return 0
-}
-
-// Stage implements cluster.StageReporter (always 0).
-func (NoCap) Stage() int { return 0 }
-
 // Stage implements cluster.StageReporter: the number of engaged rungs.
-func (l *Ladder) Stage() int {
+// For POLCA that is 0 = uncapped, 1 = T1, 2 = T2 low-priority, 3 = T2 both
+// pools; a 1-Thresh baseline reports 0 or 1. observeState writes the same
+// value to the ctrl.stage TSDB series.
+func (p *Policy) Stage() int {
 	n := 0
-	for _, e := range l.engaged {
-		if e {
+	for i := range p.rungs {
+		if p.rungs[i].engaged {
 			n++
 		}
 	}
 	return n
 }
+
+// Stage implements cluster.StageReporter (always 0).
+func (NoCap) Stage() int { return 0 }
 
 // Stage implements cluster.StageReporter: the wrapped policy's stage (the
 // guard itself adds no capping stages; its fail-safe is reported
@@ -77,26 +56,7 @@ func DescribeController(ctrl cluster.Controller) (obs.PolicySpec, *obs.GuardSpec
 	}
 	switch c := ctrl.(type) {
 	case *Policy:
-		cfg := c.cfg
-		return obs.PolicySpec{
-			Kind: "polca",
-			T1:   cfg.T1, T2: cfg.T2, UncapMargin: cfg.UncapMargin,
-			LPBaseMHz: cfg.LPBaseMHz, LPDeepMHz: cfg.LPDeepMHz, HPCapMHz: cfg.HPCapMHz,
-		}, gs, nil
-	case *SingleThreshold:
-		return obs.PolicySpec{
-			Kind:      "1t",
-			Threshold: c.Threshold, Margin: c.Margin, LockMHz: c.LockMHz, All: c.AllPriorities,
-		}, gs, nil
-	case *Ladder:
-		spec := obs.PolicySpec{Kind: "ladder", Name: c.name}
-		for _, r := range c.rungs {
-			spec.Rungs = append(spec.Rungs, obs.RungSpec{
-				Trigger: r.Trigger, Margin: r.Margin, Pool: int8(r.Pool),
-				LockMHz: r.LockMHz, Delay: r.Delay,
-			})
-		}
-		return spec, gs, nil
+		return c.spec, gs, nil
 	case NoCap:
 		return obs.PolicySpec{Kind: "nocap"}, gs, nil
 	}
@@ -108,69 +68,64 @@ func DescribeController(ctrl cluster.Controller) (obs.PolicySpec, *obs.GuardSpec
 // a Guard when guard is non-nil. Round-tripping through the two functions
 // is locked by TestSpecRoundTrip.
 func ControllerFromSpec(spec obs.PolicySpec, guard *obs.GuardSpec) (cluster.Controller, error) {
-	var ctrl cluster.Controller
-	switch spec.Kind {
-	case "polca":
-		cfg := Config{
-			T1: spec.T1, T2: spec.T2, UncapMargin: spec.UncapMargin,
-			LPBaseMHz: spec.LPBaseMHz, LPDeepMHz: spec.LPDeepMHz, HPCapMHz: spec.HPCapMHz,
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		ctrl = New(cfg)
-	case "1t":
-		if spec.Threshold <= 0 || spec.Margin <= 0 || spec.LockMHz <= 0 {
-			return nil, fmt.Errorf("polca: bad 1t spec %+v", spec)
-		}
-		ctrl = &SingleThreshold{
-			Threshold: spec.Threshold, Margin: spec.Margin,
-			LockMHz: spec.LockMHz, AllPriorities: spec.All,
-		}
-	case "ladder":
-		rungs := make([]Rung, 0, len(spec.Rungs))
-		for _, r := range spec.Rungs {
-			rungs = append(rungs, Rung{
-				Trigger: r.Trigger, Margin: r.Margin, Pool: workload.Priority(r.Pool),
-				LockMHz: r.LockMHz, Delay: r.Delay,
-			})
-		}
-		name := spec.Name
-		if name == "" {
-			name = fmt.Sprintf("Ladder(%d rungs)", len(rungs))
-		}
-		l, err := NewLadder(name, rungs)
+	var ctrl cluster.Controller = NoCap{}
+	if spec.Kind != "nocap" {
+		p, err := policyFromSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		ctrl = l
-	case "nocap":
-		ctrl = NoCap{}
-	default:
-		return nil, fmt.Errorf("polca: unknown policy kind %q", spec.Kind)
+		ctrl = p
 	}
-	if guard != nil {
-		cfg := GuardConfig{
-			Window:        guard.Window,
-			StuckAfter:    guard.StuckAfter,
-			StuckMinUtil:  guard.StuckMinUtil,
-			FailSafeAfter: guard.FailSafeAfter,
-			MaxStep:       guard.MaxStep,
-			FailSafeLPMHz: guard.FailSafeLPMHz,
-			FailSafeHPMHz: guard.FailSafeHPMHz,
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		ctrl = NewGuard(ctrl, cfg)
+	return Guarded(ctrl, guard)
+}
+
+// Guarded wraps ctrl in a Guard built from a decision-log guard spec, so a
+// replayed alternate faces the telemetry faults the deployed run did. A
+// nil spec returns ctrl unchanged.
+func Guarded(ctrl cluster.Controller, guard *obs.GuardSpec) (cluster.Controller, error) {
+	if guard == nil {
+		return ctrl, nil
 	}
-	return ctrl, nil
+	cfg := GuardConfig{
+		Window:        guard.Window,
+		StuckAfter:    guard.StuckAfter,
+		StuckMinUtil:  guard.StuckMinUtil,
+		FailSafeAfter: guard.FailSafeAfter,
+		MaxStep:       guard.MaxStep,
+		FailSafeLPMHz: guard.FailSafeLPMHz,
+		FailSafeHPMHz: guard.FailSafeHPMHz,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return NewGuard(ctrl, cfg), nil
+}
+
+// policyFromSpec maps a threshold policy's kind to its constructor.
+func policyFromSpec(spec obs.PolicySpec) (*Policy, error) {
+	switch spec.Kind {
+	case "polca":
+		return newPOLCA(Config{
+			T1: spec.T1, T2: spec.T2, UncapMargin: spec.UncapMargin,
+			LPBaseMHz: spec.LPBaseMHz, LPDeepMHz: spec.LPDeepMHz, HPCapMHz: spec.HPCapMHz,
+		})
+	case "1t":
+		return newSingleThreshold(spec.Threshold, spec.Margin, spec.LockMHz, spec.All)
+	case "ladder":
+		rungs := make([]Rung, len(spec.Rungs))
+		for i, r := range spec.Rungs {
+			rungs[i] = Rung{
+				Name: r.Name, Trigger: r.Trigger, Margin: r.Margin,
+				LowMHz: r.LowMHz, HighMHz: r.HighMHz, Delay: r.Delay,
+			}
+		}
+		return NewLadder(spec.Name, rungs)
+	}
+	return nil, fmt.Errorf("polca: unknown policy kind %q", spec.Kind)
 }
 
 var (
 	_ cluster.StageReporter = (*Policy)(nil)
-	_ cluster.StageReporter = (*SingleThreshold)(nil)
 	_ cluster.StageReporter = NoCap{}
-	_ cluster.StageReporter = (*Ladder)(nil)
 	_ cluster.StageReporter = (*Guard)(nil)
 )

@@ -214,37 +214,24 @@ type NamedPolicy struct {
 }
 
 // Alternates builds the standard comparison set for a log: the deployed
-// configuration itself (the fidelity anchor), the single-threshold
-// variants, the ladder equivalent of the deployed thresholds when the
-// deployed policy is POLCA, and no-cap. Guard wrapping follows the
-// deployed run: alternates face the same telemetry faults the log records.
+// configuration itself (the fidelity anchor), polca's single-threshold
+// baselines, and no-cap. Guard wrapping follows the deployed run:
+// alternates face the same telemetry faults the log records.
 func Alternates(l *Log) ([]NamedPolicy, error) {
 	deployed, err := DeployedController(l)
 	if err != nil {
 		return nil, err
 	}
 	out := []NamedPolicy{{Name: "deployed", Ctrl: deployed}}
-	add := func(name string, spec obs.PolicySpec) {
-		ctrl, err := polca.ControllerFromSpec(spec, l.Meta.Guard)
-		if err == nil {
-			out = append(out, NamedPolicy{Name: name, Ctrl: ctrl})
+	for _, alt := range []NamedPolicy{
+		{Name: "1t-lowpri", Ctrl: polca.NewSingleThresholdLowPri()},
+		{Name: "1t-all", Ctrl: polca.NewSingleThresholdAll()},
+		{Name: "nocap", Ctrl: polca.NoCap{}},
+	} {
+		if alt.Ctrl, err = polca.Guarded(alt.Ctrl, l.Meta.Guard); err != nil {
+			return nil, err
 		}
-	}
-	add("1t-lowpri", obs.PolicySpec{Kind: "1t", Threshold: 0.89, Margin: 0.05, LockMHz: 1110})
-	add("1t-all", obs.PolicySpec{Kind: "1t", Threshold: 0.89, Margin: 0.05, LockMHz: 1110, All: true})
-	add("nocap", obs.PolicySpec{Kind: "nocap"})
-	if l.Meta.Spec.Kind == "polca" {
-		if ladder, err := polca.FromConfig(specConfig(l.Meta.Spec)); err == nil {
-			var ctrl cluster.Controller = ladder
-			if l.Meta.Guard != nil {
-				if spec, _, err := polca.DescribeController(ladder); err == nil {
-					if wrapped, err := polca.ControllerFromSpec(spec, l.Meta.Guard); err == nil {
-						ctrl = wrapped
-					}
-				}
-			}
-			out = append(out, NamedPolicy{Name: "ladder", Ctrl: ctrl})
-		}
+		out = append(out, alt)
 	}
 	return out, nil
 }
@@ -253,47 +240,28 @@ func Alternates(l *Log) ([]NamedPolicy, error) {
 // deployed thresholds by the given offsets; variants whose thresholds
 // fall outside (0,1) or invert are skipped. Non-POLCA logs get no grid.
 func ThresholdGrid(l *Log, offsets []float64) []NamedPolicy {
-	if l.Meta.Spec.Kind != "polca" {
+	base := l.Meta.Spec
+	if base.Kind != "polca" {
 		return nil
 	}
-	base := specConfig(l.Meta.Spec)
 	var out []NamedPolicy
 	for _, d1 := range offsets {
 		for _, d2 := range offsets {
-			cfg := base
-			cfg.T1 += d1
-			cfg.T2 += d2
-			if cfg.T1 == base.T1 && cfg.T2 == base.T2 {
+			spec := base
+			spec.T1 += d1
+			spec.T2 += d2
+			if spec.T1 == base.T1 && spec.T2 == base.T2 {
 				continue
 			}
-			if cfg.Validate() != nil {
+			ctrl, err := polca.ControllerFromSpec(spec, l.Meta.Guard)
+			if err != nil {
 				continue
-			}
-			var ctrl cluster.Controller = polca.New(cfg)
-			if l.Meta.Guard != nil {
-				spec, _, err := polca.DescribeController(ctrl)
-				if err != nil {
-					continue
-				}
-				wrapped, err := polca.ControllerFromSpec(spec, l.Meta.Guard)
-				if err != nil {
-					continue
-				}
-				ctrl = wrapped
 			}
 			out = append(out, NamedPolicy{
-				Name: fmt.Sprintf("T1=%.2f,T2=%.2f", cfg.T1, cfg.T2),
+				Name: fmt.Sprintf("T1=%.2f,T2=%.2f", spec.T1, spec.T2),
 				Ctrl: ctrl,
 			})
 		}
 	}
 	return out
-}
-
-// specConfig converts a polca-kind PolicySpec back to its Config.
-func specConfig(s obs.PolicySpec) polca.Config {
-	return polca.Config{
-		T1: s.T1, T2: s.T2, UncapMargin: s.UncapMargin,
-		LPBaseMHz: s.LPBaseMHz, LPDeepMHz: s.LPDeepMHz, HPCapMHz: s.HPCapMHz,
-	}
 }

@@ -150,7 +150,7 @@ func TestAlternatesDivergeAndPrice(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"deployed", "1t-lowpri", "1t-all", "nocap", "ladder"} {
+	for _, want := range []string{"deployed", "1t-lowpri", "1t-all", "nocap"} {
 		if !names[want] {
 			t.Errorf("alternate set missing %q", want)
 		}
