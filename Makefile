@@ -60,7 +60,8 @@ test:
 
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,
-# quantile sketch, serving-scheduler iteration, one power-capped GPU phase
+# quantile sketch, serving-scheduler iteration, the serving replica's
+# decode-span planner under a clock lock, one power-capped GPU phase
 # through the cap solver, the JSONL read path over the three record
 # formats) plus the two end-to-end rows, one per backend:
 # the serve-mode day and the slot-model hour behind the paper figures.
@@ -71,15 +72,17 @@ test:
 # silently drop out of the smoke. One BenchmarkScanJSONL op decodes 1,300
 # records, so the smoke runs it apart from the substrate set, at fewer
 # iterations.
-BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
+BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkDecodeSpan|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
 BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
-# The engine's periodic-timer dispatch and the telemetry ingest,
-# rule-evaluation, failover-requeue, scenario request-generation, and
-# decision-input recording ticks run inside the simulator's hot loop; -zero-alloc hard-fails the build the moment any of
-# them allocates, with no baseline artifact needed.
-BENCH_ZERO_ALLOC = BenchmarkEnginePeriodic,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord
+BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
+# The engine's periodic-timer dispatch, the serving replica's iteration
+# loop and decode-span planner, and the telemetry ingest, rule-evaluation,
+# failover-requeue, scenario request-generation, and decision-input
+# recording ticks run inside the simulator's hot loop; -zero-alloc
+# hard-fails the build the moment any of them allocates, with no baseline
+# artifact needed.
+BENCH_ZERO_ALLOC = BenchmarkEnginePeriodic,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord
 BENCH_PKGS = . ./internal/serve ./internal/obs ./internal/cluster ./internal/scenario
 
 # bench-smoke runs the hot-path set briefly — enough to catch an allocation

@@ -115,8 +115,9 @@ func A100SXM40GB() Spec {
 }
 
 // PeakFLOPS returns the peak math throughput (FLOP/s) for a datatype,
-// before kernel efficiency.
-func (s Spec) PeakFLOPS(dt llm.DType) float64 {
+// before kernel efficiency. It takes a pointer so that building a phase's
+// curve, once per timed phase, does not copy the spec.
+func (s *Spec) PeakFLOPS(dt llm.DType) float64 {
 	switch dt {
 	case llm.FP16:
 		return s.TensorFP16TFLOPS * 1e12
@@ -225,6 +226,11 @@ type Device struct {
 	// variability).
 	powerVar float64
 	perfVar  float64
+
+	// dvfsRatio and dvfsFactor memoise math.Pow(dvfsRatio, DVFSAlpha) for
+	// the clock ceiling RunInto last timed a phase at. The ceiling moves
+	// only with a lock or the brake, so consecutive phases share it.
+	dvfsRatio, dvfsFactor float64
 }
 
 // NewDevice returns a Device with default settings: unlocked clocks and the
@@ -233,7 +239,10 @@ func NewDevice(spec Spec) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{spec: spec, powerCapWatts: spec.TDPWatts, powerVar: 1, perfVar: 1}
+	return &Device{
+		spec: spec, powerCapWatts: spec.TDPWatts, powerVar: 1, perfVar: 1,
+		dvfsRatio: 1, dvfsFactor: 1, // math.Pow(1, y) == 1
+	}
 }
 
 // SetVariation sets the device's silicon-lottery multipliers: power scales
@@ -338,6 +347,12 @@ func (d *Device) curve(p *Phase) curve {
 // at returns the phase's roofline duration in seconds and its counters when
 // executed at clock ratio r.
 func (c *curve) at(r float64) (float64, Counters) {
+	return c.atDVFS(r, math.Pow(r, c.d.spec.DVFSAlpha))
+}
+
+// atDVFS is at with the DVFS factor math.Pow(r, DVFSAlpha) supplied by the
+// caller, for callers that hold it already.
+func (c *curve) atDVFS(r, dvfs float64) (float64, Counters) {
 	d, p := c.d, c.p
 	tc := 0.0
 	if flops := c.flops * r * d.perfVar; flops > 0 {
@@ -358,7 +373,7 @@ func (c *curve) at(r float64) (float64, Counters) {
 	tensorAct, smAct, memAct = clamp01(tensorAct), clamp01(smAct), clamp01(memAct)
 	util := clamp01((busy + overhead) / total)
 
-	dyn := math.Pow(r, d.spec.DVFSAlpha) * d.powerVar
+	dyn := dvfs * d.powerVar
 	power := d.spec.IdleWatts +
 		dyn*(d.spec.TensorWatts*tensorAct+d.spec.SMWatts*max(smAct-tensorAct, 0)+d.spec.ClockWatts*util) +
 		d.spec.MemWatts*memAct*d.powerVar
@@ -408,7 +423,7 @@ const throttleGap = 1e-12
 const throttleSecantSteps = 6
 
 // throttleRatioFor returns the largest clock ratio <= hi at which the
-// phase's steady-state power respects the cap, given pHi, its power at hi.
+// phase's steady-state power respects limit, given pHi, its power at hi.
 // The solution accounts for activity fractions changing as the clock drops
 // (a memory-bound phase becomes no less memory-bound at lower clocks).
 //
@@ -417,8 +432,7 @@ const throttleSecantSteps = 6
 // replays that bisection, evaluating only the midpoints that fall within
 // throttleGap of the bracket: it returns the bisection's float64 bit for
 // bit in about a quarter of the evaluations.
-func (d *Device) throttleRatioFor(c *curve, hi, pHi float64) float64 {
-	limit := d.powerCapWatts
+func (d *Device) throttleRatioFor(c *curve, hi, pHi, limit float64) float64 {
 	if pHi <= limit {
 		return hi
 	}
@@ -501,28 +515,48 @@ func (d *Device) Run(p Phase) Exec {
 // steady-state callers (the serving scheduler times millions of iterations)
 // pay no allocation once the buffer has warmed up.
 func (d *Device) RunInto(p *Phase, e *Exec) {
+	maxRatio := d.clockCeilingMHz() / d.spec.MaxSMClockMHz
+	if maxRatio != d.dvfsRatio {
+		d.dvfsRatio, d.dvfsFactor = maxRatio, math.Pow(maxRatio, d.spec.DVFSAlpha)
+	}
+	d.runInto(p, e, maxRatio, d.dvfsFactor, d.powerCapWatts)
+}
+
+// RunUncappedInto is RunInto with the clock lock, the brake and the power
+// cap released: the phase runs at the maximum clock (ratio 1, where the
+// DVFS factor is exactly 1) under the TDP limit. It is the counterfactual
+// the serving scheduler attributes cap slowdown against. It reads and
+// writes no knob, so it equals releasing the three knobs, calling RunInto
+// and restoring them.
+func (d *Device) RunUncappedInto(p *Phase, e *Exec) {
+	d.runInto(p, e, 1, 1, d.spec.TDPWatts)
+}
+
+// runInto times the phase with its first segment at clock ratio maxRatio,
+// whose DVFS factor math.Pow(maxRatio, DVFSAlpha) is dvfs, under the power
+// limit in watts.
+func (d *Device) runInto(p *Phase, e *Exec, maxRatio, dvfs, limit float64) {
 	if p.FLOPs < 0 || p.MemBytes < 0 || p.CommSeconds < 0 || p.OverheadSeconds < 0 {
 		panic(fmt.Sprintf("gpu: negative work in phase %q", p.Name))
 	}
 	e.Segments = e.Segments[:0]
 	e.Duration = 0
-	maxRatio := d.clockCeilingMHz() / d.spec.MaxSMClockMHz
 	c := d.curve(p)
-	fullTotal, full := c.at(maxRatio)
+	fullTotal, full := c.atDVFS(maxRatio, dvfs)
 	if fullTotal <= 0 {
 		return
 	}
 	react := d.spec.CapReactionInterval.Seconds()
-	// Within the cap, or a spike shorter than the limiter's reaction: one
+	// Within the limit, or a spike shorter than the limiter's reaction: one
 	// segment at the clock ceiling.
-	if full.PowerWatts <= d.powerCapWatts+1e-9 || fullTotal <= react {
+	if full.PowerWatts <= limit+1e-9 || fullTotal <= react {
 		dur := secToDur(fullTotal)
 		e.Segments = append(e.Segments, Segment{Duration: dur, Counters: full})
 		e.Duration = dur
 		return
 	}
 	// Cap violated: overshoot segment, then throttled remainder.
-	throttled := d.throttleRatioFor(&c, maxRatio, full.PowerWatts)
+	throttled := d.throttleRatioFor(&c, maxRatio, full.PowerWatts, limit)
 	doneFrac := react / fullTotal // fraction of work done before throttling
 	rest := p.Scale(1 - doneFrac)
 	rc := d.curve(&rest)

@@ -99,7 +99,7 @@ func checkThrottle(t *testing.T, d *Device, p *Phase) bool {
 	hi := d.clockCeilingMHz() / d.spec.MaxSMClockMHz
 	c := d.curve(p)
 	pHi := c.power(hi)
-	got := d.throttleRatioFor(&c, hi, pHi)
+	got := d.throttleRatioFor(&c, hi, pHi, d.powerCapWatts)
 	want := bisectRatio(d, &c, hi)
 	if got != want {
 		t.Fatalf("throttleRatioFor = %v (%#x), bisection %v (%#x)\nspec %s cap %v lock %v brake %v var %v/%v\nphase %+v",

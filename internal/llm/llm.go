@@ -238,6 +238,33 @@ func (m Model) TokenStepBytes(dt DType, batch, kvLen int) float64 {
 	return m.WeightBytes(dt)*dt.MemAmplification() + kv
 }
 
+// IterCost is a model's per-iteration serving cost at one datatype. It
+// holds the model constants the cost formulas multiply by, folded once: a
+// continuous-batching scheduler prices every sequence of every iteration
+// through it, and so neither copies the Model nor rebuilds the constants
+// per call. Each method evaluates its float64 expression in the unfolded
+// formula's left-to-right order, so folding moves no bits.
+type IterCost struct {
+	twoParams   float64 // 2·Params: linear FLOPs per token
+	fourLH      float64 // 4·Layers·Hidden: attention FLOPs per (query, key) pair at full KV width
+	kvHeads     float64 // effective KV heads
+	heads       float64 // attention heads
+	actBytes    float64 // 12·Layers·Hidden·Bytes: activation traffic per token
+	kvBytesPerT float64 // KVBytesPerToken
+}
+
+// IterCost folds the model's per-iteration cost constants at datatype dt.
+func (m Model) IterCost(dt DType) IterCost {
+	return IterCost{
+		twoParams:   2 * float64(m.Params),
+		fourLH:      4 * float64(m.Layers) * float64(m.Hidden),
+		kvHeads:     float64(m.kvHeads()),
+		heads:       float64(m.Heads),
+		actBytes:    12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes(),
+		kvBytesPerT: m.KVBytesPerToken(dt),
+	}
+}
+
 // PrefillChunkFLOPs returns the floating-point work of prefilling a chunk
 // of chunk prompt tokens for one sequence whose KV cache already holds ctx
 // tokens (chunked prefill, as continuous-batching schedulers run it):
@@ -246,14 +273,14 @@ func (m Model) TokenStepBytes(dt DType, batch, kvLen int) float64 {
 // full-prompt chunk it reproduces PromptFLOPs exactly (modulo the KV-head
 // fraction, which PromptFLOPs folds into its constant), so chunking a
 // prompt never changes its total attention FLOPs.
-func (m Model) PrefillChunkFLOPs(chunk, ctx int) float64 {
+func (c *IterCost) PrefillChunkFLOPs(chunk, ctx int) float64 {
 	if chunk <= 0 {
 		return 0
 	}
-	c, k := float64(chunk), float64(ctx)
-	linear := 2 * float64(m.Params) * c
-	pairs := c*k + c*c/2
-	attn := 4 * float64(m.Layers) * float64(m.Hidden) * pairs * float64(m.kvHeads()) / float64(m.Heads)
+	n, k := float64(chunk), float64(ctx)
+	linear := c.twoParams * n
+	pairs := n*k + n*n/2
+	attn := c.fourLH * pairs * c.kvHeads / c.heads
 	return linear + attn
 }
 
@@ -262,13 +289,13 @@ func (m Model) PrefillChunkFLOPs(chunk, ctx int) float64 {
 // once per iteration, not once per sequence): activation traffic for the
 // chunk tokens, the KV write for the chunk, and one read of the prior
 // context's KV cache.
-func (m Model) PrefillChunkBytes(dt DType, chunk, ctx int) float64 {
+func (c *IterCost) PrefillChunkBytes(chunk, ctx int) float64 {
 	if chunk <= 0 {
 		return 0
 	}
-	c := float64(chunk)
-	activations := 12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes() * c
-	kv := m.KVBytesPerToken(dt) * (c + float64(ctx))
+	n := float64(chunk)
+	activations := c.actBytes * n
+	kv := c.kvBytesPerT * (n + float64(ctx))
 	return activations + kv
 }
 
@@ -278,14 +305,14 @@ func (m Model) PrefillChunkBytes(dt DType, chunk, ctx int) float64 {
 // summing TokenStepFLOPs(1, kvStart+i) for i in [0, steps); schedulers that
 // aggregate several identical decode steps into one simulated iteration use
 // it to keep the exact per-step attention cost.
-func (m Model) DecodeSpanFLOPs(steps, kvStart int) float64 {
+func (c *IterCost) DecodeSpanFLOPs(steps, kvStart int) float64 {
 	if steps <= 0 {
 		return 0
 	}
 	s, k := float64(steps), float64(kvStart)
-	linear := 2 * float64(m.Params) * s
+	linear := c.twoParams * s
 	pairs := s*k + s*(s-1)/2
-	attn := 4 * float64(m.Layers) * float64(m.Hidden) * pairs * float64(m.kvHeads()) / float64(m.Heads)
+	attn := c.fourLH * pairs * c.kvHeads / c.heads
 	return linear + attn
 }
 
@@ -293,14 +320,14 @@ func (m Model) DecodeSpanFLOPs(steps, kvStart int) float64 {
 // the per-iteration weight stream: the KV cache read per step (growing by
 // one token per step), the KV write of each new token, and the single-token
 // activation traffic per step.
-func (m Model) DecodeSpanBytes(dt DType, steps, kvStart int) float64 {
+func (c *IterCost) DecodeSpanBytes(steps, kvStart int) float64 {
 	if steps <= 0 {
 		return 0
 	}
 	s, k := float64(steps), float64(kvStart)
-	activations := 12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes() * s
-	kvRead := m.KVBytesPerToken(dt) * (s*k + s*(s-1)/2)
-	kvWrite := m.KVBytesPerToken(dt) * s
+	activations := c.actBytes * s
+	kvRead := c.kvBytesPerT * (s*k + s*(s-1)/2)
+	kvWrite := c.kvBytesPerT * s
 	return activations + kvRead + kvWrite
 }
 

@@ -111,6 +111,7 @@ type Guard struct {
 	cfg   GuardConfig
 
 	window   []float64 // ring of raw accepted readings
+	sorted   []float64 // scratch the median sorts, as long as window
 	wlen     int
 	wpos     int
 	lastRaw  float64
@@ -135,6 +136,7 @@ func NewGuard(inner cluster.Controller, cfg GuardConfig) *Guard {
 		inner:  inner,
 		cfg:    cfg,
 		window: make([]float64, cfg.Window),
+		sorted: make([]float64, cfg.Window),
 	}
 }
 
@@ -153,7 +155,7 @@ func (g *Guard) FailSafeEngaged() bool { return g.failSafe }
 
 // median returns the median of the current window contents.
 func (g *Guard) median() float64 {
-	tmp := make([]float64, g.wlen)
+	tmp := g.sorted[:g.wlen]
 	copy(tmp, g.window[:g.wlen])
 	sort.Float64s(tmp)
 	return tmp[g.wlen/2]

@@ -209,3 +209,20 @@ func TestGuardName(t *testing.T) {
 		t.Error("Inner() should return the wrapped policy")
 	}
 }
+
+// TestGuardOnTelemetryDoesNotAllocate pins the guarded hot path: with
+// tracing off, a tick through the median filter and the wrapped POLCA
+// policy, spike suppression and rung changes included, allocates nothing.
+func TestGuardOnTelemetryDoesNotAllocate(t *testing.T) {
+	g := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
+	act := newFake()
+	utils := []float64{0.70, 0.82, 0.90, 0.87, 0.99, 0.90, 0.60}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		g.OnTelemetry(sim.Time(i)*2*time.Second, utils[i%len(utils)], act)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("guarded OnTelemetry allocates %.1f times per tick", allocs)
+	}
+}

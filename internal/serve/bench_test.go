@@ -54,3 +54,39 @@ func BenchmarkServeTracerDisabled(b *testing.B) {
 		rep.kvGauge.Set(0.5)
 	}
 }
+
+// BenchmarkDecodeSpan measures the decode-span planner, the serve day's
+// hot path: one op plans a coalesced span of 16 strided decode segments
+// for a batch of 8 sequences on a clock-locked device, so each segment
+// prices the batch through the folded model costs and is timed twice,
+// capped and uncapped. The span is discarded and planned again from the
+// same state each op; it must run at 0 allocs/op.
+func BenchmarkDecodeSpan(b *testing.B) {
+	eng := sim.New(1)
+	cfg := Config{Model: llm.MustByName("Llama2-13B"), DType: llm.FP16}
+	dev := gpu.NewDevice(gpu.A100SXM80GB())
+	dev.LockClock(dev.Spec().BaseSMClockMHz)
+	rep, err := NewReplica(eng, cfg, dev, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		rep.Enqueue(eng.Now(), workload.Request{ID: int64(i), Arrival: eng.Now(), Input: 512, Output: 130})
+	}
+	for len(rep.span) == 0 {
+		if !eng.Step() {
+			b.Fatal("engine drained before planning a decode span")
+		}
+	}
+	now, seqs, stride := rep.span[0].start, rep.spanSeqs, rep.span[0].stride
+	if len(rep.span) != 16 || seqs != 8 {
+		b.Fatalf("planned %d segments for %d sequences, want 16 for 8", len(rep.span), seqs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep.spanTimer.Stop()
+		rep.span = nil
+		rep.runSpan(now, seqs, stride)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"polca/internal/gpu"
+	"polca/internal/llm"
 	"polca/internal/obs"
 	"polca/internal/plan"
 	"polca/internal/sim"
@@ -193,9 +194,15 @@ type Replica struct {
 	kvPerTok      int // per-GPU KV bytes per token
 	kvCapToks     int // per-GPU KV capacity in tokens
 	weightsPerGPU float64
-	scale         float64 // tensor-parallel degree: per-GPU → group energy
+	scale         float64 // tensor-parallel degree: group → per-GPU work, per-GPU → group energy
 	idleWatts     float64 // device idle draw (spec copy is too hot for PowerAt)
 	tdpWatts      float64 // device TDP (the capped() check runs per iteration)
+
+	// The model's costs, folded once: every sequence of every planned
+	// iteration is priced through them.
+	cost         llm.IterCost
+	weightStream float64 // group HBM traffic of one weight pass: WeightBytes·MemAmplification
+	passOverhead float64 // kernel-launch seconds of one pass at max clock
 
 	waiting seqDeque
 	running []*Seq
@@ -277,6 +284,9 @@ func NewReplica(eng *sim.Engine, cfg Config, dev *gpu.Device, idx int, pool int8
 		scale:         float64(cfg.TensorParallel),
 		idleWatts:     dev.Spec().IdleWatts,
 		tdpWatts:      dev.Spec().TDPWatts,
+		cost:          cfg.Model.IterCost(cfg.DType),
+		weightStream:  cfg.Model.WeightBytes(cfg.DType) * cfg.DType.MemAmplification(),
+		passOverhead:  plan.PassOverheadSeconds(cfg.Model),
 	}
 	o := eng.Observer()
 	r.tracer = o.Trace()
@@ -780,18 +790,16 @@ func (r *Replica) noteHighWater(now sim.Time) {
 
 // synthDecodePhase synthesizes a pure-decode iteration of the running batch
 // into one GPU phase: stride passes through the model, each decoding one
-// token per sequence against its current KV length. Shared by the direct
+// token per sequence against its current KV length. allReduce is one pass's
+// tensor-parallel all-reduce time for the batch. Shared by the direct
 // per-stride path and the span planner, so both time the identical phase.
-func (r *Replica) synthDecodePhase(stride, decodeSeqs int) gpu.Phase {
-	m, dt := r.cfg.Model, r.cfg.DType
-	tp := float64(r.cfg.TensorParallel)
-
+func (r *Replica) synthDecodePhase(stride int, allReduce float64) gpu.Phase {
 	var dFLOPs, bytes float64
 	for _, s := range r.running {
-		dFLOPs += m.DecodeSpanFLOPs(stride, s.kvTokens)
-		bytes += m.DecodeSpanBytes(dt, stride, s.kvTokens)
+		dFLOPs += r.cost.DecodeSpanFLOPs(stride, s.kvTokens)
+		bytes += r.cost.DecodeSpanBytes(stride, s.kvTokens)
 	}
-	bytes += m.WeightBytes(dt) * dt.MemAmplification() * float64(stride)
+	bytes += r.weightStream * float64(stride)
 
 	tensorFrac := 0.9
 	if dFLOPs > 0 {
@@ -799,13 +807,13 @@ func (r *Replica) synthDecodePhase(stride, decodeSeqs int) gpu.Phase {
 	}
 	return gpu.Phase{
 		Name:            "decode",
-		DType:           dt,
-		FLOPs:           dFLOPs / tp,
-		MemBytes:        bytes / tp,
+		DType:           r.cfg.DType,
+		FLOPs:           dFLOPs / r.scale,
+		MemBytes:        bytes / r.scale,
 		TensorFrac:      tensorFrac,
 		Efficiency:      0, // decode GEMMs: the slot model's token-phase default
-		CommSeconds:     float64(stride) * plan.AllReduceSeconds(m, dt, r.cfg.TensorParallel, decodeSeqs, r.cfg.NVLinkGBps),
-		OverheadSeconds: float64(stride) * plan.PassOverheadSeconds(m),
+		CommSeconds:     float64(stride) * allReduce,
+		OverheadSeconds: float64(stride) * r.passOverhead,
 	}
 }
 
@@ -823,26 +831,25 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 	if promptToks == 0 {
 		// A multi-step decode iteration is stride passes, each streaming
 		// the weights once.
-		phase = r.synthDecodePhase(stride, decodeSeqs)
+		allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, r.cfg.NVLinkGBps)
+		phase = r.synthDecodePhase(stride, allReduce)
 	} else {
 		// A mixed or prefill iteration is one pass through the model.
-		m, dt := r.cfg.Model, r.cfg.DType
-		tp := float64(r.cfg.TensorParallel)
 		tokensPerPass := promptToks + decodeSeqs
 
 		var pFLOPs, dFLOPs, bytes float64
 		for _, s := range r.running {
 			if s.chunk > 0 {
-				pFLOPs += m.PrefillChunkFLOPs(s.chunk, s.kvTokens)
-				bytes += m.PrefillChunkBytes(dt, s.chunk, s.kvTokens)
+				pFLOPs += r.cost.PrefillChunkFLOPs(s.chunk, s.kvTokens)
+				bytes += r.cost.PrefillChunkBytes(s.chunk, s.kvTokens)
 			}
 			if s.steps > 0 {
-				dFLOPs += m.DecodeSpanFLOPs(s.steps, s.kvTokens)
-				bytes += m.DecodeSpanBytes(dt, s.steps, s.kvTokens)
+				dFLOPs += r.cost.DecodeSpanFLOPs(s.steps, s.kvTokens)
+				bytes += r.cost.DecodeSpanBytes(s.steps, s.kvTokens)
 			}
 		}
 		flops := pFLOPs + dFLOPs
-		bytes += m.WeightBytes(dt) * dt.MemAmplification()
+		bytes += r.weightStream
 
 		// The power split interpolates between the compute-bound prompt
 		// spike and the memory-bound decode plateau by each side's share of
@@ -857,13 +864,13 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 		}
 		phase = gpu.Phase{
 			Name:            name,
-			DType:           dt,
-			FLOPs:           flops / tp,
-			MemBytes:        bytes / tp,
+			DType:           r.cfg.DType,
+			FLOPs:           flops / r.scale,
+			MemBytes:        bytes / r.scale,
 			TensorFrac:      tensorFrac,
 			Efficiency:      plan.BatchEfficiency(tokensPerPass),
-			CommSeconds:     plan.AllReduceSeconds(m, dt, r.cfg.TensorParallel, tokensPerPass, r.cfg.NVLinkGBps),
-			OverheadSeconds: plan.PassOverheadSeconds(m),
+			CommSeconds:     plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, tokensPerPass, r.cfg.NVLinkGBps),
+			OverheadSeconds: r.passOverhead,
 		}
 	}
 	r.dev.SetMemUsedGB((r.weightsPerGPU + r.KVReservedBytes()) / 1e9)
@@ -877,7 +884,7 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 	// at formation, also time the iteration's uncapped counterfactual.
 	// Energy settles against it when the iteration finishes.
 	if r.capped() {
-		r.uncappedExecInto(&phase, &r.baseExec)
+		r.dev.RunUncappedInto(&phase, &r.baseExec)
 		r.iterBaseSec = r.baseExec.Duration.Seconds()
 		r.iterBaseJ = r.baseExec.Energy()
 	} else {
@@ -919,6 +926,8 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 	}
 
 	capped := r.capped()
+	// The batch is fixed across the span, and with it each pass's all-reduce.
+	allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, r.cfg.NVLinkGBps)
 	kv := r.kvToks // segment 0's reservations included
 	segStart := now
 	st := stride
@@ -933,12 +942,12 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 		seg.start = segStart
 		seg.stride = st
 		seg.kvAfter = kv
-		seg.phase = r.synthDecodePhase(st, decodeSeqs)
+		seg.phase = r.synthDecodePhase(st, allReduce)
 		seg.memGB = (r.weightsPerGPU + float64(kv)*float64(r.kvPerTok)) / 1e9
 		r.dev.SetMemUsedGB(seg.memGB)
 		r.dev.RunInto(&seg.phase, &seg.exec)
 		if capped {
-			r.uncappedExecInto(&seg.phase, &r.baseExec)
+			r.dev.RunUncappedInto(&seg.phase, &r.baseExec)
 			seg.baseSec = r.baseExec.Duration.Seconds()
 			seg.baseJ = r.baseExec.Energy()
 		} else {
@@ -1101,21 +1110,6 @@ func (r *Replica) breakSpan(now sim.Time) {
 	}
 	r.materializeSeg(i, now, true)
 	r.span = nil
-}
-
-// uncappedExecInto times a phase into a caller-owned execution with the
-// device's clock lock, brake, and power cap all released — the DVFS
-// counterfactual for cap attribution. Device knobs are restored before
-// returning, so the run is observably pure.
-func (r *Replica) uncappedExecInto(phase *gpu.Phase, e *gpu.Exec) {
-	lock, brake, cap := r.dev.LockedClock(), r.dev.Brake(), r.dev.PowerCap()
-	r.dev.LockClock(0)
-	r.dev.SetBrake(false)
-	r.dev.SetPowerCap(r.tdpWatts)
-	r.dev.RunInto(phase, e)
-	r.dev.LockClock(lock)
-	r.dev.SetBrake(brake)
-	r.dev.SetPowerCap(cap)
 }
 
 // finishIteration settles the iteration's energy (attributing it to the

@@ -66,9 +66,9 @@ type Config struct {
 	// DecodeStride aggregates up to this many consecutive decode-only
 	// iterations into one simulated step when no prefill work is pending
 	// (default 8, vLLM's multi-step scheduling). The per-token cost stays
-	// exact — DecodeSpanFLOPs/Bytes keep the growing-KV arithmetic — but
-	// the event count drops by the stride. Set 1 for strictly one step per
-	// iteration (the calibration tests do).
+	// exact — llm.IterCost's DecodeSpanFLOPs/Bytes keep the growing-KV
+	// arithmetic — but the event count drops by the stride. Set 1 for
+	// strictly one step per iteration (the calibration tests do).
 	DecodeStride int
 
 	// NVLinkGBps is the tensor-parallel interconnect bandwidth (0 = the
