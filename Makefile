@@ -61,9 +61,11 @@ test:
 # The hot-path benchmark set tracked by the BENCH_*.json trajectory: the
 # substrate micro-benchmarks (event heap, timers, observability fast paths,
 # quantile sketch, serving-scheduler iteration, the serving replica's
-# decode-span planner under a clock lock, one power-capped GPU phase
-# through the cap solver, the JSONL read path over the three record
-# formats) plus the two end-to-end rows, one per backend:
+# decode-span planner under a clock lock, one power-capped GPU phase,
+# which the throttle-ratio memo answers after its first op, the cap solve
+# itself on a ring of distinct phases the memo never sees, the JSONL read
+# path over the three record formats) plus the two end-to-end rows, one
+# per backend:
 # the serve-mode day and the slot-model hour behind the paper figures.
 # BENCH_MICRO is the -bench regexp for the fast ones; BENCH_E2E runs
 # separately because one iteration simulates a whole row and needs its own
@@ -72,10 +74,10 @@ test:
 # silently drop out of the smoke. One BenchmarkScanJSONL op decodes 1,300
 # records, so the smoke runs it apart from the substrate set, at fewer
 # iterations.
-BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkDecodeSpan|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
+BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkThrottleSolve|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkDecodeSpan|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
 BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
+BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkThrottleSolve,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
 # The engine's periodic-timer dispatch, the serving replica's iteration
 # loop and decode-span planner, and the telemetry ingest, rule-evaluation,
 # failover-requeue, scenario request-generation, and decision-input
@@ -83,7 +85,7 @@ BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkEngineEvents,BenchmarkEnginePeriodic,
 # hard-fails the build the moment any of them allocates, with no baseline
 # artifact needed.
 BENCH_ZERO_ALLOC = BenchmarkEnginePeriodic,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord
-BENCH_PKGS = . ./internal/serve ./internal/obs ./internal/cluster ./internal/scenario
+BENCH_PKGS = . ./internal/gpu ./internal/serve ./internal/obs ./internal/cluster ./internal/scenario
 
 # bench-smoke runs the hot-path set briefly — enough to catch an allocation
 # regression on the event path, the disabled observability fast paths, the

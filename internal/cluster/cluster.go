@@ -1222,9 +1222,11 @@ func (r *Row) nodePower(n *node, now sim.Time) (float64, bool) {
 }
 
 // powerChanged drops the node's and the row's power caches. Every writer
-// of what a node's draw depends on calls it: its liveness, and in slot
-// mode the request and phase it executes. A lock or the brake reaches a
-// node's draw only through backend.replan.
+// of what a node's draw depends on calls it: its liveness; in slot mode
+// the request and phase it executes; in serve mode every Enqueue and
+// Replan, the only calls from outside that start or re-time a replica's
+// iteration. A lock or the brake reaches a node's draw only through
+// backend.replan.
 func (r *Row) powerChanged(n *node) {
 	n.powUntil, r.utilUntil = 0, 0
 }

@@ -131,7 +131,8 @@ func probeConfig(t *testing.T, spec string) RowConfig {
 // busy flag and the row's cached utilization must equal a fresh read bit
 // for bit. It covers a slot row that brakes and lands locks mid-phase, a
 // slot row under the make chaos faults (node death and revival, drains,
-// stragglers, OOB failures) and a serve row with node deaths.
+// stragglers, OOB failures) and a serve row with node deaths and locks
+// landing mid-iteration.
 func TestPowerCachesMatchFreshReads(t *testing.T) {
 	t.Run("slot-brake", func(t *testing.T) {
 		m, p := runProbed(t, probeConfig(t, ""), stepCtrl{}, 1.0, time.Hour)
@@ -164,9 +165,13 @@ func TestPowerCachesMatchFreshReads(t *testing.T) {
 		cfg := probeConfig(t, "kill=2@20m+10m")
 		cfg.Serve = &serve.Config{}
 		m, p := runProbed(t, cfg, stepCtrl{}, 0.95, time.Hour)
-		if m.NodeDeaths == 0 || p.revivals == 0 {
-			t.Errorf("deaths %d, revivals %d: want both", m.NodeDeaths, p.revivals)
+		if m.NodeDeaths == 0 || p.revivals == 0 || m.LockCommands == 0 {
+			t.Errorf("deaths %d, revivals %d, lock commands %d: want all",
+				m.NodeDeaths, p.revivals, m.LockCommands)
 		}
-		t.Logf("%d probes, %d cached node reads (dead nodes only)", p.probes, p.hits)
+		if p.hits == 0 || p.edges == 0 {
+			t.Errorf("cache hits %d, horizon probes %d: want both", p.hits, p.edges)
+		}
+		t.Logf("%d probes (%d at horizons), %d cached node reads", p.probes, p.edges, p.hits)
 	})
 }

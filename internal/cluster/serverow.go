@@ -297,14 +297,19 @@ func newServeBackend(r *Row) (*serveBackend, error) {
 	return b, nil
 }
 
-// load holds nothing past now: replicas change their draw inside their
-// own iteration events, which the row does not see.
+// load holds until the replica's power horizon. The running batch changes
+// only at an iteration's formation or end, or in Enqueue and Fail, so the
+// busy flag holds with it.
 func (b *serveBackend) load(n *node, now sim.Time) (float64, bool, sim.Time) {
 	rep := b.reps[n.idx].Replica
-	return rep.PowerAt(now), rep.Running() > 0, now
+	w, until := rep.PowerUntil(now)
+	return w, rep.Running() > 0, until
 }
 
-func (b *serveBackend) replan(n *node, now sim.Time) { b.reps[n.idx].Replan(now) }
+func (b *serveBackend) replan(n *node, now sim.Time) {
+	b.reps[n.idx].Replan(now)
+	b.powerChanged(n)
+}
 
 // admit has nothing to do: replicas pull their own work, there is no
 // central queue.
@@ -365,7 +370,9 @@ func (b *serveBackend) dispatch(now sim.Time, req workload.Request) {
 	}
 	n := nodes[i]
 	rep := &b.reps[n.idx]
-	if !rep.Enqueue(now, req) {
+	ok := rep.Enqueue(now, req)
+	b.powerChanged(n)
+	if !ok {
 		b.noteShed(rep, n, now)
 		b.fail(now, int32(n.idx), req, "queue-full", false)
 		return

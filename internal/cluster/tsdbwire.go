@@ -99,7 +99,7 @@ func (r *Row) initTSDB(o *obs.Observer) {
 // tsdbTick ingests one telemetry sample per control-plane signal (the
 // backend sampled its own in its tick) and evaluates the alert rules.
 // Runs at the end of each telemetry tick; all reads are
-// non-destructive (TelemetrySample, PowerAt), so the sample changes
+// non-destructive (TelemetrySample, PowerUntil), so the sample changes
 // nothing downstream. The explicit Flush completes the parent rollups
 // for this tick before the rules read them, so `row.power` rules see the
 // current tick rather than lagging one interval.

@@ -210,7 +210,8 @@ type Exec struct {
 
 // Device is a stateful GPU with its management knobs. Device is not
 // safe for concurrent use; in the simulator each device is owned by its
-// server's event handlers.
+// server's event handlers. Devices of one spec share a table of solved
+// throttle ratios, which is safe for concurrent use.
 type Device struct {
 	spec Spec
 
@@ -231,6 +232,10 @@ type Device struct {
 	// the clock ceiling RunInto last timed a phase at. The ceiling moves
 	// only with a lock or the brake, so consecutive phases share it.
 	dvfsRatio, dvfsFactor float64
+
+	// memo is the spec's table of solved throttle ratios (memo.go), found
+	// at the device's first throttled phase.
+	memo *throttleMemo
 }
 
 // NewDevice returns a Device with default settings: unlocked clocks and the
@@ -556,7 +561,7 @@ func (d *Device) runInto(p *Phase, e *Exec, maxRatio, dvfs, limit float64) {
 		return
 	}
 	// Cap violated: overshoot segment, then throttled remainder.
-	throttled := d.throttleRatioFor(&c, maxRatio, full.PowerWatts, limit)
+	throttled := d.throttledRatio(&c, maxRatio, full.PowerWatts, limit)
 	doneFrac := react / fullTotal // fraction of work done before throttling
 	rest := p.Scale(1 - doneFrac)
 	rc := d.curve(&rest)

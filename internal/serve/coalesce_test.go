@@ -43,7 +43,7 @@ type retired struct {
 type coalesceTrace struct {
 	retired []retired
 	first   []retired // OnFirstToken observations
-	power   []float64 // PowerAt sampled on an off-phase cadence
+	power   []float64 // PowerUntil's watts sampled on an off-phase cadence
 	kvFrac  []float64 // KVFrac sampled alongside power
 	stats   Stats
 	seqs    []retired // sequences still held at the horizon (none if drained)
@@ -80,7 +80,8 @@ func runCoalesceScenario(t *testing.T, sc coalesceScenario, perStride bool) coal
 	// 7 ms lands mid-iteration and mid-span almost always — the power and
 	// KV reads must not disturb either path, and must agree exactly.
 	eng.Every(7*time.Millisecond, func(now sim.Time) {
-		tr.power = append(tr.power, rep.PowerAt(now))
+		w, _ := rep.PowerUntil(now)
+		tr.power = append(tr.power, w)
 		tr.kvFrac = append(tr.kvFrac, rep.KVFrac())
 	})
 	if sc.script != nil {

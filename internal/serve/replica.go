@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"polca/internal/gpu"
 	"polca/internal/llm"
@@ -195,7 +196,7 @@ type Replica struct {
 	kvCapToks     int // per-GPU KV capacity in tokens
 	weightsPerGPU float64
 	scale         float64 // tensor-parallel degree: group → per-GPU work, per-GPU → group energy
-	idleWatts     float64 // device idle draw (spec copy is too hot for PowerAt)
+	idleWatts     float64 // device idle draw (spec copy is too hot for PowerUntil)
 	tdpWatts      float64 // device TDP (the capped() check runs per iteration)
 
 	// The model's costs, folded once: every sequence of every planned
@@ -232,7 +233,7 @@ type Replica struct {
 	// leading segments have had their formation/launch/finish effects
 	// applied (seg 0's formation is real — formBatch ran before the span
 	// was planned). spanCursor is a monotonic read cursor for the
-	// non-destructive observers (PowerAt, KVFrac).
+	// non-destructive observers (PowerUntil, KVFrac).
 	span         []spanSeg
 	segBuf       []spanSeg
 	spanTimer    sim.Timer
@@ -526,16 +527,28 @@ func (r *Replica) Fail(now sim.Time) {
 	r.waiting.Clear()
 }
 
-// PowerAt returns the replica's current per-GPU power draw.
-func (r *Replica) PowerAt(now sim.Time) float64 {
+// PowerUntil returns the replica's current per-GPU power draw and the
+// first instant at which it may differ without a call into the replica
+// from outside (Enqueue, Replan or Fail): the end of the Exec segment in
+// effect, at most the end of its iteration or span segment, whose
+// completion may start the next. An idle replica holds until the next
+// Enqueue.
+func (r *Replica) PowerUntil(now sim.Time) (watts float64, until sim.Time) {
 	if r.iterActive {
-		return r.iterExec.PowerAt(now - r.iterStart)
+		return execPowerUntil(&r.iterExec, r.iterStart, now)
 	}
 	if len(r.span) > 0 {
 		seg := r.currentSeg(now)
-		return seg.exec.PowerAt(now - seg.start)
+		return execPowerUntil(&seg.exec, seg.start, now)
 	}
-	return r.idleWatts
+	return r.idleWatts, math.MaxInt64
+}
+
+// execPowerUntil is e.PowerUntil at now for an execution started at
+// start, in engine time, with the horizon capped at the execution's end.
+func execPowerUntil(e *gpu.Exec, start, now sim.Time) (float64, sim.Time) {
+	w, until := e.PowerUntil(now - start)
+	return w, start + min(until, e.Duration)
 }
 
 // Replan re-times the in-flight iteration under the device's current

@@ -152,8 +152,8 @@ func TestFailDropsEverythingAndRevives(t *testing.T) {
 	if !rep.Idle() {
 		t.Fatal("replica not idle after Fail")
 	}
-	if got, want := rep.PowerAt(eng.Now()), rep.dev.Spec().IdleWatts; got != want {
-		t.Errorf("idle power = %v, want %v", got, want)
+	if got, _ := rep.PowerUntil(eng.Now()); got != rep.dev.Spec().IdleWatts {
+		t.Errorf("idle power = %v, want %v", got, rep.dev.Spec().IdleWatts)
 	}
 
 	// The replica revives cold on the next arrival.
