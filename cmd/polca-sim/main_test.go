@@ -56,7 +56,7 @@ func baseOpts(serveMode bool, dir string) runOpts {
 // TestSpanTracingDoesNotPerturbResults is the zero-perturbation regression
 // at the CLI level: the default `polca-sim -days 1 -servers 16` run — slot
 // mode and serve mode — must produce an identical report and utilization
-// CSV with span tracing on and off.
+// CSV with span and event tracing (-spans, -trace) on and off.
 func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
@@ -70,7 +70,8 @@ func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 			}
 			checkDigest(t, mode.name+"-polca", reportDigest(t, plain, filepath.Join(d1, "util.csv")))
 			o := baseOpts(mode.serve, d2)
-			o.obs = &obs.Observer{Metrics: obs.NewRegistry(), Spans: obs.NewSpanTracer()}
+			o.obs = &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(), Spans: obs.NewSpanTracer()}
+			o.tracePath = filepath.Join(d2, "trace.jsonl")
 			o.spansPath = filepath.Join(d2, "spans.jsonl")
 			o.spansPerfettoPath = filepath.Join(d2, "spans.json")
 			observed, err := runOne(o)
@@ -118,6 +119,23 @@ func TestSpanTracingDoesNotPerturbResults(t *testing.T) {
 			}
 			if !mode.serve && len(spans) != 0 {
 				t.Errorf("slot mode emitted %d spans, want 0", len(spans))
+			}
+
+			f, err = os.Open(o.tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			err = obs.ScanEvents(f, nil, func(obs.Event) error {
+				events++
+				return nil
+			})
+			f.Close()
+			if err != nil {
+				t.Fatalf("event JSONL does not parse: %v", err)
+			}
+			if events == 0 {
+				t.Error("no events traced")
 			}
 		})
 	}

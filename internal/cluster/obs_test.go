@@ -105,9 +105,6 @@ func checkTraceReconciles(t *testing.T, cfg cluster.RowConfig, m *cluster.Metric
 	// The serving scheduler's aggregates reconcile with its events and
 	// counters too.
 	if cfg.Serve != nil {
-		if got := tr.CountKind(obs.KindBatchForm); got != m.Serve.Batches {
-			t.Errorf("batch.form events = %d, Serve.Batches = %d", got, m.Serve.Batches)
-		}
 		if got := tr.CountKind(obs.KindPreempt); got != m.Serve.Preemptions {
 			t.Errorf("preempt events = %d, Serve.Preemptions = %d", got, m.Serve.Preemptions)
 		}

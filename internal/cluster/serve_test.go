@@ -292,15 +292,15 @@ func TestServeSpanConservation(t *testing.T) {
 	}
 }
 
-// TestServeCoalescingEquivalence runs the same serve-mode scenarios with
-// decode-span coalescing on (the default) and forced off by an attached
-// event tracer, and requires every row-level aggregate to be
-// byte-identical. This is the cluster-scale counterpart of the replica
-// equivalence property: cap replans from the controller, KV-pressure
-// preemption, node death mid-decode, and a combined chaos spec must all
-// leave the coalesced trajectory indistinguishable from the per-stride
-// one.
-func TestServeCoalescingEquivalence(t *testing.T) {
+// TestServeObservedMatchesUnobserved runs the same serve-mode scenarios
+// bare and with every sink armed — event tracer, span sink, decision
+// recorder, registry, and TSDB with the default alert rules — and requires
+// every row-level aggregate to be identical. Replicas plan decode spans
+// under any observer, so this is the row-scale check that planned spans
+// settle the same with and without span and event recording: cap replans
+// from the controller, KV-pressure preemption, node death mid-decode, and
+// a combined chaos spec must all leave the trajectory unchanged.
+func TestServeObservedMatchesUnobserved(t *testing.T) {
 	scenarios := []struct {
 		name string
 		prep func(cfg *cluster.RowConfig) cluster.Controller
@@ -339,20 +339,30 @@ func TestServeCoalescingEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(perStride bool) *cluster.Metrics {
+			run := func(observed bool) *cluster.Metrics {
 				cfg := serveConfig()
 				ctrl := sc.prep(&cfg)
 				eng := sim.New(cfg.Seed)
-				if perStride {
-					// The tracer observes individual iterations, so the
-					// replicas take the per-stride path.
-					eng.SetObserver(&obs.Observer{Tracer: obs.NewTracer()})
+				if observed {
+					o := &obs.Observer{
+						Tracer:    obs.NewTracer(),
+						Spans:     obs.NewSpanTracer(),
+						Decisions: obs.NewDecisionRecorder(),
+						Metrics:   obs.NewRegistry(),
+						DB:        obs.NewTSDB(obs.TSDBConfig{Step: cfg.TelemetryInterval}),
+					}
+					set, err := obs.ParseRules(obs.DefaultRules)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Rules = obs.NewRules(o.DB, set, o.Tracer)
+					eng.SetObserver(o)
 				}
 				return cluster.MustRow(eng, cfg, ctrl).Run(flatPlan(cfg, 0.8, 40*time.Minute))
 			}
 			a, b := run(false), run(true)
 			if a.Serve != b.Serve {
-				t.Errorf("serve stats differ:\ncoalesced:  %+v\nper-stride: %+v", a.Serve, b.Serve)
+				t.Errorf("serve stats differ:\nbare:     %+v\nobserved: %+v", a.Serve, b.Serve)
 			}
 			if len(a.Util.Values) != len(b.Util.Values) {
 				t.Fatalf("power series lengths differ: %d vs %d", len(a.Util.Values), len(b.Util.Values))

@@ -91,11 +91,6 @@ const (
 	// window for one node.
 	KindNodeDeath
 	KindNodeRevive
-	// KindBatchForm is a serving replica forming one continuous-batching
-	// iteration: Server is the replica's node index, Value the iteration's
-	// total token count (prompt-chunk tokens + decode steps), Reason
-	// "prefill", "decode", or "mixed".
-	KindBatchForm
 	// KindPreempt is a running sequence preempted for recompute under KV
 	// pressure; Value is the KV bytes freed.
 	KindPreempt
@@ -155,7 +150,6 @@ var kindNames = [...]string{
 	KindFailSafeRelease: "failsafe.release",
 	KindNodeDeath:       "node.death",
 	KindNodeRevive:      "node.revive",
-	KindBatchForm:       "batch.form",
 	KindPreempt:         "preempt",
 	KindKVHighWater:     "kv.highwater",
 	KindAlertFire:       "alert.fire",

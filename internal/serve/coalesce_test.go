@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -12,13 +13,15 @@ import (
 )
 
 // coalesceScenario scripts one replica workload plus mid-flight
-// perturbations; the equivalence test replays it with coalescing on and off
-// and requires the two runs to be indistinguishable to every observer.
+// perturbations; the equivalence checks replay it on the span planner and
+// on the per-stride reference and require the two runs to be
+// indistinguishable to every observer.
 type coalesceScenario struct {
 	name    string
 	cfg     Config
 	spec    gpu.Spec
 	horizon time.Duration
+	sample  time.Duration // PowerUntil/KVFrac sampling period
 	// script installs arrivals and perturbations on the engine before the
 	// run starts. Arrivals enqueue through rep; perturbations hit the
 	// device and rep directly (Replan, Fail, mid-run probes).
@@ -47,24 +50,24 @@ type coalesceTrace struct {
 	kvFrac  []float64 // KVFrac sampled alongside power
 	stats   Stats
 	seqs    []retired // sequences still held at the horizon (none if drained)
+	events  []byte    // the event tracer's JSONL
+	spans   []byte    // the span sink's JSONL
 }
 
-// runCoalesceScenario executes the scenario and records its full trace.
-// With perStride set, an attached event tracer forces the per-stride path.
+// runCoalesceScenario executes the scenario with an event tracer and a
+// span sink attached and records its full trace. perStride selects the
+// reference path, which runs every iteration as its own engine event.
 func runCoalesceScenario(t *testing.T, sc coalesceScenario, perStride bool) coalesceTrace {
 	t.Helper()
 	eng := sim.New(7)
-	if perStride {
-		eng.SetObserver(&obs.Observer{Tracer: obs.NewTracer()})
-	}
+	o := &obs.Observer{Tracer: obs.NewTracer(), Spans: obs.NewSpanTracer()}
+	eng.SetObserver(o)
 	dev := gpu.NewDevice(sc.spec)
 	rep, err := NewReplica(eng, sc.cfg, dev, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.coalesce == perStride {
-		t.Fatalf("replica coalesce = %v with perStride = %v", rep.coalesce, perStride)
-	}
+	rep.perStride = perStride
 	var tr coalesceTrace
 	snap := func(s *Seq, at sim.Time, reason string) retired {
 		return retired{
@@ -77,9 +80,10 @@ func runCoalesceScenario(t *testing.T, sc coalesceScenario, perStride bool) coal
 	rep.OnComplete = func(s *Seq, now sim.Time) { tr.retired = append(tr.retired, snap(s, now, "")) }
 	rep.OnDrop = func(s *Seq, now sim.Time, reason string) { tr.retired = append(tr.retired, snap(s, now, reason)) }
 	rep.OnFirstToken = func(s *Seq, now sim.Time) { tr.first = append(tr.first, snap(s, now, "")) }
-	// 7 ms lands mid-iteration and mid-span almost always — the power and
-	// KV reads must not disturb either path, and must agree exactly.
-	eng.Every(7*time.Millisecond, func(now sim.Time) {
+	// An off-phase cadence lands mid-iteration and mid-span almost always —
+	// the power and KV reads must not disturb either path, and must agree
+	// exactly.
+	eng.Every(sc.sample, func(now sim.Time) {
 		w, _ := rep.PowerUntil(now)
 		tr.power = append(tr.power, w)
 		tr.kvFrac = append(tr.kvFrac, rep.KVFrac())
@@ -90,14 +94,72 @@ func runCoalesceScenario(t *testing.T, sc coalesceScenario, perStride bool) coal
 	eng.RunUntil(sc.horizon)
 	tr.stats = rep.Stats()
 	rep.Sequences(func(s *Seq) { tr.seqs = append(tr.seqs, snap(s, eng.Now(), "held")) })
+	var events, spans bytes.Buffer
+	if err := o.Tracer.WriteJSONL(&events); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Spans.WriteJSONL(&spans); err != nil {
+		t.Fatal(err)
+	}
+	tr.events, tr.spans = events.Bytes(), spans.Bytes()
 	return tr
 }
 
-// TestCoalescingMatchesPerStride is the tentpole's equivalence property:
-// decode-span coalescing must reproduce the per-stride scheduler event for
-// event — identical completion/drop instants and attributions, identical
-// power and KV readings at arbitrary sample instants, identical counters —
-// across cap replans, KV-pressure preemption, node death mid-decode, and
+// requireSameTrace fails unless the span-planned run a and the per-stride
+// run b recorded the same trace: completion/drop instants and
+// attributions, power and KV readings, counters, and the event and span
+// JSONL byte for byte.
+func requireSameTrace(t *testing.T, a, b coalesceTrace) {
+	t.Helper()
+	if a.stats != b.stats {
+		t.Errorf("stats differ:\ncoalesced: %+v\nper-stride: %+v", a.stats, b.stats)
+	}
+	diffRetired := func(kind string, xs, ys []retired) {
+		if len(xs) != len(ys) {
+			t.Fatalf("%s count: coalesced %d, per-stride %d", kind, len(xs), len(ys))
+		}
+		for i := range xs {
+			if xs[i] != ys[i] {
+				t.Errorf("%s[%d] differs:\ncoalesced: %+v\nper-stride: %+v", kind, i, xs[i], ys[i])
+			}
+		}
+	}
+	diffRetired("retired", a.retired, b.retired)
+	diffRetired("first-token", a.first, b.first)
+	diffRetired("held", a.seqs, b.seqs)
+	if len(a.power) != len(b.power) {
+		t.Fatalf("power samples: %d vs %d", len(a.power), len(b.power))
+	}
+	for i := range a.power {
+		if a.power[i] != b.power[i] {
+			t.Fatalf("power sample %d differs: %v vs %v", i, a.power[i], b.power[i])
+		}
+		if a.kvFrac[i] != b.kvFrac[i] {
+			t.Fatalf("KV sample %d differs: %v vs %v", i, a.kvFrac[i], b.kvFrac[i])
+		}
+	}
+	diffJSONL := func(kind string, xs, ys []byte) {
+		if bytes.Equal(xs, ys) {
+			return
+		}
+		xl, yl := bytes.Split(xs, []byte("\n")), bytes.Split(ys, []byte("\n"))
+		for i := 0; i < len(xl) && i < len(yl); i++ {
+			if !bytes.Equal(xl[i], yl[i]) {
+				t.Fatalf("%s JSONL line %d differs:\ncoalesced:  %s\nper-stride: %s", kind, i+1, xl[i], yl[i])
+			}
+		}
+		t.Fatalf("%s JSONL: coalesced %d lines, per-stride %d", kind, len(xl), len(yl))
+	}
+	diffJSONL("event", a.events, b.events)
+	diffJSONL("span", a.spans, b.spans)
+}
+
+// TestCoalescingMatchesPerStride is the decode-span planner's equivalence
+// property: with an event tracer and a span sink attached, coalescing must
+// reproduce the per-stride scheduler event for event — identical
+// completion/drop instants and attributions, power and KV readings at
+// arbitrary sample instants, counters, and event and span JSONL — across
+// cap replans, KV-pressure preemption, node death mid-decode, and
 // queue-cap shedding.
 func TestCoalescingMatchesPerStride(t *testing.T) {
 	base := func() (Config, gpu.Spec) {
@@ -205,66 +267,103 @@ func TestCoalescingMatchesPerStride(t *testing.T) {
 				cfg.QueueCap = 4
 			}
 			sc.cfg, sc.spec = cfg, spec
+			sc.sample = 7 * time.Millisecond
 
-			a := runCoalesceScenario(t, sc, false) // coalescing on
-			b := runCoalesceScenario(t, sc, true)  // per-stride
-
-			if a.stats != b.stats {
-				t.Errorf("stats differ:\ncoalesced: %+v\nper-stride: %+v", a.stats, b.stats)
+			a := runCoalesceScenario(t, sc, false)
+			b := runCoalesceScenario(t, sc, true)
+			if len(a.events) == 0 || len(a.spans) == 0 {
+				t.Fatalf("traced %d event bytes and %d span bytes, want both", len(a.events), len(a.spans))
 			}
-			diffRetired := func(kind string, xs, ys []retired) {
-				if len(xs) != len(ys) {
-					t.Fatalf("%s count: coalesced %d, per-stride %d", kind, len(xs), len(ys))
-				}
-				for i := range xs {
-					if xs[i] != ys[i] {
-						t.Errorf("%s[%d] differs:\ncoalesced: %+v\nper-stride: %+v", kind, i, xs[i], ys[i])
-					}
-				}
-			}
-			diffRetired("retired", a.retired, b.retired)
-			diffRetired("first-token", a.first, b.first)
-			diffRetired("held", a.seqs, b.seqs)
-			if len(a.power) != len(b.power) {
-				t.Fatalf("power samples: %d vs %d", len(a.power), len(b.power))
-			}
-			for i := range a.power {
-				if a.power[i] != b.power[i] {
-					t.Fatalf("power sample %d differs: %v vs %v", i, a.power[i], b.power[i])
-				}
-				if a.kvFrac[i] != b.kvFrac[i] {
-					t.Fatalf("KV sample %d differs: %v vs %v", i, a.kvFrac[i], b.kvFrac[i])
-				}
-			}
+			requireSameTrace(t, a, b)
 		})
 	}
 }
 
-// TestCoalesceGateRespectsObservers pins when coalescing may engage: never
-// while an iteration-granular observer (tracer or span sink) is attached.
-func TestCoalesceGateRespectsObservers(t *testing.T) {
+// FuzzCoalescingMatchesPerStride runs a seeded random replica script on
+// both decode paths, with an event tracer and a span sink attached, and
+// requires identical traces (requireSameTrace). The script draws arrivals
+// (zero-output requests included), clock-lock, brake and power-cap
+// changes each followed by a replan, one node death, and Stats/Sequences
+// probes, on a roomy or a KV-starved device. The horizon may cut requests
+// mid-flight, so the held sequences are compared too.
+func FuzzCoalescingMatchesPerStride(f *testing.F) {
+	f.Add(int64(1), uint8(7), false) // a 10 ms sample lands on a segment end at 91.37 s
+	f.Add(int64(7), uint8(14), true) // ten preemptions
+	f.Add(int64(13), uint8(31), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, starved bool) {
+		sc := scriptedScenario(seed, 1+int(n%32), starved)
+		requireSameTrace(t, runCoalesceScenario(t, sc, false), runCoalesceScenario(t, sc, true))
+	})
+}
+
+// scriptedScenario draws a replica script from seed: n arrivals and up to
+// eight knob changes or probes in the first minute, one node death, a
+// horizon between 20 s and 5 min (short ones cut requests mid-flight), and
+// a sampling period of 5–50 ms.
+func scriptedScenario(seed int64, n int, starved bool) coalesceScenario {
+	rng := sim.New(seed).Rand("coalesce-script")
 	cfg, spec := Config{Model: bloom(), DType: llm.FP16}, gpu.A100SXM80GB()
-	mk := func(eng *sim.Engine) *Replica {
-		rep, err := NewReplica(eng, cfg, gpu.NewDevice(spec), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	if starved {
+		cfg, spec = pressureConfig()
 	}
-	if rep := mk(sim.New(1)); !rep.coalesce {
-		t.Error("bare replica should coalesce")
+	cfg.DecodeStride = 1 + rng.Intn(8)
+	cfg.QueueCap = 2 + rng.Intn(32)
+	at := func() time.Duration { return time.Duration(rng.Int63n(int64(time.Minute))) }
+
+	type step struct {
+		at   time.Duration
+		kind int // 0 arrival, 1 clock lock, 2 brake, 3 power cap, 4 probe, 5 node death
+		arg  int
 	}
-	for _, tc := range []struct {
-		name string
-		obs  *obs.Observer
-	}{
-		{"tracer", &obs.Observer{Tracer: obs.NewTracer()}},
-		{"spans", &obs.Observer{Spans: obs.NewSpanTracer()}},
-	} {
-		eng := sim.New(1)
-		eng.SetObserver(tc.obs)
-		if rep := mk(eng); rep.coalesce {
-			t.Errorf("replica with %s attached must not coalesce", tc.name)
-		}
+	var steps []step
+	for i := 0; i < n; i++ {
+		steps = append(steps, step{at: at(), arg: i})
+	}
+	for i, k := 0, rng.Intn(9); i < k; i++ {
+		steps = append(steps, step{at: at(), kind: 1 + rng.Intn(4), arg: rng.Intn(4)})
+	}
+	steps = append(steps, step{at: at(), kind: 5})
+	inputs, outputs := make([]int, n), make([]int, n)
+	for i := range inputs {
+		inputs[i], outputs[i] = 1+rng.Intn(1200), rng.Intn(1500)
+	}
+	locks := [4]float64{0, 900, 1100, 1275}
+	caps := [4]float64{250, 300, 350, spec.TDPWatts}
+
+	return coalesceScenario{
+		cfg: cfg, spec: spec,
+		horizon: 20*time.Second + time.Duration(rng.Int63n(int64(280*time.Second))),
+		sample:  time.Duration(5+rng.Intn(46)) * time.Millisecond,
+		script: func(eng *sim.Engine, rep *Replica, dev *gpu.Device) {
+			for _, st := range steps {
+				st := st
+				eng.At(st.at, func(now sim.Time) {
+					switch st.kind {
+					case 0:
+						// Traced like the row's arrivals, so an event a
+						// settling span emitted late would land out of order.
+						eng.Observer().Trace().Emit(obs.Event{At: now, Kind: obs.KindArrive, Server: -1})
+						rep.Enqueue(now, workload.Request{
+							ID: int64(st.arg), Arrival: now, Class: "chat",
+							Input: inputs[st.arg], Output: outputs[st.arg],
+						})
+					case 1:
+						dev.LockClock(locks[st.arg])
+						rep.Replan(now)
+					case 2:
+						dev.SetBrake(st.arg%2 == 0)
+						rep.Replan(now)
+					case 3:
+						dev.SetPowerCap(caps[st.arg])
+						rep.Replan(now)
+					case 4:
+						_ = rep.Stats()
+						rep.Sequences(func(*Seq) {})
+					case 5:
+						rep.Fail(now)
+					}
+				})
+			}
+		},
 	}
 }

@@ -233,7 +233,8 @@ type Replica struct {
 	// leading segments have had their formation/launch/finish effects
 	// applied (seg 0's formation is real — formBatch ran before the span
 	// was planned). spanCursor is a monotonic read cursor for the
-	// non-destructive observers (PowerUntil, KVFrac).
+	// non-destructive observers (PowerUntil, KVFrac). Tests set perStride
+	// to run every iteration as its own event, the planner's reference.
 	span         []spanSeg
 	segBuf       []spanSeg
 	spanTimer    sim.Timer
@@ -241,10 +242,10 @@ type Replica struct {
 	spanFormed   int
 	spanLaunched int
 	spanCursor   int
-	coalesce     bool
+	perStride    bool
 
 	// Cached handlers and scratch, so the steady state allocates nothing:
-	// method values passed to AfterCancelable would otherwise allocate a
+	// method values passed to AfterCancelableLast would otherwise allocate a
 	// closure per iteration, and Run would allocate Segments per call.
 	finishFn  sim.Handler
 	spanEndFn sim.Handler
@@ -295,9 +296,6 @@ func NewReplica(eng *sim.Engine, cfg Config, dev *gpu.Device, idx int, pool int8
 	r.batchCtr = o.Counter("serve_batches_total")
 	r.preemptCtr = o.Counter("serve_preemptions_total")
 	r.kvGauge = o.Gauge("serve_kv_highwater_frac")
-	// Coalescing is exact, but the tracer and span sink observe individual
-	// iterations, so their presence forces the per-stride path.
-	r.coalesce = r.tracer == nil && r.spans == nil
 	r.finishFn = r.finishIteration
 	r.spanEndFn = r.spanEnd
 	return r, nil
@@ -366,9 +364,9 @@ func (r *Replica) currentKVToks() int {
 }
 
 // currentSeg returns the span segment covering now. A segment remains
-// current until strictly after its end, matching event ordering at exact
-// boundaries (a telemetry tick scheduled before the iteration fires first
-// and still observes it in flight).
+// current through its end instant: iteration completions fire after every
+// other event at their instant (AfterCancelableLast), so anything else at
+// that instant still observes the iteration in flight.
 func (r *Replica) currentSeg(now sim.Time) *spanSeg {
 	for r.spanCursor < len(r.span)-1 && r.span[r.spanCursor].end < now {
 		r.spanCursor++
@@ -579,7 +577,7 @@ func (r *Replica) Replan(now sim.Time) {
 	r.iterPhase = r.iterPhase.Scale(1 - frac)
 	r.dev.RunInto(&r.iterPhase, &r.iterExec)
 	r.iterStart = now
-	r.iterTimer = r.eng.AfterCancelable(r.iterExec.Duration, r.finishFn)
+	r.iterTimer = r.eng.AfterCancelableLast(r.iterExec.Duration, r.finishFn)
 }
 
 // startIteration forms and launches the next iteration, or parks the
@@ -598,7 +596,7 @@ func (r *Replica) startIteration(now sim.Time) {
 			}
 			return
 		}
-		if promptToks == 0 && r.coalesce && r.waiting.Len() == 0 {
+		if promptToks == 0 && !r.perStride && r.waiting.Len() == 0 {
 			r.runSpan(now, decodeSeqs, stride)
 			return
 		}
@@ -759,12 +757,10 @@ func (r *Replica) preemptNewest(now sim.Time) bool {
 		r.waiting.PushFront(s)
 		r.stats.Preemptions++
 		r.preemptCtr.Inc()
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{
-				At: now, Kind: obs.KindPreempt, Server: int32(r.idx), Pool: r.pool,
-				Value: freed, Reason: "kv-pressure",
-			})
-		}
+		r.tracer.Emit(obs.Event{
+			At: now, Kind: obs.KindPreempt, Server: int32(r.idx), Pool: r.pool,
+			Value: freed, Reason: "kv-pressure",
+		})
 		if s.tr != nil {
 			r.flushDecodeSpan(s)
 			sp := r.spanBase(s, obs.SpanPreempt)
@@ -780,25 +776,28 @@ func (r *Replica) preemptNewest(now sim.Time) bool {
 	return false
 }
 
-// noteHighWater traces a new KV occupancy high water, quantized to 5% of
-// capacity so the event stream stays bounded.
+// highWater returns the KV occupancy of a kvToks-token ledger and whether
+// a formation reaching it traces a new high water (5% steps bound them).
+func (r *Replica) highWater(kvToks int) (frac float64, traced bool) {
+	frac = float64(kvToks) / float64(r.kvCapToks)
+	return frac, frac >= r.lastHW+0.05
+}
+
+// noteHighWater records the KV occupancy a formation reached and traces
+// it when it is a new high water.
 func (r *Replica) noteHighWater(now sim.Time) {
-	frac := float64(r.kvToks) / float64(r.kvCapToks)
-	if frac > r.stats.KVHighWaterFrac {
-		r.stats.KVHighWaterFrac = frac
-	}
-	if frac < r.lastHW+0.05 {
+	frac, traced := r.highWater(r.kvToks)
+	r.stats.KVHighWaterFrac = max(r.stats.KVHighWaterFrac, frac)
+	if !traced {
 		return
 	}
 	r.lastHW = frac
 	r.stats.KVHighWaterEvents++
 	r.kvGauge.Set(frac)
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindKVHighWater, Server: int32(r.idx), Pool: r.pool,
-			Value: frac,
-		})
-	}
+	r.tracer.Emit(obs.Event{
+		At: now, Kind: obs.KindKVHighWater, Server: int32(r.idx), Pool: r.pool,
+		Value: frac,
+	})
 }
 
 // synthDecodePhase synthesizes a pure-decode iteration of the running batch
@@ -904,31 +903,25 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 		r.iterBaseSec = r.iterExec.Duration.Seconds()
 		r.iterBaseJ = r.iterExec.Energy()
 	}
-	r.iterTimer = r.eng.AfterCancelable(r.iterExec.Duration, r.finishFn)
+	r.iterTimer = r.eng.AfterCancelableLast(r.iterExec.Duration, r.finishFn)
 
 	r.stats.Batches++
 	r.stats.PromptTokens += int64(promptToks)
 	r.stats.DecodeTokens += int64(decodeSeqs * stride)
 	r.batchCtr.Inc()
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{
-			At: now, Kind: obs.KindBatchForm, Server: int32(r.idx), Pool: r.pool,
-			Value: float64(promptToks + decodeSeqs*stride), Reason: phase.Name,
-		})
-	}
 }
 
 // runSpan plans a coalesced decode span: starting from the batch formBatch
 // just formed (segment 0, whose reservations are already real), it walks
 // the per-stride scheduler's future iterations — same batch, growing KV —
-// until a completion boundary, a KV-pressure crossing, or the planning
-// horizon, and schedules a single engine event at the span's end. Planning
-// runs the identical per-iteration arithmetic the per-stride path runs
-// (same formation formulas, same device executions), so settlement later
-// reproduces its results bit for bit. Arrivals, replans, and failures
-// break the span; the segments already in the past settle, the current one
-// materializes as a plain in-flight iteration, and the unreached tail is
-// discarded.
+// until a completion boundary, a KV-pressure crossing, a formation that
+// traces a new KV high water, or the planning horizon, and schedules a
+// single engine event at the span's end. Planning runs the identical
+// per-iteration arithmetic the per-stride path runs (same formation
+// formulas, same device executions), so settlement later reproduces its
+// results bit for bit. Arrivals, replans, and failures break the span; the
+// segments already in the past settle, the current one materializes as a
+// plain in-flight iteration, and the unreached tail is discarded.
 func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 	minRem := 0
 	for _, s := range r.running {
@@ -1004,6 +997,9 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 			}
 		}
 		kv += decodeSeqs * st
+		if _, traced := r.highWater(kv); traced {
+			break // formBatch traces the new KV high water at its instant
+		}
 		segStart = seg.end
 	}
 	for _, s := range r.running {
@@ -1016,7 +1012,7 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 	r.spanLaunched = 0
 	r.spanCursor = 0
 	last := &r.span[nseg-1]
-	r.spanTimer = r.eng.AfterCancelable(last.end-now, r.spanEndFn)
+	r.spanTimer = r.eng.AfterCancelableLast(last.end-now, r.spanEndFn)
 }
 
 // launchSeg applies a span segment's deferred formation (reservations,
@@ -1043,9 +1039,9 @@ func (r *Replica) launchSeg(i int) *spanSeg {
 
 // settleSeg applies a fully elapsed span segment's deferred effects in
 // order: formation and launch (launchSeg), then finish (energy settlement,
-// token advances) — the exact operations, in the exact order, the
-// per-stride scheduler performed at the segment's formation and finish
-// instants.
+// span recording, token advances) — the exact operations, in the exact
+// order, the per-stride scheduler performed at the segment's formation and
+// finish instants.
 func (r *Replica) settleSeg(i int) {
 	seg := r.launchSeg(i)
 	iterJ := seg.exec.Energy()
@@ -1064,6 +1060,9 @@ func (r *Replica) settleSeg(i int) {
 		s.energyJ += perTokJ * float64(toks)
 		s.capSec += perTokCapSec * float64(toks)
 		s.capJ += perTokCapJ * float64(toks)
+		if s.tr != nil {
+			r.spanIteration(s, seg.start, seg.end, perTokJ, perTokCapSec, perTokCapJ)
+		}
 		s.decoded += seg.stride
 		s.kvTokens += seg.stride
 		s.steps = 0
@@ -1088,7 +1087,7 @@ func (r *Replica) materializeSeg(i int, now sim.Time, withTimer bool) {
 	r.iterBaseSec = seg.baseSec
 	r.iterBaseJ = seg.baseJ
 	if withTimer {
-		r.iterTimer = r.eng.AfterCancelable(seg.end-now, r.finishFn)
+		r.iterTimer = r.eng.AfterCancelableLast(seg.end-now, r.finishFn)
 	}
 }
 
@@ -1159,9 +1158,7 @@ func (r *Replica) finishIteration(now sim.Time) {
 			s.energyJ += perTokJ * float64(toks)
 			s.capSec += perTokCapSec * float64(toks)
 			s.capJ += perTokCapJ * float64(toks)
-			if s.tr != nil {
-				r.spanIteration(s, now, perTokJ, perTokCapSec, perTokCapJ)
-			}
+			r.spanIteration(s, r.iterFormedAt, now, perTokJ, perTokCapSec, perTokCapJ)
 		}
 		if s.chunk > 0 {
 			s.prefilled += s.chunk
@@ -1236,25 +1233,28 @@ func (r *Replica) flushDecodeSpan(s *Seq) {
 	r.spans.Emit(s.tr.pending)
 }
 
-// spanIteration records the settled iteration in the sequence's span tree:
-// a prefill span per prompt chunk, and decode iterations coalesced into
-// one span per uninterrupted run (back-to-back iterations chain at the
-// same instant, so a long generation stays a single span instead of one
-// per stride).
-func (r *Replica) spanIteration(s *Seq, now sim.Time, perTokJ, perTokCapSec, perTokCapJ float64) {
+// spanIteration records the iteration formed at formedAt and settled at
+// now in the sequence's span tree (a no-op when tracing is off): a prefill
+// span per prompt chunk, and decode iterations coalesced into one span per
+// uninterrupted run (back-to-back iterations chain at the same instant, so
+// a long generation stays a single span instead of one per stride).
+func (r *Replica) spanIteration(s *Seq, formedAt, now sim.Time, perTokJ, perTokCapSec, perTokCapJ float64) {
+	if s.tr == nil {
+		return
+	}
 	n := float64(s.chunk + s.steps)
 	energy, capSec, capJ := perTokJ*n, perTokCapSec*n, perTokCapJ*n
 	if s.chunk > 0 {
 		r.flushDecodeSpan(s)
 		sp := r.spanBase(s, obs.SpanPrefill)
-		sp.Start, sp.End = r.iterFormedAt, now
+		sp.Start, sp.End = formedAt, now
 		sp.Tokens = int32(s.chunk)
 		sp.Recompute = s.preempts > 0
 		sp.EnergyJ, sp.CapSec, sp.CapJ = energy, capSec, capJ
 		r.spans.Emit(sp)
 		return
 	}
-	if s.tr.hasPending && s.tr.pending.End == r.iterFormedAt {
+	if s.tr.hasPending && s.tr.pending.End == formedAt {
 		p := &s.tr.pending
 		p.End = now
 		p.Tokens += int32(s.steps)
@@ -1265,7 +1265,7 @@ func (r *Replica) spanIteration(s *Seq, now sim.Time, perTokJ, perTokCapSec, per
 	}
 	r.flushDecodeSpan(s)
 	sp := r.spanBase(s, obs.SpanDecode)
-	sp.Start, sp.End = r.iterFormedAt, now
+	sp.Start, sp.End = formedAt, now
 	sp.Tokens = int32(s.steps)
 	sp.EnergyJ, sp.CapSec, sp.CapJ = energy, capSec, capJ
 	s.tr.pending = sp

@@ -9,10 +9,11 @@ import (
 )
 
 // refEngine is the reference scheduler the engine is checked against:
-// every pending event in one slice, the least (at, seq) found by a linear
-// scan, and the engine's seq rules — one number per scheduled event, one
-// when a periodic timer starts and one per re-arm, taken after its handler
-// returns. It also counts the cases the property test must reach.
+// every pending event in one slice, the least (at, last, seq) found by a
+// linear scan, and the engine's seq rules — one number per scheduled
+// event, one when a periodic timer starts and one per re-arm, taken after
+// its handler returns. It also counts the cases the property test must
+// reach.
 type refEngine struct {
 	now        Time
 	seq        uint64
@@ -28,6 +29,7 @@ type refEvent struct {
 	seq     uint64
 	fn      Handler
 	period  time.Duration // 0 for a one-shot event
+	last    bool          // fires after every unmarked event at its instant
 	stopped bool          // stopped, or a one-shot that fired
 }
 
@@ -69,12 +71,26 @@ func (ev *refEvent) Stop() {
 	}
 }
 
-// next returns the index of the least pending event by (at, seq), or -1.
+// next returns the index of the least pending event by (at, last, seq),
+// or -1.
 func (r *refEngine) next() int {
 	best := -1
 	for i, ev := range r.pending {
-		if best < 0 || ev.at < r.pending[best].at ||
-			ev.at == r.pending[best].at && ev.seq < r.pending[best].seq {
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := r.pending[best]
+		switch {
+		case ev.at != b.at:
+			if ev.at < b.at {
+				best = i
+			}
+		case ev.last != b.last:
+			if b.last {
+				best = i
+			}
+		case ev.seq < b.seq:
 			best = i
 		}
 	}
@@ -87,6 +103,12 @@ func (r *refEngine) dispatch(i int) {
 	for _, p := range r.pending {
 		if p.at == ev.at && (p.period > 0) != (ev.period > 0) {
 			r.cov["periodic and one-shot at one instant"]++
+			break
+		}
+	}
+	for _, p := range r.pending {
+		if p.at == ev.at && p.last && !ev.last && p.seq < ev.seq {
+			r.cov["last event passed by a later one at its instant"]++
 			break
 		}
 	}
@@ -115,6 +137,11 @@ func (r *refEngine) At(at Time, fn Handler) {
 func (r *refEngine) After(d time.Duration, fn Handler) { r.schedule(r.now+d, fn, 0) }
 func (r *refEngine) AfterCancelable(d time.Duration, fn Handler) stopper {
 	return r.schedule(r.now+d, fn, 0)
+}
+func (r *refEngine) AfterCancelableLast(d time.Duration, fn Handler) stopper {
+	ev := r.schedule(r.now+d, fn, 0)
+	ev.last = true
+	return ev
 }
 func (r *refEngine) Every(period time.Duration, fn Handler) stopper {
 	return r.schedule(r.now+period, fn, period)
@@ -162,6 +189,7 @@ type scheduler interface {
 	At(Time, Handler)
 	After(time.Duration, Handler)
 	AfterCancelable(time.Duration, Handler) stopper
+	AfterCancelableLast(time.Duration, Handler) stopper
 	Every(time.Duration, Handler) stopper
 	EveryFrom(Time, time.Duration, Handler) stopper
 	Step() bool
@@ -174,6 +202,9 @@ type engineSched struct{ *Engine }
 
 func (e engineSched) AfterCancelable(d time.Duration, fn Handler) stopper {
 	return e.Engine.AfterCancelable(d, fn)
+}
+func (e engineSched) AfterCancelableLast(d time.Duration, fn Handler) stopper {
+	return e.Engine.AfterCancelableLast(d, fn)
 }
 func (e engineSched) Every(period time.Duration, fn Handler) stopper {
 	return e.Engine.Every(period, fn)
@@ -233,8 +264,8 @@ func (w *workload) periodicHandler(id, h, k int) Handler {
 
 // act makes one random scheduling call, or stops a random handle.
 func (w *workload) act() {
-	op := w.rng.Intn(6)
-	if op < 5 && w.budget <= 0 {
+	op := w.rng.Intn(7)
+	if op < 6 && w.budget <= 0 {
 		return
 	}
 	w.ids++
@@ -257,6 +288,8 @@ func (w *workload) act() {
 		w.handles = append(w.handles, nil)
 		w.handles[h] = w.s.EveryFrom(w.s.Now()+d, period, w.periodicHandler(id, h, 1+w.rng.Intn(6)))
 	case 5:
+		w.handles = append(w.handles, w.s.AfterCancelableLast(d, w.handler(id)))
+	case 6:
 		if len(w.handles) > 0 {
 			w.handles[w.rng.Intn(len(w.handles))].Stop()
 		}
@@ -317,6 +350,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		"periodic stopped in another handler",
 		"periodic started in a handler",
 		"periodic and one-shot at one instant",
+		"last event passed by a later one at its instant",
 		"RunUntil deadline before a pending event",
 		"Run",
 	} {

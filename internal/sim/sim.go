@@ -11,7 +11,9 @@
 //
 // Every pending event has a place in one total order, (time, seq): seq is
 // a counter the engine takes one number from for each event it schedules,
-// so same-instant events fire in scheduling order. One-shot events live in
+// so same-instant events fire in scheduling order. AfterCancelableLast sets
+// the seq's top bit, so its events fire after every other event at their
+// instant and in scheduling order among themselves. One-shot events live in
 // a value-based 4-ary min-heap: events are plain structs stored in a
 // reusable slice, so the steady-state schedule/dispatch path performs no
 // allocation. Cancelable timers use generation-stamped slots instead of
@@ -168,10 +170,16 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// lastSeq is the seq bit AfterCancelableLast sets.
+const lastSeq = 1 << 63
+
 // schedule pushes an event; timer is a slot index or noTimer.
-func (e *Engine) schedule(at Time, fn Handler, timer int32) {
+func (e *Engine) schedule(at Time, fn Handler, timer int32, last bool) {
 	e.seq++
 	ev := event{at: at, seq: e.seq, fn: fn, timer: timer}
+	if last {
+		ev.seq |= lastSeq
+	}
 	if timer != noTimer {
 		e.timers[timer].queued++
 	}
@@ -331,7 +339,7 @@ func (e *Engine) At(at Time, fn Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.schedule(at, fn, noTimer)
+	e.schedule(at, fn, noTimer, false)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -371,8 +379,22 @@ func (t Timer) Stop() {
 // AfterCancelable schedules fn after d and returns a Timer that can cancel
 // it before it fires.
 func (e *Engine) AfterCancelable(d time.Duration, fn Handler) Timer {
+	return e.afterCancelable(d, fn, false)
+}
+
+// AfterCancelableLast is AfterCancelable for an event that fires after
+// every event at its instant that was not scheduled this way, whenever
+// that one was scheduled. A serving replica schedules its iteration
+// completions so: everything else at a completion instant sees the
+// iteration still in flight, whether it was scheduled before the
+// iteration formed or during it.
+func (e *Engine) AfterCancelableLast(d time.Duration, fn Handler) Timer {
+	return e.afterCancelable(d, fn, true)
+}
+
+func (e *Engine) afterCancelable(d time.Duration, fn Handler, last bool) Timer {
 	id, gen := e.newTimerSlot(false)
-	e.schedule(e.now+d, fn, id)
+	e.schedule(e.now+d, fn, id, last)
 	return Timer{e: e, id: id, gen: gen}
 }
 

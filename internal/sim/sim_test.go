@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,29 @@ func TestSameInstantFIFO(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("same-instant events not FIFO: %v", got)
 		}
+	}
+}
+
+// TestAfterCancelableLastOrder pins the contract serving replicas rely on:
+// an AfterCancelableLast event fires after every other event at its
+// instant, one-shot or periodic, even those scheduled after it, and such
+// events keep their scheduling order among themselves.
+func TestAfterCancelableLastOrder(t *testing.T) {
+	e := New(1)
+	var got []string
+	log := func(name string) Handler { return func(Time) { got = append(got, name) } }
+	e.AfterCancelableLast(time.Second, log("last1"))
+	e.At(time.Second, log("at1"))
+	e.AfterCancelableLast(time.Second, log("last2"))
+	e.At(500*time.Millisecond, func(Time) {
+		e.After(500*time.Millisecond, log("at2"))
+	})
+	tick := e.Every(time.Second, log("tick"))
+	e.RunUntil(time.Second)
+	tick.Stop()
+	want := []string{"at1", "tick", "at2", "last1", "last2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order %v, want %v", got, want)
 	}
 }
 
