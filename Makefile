@@ -164,7 +164,9 @@ chaos-serve:
 # fuzz-smoke runs the fuzzers briefly: round-trip and never-panic
 # properties over the faults and scenario grammars and the request-trace
 # CSV loader, the GPU power-cap solver against its reference bisection, the
-# JSONL record decoder against its encoding/json reference, the rung-table
+# JSONL record decoder against its encoding/json reference, the event,
+# span and decision log scanners on arbitrary files (no panic, and an
+# accepted file's records numbered exactly 1..N), the rung-table
 # threshold policies against hand-written Table 5 and 1-Thresh state
 # machines, and the serve replica's decode-span planner against its
 # per-stride reference under random scripts, traced and span-recorded.
@@ -175,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadRequestsCSV -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecoders -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzScanLog -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzPolicyMatchesTable5 -fuzztime 10s ./internal/polca
 	$(GO) test -run '^$$' -fuzz FuzzCoalescingMatchesPerStride -fuzztime 10s ./internal/serve
 

@@ -58,19 +58,22 @@ func TestAlertsMode(t *testing.T) {
 	}
 }
 
+// eventsHeader is the event log's header line.
+const eventsHeader = `{"schema":"polca-events/v1"}` + "\n"
+
 // TestAlertsModeRejectsSpanInput: pointing -alerts at a span file is an
-// input error, not an empty report — the scanner rejects span kinds with
-// the offending line, and a genuine event trace without any alerts gets
-// its own distinct error.
+// input error, not an empty report — the scanner rejects the span log's
+// header with a schema error and its line number, and a genuine event
+// trace without any alerts gets its own distinct error.
 func TestAlertsModeRejectsSpanInput(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := cli([]string{"-alerts", "testdata/spans.jsonl"}, &out, &errw); code != 1 {
 		t.Fatalf("cli exited %d, want 1; stderr: %s", code, errw.String())
 	}
-	if !strings.Contains(errw.String(), "unknown kind") || !strings.Contains(errw.String(), "line") {
-		t.Errorf("stderr = %q, want unknown-kind error with a line number", errw.String())
+	if !strings.Contains(errw.String(), "schema") || !strings.Contains(errw.String(), "line") {
+		t.Errorf("stderr = %q, want a schema error with a line number", errw.String())
 	}
-	noAlerts := strings.NewReader(`{"t_us":2000000,"kind":"brake.engage","value":0.99}` + "\n")
+	noAlerts := strings.NewReader(eventsHeader + `{"seq":1,"t_us":2000000,"kind":"brake.engage","value":0.99}` + "\n")
 	if _, err := AnalyzeAlerts(noAlerts, 5); err == nil || !strings.Contains(err.Error(), "no alert events") {
 		t.Errorf("err = %v, want mention of missing alert events", err)
 	}
@@ -79,7 +82,7 @@ func TestAlertsModeRejectsSpanInput(t *testing.T) {
 // TestAlertsModeUnpairedResolve: a resolve with no prior fire is a
 // malformed trace and must be reported with its line number.
 func TestAlertsModeUnpairedResolve(t *testing.T) {
-	in := strings.NewReader(`{"t_us":1000000,"kind":"alert.resolve","value":1,"reason":"x","label":"ghost"}`)
+	in := strings.NewReader(eventsHeader + `{"seq":1,"t_us":1000000,"kind":"alert.resolve","value":1,"reason":"x","label":"ghost"}`)
 	if _, err := AnalyzeAlerts(in, 5); err == nil || !strings.Contains(err.Error(), "resolved without firing") {
 		t.Errorf("err = %v, want unpaired-resolve error", err)
 	}

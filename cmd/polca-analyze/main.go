@@ -119,21 +119,6 @@ type request struct {
 	// critical-path components inside the [arrival, first token] window,
 	// in seconds
 	queue, prefill, recompute, stall float64
-	preempts                         int
-	// pending buffers children that arrived before their root — the
-	// critical-path window is unknown until the root supplies Start and
-	// TTFT. WriteJSONL emits each root first, so this stays empty on
-	// simulator output; it only fills on re-sorted or concatenated files.
-	pending []pendingChild
-}
-
-// pendingChild is the compact residue of a child span awaiting its root:
-// just what the fold needs, not the whole Span.
-type pendingChild struct {
-	id         int32
-	kind       obs.SpanKind
-	start, end time.Duration
-	recompute  bool
 }
 
 // latencySec is the request's total residency (arrival to completion/drop).
@@ -144,11 +129,11 @@ func Analyze(r io.Reader, top int) (string, error) {
 	return AnalyzeSLO(r, top, 15)
 }
 
-// AnalyzeSLO reads span JSONL in one streaming pass and renders the offline
-// report, judging per-class SLO attainment against sloSec. Spans fold into
-// per-request aggregates as they arrive, so memory is proportional to the
-// number of requests (plus any children whose root has not arrived yet),
-// never to the span count or the file size.
+// AnalyzeSLO reads a span log in one streaming pass and renders the
+// offline report, judging per-class SLO attainment against sloSec. Spans
+// fold into per-request aggregates as they arrive, so memory is
+// proportional to the number of requests, never to the span count or the
+// file size.
 func AnalyzeSLO(r io.Reader, top int, sloSec float64) (string, error) {
 	f := newFolder()
 	var header []string
@@ -156,10 +141,7 @@ func AnalyzeSLO(r io.Reader, top int, sloSec float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	reqs, err := f.finish()
-	if err != nil {
-		return "", err
-	}
+	reqs := f.finish()
 	if len(reqs) == 0 {
 		return "", fmt.Errorf("no request spans in input")
 	}
@@ -192,50 +174,37 @@ func newFolder() *folder {
 	return &folder{byReq: map[int64]*request{}}
 }
 
-// add folds one span. Children fold immediately when their root is known;
-// otherwise a compact record is buffered until the root arrives.
+// add folds one span. The span writer puts each attempt's root before its
+// children and the log's seq check rejects reordered files, so a child
+// whose request has no root yet is an error.
 func (f *folder) add(sp obs.Span) error {
 	req := f.byReq[sp.Req]
-	if req == nil {
-		req = &request{}
-		f.byReq[sp.Req] = req
-	}
 	if sp.Kind == obs.SpanRequest {
-		if err := req.Add(sp); err != nil {
-			return err
+		if req == nil {
+			req = &request{}
+			f.byReq[sp.Req] = req
 		}
-		for _, c := range req.pending {
-			req.fold(c)
-		}
-		req.pending = nil
-		return nil
+		return req.Add(sp)
 	}
-	c := pendingChild{id: sp.ID, kind: sp.Kind, start: sp.Start, end: sp.End, recompute: sp.Recompute}
-	if !req.Has() {
-		req.pending = append(req.pending, c)
-		return nil
+	if req == nil {
+		return fmt.Errorf("span %d/%d has no request root before it", sp.Req, sp.ID)
 	}
-	req.fold(c)
+	req.fold(sp)
 	return nil
 }
 
-// fold applies one child to the request's aggregates. Callers guarantee the
-// root is present.
-func (r *request) fold(c pendingChild) {
-	if c.kind == obs.SpanPreempt {
-		r.preempts++
-		return
-	}
+// fold applies one child span to the request's critical path.
+func (r *request) fold(c obs.Span) {
 	if r.Root.TTFTSec < 0 {
 		return // never produced a token: no critical path to split
 	}
 	windowEnd := r.Root.Start + time.Duration(r.Root.TTFTSec*float64(time.Second))
-	clipped := clip(c.start, c.end, r.Root.Start, windowEnd)
-	switch c.kind {
+	clipped := clip(c.Start, c.End, r.Root.Start, windowEnd)
+	switch c.Kind {
 	case obs.SpanQueue:
 		r.queue += clipped
 	case obs.SpanPrefill:
-		if c.recompute {
+		if c.Recompute {
 			r.recompute += clipped
 		} else {
 			r.prefill += clipped
@@ -243,14 +212,11 @@ func (r *request) fold(c pendingChild) {
 	}
 }
 
-// finish validates that every buffered child found its root, computes the
-// stall residuals, and returns the requests ordered by ID.
-func (f *folder) finish() ([]*request, error) {
+// finish computes the stall residuals and returns the requests ordered by
+// ID.
+func (f *folder) finish() []*request {
 	reqs := make([]*request, 0, len(f.byReq))
-	for id, req := range f.byReq {
-		if !req.Has() {
-			return nil, fmt.Errorf("span %d/%d has no request root", id, req.pending[0].id)
-		}
+	for _, req := range f.byReq {
 		if req.Root.TTFTSec >= 0 {
 			if stall := req.Root.TTFTSec - req.queue - req.prefill - req.recompute; stall > 0 {
 				req.stall = stall
@@ -259,7 +225,7 @@ func (f *folder) finish() ([]*request, error) {
 		reqs = append(reqs, req)
 	}
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Root.Req < reqs[j].Root.Req })
-	return reqs, nil
+	return reqs
 }
 
 // clip returns the seconds of [s, e] that fall inside [lo, hi].

@@ -204,7 +204,7 @@ func TestCLIErrors(t *testing.T) {
 	if code := cli([]string{"testdata/definitely-missing.jsonl"}, &out, &errw); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
-	bad := strings.NewReader(`{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n")
+	bad := strings.NewReader(spansHeader + `{"seq":1,"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n")
 	if _, err := Analyze(bad, 5); err == nil {
 		t.Error("Analyze accepted an unknown span kind")
 	}
@@ -213,28 +213,33 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// spansHeader is the span log's header line.
+const spansHeader = `{"schema":"polca-spans/v1"}` + "\n"
+
 // writeSyntheticSpans streams nReq synthetic request trees (5 spans each:
-// root, queue, prefill, decode, preempt) in WriteJSONL order — root first —
-// to w, without materializing them.
+// root, queue, prefill, decode, preempt) as a span log in WriteJSONL order
+// — root first — to w, without materializing them.
 func writeSyntheticSpans(w io.Writer, nReq int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# polca-sim synthetic memory fixture")
+	bw.WriteString(spansHeader)
 	for i := 0; i < nReq; i++ {
 		base := int64(i) * 1_000_000 // µs
 		class := []string{"chat", "code", "summarize"}[i%3]
+		seq := 5*i + 1
 		if _, err := fmt.Fprintf(bw,
-			`{"req":%d,"id":1,"kind":"request","start_us":%d,"end_us":%d,"server":%d,"class":"%s","tokens":600,"preempts":1,"energy_j":%g,"cap_s":0.02,"ttft_s":0.8}`+"\n",
-			i, base, base+30_000_000, i%16, class, 100.0+float64(i%50)); err != nil {
+			`{"seq":%d,"req":%d,"id":1,"kind":"request","start_us":%d,"end_us":%d,"server":%d,"class":"%s","tokens":600,"preempts":1,"energy_j":%g,"cap_s":0.02,"ttft_s":0.8}`+"\n",
+			seq, i, base, base+30_000_000, i%16, class, 100.0+float64(i%50)); err != nil {
 			return err
 		}
-		fmt.Fprintf(bw, `{"req":%d,"id":2,"parent":1,"kind":"queue","start_us":%d,"end_us":%d,"class":"%s"}`+"\n",
-			i, base, base+300_000, class)
-		fmt.Fprintf(bw, `{"req":%d,"id":3,"parent":1,"kind":"prefill","start_us":%d,"end_us":%d,"class":"%s","tokens":512}`+"\n",
-			i, base+300_000, base+500_000, class)
-		fmt.Fprintf(bw, `{"req":%d,"id":4,"parent":1,"kind":"decode","start_us":%d,"end_us":%d,"class":"%s","tokens":600,"energy_j":%g}`+"\n",
-			i, base+500_000, base+30_000_000, class, 90.0+float64(i%50))
-		if _, err := fmt.Fprintf(bw, `{"req":%d,"id":5,"parent":1,"kind":"preempt","start_us":%d,"end_us":%d,"class":"%s","tokens":128}`+"\n",
-			i, base+700_000, base+700_000, class); err != nil {
+		fmt.Fprintf(bw, `{"seq":%d,"req":%d,"id":2,"parent":1,"kind":"queue","start_us":%d,"end_us":%d,"class":"%s"}`+"\n",
+			seq+1, i, base, base+300_000, class)
+		fmt.Fprintf(bw, `{"seq":%d,"req":%d,"id":3,"parent":1,"kind":"prefill","start_us":%d,"end_us":%d,"class":"%s","tokens":512}`+"\n",
+			seq+2, i, base+300_000, base+500_000, class)
+		fmt.Fprintf(bw, `{"seq":%d,"req":%d,"id":4,"parent":1,"kind":"decode","start_us":%d,"end_us":%d,"class":"%s","tokens":600,"energy_j":%g}`+"\n",
+			seq+3, i, base+500_000, base+30_000_000, class, 90.0+float64(i%50))
+		if _, err := fmt.Fprintf(bw, `{"seq":%d,"req":%d,"id":5,"parent":1,"kind":"preempt","start_us":%d,"end_us":%d,"class":"%s","tokens":128}`+"\n",
+			seq+4, i, base+700_000, base+700_000, class); err != nil {
 			return err
 		}
 	}
@@ -290,32 +295,37 @@ func TestAnalyzeStreamsInFixedMemory(t *testing.T) {
 	}
 }
 
-// TestFoldOutOfOrderAndErrors exercises the incremental folder's buffering
-// and failure paths: children before their root fold identically, a child
-// with no root anywhere is an error, and a duplicated root is an error.
+// TestFoldOutOfOrderAndErrors exercises the incremental folder's ordering
+// contract and failure paths: a root-first log folds, a child that arrives
+// before any root of its request is an error, and so is a duplicated root.
 func TestFoldOutOfOrderAndErrors(t *testing.T) {
-	root := `{"req":3,"id":1,"kind":"request","start_us":0,"end_us":2000000,"class":"chat","tokens":10,"energy_j":5,"ttft_s":1.0}`
-	queue := `{"req":3,"id":2,"kind":"queue","start_us":0,"end_us":400000}`
-	prefill := `{"req":3,"id":3,"kind":"prefill","start_us":400000,"end_us":900000,"tokens":64}`
-	preempt := `{"req":3,"id":4,"kind":"preempt","start_us":500000,"end_us":500000}`
+	root := `"req":3,"id":1,"kind":"request","start_us":0,"end_us":2000000,"class":"chat","tokens":10,"energy_j":5,"ttft_s":1.0}`
+	queue := `"req":3,"id":2,"kind":"queue","start_us":0,"end_us":400000}`
+	prefill := `"req":3,"id":3,"kind":"prefill","start_us":400000,"end_us":900000,"tokens":64}`
+	preempt := `"req":3,"id":4,"kind":"preempt","start_us":500000,"end_us":500000}`
+	log := func(records ...string) io.Reader {
+		var b strings.Builder
+		b.WriteString(spansHeader)
+		for i, rec := range records {
+			fmt.Fprintf(&b, `{"seq":%d,%s`+"\n", i+1, rec)
+		}
+		return strings.NewReader(b.String())
+	}
 
-	inOrder, err := Analyze(strings.NewReader(root+"\n"+queue+"\n"+prefill+"\n"+preempt+"\n"), 5)
+	report, err := Analyze(log(root, queue, prefill, preempt), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reversed, err := Analyze(strings.NewReader(preempt+"\n"+prefill+"\n"+queue+"\n"+root+"\n"), 5)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(report, "Requests: 1 (1 completed") {
+		t.Errorf("root-first log did not fold one request:\n%s", report)
 	}
-	if inOrder != reversed {
-		t.Errorf("root-last input folds differently:\n--- root first ---\n%s\n--- root last ---\n%s", inOrder, reversed)
+	for _, in := range []io.Reader{log(preempt, prefill, queue, root), log(queue)} {
+		if _, err := Analyze(in, 5); err == nil || !strings.Contains(err.Error(), "spans line 2: span 3/") ||
+			!strings.Contains(err.Error(), "no request root before it") {
+			t.Errorf("child before its root: err = %v", err)
+		}
 	}
-
-	if _, err := Analyze(strings.NewReader(queue+"\n"), 5); err == nil ||
-		!strings.Contains(err.Error(), "no request root") {
-		t.Errorf("orphan child err = %v", err)
-	}
-	if _, err := Analyze(strings.NewReader(root+"\n"+root+"\n"), 5); err == nil ||
+	if _, err := Analyze(log(root, root), 5); err == nil ||
 		!strings.Contains(err.Error(), "two root spans") {
 		t.Errorf("duplicate root err = %v", err)
 	}

@@ -594,7 +594,7 @@ func runOne(o runOpts) (string, error) {
 	}
 	if tr := o.obs.Trace(); tr != nil {
 		if o.tracePath != "" {
-			if err := writeTrace(o.tracePath, tr.WriteJSONL); err != nil {
+			if err := writeLog(o.tracePath, prov, tr.WriteJSONL); err != nil {
 				return "", fmt.Errorf("trace: %w", err)
 			}
 			fmt.Fprintf(&b, "\nEvent trace (%d events) written to %s\n", tr.Len(), o.tracePath)
@@ -617,12 +617,7 @@ func runOne(o runOpts) (string, error) {
 	}
 	if sp := o.obs.SpanSink(); sp != nil {
 		if o.spansPath != "" {
-			if err := writeTrace(o.spansPath, func(w io.Writer) error {
-				if err := obs.WriteProvenance(w, prov); err != nil {
-					return err
-				}
-				return sp.WriteJSONL(w)
-			}); err != nil {
+			if err := writeLog(o.spansPath, prov, sp.WriteJSONL); err != nil {
 				return "", fmt.Errorf("spans: %w", err)
 			}
 			fmt.Fprintf(&b, "\nRequest spans (%d) written to %s (analyze with polca-analyze)\n", sp.Len(), o.spansPath)
@@ -635,12 +630,7 @@ func runOne(o runOpts) (string, error) {
 		}
 	}
 	if dec := o.obs.DecisionLog(); dec != nil && o.decisionsPath != "" {
-		if err := writeTrace(o.decisionsPath, func(w io.Writer) error {
-			if err := obs.WriteProvenance(w, prov); err != nil {
-				return err
-			}
-			return dec.WriteJSONL(w)
-		}); err != nil {
+		if err := writeLog(o.decisionsPath, prov, dec.WriteJSONL); err != nil {
 			return "", fmt.Errorf("decisions: %w", err)
 		}
 		fmt.Fprintf(&b, "\nDecision log (%d decisions) written to %s (replay with polca-replay)\n", dec.Len(), o.decisionsPath)
@@ -726,6 +716,17 @@ func writeTrace(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeLog writes a JSONL log (events, spans or decisions) to path behind
+// the run's `#` provenance lines.
+func writeLog(path string, prov obs.Provenance, write func(w io.Writer) error) error {
+	return writeTrace(path, func(w io.Writer) error {
+		if err := obs.WriteProvenance(w, prov); err != nil {
+			return err
+		}
+		return write(w)
+	})
 }
 
 func writeCSV(path string, s stats.Series, prov obs.Provenance) error {

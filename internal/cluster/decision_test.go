@@ -105,9 +105,6 @@ func TestDecisionLogCapturesFaultedServeRun(t *testing.T) {
 	ticks, routes := 0, 0
 	var delivered, lost, down, reset, wd int
 	for i, d := range recs {
-		if d.Seq != uint64(i+1) {
-			t.Fatalf("decision %d has seq %d, want %d", i, d.Seq, i+1)
-		}
 		switch d.Kind {
 		case obs.DecTick:
 			ticks++

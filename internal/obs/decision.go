@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -56,11 +53,8 @@ func ParseDecisionKind(s string) (DecisionKind, bool) {
 // Decision is one recorded decision with its full input snapshot: a flat
 // value type like Event, so recording costs only the recorder's amortized
 // buffer growth. Tick and route decisions share the struct (one arena, one
-// sequence) with kind-specific fields; unused fields stay zero.
+// log) with kind-specific fields; unused fields stay zero.
 type Decision struct {
-	// Seq is the recorder-assigned 1-based sequence number across both
-	// decision kinds, so the scanner can prove a log is gap-free.
-	Seq  uint64
 	At   time.Duration // simulated time
 	Kind DecisionKind
 
@@ -181,7 +175,7 @@ type GuardSpec struct {
 
 // DecisionMeta is the log header: everything replay needs to rebuild the
 // deployed policy, interpret the snapshots, and convert lock deltas into
-// watts and seconds. It is the first line of the JSONL file.
+// watts and seconds. It is the decision log's header line.
 type DecisionMeta struct {
 	Schema string `json:"schema"`
 	// Policy is the deployed controller's display name ("polca", "guard(polca)").
@@ -222,7 +216,6 @@ type DecisionMeta struct {
 // BenchmarkDecisionRecord for the enabled path's zero-alloc contract).
 type DecisionRecorder struct {
 	mu    sync.Mutex
-	seq   uint64
 	meta  DecisionMeta
 	recs  []Decision
 	cands []RouteCandidate
@@ -233,21 +226,9 @@ func NewDecisionRecorder() *DecisionRecorder {
 	return &DecisionRecorder{}
 }
 
-// Enabled reports whether decisions are being recorded.
-func (r *DecisionRecorder) Enabled() bool { return r != nil }
-
-// SetMeta stores the log header; the row fills the shape fields at
-// construction and the CLI fills the policy spec.
-func (r *DecisionRecorder) SetMeta(m DecisionMeta) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.meta = m
-	r.mu.Unlock()
-}
-
-// UpdateMeta edits the stored header in place under the recorder's lock.
+// UpdateMeta edits the stored header in place under the recorder's lock;
+// the row fills the shape fields at construction and the CLI fills the
+// policy spec.
 func (r *DecisionRecorder) UpdateMeta(fn func(*DecisionMeta)) {
 	if r == nil {
 		return
@@ -274,8 +255,6 @@ func (r *DecisionRecorder) RecordTick(d Decision) {
 	}
 	d.Kind = DecTick
 	r.mu.Lock()
-	r.seq++
-	d.Seq = r.seq
 	r.recs = append(r.recs, d)
 	r.mu.Unlock()
 }
@@ -289,8 +268,6 @@ func (r *DecisionRecorder) RecordRoute(d Decision, cands []RouteCandidate) {
 	}
 	d.Kind = DecRoute
 	r.mu.Lock()
-	r.seq++
-	d.Seq = r.seq
 	d.EpOff = int32(len(r.cands))
 	d.EpLen = int32(len(cands))
 	r.cands = append(r.cands, cands...)
@@ -324,7 +301,7 @@ func (r *DecisionRecorder) Decisions() ([]Decision, []RouteCandidate) {
 }
 
 // Reset discards recorded decisions but keeps buffer capacity and the
-// stored header; the sequence counter restarts.
+// stored header.
 func (r *DecisionRecorder) Reset() {
 	if r == nil {
 		return
@@ -332,15 +309,12 @@ func (r *DecisionRecorder) Reset() {
 	r.mu.Lock()
 	r.recs = r.recs[:0]
 	r.cands = r.cands[:0]
-	r.seq = 0
 	r.mu.Unlock()
 }
 
-// appendDecisionJSON renders one decision as a single JSON object with
-// fixed field order and omitted zero fields, mirroring appendEventJSON.
+// appendDecisionJSON appends a decision's record members with fixed
+// member order and omitted zero members, mirroring appendEventJSON.
 func appendDecisionJSON(b []byte, d Decision, arena []RouteCandidate) []byte {
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, d.Seq, 10)
 	b = append(b, `,"t_us":`...)
 	b = strconv.AppendInt(b, int64(d.At/time.Microsecond), 10)
 	b = append(b, `,"kind":`...)
@@ -441,14 +415,11 @@ func appendDecisionJSON(b []byte, d Decision, arena []RouteCandidate) []byte {
 		}
 		b = append(b, ']')
 	}
-	return append(b, '}')
+	return b
 }
 
-// WriteJSONL writes the log: the meta header line first, then one decision
-// per line in record order. The decision encoding is hand-rolled (fixed
-// field order, omitted zero fields) so identical runs produce identical
-// bytes; the header uses encoding/json, which is also deterministic for a
-// struct.
+// WriteJSONL writes the decision log (see writeLog): the header carries
+// the stored DecisionMeta, then one record per decision in record order.
 func (r *DecisionRecorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -456,37 +427,23 @@ func (r *DecisionRecorder) WriteJSONL(w io.Writer) error {
 	meta := r.Meta()
 	meta.Schema = DecisionSchema
 	recs, cands := r.Decisions()
-	bw := bufio.NewWriter(w)
-	hdr, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	if _, err := bw.Write(append(hdr, '\n')); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 512)
-	for _, d := range recs {
-		buf = appendDecisionJSON(buf[:0], d, cands)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLog(w, meta, recs, func(b []byte, d Decision) []byte {
+		return appendDecisionJSON(b, d, cands)
+	})
 }
 
-// decisionFields are the member names of appendDecisionJSON's wire format.
+// decisionFields are the member names of a decision record line.
 var decisionFields = []string{
 	"seq", "t_us", "kind", "true_util", "util", "lost", "down", "missed", "reset", "braked",
 	"brake_pending", "wd", "failsafe", "stage", "lp_mhz", "hp_mhz", "lp_busy", "hp_busy", "lp_w", "hp_w",
 	"req", "class", "pri", "retry", "session", "prefix", "chosen", "eps",
 }
 
-// parseDecisionLine decodes one decision line; route candidates are
-// appended to cands and indexed by the returned decision. Every member is
-// read whatever the kind, so a malformed one fails either kind, but a
-// decision keeps only its own kind's fields.
-func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCandidate, error) {
+// parseDecisionLine decodes one record line into a Decision and its seq;
+// route candidates are appended to cands and indexed by the returned
+// decision. Every member is read whatever the kind, so a malformed one
+// fails either kind, but a decision keeps only its own kind's fields.
+func parseDecisionLine(raw []byte, cands []RouteCandidate) (_ Decision, _ []RouteCandidate, seq uint64, err error) {
 	dc := Decision{Chosen: -1}
 	base := len(cands)
 	var epsErr error
@@ -494,13 +451,13 @@ func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCan
 	for d.member(decisionFields) {
 		switch d.key {
 		case "seq":
-			d.uint64(&dc.Seq)
+			d.uint64(&seq)
 		case "t_us":
 			d.micros(&dc.At)
 		case "kind":
 			if s, ok := d.text(); ok {
 				if dc.Kind, ok = ParseDecisionKind(string(s)); !ok {
-					return Decision{}, cands[:base], fmt.Errorf("unknown kind %q", s)
+					return Decision{}, cands[:base], 0, fmt.Errorf("unknown kind %q", s)
 				}
 			}
 		case "true_util":
@@ -557,7 +514,7 @@ func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCan
 		}
 	}
 	if d.err != nil {
-		return Decision{}, cands[:base], d.err
+		return Decision{}, cands[:base], 0, d.err
 	}
 	switch dc.Kind {
 	case DecTick:
@@ -565,18 +522,18 @@ func parseDecisionLine(raw []byte, cands []RouteCandidate) (Decision, []RouteCan
 		cands = cands[:base]
 	case DecRoute:
 		if epsErr != nil {
-			return Decision{}, cands[:base], epsErr
+			return Decision{}, cands[:base], 0, epsErr
 		}
 		dc = Decision{
-			Seq: dc.Seq, At: dc.At, Kind: DecRoute,
+			At: dc.At, Kind: DecRoute,
 			ReqID: dc.ReqID, Class: dc.Class, Pri: dc.Pri, Retry: dc.Retry,
 			Session: dc.Session, Prefix: dc.Prefix, Chosen: dc.Chosen,
 			EpOff: int32(base), EpLen: int32(len(cands) - base),
 		}
 	default:
-		return Decision{}, cands[:base], fmt.Errorf("unknown kind %q", "")
+		return Decision{}, cands[:base], 0, fmt.Errorf("unknown kind %q", "")
 	}
-	return dc, cands, nil
+	return dc, cands, seq, nil
 }
 
 // candidates reads the "eps" member, [[server, load, kv_frac, capped_mhz],
@@ -643,45 +600,17 @@ func (d *recordDecoder) candidates(cands []RouteCandidate) (_ []RouteCandidate, 
 	return cands, lenErr
 }
 
-// ScanDecisions streams a decision log produced by WriteJSONL: the header
-// is validated and returned, then fn runs once per decision in file order.
+// ScanDecisions streams a decision log written by WriteJSONL: the header
+// is decoded and returned, then fn runs once per decision in file order.
 // The cands slice passed to fn is the decision's candidate snapshot (nil
-// for ticks) and is only valid during the callback. Blank lines are
-// skipped; `#` provenance lines go to comment (when non-nil).
-//
-// The sequence numbers must run 1,2,3,... without gaps: a jump or repeat
-// fails with the 1-based line number, so a truncated or spliced log cannot
-// be silently replayed. A file truncated mid-line surfaces as a JSON parse
-// error on that line.
-func ScanDecisions(r io.Reader, comment func(line string), fn func(d Decision, cands []RouteCandidate) error) (DecisionMeta, error) {
-	var meta DecisionMeta
-	sawMeta := false
-	seq := seqCheck{noun: "decisions"}
-	var scratch []RouteCandidate
-	err := scanJSONL(r, "decisions", comment, func(raw []byte) error {
-		if !sawMeta {
-			if err := json.Unmarshal(raw, &meta); err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			if meta.Schema != DecisionSchema {
-				return fmt.Errorf("schema %q, want %q", meta.Schema, DecisionSchema)
-			}
-			sawMeta = true
-			return nil
-		}
-		var d Decision
-		var err error
-		d, scratch, err = parseDecisionLine(raw, scratch[:0])
-		if err != nil {
-			return err
-		}
-		if err := seq.next(d.Seq); err != nil {
-			return err
-		}
-		return fn(d, d.Candidates(scratch))
-	})
-	if err == nil && !sawMeta {
-		err = errors.New("decisions: empty log (no header line)")
-	}
+// for ticks) and is only valid during the callback. `#` provenance lines go
+// to comment (when non-nil). The envelope's checks apply (see scanLog), so
+// a truncated or spliced log cannot be silently replayed.
+func ScanDecisions(r io.Reader, comment func(line string), fn func(d Decision, cands []RouteCandidate) error) (meta DecisionMeta, err error) {
+	var cands []RouteCandidate
+	err = scanLog(r, decisionLog, &meta, comment, func(raw []byte) (d Decision, seq uint64, err error) {
+		d, cands, seq, err = parseDecisionLine(raw, cands[:0])
+		return d, seq, err
+	}, func(d Decision) error { return fn(d, d.Candidates(cands)) })
 	return meta, err
 }

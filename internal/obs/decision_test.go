@@ -48,10 +48,9 @@ func TestDecisionRecorderNilSafe(t *testing.T) {
 	var r *DecisionRecorder
 	r.RecordTick(Decision{})
 	r.RecordRoute(Decision{}, nil)
-	r.SetMeta(DecisionMeta{})
 	r.UpdateMeta(func(*DecisionMeta) { t.Fatal("must not run on nil") })
 	r.Reset()
-	if r.Enabled() || r.Len() != 0 {
+	if r.Len() != 0 {
 		t.Fatal("nil recorder should be disabled and empty")
 	}
 	if d, c := r.Decisions(); d != nil || c != nil {
@@ -64,15 +63,17 @@ func TestDecisionRecorderNilSafe(t *testing.T) {
 
 func TestDecisionJSONLRoundTrip(t *testing.T) {
 	r := NewDecisionRecorder()
-	r.SetMeta(DecisionMeta{
-		Policy:       "polca",
-		Spec:         PolicySpec{Kind: "polca", T1: 0.80, T2: 0.89, UncapMargin: 0.05, LPBaseMHz: 1275, LPDeepMHz: 1110, HPCapMHz: 1305},
-		Guard:        &GuardSpec{Window: 3, StuckAfter: 5, StuckMinUtil: 0.5, FailSafeAfter: 10, MaxStep: 0.10, FailSafeLPMHz: 1110, FailSafeHPMHz: 1305},
-		TelemetrySec: 2,
-		Servers:      16, LPServers: 8, HPServers: 8,
-		ProvisionedW: 30000, BrakeUtil: 0.95, BrakeReleaseUtil: 0.90,
-		IdleServerW: 500, BusyServerW: 2000, UncappedMHz: 1410,
-		Serve: true, Router: "least-queue", Seed: 1,
+	r.UpdateMeta(func(m *DecisionMeta) {
+		*m = DecisionMeta{
+			Policy:       "polca",
+			Spec:         PolicySpec{Kind: "polca", T1: 0.80, T2: 0.89, UncapMargin: 0.05, LPBaseMHz: 1275, LPDeepMHz: 1110, HPCapMHz: 1305},
+			Guard:        &GuardSpec{Window: 3, StuckAfter: 5, StuckMinUtil: 0.5, FailSafeAfter: 10, MaxStep: 0.10, FailSafeLPMHz: 1110, FailSafeHPMHz: 1305},
+			TelemetrySec: 2,
+			Servers:      16, LPServers: 8, HPServers: 8,
+			ProvisionedW: 30000, BrakeUtil: 0.95, BrakeReleaseUtil: 0.90,
+			IdleServerW: 500, BusyServerW: 2000, UncappedMHz: 1410,
+			Serve: true, Router: "least-queue", Seed: 1,
+		}
 	})
 	r.RecordTick(sampleTick(2 * time.Second))
 	rd, rc := sampleRoute(2*time.Second + 300*time.Millisecond)
@@ -120,7 +121,7 @@ func TestDecisionJSONLRoundTrip(t *testing.T) {
 	}
 
 	want := sampleTick(2 * time.Second)
-	want.Kind, want.Seq = DecTick, 1
+	want.Kind = DecTick
 	if got[0] != want {
 		t.Fatalf("tick did not round-trip:\n got %+v\nwant %+v", got[0], want)
 	}

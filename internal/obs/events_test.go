@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,15 +31,15 @@ func TestKindRoundTripExhaustive(t *testing.T) {
 
 		ev := Event{
 			At: 1500 * time.Microsecond, Kind: k, Server: 3, Pool: PoolLow,
-			MHz: 1275, Value: 0.5, Reason: "r", Label: "l", Seq: uint64(k),
+			MHz: 1275, Value: 0.5, Reason: "r", Label: "l",
 		}
-		line := appendEventJSON(nil, ev)
-		got, err := parseEventLine(line)
+		line := appendRecord(nil, uint64(k), ev, appendEventJSON)
+		got, seq, err := parseEventLine(line)
 		if err != nil {
 			t.Fatalf("kind %v: parse: %v\n%s", k, err, line)
 		}
-		if got != ev {
-			t.Fatalf("kind %v did not round-trip:\n got %+v\nwant %+v", k, got, ev)
+		if got != ev || seq != uint64(k) {
+			t.Fatalf("kind %v did not round-trip:\n got %+v seq %d\nwant %+v seq %d", k, got, seq, ev, k)
 		}
 	}
 	if _, ok := ParseKind("unknown"); ok {
@@ -52,21 +53,34 @@ func TestKindRoundTripExhaustive(t *testing.T) {
 	}
 }
 
+// TestTracerAssignsSequenceNumbers checks that the event log numbers its
+// records 1, 2, 3, … as it writes them, and from 1 again after Reset.
 func TestTracerAssignsSequenceNumbers(t *testing.T) {
 	tr := NewTracer()
 	for i := 0; i < 3; i++ {
 		tr.Emit(Event{At: time.Duration(i) * time.Second, Kind: KindArrive, Server: -1, Pool: PoolNone})
 	}
-	evs := tr.Events()
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+1)
+	seqs := func() (seqs []uint64) {
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
 		}
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+			_, seq, err := parseEventLine([]byte(line))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seq)
+		}
+		return seqs
+	}
+	if got := seqs(); !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("seqs = %v, want [1 2 3]", got)
 	}
 	tr.Reset()
 	tr.Emit(Event{Kind: KindArrive, Server: -1, Pool: PoolNone})
-	if got := tr.Events()[0].Seq; got != 1 {
-		t.Fatalf("seq after Reset = %d, want 1", got)
+	if got := seqs(); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("seqs after Reset = %v, want [1]", got)
 	}
 }
 
@@ -95,45 +109,35 @@ func TestScanEventsRoundTripAndGapDetection(t *testing.T) {
 	if len(comments) != 1 || comments[0] != "# header: yes" {
 		t.Fatalf("comments = %v", comments)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d did not round-trip:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events did not round-trip:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Dropping the middle line is a gap with a line number.
+	// lines[0] is the header; dropping the middle record is a gap with a
+	// line number.
 	lines := strings.SplitAfter(buf.String(), "\n")
-	gappy := lines[0] + lines[2]
+	gappy := lines[0] + lines[1] + lines[3]
 	err = ScanEvents(strings.NewReader(gappy), nil, func(Event) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "sequence gap") {
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "sequence gap") {
 		t.Fatalf("gap error = %v", err)
 	}
 
 	// Duplicated lines are a regression.
-	err = ScanEvents(strings.NewReader(lines[1]+lines[1]), nil, func(Event) error { return nil })
+	err = ScanEvents(strings.NewReader(lines[0]+lines[1]+lines[1]), nil, func(Event) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "regression") {
 		t.Fatalf("regression error = %v", err)
 	}
 
-	// A line without seq spliced into a sequenced stream fails at that line.
+	// A line without seq spliced into the log fails at that line.
 	spliced := lines[0] + lines[1] + `{"t_us":2500000,"kind":"req.drop"}` + "\n" + lines[2]
 	err = ScanEvents(strings.NewReader(spliced), nil, func(Event) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "missing seq") {
 		t.Fatalf("splice error = %v", err)
 	}
 
-	// Legacy files without seq skip the check entirely.
-	legacy := `{"t_us":0,"kind":"req.arrive"}` + "\n" + `{"t_us":5,"kind":"req.drop"}` + "\n"
-	if err := ScanEvents(strings.NewReader(legacy), nil, func(Event) error { return nil }); err != nil {
-		t.Fatalf("legacy scan: %v", err)
-	}
-
 	// Unknown kinds fail with a line number.
-	err = ScanEvents(strings.NewReader(`{"t_us":0,"kind":"zorp"}`+"\n"), nil, func(Event) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "line 1") {
+	err = ScanEvents(strings.NewReader(lines[0]+`{"seq":1,"t_us":0,"kind":"zorp"}`+"\n"), nil, func(Event) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("unknown-kind error = %v", err)
 	}
 }

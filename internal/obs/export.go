@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // appendJSONString appends s as a JSON string literal. Event strings are
@@ -27,29 +28,17 @@ func appendJSONString(b []byte, s string) []byte {
 		case r < 0x20:
 			b = append(b, fmt.Sprintf("\\u%04x", r)...)
 		default:
-			b = utf8AppendRune(b, r)
+			b = utf8.AppendRune(b, r)
 		}
 	}
 	return append(b, '"')
 }
 
-func utf8AppendRune(b []byte, r rune) []byte {
-	var tmp [4]byte
-	n := copy(tmp[:], string(r))
-	return append(b, tmp[:n]...)
-}
-
-// appendEventJSON renders one event as a single JSON object. Fields are
-// emitted in a fixed order and zero-valued optional fields are omitted, so
-// the JSONL output is deterministic and diff-friendly.
+// appendEventJSON appends an event's record members, each led by a comma.
+// Members come in a fixed order and zero-valued optional ones are omitted,
+// so the JSONL output is deterministic and diff-friendly.
 func appendEventJSON(b []byte, ev Event) []byte {
-	b = append(b, '{')
-	if ev.Seq != 0 {
-		b = append(b, `"seq":`...)
-		b = strconv.AppendUint(b, ev.Seq, 10)
-		b = append(b, ',')
-	}
-	b = append(b, `"t_us":`...)
+	b = append(b, `,"t_us":`...)
 	b = strconv.AppendInt(b, int64(ev.At/time.Microsecond), 10)
 	b = append(b, `,"kind":`...)
 	b = appendJSONString(b, ev.Kind.String())
@@ -77,62 +66,87 @@ func appendEventJSON(b []byte, ev Event) []byte {
 		b = append(b, `,"label":`...)
 		b = appendJSONString(b, ev.Label)
 	}
-	return append(b, '}')
+	return b
 }
 
-// WriteJSONL writes the tracer's events, one JSON object per line, in
-// emission order. The encoding is hand-rolled (fixed field order, omitted
-// zero fields) so identical runs produce identical bytes.
+// WriteJSONL writes the tracer's events as an event log (see writeLog),
+// one record per event in emission order.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
-	for _, ev := range t.Events() {
-		buf = appendEventJSON(buf[:0], ev)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLog(w, logHeader{eventLog.schema}, t.Events(), appendEventJSON)
 }
 
-// chromeTraceRow is one emitted trace-event object in the Chrome
-// trace-event format (the "JSON array format" Perfetto and chrome://tracing
-// both load).
-type chromeTraceRow struct {
-	name string
-	ph   string // "X" duration, "i" instant, "M" metadata
-	ts   int64  // microseconds
-	dur  int64  // microseconds, ph "X" only
-	tid  int32
-	args string // pre-rendered JSON object body, may be ""
+// TraceRow is one trace-event object of a Chrome trace-event JSON document
+// (the "JSON array format" Perfetto and chrome://tracing both load). Every
+// trace export of the repository writes its rows with WriteChromeRows.
+type TraceRow struct {
+	Name string
+	Ph   string // "X" duration, "i" instant, "C" counter, "M" metadata
+	TS   int64  // microseconds
+	Dur  int64  // microseconds, ph "X" only
+	// Proc is the row's process index; pids count from 1, so the row's
+	// pid is Proc+1.
+	Proc int32
+	TID  int32
+	Args string // pre-rendered JSON object body, may be ""
 }
 
-func (r chromeTraceRow) append(b []byte) []byte {
+// ProcessName returns the metadata row naming process proc.
+func ProcessName(proc int32, name string) TraceRow {
+	return TraceRow{Name: "process_name", Ph: "M", Proc: proc, Args: `"name":` + string(appendJSONString(nil, name))}
+}
+
+// ThreadName returns the metadata row naming track tid of process proc.
+func ThreadName(proc, tid int32, name string) TraceRow {
+	return TraceRow{Name: "thread_name", Ph: "M", Proc: proc, TID: tid, Args: `"name":` + string(appendJSONString(nil, name))}
+}
+
+func (r TraceRow) append(b []byte) []byte {
 	b = append(b, `{"name":`...)
-	b = appendJSONString(b, r.name)
+	b = appendJSONString(b, r.Name)
 	b = append(b, `,"ph":`...)
-	b = appendJSONString(b, r.ph)
-	b = append(b, `,"pid":1,"tid":`...)
-	b = strconv.AppendInt(b, int64(r.tid), 10)
+	b = appendJSONString(b, r.Ph)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(r.Proc)+1, 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(r.TID), 10)
 	b = append(b, `,"ts":`...)
-	b = strconv.AppendInt(b, r.ts, 10)
-	if r.ph == "X" {
+	b = strconv.AppendInt(b, r.TS, 10)
+	if r.Ph == "X" {
 		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, r.dur, 10)
+		b = strconv.AppendInt(b, r.Dur, 10)
 	}
-	if r.ph == "i" {
+	if r.Ph == "i" {
 		b = append(b, `,"s":"t"`...)
 	}
-	if r.args != "" {
+	if r.Args != "" {
 		b = append(b, `,"args":{`...)
-		b = append(b, r.args...)
+		b = append(b, r.Args...)
 		b = append(b, '}')
 	}
 	return append(b, '}')
+}
+
+// WriteChromeRows writes a Chrome trace-event JSON document: the
+// track-naming metadata rows, then the trace rows. A bufio.Writer keeps
+// its first write error and returns it from Flush, so only Flush is
+// checked.
+func WriteChromeRows(w io.Writer, meta, rows []TraceRow) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":[`)
+	buf := make([]byte, 0, 256)
+	sep := ""
+	for _, part := range [][]TraceRow{meta, rows} {
+		for _, r := range part {
+			buf = r.append(append(buf[:0], sep...))
+			bw.Write(buf)
+			sep = ",\n"
+		}
+	}
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
 
 // Track ids: row-level events live on tid 0; server s lives on tid s+1.
@@ -151,7 +165,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return nil
 	}
 	events := t.Events()
-	var rows []chromeTraceRow
+	var rows []TraceRow
 	maxServer := int32(-1)
 	lastTS := int64(0)
 
@@ -175,9 +189,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		case KindCapApply:
 			// A re-lock at a new frequency closes the previous span.
 			if sp, ok := capOpen[ev.Server]; ok {
-				rows = append(rows, chromeTraceRow{
-					name: sp.name, ph: "X", ts: sp.startUS, dur: ts - sp.startUS,
-					tid: serverTrack(ev.Server), args: sp.args,
+				rows = append(rows, TraceRow{
+					Name: sp.name, Ph: "X", TS: sp.startUS, Dur: ts - sp.startUS,
+					TID: serverTrack(ev.Server), Args: sp.args,
 				})
 			}
 			capOpen[ev.Server] = openSpan{
@@ -187,9 +201,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 		case KindCapRelease:
 			if sp, ok := capOpen[ev.Server]; ok {
-				rows = append(rows, chromeTraceRow{
-					name: sp.name, ph: "X", ts: sp.startUS, dur: ts - sp.startUS,
-					tid: serverTrack(ev.Server), args: sp.args,
+				rows = append(rows, TraceRow{
+					Name: sp.name, Ph: "X", TS: sp.startUS, Dur: ts - sp.startUS,
+					TID: serverTrack(ev.Server), Args: sp.args,
 				})
 				delete(capOpen, ev.Server)
 			}
@@ -197,9 +211,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			brakeOpen = &openSpan{startUS: ts, name: "power brake"}
 		case KindBrakeRelease:
 			if brakeOpen != nil {
-				rows = append(rows, chromeTraceRow{
-					name: brakeOpen.name, ph: "X", ts: brakeOpen.startUS,
-					dur: ts - brakeOpen.startUS, tid: rowTrack,
+				rows = append(rows, TraceRow{
+					Name: brakeOpen.name, Ph: "X", TS: brakeOpen.startUS,
+					Dur: ts - brakeOpen.startUS, TID: rowTrack,
 				})
 				brakeOpen = nil
 			}
@@ -221,8 +235,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				}
 				args += `"value":` + strconv.FormatFloat(ev.Value, 'g', -1, 64)
 			}
-			rows = append(rows, chromeTraceRow{
-				name: ev.Kind.String(), ph: "i", ts: ts, tid: tid, args: args,
+			rows = append(rows, TraceRow{
+				Name: ev.Kind.String(), Ph: "i", TS: ts, TID: tid, Args: args,
 			})
 		}
 	}
@@ -236,27 +250,21 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	slices.Sort(open)
 	for _, server := range open {
 		sp := capOpen[server]
-		rows = append(rows, chromeTraceRow{
-			name: sp.name, ph: "X", ts: sp.startUS, dur: lastTS - sp.startUS,
-			tid: serverTrack(server), args: sp.args,
+		rows = append(rows, TraceRow{
+			Name: sp.name, Ph: "X", TS: sp.startUS, Dur: lastTS - sp.startUS,
+			TID: serverTrack(server), Args: sp.args,
 		})
 	}
 	if brakeOpen != nil {
-		rows = append(rows, chromeTraceRow{
-			name: brakeOpen.name, ph: "X", ts: brakeOpen.startUS,
-			dur: lastTS - brakeOpen.startUS, tid: rowTrack,
+		rows = append(rows, TraceRow{
+			Name: brakeOpen.name, Ph: "X", TS: brakeOpen.startUS,
+			Dur: lastTS - brakeOpen.startUS, TID: rowTrack,
 		})
 	}
 	// Name the tracks.
-	meta := []chromeTraceRow{{
-		name: "thread_name", ph: "M", tid: rowTrack, args: `"name":"row"`,
-	}}
+	meta := []TraceRow{ThreadName(0, rowTrack, "row")}
 	for s := int32(0); s <= maxServer; s++ {
-		meta = append(meta, chromeTraceRow{
-			name: "thread_name", ph: "M", tid: serverTrack(s),
-			args: `"name":` + string(appendJSONString(nil, fmt.Sprintf("server %d", s))),
-		})
+		meta = append(meta, ThreadName(0, serverTrack(s), fmt.Sprintf("server %d", s)))
 	}
-
-	return writeChromeRows(w, meta, rows)
+	return WriteChromeRows(w, meta, rows)
 }

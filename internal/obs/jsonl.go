@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,21 +13,80 @@ import (
 	"unicode/utf8"
 )
 
+// The event, span and decision logs share one envelope:
+//
+//	# provenance lines, optional, anywhere
+//	{"schema":"polca-events/v1"}              one header object, "schema" first
+//	{"seq":1,"t_us":0,"kind":"req.arrive"}    one record per line, "seq" first,
+//	{"seq":2,"t_us":5,"kind":"req.drop"}      numbered 1, 2, 3, … in file order
+//
+// writeLog writes it and scanLog reads it. The formats differ only in the
+// schema their header names, the header's other members (a decision log
+// carries the replay metadata) and the members of their records.
+
+// logFormat is one log's envelope: the schema its header names and the
+// noun its errors use.
+type logFormat struct{ noun, schema string }
+
+var (
+	eventLog    = logFormat{"events", "polca-events/v1"}
+	spanLog     = logFormat{"spans", "polca-spans/v1"}
+	decisionLog = logFormat{"decisions", DecisionSchema}
+)
+
+// logHeader is the header of a log that carries nothing but its schema.
+type logHeader struct {
+	Schema string `json:"schema"`
+}
+
+// writeLog writes a log: header as one JSON object, then one line per
+// record, numbered from 1. members appends a record's members, each led by
+// a comma. Record lines are hand-rolled (fixed member order, zero members
+// omitted) so identical runs write identical bytes; the header uses
+// encoding/json, which is deterministic for a struct. A bufio.Writer keeps
+// its first write error and returns it from Flush, so only Flush is
+// checked.
+func writeLog[R any](w io.Writer, header any, recs []R, members func([]byte, R) []byte) error {
+	hdr, err := json.Marshal(header)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	bw.Write(append(hdr, '\n'))
+	buf := make([]byte, 0, 512)
+	for i, rec := range recs {
+		buf = append(appendRecord(buf[:0], uint64(i+1), rec, members), '\n')
+		bw.Write(buf)
+	}
+	return bw.Flush()
+}
+
+// appendRecord appends one record line's object: the envelope's seq, then
+// the record's members.
+func appendRecord[R any](b []byte, seq uint64, rec R, members func([]byte, R) []byte) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, seq, 10)
+	return append(members(b, rec), '}')
+}
+
 // maxJSONLLine bounds one JSONL line. Record lines are a few hundred
 // bytes, but the limit is generous so a hand-edited or concatenated file
 // fails with a line-numbered error rather than a silent mid-file stop.
 const maxJSONLLine = 64 * 1024 * 1024
 
-// scanJSONL is the reader loop the event, span and decision formats share:
-// it streams r line by line without materializing it, skips blank lines,
-// hands `#` provenance lines to comment (when non-nil), and calls fn with
-// each record line. An error from fn aborts the scan; it and reader errors
-// (including a line over maxJSONLLine) come back as "<kind> line N: …"
-// with the 1-based line number.
-func scanJSONL(r io.Reader, kind string, comment func(line string), fn func(raw []byte) error) error {
+// scanLog streams a log written by writeLog, line by line. Blank lines are
+// skipped and `#` lines go to comment (when non-nil). The first other line
+// is the header: it must name f's schema, and header (when non-nil)
+// receives its members. parse decodes each later line into a record and
+// its seq, and fn receives the records in file order. A seq that is not
+// the next one means lines were lost, repeated, reordered or spliced in.
+// Every error, fn's included (which aborts the scan), comes back as
+// "<noun> line N: …"; a log without a header is an error too.
+func scanLog[R any](r io.Reader, f logFormat, header any, comment func(line string), parse func(raw []byte) (R, uint64, error), fn func(R) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxJSONLLine)
-	line := 0
+	line, last := 0, uint64(0) // last is the last record's seq
+	sawHeader := false
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -39,17 +99,71 @@ func scanJSONL(r io.Reader, kind string, comment func(line string), fn func(raw 
 			}
 			continue
 		}
-		if err := fn(raw); err != nil {
-			return fmt.Errorf("%s line %d: %w", kind, line, err)
+		var err error
+		if !sawHeader {
+			sawHeader = true
+			err = readHeader(raw, f.schema, header)
+		} else if rec, seq, perr := parse(raw); perr != nil {
+			err = perr
+		} else if seq != last+1 {
+			err = seqError(f.noun, seq, last+1)
+		} else {
+			last = seq
+			err = fn(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("%s line %d: %w", f.noun, line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("%s line %d: longer than %d bytes: %w", kind, line+1, maxJSONLLine, err)
+			return fmt.Errorf("%s line %d: longer than %d bytes: %w", f.noun, line+1, maxJSONLLine, err)
 		}
-		return fmt.Errorf("%s line %d: %w", kind, line+1, err)
+		return fmt.Errorf("%s line %d: %w", f.noun, line+1, err)
+	}
+	if !sawHeader {
+		return fmt.Errorf("%s: empty log (no header line)", f.noun)
 	}
 	return nil
+}
+
+// headerFields are the header members the envelope itself reads.
+var headerFields = []string{"schema"}
+
+// readHeader checks that raw is a header object naming schema and
+// decodes it into header, when non-nil.
+func readHeader(raw []byte, schema string, header any) error {
+	var buf [32]byte
+	got := buf[:0]
+	d := recordDecoder{data: raw}
+	for d.member(headerFields) {
+		if s, ok := d.text(); ok {
+			got = append(got[:0], s...)
+		}
+	}
+	switch {
+	case d.err != nil:
+		return fmt.Errorf("header: %w", d.err)
+	case string(got) != schema:
+		return fmt.Errorf("schema %q, want %q", string(got), schema)
+	case header != nil:
+		if err := json.Unmarshal(raw, header); err != nil {
+			return fmt.Errorf("header: %w", err)
+		}
+	}
+	return nil
+}
+
+// seqError describes a record whose seq is not the want the envelope
+// expects next.
+func seqError(noun string, seq, want uint64) error {
+	switch {
+	case seq == 0:
+		return fmt.Errorf("missing seq, want %d", want)
+	case seq > want:
+		return fmt.Errorf("sequence gap: seq %d, want %d (%d %s missing)", seq, want, seq-want, noun)
+	}
+	return fmt.Errorf("sequence regression: seq %d, want %d", seq, want)
 }
 
 // maxJSONDepth is encoding/json's nesting limit. The record decoder applies
@@ -562,47 +676,4 @@ func (d *recordDecoder) skip(depth int) {
 		// number also accepts null.
 		d.number()
 	}
-}
-
-// seqCheck enforces that a stream's sequence numbers run on by exactly
-// one: a jump means records were lost (truncated mid-file, a dropped shard
-// of a concatenation), a repeat or regression means streams were
-// interleaved, and a record without one after sequenced records means a
-// foreign stream was spliced in.
-type seqCheck struct {
-	noun string // the records' name in a gap error
-	last uint64 // the last sequence number seen
-}
-
-func (c *seqCheck) next(seq uint64) error {
-	switch {
-	case seq == c.last+1:
-		c.last = seq
-		return nil
-	case seq == 0 && c.last > 0:
-		return fmt.Errorf("missing seq after seq %d", c.last)
-	case seq > c.last:
-		return fmt.Errorf("sequence gap: seq %d follows %d (%d %s missing)", seq, c.last, seq-c.last-1, c.noun)
-	}
-	return fmt.Errorf("sequence regression: seq %d follows %d", seq, c.last)
-}
-
-// writeChromeRows writes the Chrome trace-event JSON document both the
-// event and the span exports produce: the track-naming metadata rows, then
-// the trace rows. A bufio.Writer keeps its first write error and returns
-// it from Flush, so only Flush is checked.
-func writeChromeRows(w io.Writer, meta, rows []chromeTraceRow) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"traceEvents":[`)
-	buf := make([]byte, 0, 256)
-	sep := ""
-	for _, part := range [][]chromeTraceRow{meta, rows} {
-		for _, r := range part {
-			buf = r.append(append(buf[:0], sep...))
-			bw.Write(buf)
-			sep = ",\n"
-		}
-	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
 }

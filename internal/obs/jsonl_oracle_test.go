@@ -8,11 +8,11 @@ import (
 
 // The shadow structs and encoding/json parse functions below are the
 // reference decoders for the three record formats: the record decoder
-// must accept what they accept and return the same records, except that it
-// rejects a line repeating a known key (TestRecordDecodersMatchEncodingJSON,
-// FuzzRecordDecoders).
+// must accept what they accept and return the same records and seqs,
+// except that it rejects a line repeating a known key
+// (TestRecordDecodersMatchEncodingJSON, FuzzRecordDecoders).
 
-// eventJSON is the decode-side shadow of appendEventJSON's wire format.
+// eventJSON is the decode-side shadow of an event record line.
 type eventJSON struct {
 	Seq    uint64  `json:"seq"`
 	TUS    int64   `json:"t_us"`
@@ -26,14 +26,14 @@ type eventJSON struct {
 }
 
 // parseEventLineJSON is the reference for parseEventLine.
-func parseEventLineJSON(raw []byte) (Event, error) {
+func parseEventLineJSON(raw []byte) (Event, uint64, error) {
 	ej := eventJSON{Server: -1}
 	if err := json.Unmarshal(raw, &ej); err != nil {
-		return Event{}, err
+		return Event{}, 0, err
 	}
 	kind, ok := ParseKind(ej.Kind)
 	if !ok {
-		return Event{}, fmt.Errorf("unknown kind %q", ej.Kind)
+		return Event{}, 0, fmt.Errorf("unknown kind %q", ej.Kind)
 	}
 	return Event{
 		At:     time.Duration(ej.TUS) * time.Microsecond,
@@ -44,8 +44,7 @@ func parseEventLineJSON(raw []byte) (Event, error) {
 		Value:  ej.Value,
 		Reason: ej.Reason,
 		Label:  ej.Label,
-		Seq:    ej.Seq,
-	}, nil
+	}, ej.Seq, nil
 }
 
 func poolCodeJSON(name string) int8 {
@@ -58,8 +57,9 @@ func poolCodeJSON(name string) int8 {
 	return PoolNone
 }
 
-// spanJSON is the decode-side shadow of appendSpanJSON's wire format.
+// spanJSON is the decode-side shadow of a span record line.
 type spanJSON struct {
+	Seq       uint64  `json:"seq"`
 	Req       int64   `json:"req"`
 	ID        int32   `json:"id"`
 	Parent    int32   `json:"parent"`
@@ -83,14 +83,14 @@ type spanJSON struct {
 }
 
 // parseSpanLineJSON is the reference for parseSpanLine.
-func parseSpanLineJSON(raw []byte) (Span, error) {
+func parseSpanLineJSON(raw []byte) (Span, uint64, error) {
 	sj := spanJSON{Server: -1, Pool: "", TTFTSec: -1}
 	if err := json.Unmarshal(raw, &sj); err != nil {
-		return Span{}, err
+		return Span{}, 0, err
 	}
 	kind, ok := ParseSpanKind(sj.Kind)
 	if !ok {
-		return Span{}, fmt.Errorf("unknown kind %q", sj.Kind)
+		return Span{}, 0, fmt.Errorf("unknown kind %q", sj.Kind)
 	}
 	return Span{
 		Req:       sj.Req,
@@ -113,10 +113,10 @@ func parseSpanLineJSON(raw []byte) (Span, error) {
 		Retry:     sj.Retry,
 		Session:   sj.Session,
 		Turn:      sj.Turn,
-	}, nil
+	}, sj.Seq, nil
 }
 
-// decisionJSON is the decode-side shadow of appendDecisionJSON. Util is a
+// decisionJSON is the decode-side shadow of a decision record line. Util is a
 // pointer so Delivered survives the round trip ("util" present iff a
 // reading was delivered — 0.0 is a legitimate reading).
 type decisionJSON struct {
@@ -151,17 +151,16 @@ type decisionJSON struct {
 }
 
 // parseDecisionLineJSON is the reference for parseDecisionLine.
-func parseDecisionLineJSON(raw []byte, cands []RouteCandidate) (Decision, []RouteCandidate, error) {
+func parseDecisionLineJSON(raw []byte, cands []RouteCandidate) (Decision, []RouteCandidate, uint64, error) {
 	dj := decisionJSON{Chosen: -1}
 	if err := json.Unmarshal(raw, &dj); err != nil {
-		return Decision{}, cands, err
+		return Decision{}, cands, 0, err
 	}
 	kind, ok := ParseDecisionKind(dj.Kind)
 	if !ok {
-		return Decision{}, cands, fmt.Errorf("unknown kind %q", dj.Kind)
+		return Decision{}, cands, 0, fmt.Errorf("unknown kind %q", dj.Kind)
 	}
 	d := Decision{
-		Seq:  dj.Seq,
 		At:   time.Duration(dj.TUS) * time.Microsecond,
 		Kind: kind,
 	}
@@ -186,7 +185,7 @@ func parseDecisionLineJSON(raw []byte, cands []RouteCandidate) (Decision, []Rout
 		d.EpLen = int32(len(dj.Eps))
 		for i, ep := range dj.Eps {
 			if len(ep) != 4 {
-				return Decision{}, cands, fmt.Errorf("eps[%d]: want 4 elements, got %d", i, len(ep))
+				return Decision{}, cands, 0, fmt.Errorf("eps[%d]: want 4 elements, got %d", i, len(ep))
 			}
 			cands = append(cands, RouteCandidate{
 				Server:    int32(ep[0]),
@@ -196,5 +195,5 @@ func parseDecisionLineJSON(raw []byte, cands []RouteCandidate) (Decision, []Rout
 			})
 		}
 	}
-	return d, cands, nil
+	return d, cands, dj.Seq, nil
 }

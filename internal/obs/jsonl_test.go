@@ -18,13 +18,13 @@ import (
 )
 
 // recordFormat pairs one wire format's decoder with its encoding/json
-// reference. Records come back boxed so the three formats share the
-// checks; decisions also return their candidates.
+// reference. Records come back boxed, beside their seq, so the three
+// formats share the checks; decisions also return their candidates.
 type recordFormat struct {
 	name   string
 	fields []string
-	decode func(raw []byte) (any, []RouteCandidate, error)
-	oracle func(raw []byte) (any, []RouteCandidate, error)
+	decode func(raw []byte) (any, uint64, []RouteCandidate, error)
+	oracle func(raw []byte) (any, uint64, []RouteCandidate, error)
 }
 
 // candBase prefills the candidate arena both decision decoders append to,
@@ -34,35 +34,35 @@ var candBase = []RouteCandidate{{Server: 7, Load: 1, KVFrac: 0.5}}
 var recordFormats = []recordFormat{
 	{
 		name: "event", fields: eventFields,
-		decode: func(raw []byte) (any, []RouteCandidate, error) {
-			ev, err := parseEventLine(raw)
-			return ev, nil, err
+		decode: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			ev, seq, err := parseEventLine(raw)
+			return ev, seq, nil, err
 		},
-		oracle: func(raw []byte) (any, []RouteCandidate, error) {
-			ev, err := parseEventLineJSON(raw)
-			return ev, nil, err
+		oracle: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			ev, seq, err := parseEventLineJSON(raw)
+			return ev, seq, nil, err
 		},
 	},
 	{
 		name: "span", fields: spanFields,
-		decode: func(raw []byte) (any, []RouteCandidate, error) {
-			sp, err := parseSpanLine(raw)
-			return sp, nil, err
+		decode: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			sp, seq, err := parseSpanLine(raw)
+			return sp, seq, nil, err
 		},
-		oracle: func(raw []byte) (any, []RouteCandidate, error) {
-			sp, err := parseSpanLineJSON(raw)
-			return sp, nil, err
+		oracle: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			sp, seq, err := parseSpanLineJSON(raw)
+			return sp, seq, nil, err
 		},
 	},
 	{
 		name: "decision", fields: decisionFields,
-		decode: func(raw []byte) (any, []RouteCandidate, error) {
-			d, cands, err := parseDecisionLine(raw, slices.Clone(candBase))
-			return d, d.Candidates(cands), err
+		decode: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			d, cands, seq, err := parseDecisionLine(raw, slices.Clone(candBase))
+			return d, seq, d.Candidates(cands), err
 		},
-		oracle: func(raw []byte) (any, []RouteCandidate, error) {
-			d, cands, err := parseDecisionLineJSON(raw, slices.Clone(candBase))
-			return d, d.Candidates(cands), err
+		oracle: func(raw []byte) (any, uint64, []RouteCandidate, error) {
+			d, cands, seq, err := parseDecisionLineJSON(raw, slices.Clone(candBase))
+			return d, seq, d.Candidates(cands), err
 		},
 	},
 }
@@ -70,11 +70,11 @@ var recordFormats = []recordFormat{
 // checkRecordLine runs line through f's decoder and its reference and
 // reports whether the decoder accepted it, and how the two disagree: the
 // decoder must reject what the reference rejects and a repeated known
-// key, must accept everything else, and must return the same record and
-// candidates.
+// key, must accept everything else, and must return the same record, seq
+// and candidates.
 func checkRecordLine(f *recordFormat, line []byte) (accepted bool, err error) {
-	got, gotCands, gotErr := f.decode(line)
-	want, wantCands, wantErr := f.oracle(line)
+	got, gotSeq, gotCands, gotErr := f.decode(line)
+	want, wantSeq, wantCands, wantErr := f.oracle(line)
 	switch {
 	case wantErr != nil:
 		if gotErr == nil {
@@ -86,8 +86,8 @@ func checkRecordLine(f *recordFormat, line []byte) (accepted bool, err error) {
 		}
 	case gotErr != nil:
 		return false, fmt.Errorf("decoder rejects (%v) what the reference accepts", gotErr)
-	case got != want || !slices.Equal(gotCands, wantCands):
-		return true, fmt.Errorf("records differ:\n got %+v %v\nwant %+v %v", got, gotCands, want, wantCands)
+	case got != want || gotSeq != wantSeq || !slices.Equal(gotCands, wantCands):
+		return true, fmt.Errorf("records differ:\n got seq %d %+v %v\nwant seq %d %+v %v", gotSeq, got, gotCands, wantSeq, want, wantCands)
 	}
 	return gotErr == nil, nil
 }
@@ -192,7 +192,7 @@ func (g recordGen) server() int32 {
 func (g recordGen) event() Event {
 	ev := Event{
 		At: g.micros(), Kind: Kind(1 + g.pick(len(kindNames)-1)),
-		Server: g.server(), Pool: PoolNone + int8(g.pick(3)), Seq: g.seq(),
+		Server: g.server(), Pool: PoolNone + int8(g.pick(3)),
 	}
 	if g.flag() {
 		ev.MHz = g.f64()
@@ -221,7 +221,7 @@ func (g recordGen) span() Span {
 
 // decision draws a tick, or a route with its candidates (EpOff 0).
 func (g recordGen) decision() (Decision, []RouteCandidate) {
-	d := Decision{Seq: g.seq(), At: g.micros()}
+	d := Decision{At: g.micros()}
 	if g.flag() {
 		d.Kind, d.TrueUtil, d.Delivered = DecTick, g.f64(), g.flag()
 		if d.Delivered {
@@ -243,24 +243,25 @@ func (g recordGen) decision() (Decision, []RouteCandidate) {
 	return d, cands
 }
 
-// record draws a record of format i, written by its writer, and the
-// record its decoders must return for that line.
-func (g recordGen) record(i int) (line []byte, want any, wantCands []RouteCandidate) {
+// record draws a record of format i and a seq, written as a record line
+// by its writer, and the record its decoders must return for that line.
+func (g recordGen) record(i int) (line []byte, want any, seq uint64, wantCands []RouteCandidate) {
+	seq = g.seq()
 	switch recordFormats[i].name {
 	case "event":
 		ev := g.event()
-		return appendEventJSON(nil, ev), ev, nil
+		return appendRecord(nil, seq, ev, appendEventJSON), ev, seq, nil
 	case "span":
 		sp := g.span()
-		return appendSpanJSON(nil, sp), sp, nil
+		return appendRecord(nil, seq, sp, appendSpanJSON), sp, seq, nil
 	}
 	d, cands := g.decision()
-	line = appendDecisionJSON(nil, d, cands)
+	line = appendRecord(nil, seq, d, func(b []byte, d Decision) []byte { return appendDecisionJSON(b, d, cands) })
 	if d.Kind == DecRoute {
 		d.EpOff = int32(len(candBase))
 		wantCands = cands
 	}
-	return line, d, wantCands
+	return line, d, seq, wantCands
 }
 
 // member is one member of a record line, its key and value as JSON text.
@@ -519,13 +520,13 @@ func TestRecordDecodersMatchEncodingJSON(t *testing.T) {
 	for n := 0; n < records; n++ {
 		i := n % len(recordFormats)
 		f := &recordFormats[i]
-		line, want, wantCands := g.record(i)
+		line, want, wantSeq, wantCands := g.record(i)
 		ok, err := checkRecordLine(f, line)
 		if err != nil || !ok {
 			t.Fatalf("%s writer output %s: accepted %v, %v", f.name, line, ok, err)
 		}
-		if got, gotCands, _ := f.decode(line); got != want || !slices.Equal(gotCands, wantCands) {
-			t.Fatalf("%s did not round-trip: %s\n got %+v %v\nwant %+v %v", f.name, line, got, gotCands, want, wantCands)
+		if got, gotSeq, gotCands, _ := f.decode(line); got != want || gotSeq != wantSeq || !slices.Equal(gotCands, wantCands) {
+			t.Fatalf("%s did not round-trip: %s\n got seq %d %+v %v\nwant seq %d %+v %v", f.name, line, gotSeq, got, gotCands, wantSeq, want, wantCands)
 		}
 		for m := 0; m < mutations; m++ {
 			mut := g.mutate(line, f.fields)
@@ -573,7 +574,8 @@ func TestRecordDecodersMatchEncodingJSON(t *testing.T) {
 		}
 	}
 
-	// Every record line of the committed fixtures.
+	// Every record line of the committed fixtures, each log's header line
+	// skipped.
 	files, err := filepath.Glob("../../cmd/polca-*/testdata/*.jsonl")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no fixtures: %v", err)
@@ -590,7 +592,7 @@ func TestRecordDecodersMatchEncodingJSON(t *testing.T) {
 		case strings.HasPrefix(base, "decisions"):
 			f = &recordFormats[2]
 		}
-		header := f.name == "decision"
+		header := true
 		lines := 0
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			line = bytes.TrimSpace(line)
@@ -619,7 +621,7 @@ func FuzzRecordDecoders(f *testing.F) {
 	g := recordGen{rand.New(rand.NewSource(1))}
 	for n := 0; n < 24; n++ {
 		i := n % len(recordFormats)
-		line, _, _ := g.record(i)
+		line, _, _, _ := g.record(i)
 		f.Add(line)
 		f.Add(g.mutate(line, recordFormats[i].fields))
 	}
@@ -669,4 +671,135 @@ func BenchmarkScanJSONL(b *testing.B) {
 			b.Fatalf("scanned %d records: %v", n, err)
 		}
 	}
+}
+
+// logScanners runs each log format's scanner over a file and counts the
+// records it delivers.
+var logScanners = []struct {
+	name string
+	scan func(data []byte) (int, error)
+}{
+	{"events", func(data []byte) (n int, err error) {
+		return n, ScanEvents(bytes.NewReader(data), nil, func(Event) error { n++; return nil })
+	}},
+	{"spans", func(data []byte) (n int, err error) {
+		return n, ScanSpans(bytes.NewReader(data), nil, func(Span) error { n++; return nil })
+	}},
+	{"decisions", func(data []byte) (n int, err error) {
+		_, err = ScanDecisions(bytes.NewReader(data), nil, func(Decision, []RouteCandidate) error { n++; return nil })
+		return n, err
+	}},
+}
+
+// sampleLogs writes one log of n seeded random records per format, keyed
+// by the logScanners name that reads it.
+func sampleLogs(tb testing.TB, n int) map[string][]byte {
+	g := recordGen{rand.New(rand.NewSource(2))}
+	tr, st, dr := NewTracer(), NewSpanTracer(), NewDecisionRecorder()
+	for i := 0; i < n; i++ {
+		tr.Emit(g.event())
+		st.Emit(g.span())
+		if d, cands := g.decision(); d.Kind == DecTick {
+			dr.RecordTick(d)
+		} else {
+			dr.RecordRoute(d, cands)
+		}
+	}
+	var events, spans, decisions bytes.Buffer
+	if err := errors.Join(tr.WriteJSONL(&events), st.WriteJSONL(&spans), dr.WriteJSONL(&decisions)); err != nil {
+		tb.Fatal(err)
+	}
+	return map[string][]byte{"events": events.Bytes(), "spans": spans.Bytes(), "decisions": decisions.Bytes()}
+}
+
+// TestScanLogEnvelope checks the envelope every scanner enforces: each
+// reads its own writer's log back whole, and rejects another format's log
+// at its header, a log without a header, and logs whose record lines were
+// dropped, duplicated or swapped, so the first record or a later one
+// carries the wrong seq.
+func TestScanLogEnvelope(t *testing.T) {
+	const records = 4
+	logs := sampleLogs(t, records)
+	for _, s := range logScanners {
+		lines := strings.SplitAfter(string(logs[s.name]), "\n")
+		hdr, recs := lines[0], lines[1:records+1]
+		if n, err := s.scan(logs[s.name]); err != nil || n != records {
+			t.Fatalf("%s: own log read %d of %d records: %v", s.name, n, records, err)
+		}
+		cases := []struct{ name, log, wantErr string }{
+			{"no header", strings.Join(recs, ""), "line 1: schema"},
+			{"empty", "", "no header line"},
+			{"first seq 2", hdr + strings.Join(recs[1:], ""), "line 2: sequence gap"},
+			{"dropped", hdr + recs[0] + strings.Join(recs[2:], ""), "line 3: sequence gap"},
+			{"duplicated", hdr + recs[0] + recs[0] + strings.Join(recs[1:], ""), "line 3: sequence regression"},
+			{"swapped", hdr + recs[1] + recs[0] + strings.Join(recs[2:], ""), "line 2: sequence gap"},
+		}
+		for _, other := range logScanners {
+			if other.name != s.name {
+				cases = append(cases, struct{ name, log, wantErr string }{other.name + " log", string(logs[other.name]), "line 1: schema"})
+			}
+		}
+		for _, c := range cases {
+			_, err := s.scan([]byte(c.log))
+			if err == nil || !strings.HasPrefix(err.Error(), s.name) || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s, %s: err = %v, want %q", s.name, c.name, err, c.wantErr)
+			}
+		}
+	}
+}
+
+// recordSeqs returns the seq of every record line of a file the scanners
+// split as they do (blank and `#` lines skipped, the first other line the
+// header), read with encoding/json.
+func recordSeqs(data []byte) ([]uint64, error) {
+	var seqs []uint64
+	header := true
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
+			continue
+		}
+		if header {
+			header = false
+			continue
+		}
+		var rec struct {
+			Seq uint64 `json:"seq"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, err
+		}
+		seqs = append(seqs, rec.Seq)
+	}
+	return seqs, nil
+}
+
+// FuzzScanLog runs the three scanners over arbitrary files: none may panic,
+// and a file one accepts must hold exactly as many record lines as it
+// delivered, numbered 1, 2, 3, … . The corpus seeds are each writer's
+// output.
+func FuzzScanLog(f *testing.F) {
+	for _, s := range logScanners {
+		f.Add(sampleLogs(f, 3)[s.name])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range logScanners {
+			n, err := s.scan(data)
+			if err != nil {
+				continue
+			}
+			seqs, err := recordSeqs(data)
+			if err != nil {
+				t.Fatalf("%s accepted %q, whose record lines are not JSON: %v", s.name, data, err)
+			}
+			for i, seq := range seqs {
+				if seq != uint64(i+1) {
+					t.Fatalf("%s accepted %q with seqs %v", s.name, data, seqs)
+				}
+			}
+			if len(seqs) != n {
+				t.Fatalf("%s accepted %q: %d record lines, %d records delivered", s.name, data, len(seqs), n)
+			}
+		}
+	})
 }

@@ -219,18 +219,12 @@ type Event struct {
 	Value  float64
 	Reason string
 	Label  string
-	// Seq is the tracer-assigned 1-based sequence number. The JSONL export
-	// carries it so offline scanners can prove a stream is gap-free instead
-	// of trusting timestamp order; 0 marks events built outside a tracer
-	// (legacy files, hand-written fixtures) and is omitted on the wire.
-	Seq uint64
 }
 
 // Tracer records typed events with simulated timestamps. It is safe for
 // concurrent use; a nil *Tracer is a valid disabled sink.
 type Tracer struct {
 	mu     sync.Mutex
-	seq    uint64
 	events []Event
 }
 
@@ -252,14 +246,9 @@ func (t *Tracer) Emit(ev Event) {
 
 func (t *Tracer) append(ev Event) {
 	t.mu.Lock()
-	t.seq++
-	ev.Seq = t.seq
 	t.events = append(t.events, ev)
 	t.mu.Unlock()
 }
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
@@ -300,15 +289,13 @@ func (t *Tracer) CountKind(k Kind) int {
 	return n
 }
 
-// Reset discards recorded events but keeps the buffer capacity. The
-// sequence counter restarts too, so each exported stream numbers from 1.
+// Reset discards recorded events but keeps the buffer capacity.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.events = t.events[:0]
-	t.seq = 0
 	t.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"slices"
@@ -18,7 +19,7 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: KindCapApply})
 	tr.Reset()
-	if tr.Enabled() || tr.Len() != 0 || tr.Events() != nil || tr.CountKind(KindCapApply) != 0 {
+	if tr.Len() != 0 || tr.Events() != nil || tr.CountKind(KindCapApply) != 0 {
 		t.Fatal("nil tracer should be fully inert")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -119,8 +120,14 @@ func TestWriteJSONLDeterministicAndValid(t *testing.T) {
 		t.Fatal("JSONL export should be deterministic")
 	}
 	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	if len(lines) != 3 || lines[0] != `{"schema":"polca-events/v1"}` {
+		t.Fatalf("got %d lines led by %s, want the events header and 2 records", len(lines), lines[0])
+	}
+	lines = lines[1:]
+	for i, line := range lines {
+		if prefix := fmt.Sprintf(`{"seq":%d,"t_us":`, i+1); !strings.HasPrefix(line, prefix) {
+			t.Fatalf("record %d does not lead with %s: %s", i+1, prefix, line)
+		}
 	}
 	var first map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {

@@ -384,9 +384,6 @@ func NewRules(db *TSDB, set *RuleSet, tracer *Tracer) *Rules {
 	return r
 }
 
-// Enabled reports whether the engine evaluates anything.
-func (r *Rules) Enabled() bool { return r != nil }
-
 // Alerts returns the per-rule states (alert rules only), in file order.
 func (r *Rules) Alerts() []*AlertState {
 	if r == nil {

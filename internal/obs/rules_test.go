@@ -330,9 +330,6 @@ func TestFinishWithoutEvalIsSilent(t *testing.T) {
 
 func TestRulesNilSafety(t *testing.T) {
 	var r *Rules
-	if r.Enabled() {
-		t.Error("nil Rules enabled")
-	}
 	r.Eval(time.Second)
 	r.Finish()
 	if r.Alerts() != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -128,7 +127,7 @@ func NewSpanTracer() *SpanTracer {
 
 // Emit records a span. On a nil tracer it returns immediately; emitters
 // that need per-sequence bookkeeping should additionally gate that work on
-// Enabled so the disabled path allocates nothing.
+// a non-nil tracer so the disabled path allocates nothing.
 func (t *SpanTracer) Emit(sp Span) {
 	if t == nil {
 		return
@@ -141,9 +140,6 @@ func (t *SpanTracer) append(sp Span) {
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 }
-
-// Enabled reports whether spans are being recorded.
-func (t *SpanTracer) Enabled() bool { return t != nil }
 
 // Len returns the number of recorded spans.
 func (t *SpanTracer) Len() int {
@@ -167,20 +163,10 @@ func (t *SpanTracer) Spans() []Span {
 	return out
 }
 
-// Reset discards recorded spans but keeps the buffer capacity.
-func (t *SpanTracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
-}
-
-// appendSpanJSON renders one span as a single JSON object with fixed field
-// order and omitted zero fields, mirroring appendEventJSON.
+// appendSpanJSON appends a span's record members with fixed member order
+// and omitted zero members, mirroring appendEventJSON.
 func appendSpanJSON(b []byte, sp Span) []byte {
-	b = append(b, `{"req":`...)
+	b = append(b, `,"req":`...)
 	b = strconv.AppendInt(b, sp.Req, 10)
 	b = append(b, `,"id":`...)
 	b = strconv.AppendInt(b, int64(sp.ID), 10)
@@ -249,12 +235,12 @@ func appendSpanJSON(b []byte, sp Span) []byte {
 		b = append(b, `,"turn":`...)
 		b = strconv.AppendInt(b, int64(sp.Turn), 10)
 	}
-	return append(b, '}')
+	return b
 }
 
-// sortedSpans returns the tracer's spans ordered by (Req, ID), so one
-// request's tree is a contiguous block led by its root regardless of how
-// emission interleaved across requests.
+// sortedSpans returns the tracer's spans ordered by (Req, Retry, ID), so
+// each admission attempt's tree is a contiguous block led by its root
+// regardless of how emission interleaved across requests.
 func (t *SpanTracer) sortedSpans() []Span {
 	spans := t.Spans()
 	sort.Slice(spans, func(i, j int) bool {
@@ -269,23 +255,14 @@ func (t *SpanTracer) sortedSpans() []Span {
 	return spans
 }
 
-// WriteJSONL writes the spans, one JSON object per line, sorted by
-// (request, span ID). The encoding is hand-rolled like the event export,
-// so identical runs produce identical bytes.
+// WriteJSONL writes the spans as a span log (see writeLog), one record per
+// span in sortedSpans order: each attempt's root comes before its
+// children.
 func (t *SpanTracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
-	for _, sp := range t.sortedSpans() {
-		buf = appendSpanJSON(buf[:0], sp)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeLog(w, logHeader{spanLog.schema}, t.sortedSpans(), appendSpanJSON)
 }
 
 // WriteChromeTrace renders the spans in the Chrome trace-event JSON format
@@ -298,8 +275,8 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 	}
 	spans := t.sortedSpans()
 	tids := map[int64]int32{}
-	var meta []chromeTraceRow
-	var rows []chromeTraceRow
+	var meta []TraceRow
+	var rows []TraceRow
 	for _, sp := range spans {
 		tid, ok := tids[sp.Req]
 		if !ok {
@@ -309,10 +286,7 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 			if sp.Class != "" {
 				label += " (" + sp.Class + ")"
 			}
-			meta = append(meta, chromeTraceRow{
-				name: "thread_name", ph: "M", tid: tid,
-				args: `"name":` + string(appendJSONString(nil, label)),
-			})
+			meta = append(meta, ThreadName(0, tid, label))
 		}
 		name := sp.Kind.String()
 		if sp.Kind == SpanPrefill && sp.Recompute {
@@ -333,33 +307,26 @@ func (t *SpanTracer) WriteChromeTrace(w io.Writer) error {
 		}
 		ts := int64(sp.Start / time.Microsecond)
 		if sp.Kind == SpanPreempt {
-			rows = append(rows, chromeTraceRow{name: name, ph: "i", ts: ts, tid: tid, args: args})
+			rows = append(rows, TraceRow{Name: name, Ph: "i", TS: ts, TID: tid, Args: args})
 			continue
 		}
-		rows = append(rows, chromeTraceRow{
-			name: name, ph: "X", ts: ts,
-			dur: int64((sp.End - sp.Start) / time.Microsecond),
-			tid: tid, args: args,
+		rows = append(rows, TraceRow{
+			Name: name, Ph: "X", TS: ts,
+			Dur: int64((sp.End - sp.Start) / time.Microsecond),
+			TID: tid, Args: args,
 		})
 	}
-
-	return writeChromeRows(w, meta, rows)
+	return WriteChromeRows(w, meta, rows)
 }
 
-// ScanSpans streams span JSONL produced by WriteJSONL: one callback per
-// parsed span, in file order, without materializing the file or the span
-// slice. Blank lines are skipped; `#` provenance lines go to comment (when
-// non-nil) instead of the parser. Errors — malformed JSON, unknown kinds,
-// lines beyond the 64 MiB cap, or an error returned by fn (which aborts the
-// scan) — carry the 1-based line number.
+// ScanSpans streams a span log written by WriteJSONL: one callback per
+// span, in file order, without materializing the file or the span slice.
+// `#` provenance lines go to comment (when non-nil). The envelope's checks
+// apply (see scanLog), so a file missing, repeating or reordering a line
+// fails with the offending line number, and each attempt's root arrives
+// before its children.
 func ScanSpans(r io.Reader, comment func(line string), fn func(sp Span) error) error {
-	return scanJSONL(r, "spans", comment, func(raw []byte) error {
-		sp, err := parseSpanLine(raw)
-		if err != nil {
-			return err
-		}
-		return fn(sp)
-	})
+	return scanLog(r, spanLog, nil, comment, parseSpanLine, fn)
 }
 
 // RequestRoots folds one request's root spans across its admission
@@ -403,9 +370,6 @@ func (r *RequestRoots) supersede(sp Span) {
 	r.tokens += sp.Tokens
 }
 
-// Has reports whether a root has been folded.
-func (r *RequestRoots) Has() bool { return r.has }
-
 // EnergyJ, CapSec, CapJ and Tokens are the request's totals across every
 // admission attempt; on an unretried request they are just the root's.
 func (r *RequestRoots) EnergyJ() float64 { return r.Root.EnergyJ + r.energyJ }
@@ -413,18 +377,20 @@ func (r *RequestRoots) CapSec() float64  { return r.Root.CapSec + r.capSec }
 func (r *RequestRoots) CapJ() float64    { return r.Root.CapJ + r.capJ }
 func (r *RequestRoots) Tokens() int64    { return int64(r.Root.Tokens) + int64(r.tokens) }
 
-// spanFields are the member names of appendSpanJSON's wire format.
+// spanFields are the member names of a span record line.
 var spanFields = []string{
-	"req", "id", "parent", "kind", "start_us", "end_us", "server", "pool", "class", "tokens",
+	"seq", "req", "id", "parent", "kind", "start_us", "end_us", "server", "pool", "class", "tokens",
 	"recompute", "preempts", "energy_j", "cap_s", "cap_j", "ttft_s", "reason", "retry", "session", "turn",
 }
 
-// parseSpanLine decodes one non-comment JSONL line into a Span.
-func parseSpanLine(raw []byte) (Span, error) {
-	sp := Span{Server: -1, Pool: PoolNone, TTFTSec: -1}
+// parseSpanLine decodes one record line into a Span and its seq.
+func parseSpanLine(raw []byte) (sp Span, seq uint64, err error) {
+	sp = Span{Server: -1, Pool: PoolNone, TTFTSec: -1}
 	d := recordDecoder{data: raw}
 	for d.member(spanFields) {
 		switch d.key {
+		case "seq":
+			d.uint64(&seq)
 		case "req":
 			d.int64(&sp.Req)
 		case "id":
@@ -434,7 +400,7 @@ func parseSpanLine(raw []byte) (Span, error) {
 		case "kind":
 			if s, ok := d.text(); ok {
 				if sp.Kind, ok = ParseSpanKind(string(s)); !ok {
-					return Span{}, fmt.Errorf("unknown kind %q", s)
+					return Span{}, 0, fmt.Errorf("unknown kind %q", s)
 				}
 			}
 		case "start_us":
@@ -472,10 +438,10 @@ func parseSpanLine(raw []byte) (Span, error) {
 		}
 	}
 	if d.err != nil {
-		return Span{}, d.err
+		return Span{}, 0, d.err
 	}
 	if sp.Kind == SpanNone {
-		return Span{}, fmt.Errorf("unknown kind %q", "")
+		return Span{}, 0, fmt.Errorf("unknown kind %q", "")
 	}
-	return sp, nil
+	return sp, seq, nil
 }

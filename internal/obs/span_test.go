@@ -75,8 +75,8 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanJSONLValid checks every emitted line is standalone valid JSON with
-// the fixed leading fields.
+// TestSpanJSONLValid checks the span log's shape: the spans header, then
+// one standalone valid JSON object per span, led by its seq and req.
 func TestSpanJSONLValid(t *testing.T) {
 	tr := NewSpanTracer()
 	for _, sp := range sampleSpans() {
@@ -86,16 +86,23 @@ func TestSpanJSONLValid(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if lines[0] != `{"schema":"polca-spans/v1"}` {
+		t.Fatalf("header line = %s", lines[0])
+	}
+	for i, line := range lines[1:] {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("line %d invalid JSON: %v\n%s", i+1, err, line)
+			t.Fatalf("record %d invalid JSON: %v\n%s", i+1, err, line)
 		}
-		if !strings.HasPrefix(line, `{"req":`) {
-			t.Errorf("line %d does not lead with req: %s", i+1, line)
+		if prefix := fmt.Sprintf(`{"seq":%d,"req":`, i+1); !strings.HasPrefix(line, prefix) {
+			t.Errorf("record %d does not lead with %s: %s", i+1, prefix, line)
 		}
 	}
 }
+
+// spanHeader is the span log's header line.
+const spanHeader = `{"schema":"polca-spans/v1"}` + "\n"
 
 // TestSpanChromeTrace checks the Perfetto export is valid JSON with one
 // thread_name metadata row per request and an instant for the preemption.
@@ -141,10 +148,9 @@ func TestSpanChromeTrace(t *testing.T) {
 func TestSpanTracerNil(t *testing.T) {
 	var tr *SpanTracer
 	tr.Emit(Span{Req: 1}) // must not panic
-	if tr.Enabled() || tr.Len() != 0 || tr.Spans() != nil {
+	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Error("nil tracer should be disabled and empty")
 	}
-	tr.Reset()
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -157,10 +163,10 @@ func TestSpanTracerNil(t *testing.T) {
 // rejects a malformed line and an unknown span kind.
 func TestReadSpansErrors(t *testing.T) {
 	keep := func(Span) error { return nil }
-	if err := ScanSpans(strings.NewReader("{not json}\n"), nil, keep); err == nil {
+	if err := ScanSpans(strings.NewReader(spanHeader+"{not json}\n"), nil, keep); err == nil {
 		t.Error("malformed JSON line should error")
 	}
-	if err := ScanSpans(strings.NewReader(`{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}`+"\n"), nil, keep); err == nil {
+	if err := ScanSpans(strings.NewReader(spanHeader+`{"seq":1,"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}`+"\n"), nil, keep); err == nil {
 		t.Error("unknown span kind should error")
 	}
 }
@@ -193,9 +199,9 @@ func BenchmarkSpanTracerDisabled(b *testing.B) {
 // every failure mode — malformed JSON, unknown kind, a callback error, an
 // over-long line — is reported with its 1-based line number.
 func TestScanSpans(t *testing.T) {
-	input := "# polca-sim v0\n\n" +
-		`{"req":2,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n" +
-		`{"req":2,"id":2,"kind":"queue","start_us":0,"end_us":5}` + "\n"
+	input := "# polca-sim v0\n\n" + spanHeader +
+		`{"seq":1,"req":2,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n" +
+		`{"seq":2,"req":2,"id":2,"kind":"queue","start_us":0,"end_us":5}` + "\n"
 	var comments []string
 	var got []Span
 	err := ScanSpans(strings.NewReader(input),
@@ -214,8 +220,8 @@ func TestScanSpans(t *testing.T) {
 	for _, tc := range []struct {
 		name, input, wantErr string
 	}{
-		{"bad json", "{\"req\":1,\"id\":1,\"kind\":\"request\",\"start_us\":0,\"end_us\":1,\"ttft_s\":-1}\n{not json}\n", "spans line 2:"},
-		{"bad kind", `{"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n", `spans line 1: unknown kind "zebra"`},
+		{"bad json", spanHeader + `{"seq":1,"req":1,"id":1,"kind":"request","start_us":0,"end_us":1,"ttft_s":-1}` + "\n{not json}\n", "spans line 3:"},
+		{"bad kind", spanHeader + `{"seq":1,"req":1,"id":1,"kind":"zebra","start_us":0,"end_us":1}` + "\n", `spans line 2: unknown kind "zebra"`},
 	} {
 		err := ScanSpans(strings.NewReader(tc.input), nil, func(Span) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -229,7 +235,7 @@ func TestScanSpans(t *testing.T) {
 		calls++
 		return fmt.Errorf("stop here")
 	})
-	if err == nil || !strings.Contains(err.Error(), "spans line 3: stop here") {
+	if err == nil || !strings.Contains(err.Error(), "spans line 4: stop here") {
 		t.Errorf("callback error = %v", err)
 	}
 	if calls != 1 {
@@ -242,7 +248,7 @@ func TestScanSpans(t *testing.T) {
 // stopping the scan silently, and a multi-megabyte line (beyond the old
 // 1 MiB scanner cap) parses fine.
 func TestScanSpansLongLine(t *testing.T) {
-	big := `{"req":1,"id":1,"kind":"request","start_us":0,"end_us":1,"ttft_s":-1,"reason":"` +
+	big := spanHeader + `{"seq":1,"req":1,"id":1,"kind":"request","start_us":0,"end_us":1,"ttft_s":-1,"reason":"` +
 		strings.Repeat("x", 2<<20) + `"}` + "\n"
 	n := 0
 	if err := ScanSpans(strings.NewReader(big), nil, func(Span) error { n++; return nil }); err != nil {
@@ -252,22 +258,24 @@ func TestScanSpansLongLine(t *testing.T) {
 		t.Fatalf("2 MiB line parsed %d spans", n)
 	}
 
-	over := "{\"req\":1,\"id\":1,\"kind\":\"request\",\"start_us\":0,\"end_us\":1,\"ttft_s\":-1}\n" +
+	over := spanHeader + `{"seq":1,"req":1,"id":1,"kind":"request","start_us":0,"end_us":1,"ttft_s":-1}` + "\n" +
 		strings.Repeat("y", maxJSONLLine+1)
 	err := ScanSpans(strings.NewReader(over), nil, func(Span) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "spans line 2:") {
-		t.Errorf("over-long line err = %v, want line 2 marker", err)
+	if err == nil || !strings.Contains(err.Error(), "spans line 3:") {
+		t.Errorf("over-long line err = %v, want line 3 marker", err)
 	}
 	if !errors.Is(err, bufio.ErrTooLong) {
 		t.Errorf("over-long line err = %v, want bufio.ErrTooLong", err)
 	}
 }
 
-// TestScanSpansOutOfOrder feeds children before their root — the scanner
-// itself has no ordering opinion, so both must stream through.
+// TestScanSpansOutOfOrder feeds a child before its root, numbered in file
+// order: the scanner checks the envelope's seqs, not the tree order, so
+// both stream through (it is polca-analyze's fold that rejects a child
+// without a root before it).
 func TestScanSpansOutOfOrder(t *testing.T) {
-	input := `{"req":7,"id":2,"kind":"queue","start_us":0,"end_us":5}` + "\n" +
-		`{"req":7,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n"
+	input := spanHeader + `{"seq":1,"req":7,"id":2,"kind":"queue","start_us":0,"end_us":5}` + "\n" +
+		`{"seq":2,"req":7,"id":1,"kind":"request","start_us":0,"end_us":100,"ttft_s":0.01}` + "\n"
 	var ids []int32
 	if err := ScanSpans(strings.NewReader(input), nil, func(sp Span) error {
 		ids = append(ids, sp.ID)
@@ -285,9 +293,6 @@ func TestScanSpansOutOfOrder(t *testing.T) {
 // accumulates beside it, and a second root for one attempt is an error.
 func TestRequestRoots(t *testing.T) {
 	var r RequestRoots
-	if r.Has() {
-		t.Fatal("empty fold has a root")
-	}
 	for _, sp := range []Span{
 		{Req: 5, Kind: SpanRequest, Retry: 1, EnergyJ: 10, CapSec: 1, CapJ: 2, Tokens: 3, TTFTSec: 0.5},
 		{Req: 5, Kind: SpanRequest, Retry: 0, EnergyJ: 20, CapSec: 4, CapJ: 5, Tokens: 6, TTFTSec: 0.25},
@@ -297,7 +302,7 @@ func TestRequestRoots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !r.Has() || r.Root.Retry != 2 || r.Root.TTFTSec != 1 || r.Superseded != 2 {
+	if r.Root.Retry != 2 || r.Root.TTFTSec != 1 || r.Superseded != 2 {
 		t.Errorf("outcome = retry %d ttft %v, %d superseded", r.Root.Retry, r.Root.TTFTSec, r.Superseded)
 	}
 	if r.EnergyJ() != 70 || r.CapSec() != 13 || r.CapJ() != 16 || r.Tokens() != 19 {

@@ -216,9 +216,6 @@ func NewTSDB(cfg TSDBConfig) *TSDB {
 	return &TSDB{cfg: cfg.withDefaults(), byName: map[string]*TSSeries{}}
 }
 
-// Enabled reports whether the TSDB records anything.
-func (db *TSDB) Enabled() bool { return db != nil }
-
 // Step returns the raw resolution.
 func (db *TSDB) Step() time.Duration {
 	if db == nil {
@@ -669,57 +666,29 @@ func (db *TSDB) WriteChromeTrace(w io.Writer, window time.Duration) error {
 		return nil
 	}
 	db.Flush()
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
+	var meta, rows []TraceRow
 	for _, l := range []Level{LevelSite, LevelRow, LevelServer} {
-		// pid 1=site, 2=row, 3=server keeps Perfetto's process list in
-		// hierarchy order.
-		if err := emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"tsdb:%s"}}`, int(l)+1, l)); err != nil {
-			return err
-		}
+		meta = append(meta, ProcessName(levelProc(l), "tsdb:"+l.String()))
 	}
 	db.mu.Lock()
 	series := append([]*TSSeries(nil), db.series...)
 	db.mu.Unlock()
 	for _, s := range series {
-		var pid int
-		switch s.level {
-		case LevelSite:
-			pid = 1
-		case LevelRow:
-			pid = 2
-		default:
-			pid = 3
-		}
 		for _, b := range s.Buckets(window) {
 			v := b.Mean()
 			if s.counter {
 				v = b.Last
 			}
-			line := fmt.Sprintf(`{"name":%s,"ph":"C","pid":%d,"tid":0,"ts":%d,"args":{"value":%s}}`,
-				jsonString(s.name), pid, b.Start.Microseconds(), formatFloat(v))
-			if err := emit(line); err != nil {
-				return err
-			}
+			rows = append(rows, TraceRow{
+				Name: s.name, Ph: "C", TS: b.Start.Microseconds(), Proc: levelProc(s.level),
+				Args: `"value":` + formatFloat(v),
+			})
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return WriteChromeRows(w, meta, rows)
 }
 
-// jsonString renders s as a JSON string using the export-path escaper.
-func jsonString(s string) string {
-	return string(appendJSONString(nil, s))
-}
+// levelProc is a level's process index in the Chrome trace export, the one
+// mapping its metadata and counter rows share: site, row, server, so
+// Perfetto lists the processes in hierarchy order (pids 1, 2, 3).
+func levelProc(l Level) int32 { return int32(LevelSite - l) }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -175,7 +176,7 @@ func TestSeriesRegistrationIdempotent(t *testing.T) {
 
 func TestTSDBNilSafety(t *testing.T) {
 	var db *TSDB
-	if db.Enabled() || db.Step() != 0 || db.Windows() != nil || db.NumSeries() != 0 || db.MemoryBytes() != 0 {
+	if db.Step() != 0 || db.Windows() != nil || db.NumSeries() != 0 || db.MemoryBytes() != 0 {
 		t.Error("nil TSDB accessors not zero")
 	}
 	db.Flush()
@@ -334,6 +335,39 @@ func TestTSDBWriteChromeTrace(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("chrome trace missing %q:\n%s", w, out)
 		}
+	}
+
+	// Every counter row's pid must resolve to the process named after its
+	// series' level.
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Pid  int
+			Args map[string]any
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	procs := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			procs[ev.Pid] = ev.Args["name"].(string)
+		}
+	}
+	counters := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "C" {
+			continue
+		}
+		counters++
+		if want := "tsdb:" + db.Lookup(ev.Name).Level().String(); procs[ev.Pid] != want {
+			t.Errorf("%s counter row has pid %d, named %q; want %q", ev.Name, ev.Pid, procs[ev.Pid], want)
+		}
+	}
+	if counters == 0 {
+		t.Error("no counter rows")
 	}
 }
 

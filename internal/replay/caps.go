@@ -29,6 +29,8 @@ var _ cluster.Actuator = (*fakeAct)(nil)
 
 // TickOutcome is what an alternate cap policy decided on one recorded tick.
 type TickOutcome struct {
+	// Seq is the tick's seq in the log: its 1-based position among the
+	// log's decisions.
 	Seq   uint64
 	At    time.Duration
 	LPMHz float64 // desired low-pool lock after the tick (0 = uncap)
@@ -62,7 +64,7 @@ func ReplayCaps(l *Log, ctrl cluster.Controller) []TickOutcome {
 		act.SetPoolLock(workload.High, l.Meta.WatchdogHPMHz)
 	}
 	out := make([]TickOutcome, 0, l.Ticks())
-	for _, d := range l.Decisions {
+	for i, d := range l.Decisions {
 		if d.Kind != obs.DecTick {
 			continue
 		}
@@ -91,7 +93,7 @@ func ReplayCaps(l *Log, ctrl cluster.Controller) []TickOutcome {
 			silentEpoch()
 		}
 		out = append(out, TickOutcome{
-			Seq:      d.Seq,
+			Seq:      uint64(i + 1),
 			At:       d.At,
 			LPMHz:    act.locks[workload.Low],
 			HPMHz:    act.locks[workload.High],

@@ -84,7 +84,7 @@ func (p *Profiler) Factors(pri workload.Priority, lockMHz float64) (tf, pf float
 // have cost or reclaimed relative to the deployed decision, estimated from
 // the recorded busy/power snapshot — no re-simulation.
 type TickRegret struct {
-	Seq          uint64
+	Seq          uint64 // the tick's seq in the log, as TickOutcome.Seq
 	At           time.Duration
 	RecLP, RecHP float64 // deployed locks (0 = uncap)
 	AltLP, AltHP float64 // alternate locks
@@ -144,7 +144,7 @@ func Evaluate(l *Log, name string, ctrl cluster.Controller, prof *Profiler, topK
 	sum := &PolicySummary{Name: name, Ticks: len(outs)}
 	var regrets []TickRegret
 	ti := 0
-	for _, d := range l.Decisions {
+	for i, d := range l.Decisions {
 		if d.Kind != obs.DecTick {
 			continue
 		}
@@ -155,7 +155,7 @@ func Evaluate(l *Log, name string, ctrl cluster.Controller, prof *Profiler, topK
 		}
 		sum.Diverged++
 		r := TickRegret{
-			Seq: d.Seq, At: d.At,
+			Seq: uint64(i + 1), At: d.At,
 			RecLP: d.LPDesiredMHz, RecHP: d.HPDesiredMHz,
 			AltLP: o.LPMHz, AltHP: o.HPMHz,
 		}

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -305,16 +306,23 @@ func TestLoadRejectsTruncation(t *testing.T) {
 // attempt's energy and cap time, and two roots for one attempt is an
 // error.
 func TestLoadSpanStatsFoldsAttempts(t *testing.T) {
-	write := func(lines ...string) string {
+	// write stores records, each a span line's members after its seq, as a
+	// span log numbered in the order given.
+	write := func(records ...string) string {
+		var b strings.Builder
+		b.WriteString(`{"schema":"polca-spans/v1"}` + "\n")
+		for i, rec := range records {
+			fmt.Fprintf(&b, `{"seq":%d,%s`+"\n", i+1, rec)
+		}
 		path := t.TempDir() + "/spans.jsonl"
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	first := `{"req":1,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":100,"cap_s":2,"ttft_s":0.5,"reason":"node-death"}`
-	retry := `{"req":1,"id":1,"kind":"request","start_us":2000000,"end_us":3000000,"energy_j":300,"cap_s":1,"ttft_s":1.5,"retry":1}`
-	other := `{"req":2,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":200,"ttft_s":0.5}`
+	first := `"req":1,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":100,"cap_s":2,"ttft_s":0.5,"reason":"node-death"}`
+	retry := `"req":1,"id":1,"kind":"request","start_us":2000000,"end_us":3000000,"energy_j":300,"cap_s":1,"ttft_s":1.5,"retry":1}`
+	other := `"req":2,"id":1,"kind":"request","start_us":0,"end_us":1000000,"energy_j":200,"ttft_s":0.5}`
 	st, err := replay.LoadSpanStats(write(retry, first, other))
 	if err != nil {
 		t.Fatal(err)

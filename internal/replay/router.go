@@ -10,7 +10,7 @@ import (
 
 // RouteOutcome is what an alternate router decided on one recorded pick.
 type RouteOutcome struct {
-	Seq    uint64
+	Seq    uint64 // the pick's seq in the log, as TickOutcome.Seq
 	At     time.Duration
 	Chosen int32 // index into the recorded candidate set (-1 = none)
 	// Diverged marks the pick differing from the recorded run's.
@@ -57,7 +57,7 @@ func ReplayRoutes(l *Log, name string) ([]RouteOutcome, *RouterSummary, error) {
 	outs := make([]RouteOutcome, 0, l.Routes())
 	sum := &RouterSummary{Name: name}
 	var eps []serve.Endpoint
-	for _, d := range l.Decisions {
+	for i, d := range l.Decisions {
 		if d.Kind != obs.DecRoute {
 			continue
 		}
@@ -80,7 +80,7 @@ func ReplayRoutes(l *Log, name string) ([]RouteOutcome, *RouterSummary, error) {
 		}
 		pick := routers[req.Priority].Pick(eps, req)
 		o := RouteOutcome{
-			Seq:      d.Seq,
+			Seq:      uint64(i + 1),
 			At:       d.At,
 			Chosen:   int32(pick),
 			Diverged: int32(pick) != d.Chosen,

@@ -51,7 +51,6 @@ func BenchmarkServeTracerDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep.batchCtr.Inc()
 		rep.preemptCtr.Inc()
-		rep.kvGauge.Set(0.5)
 	}
 }
 

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"polca/internal/gpu"
+	"polca/internal/llm"
 	"polca/internal/obs"
 	"polca/internal/sim"
 	"polca/internal/workload"
@@ -188,6 +190,68 @@ func TestEnergyConservationAcrossFail(t *testing.T) {
 	if rd := relDiff(attr, rep.scale*st.EnergyJ); rd > 1e-9 {
 		t.Errorf("after Fail: attributed %.3f J vs integrated %.3f J (rel %.2e)",
 			attr, rep.scale*st.EnergyJ, rd)
+	}
+}
+
+// TestFailSpanStartsAtFormation kills a replica mid-prefill after a clock
+// lock has replanned the iteration: the cancelled prefill's span must start
+// at the iteration's formation, not at the replan, so the request's
+// children cover the time from arrival to death without a gap.
+func TestFailSpanStartsAtFormation(t *testing.T) {
+	eng := sim.New(1)
+	eng.SetObserver(&obs.Observer{Spans: obs.NewSpanTracer()})
+	dev := gpu.NewDevice(gpu.A100SXM80GB())
+	// A token budget above the prompt runs the whole prefill as one
+	// iteration.
+	rep, err := NewReplica(eng, Config{Model: bloom(), DType: llm.FP16, MaxBatchTokens: 8192}, dev, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Enqueue(0, workload.Request{ID: 1, Input: 6000, Output: 10, Class: "chat"}) {
+		t.Fatal("enqueue rejected")
+	}
+	const replan, death = 357 * time.Millisecond, 535 * time.Millisecond
+	eng.At(replan, func(now sim.Time) { dev.LockClock(900); rep.Replan(now) })
+	eng.At(death, func(now sim.Time) {
+		if rep.Idle() || rep.iterFormedAt != 0 || rep.iterStart != replan {
+			t.Fatalf("at death: idle %v, iteration formed at %v, replanned at %v; want one iteration formed at 0 and replanned at %v",
+				rep.Idle(), rep.iterFormedAt, rep.iterStart, replan)
+		}
+		rep.Fail(now)
+	})
+	eng.RunUntil(time.Second)
+
+	var root obs.Span
+	var children []obs.Span
+	for _, sp := range rep.spans.Spans() {
+		if sp.Kind == obs.SpanRequest {
+			root = sp
+		} else {
+			children = append(children, sp)
+		}
+	}
+	if root.Reason != "node-death" || root.End != death {
+		t.Fatalf("root = %+v, want a node-death drop at %v", root, death)
+	}
+	var prefill *obs.Span
+	for i := range children {
+		if children[i].Kind == obs.SpanPrefill {
+			prefill = &children[i]
+		}
+	}
+	if prefill == nil || prefill.Start != 0 || prefill.End != death {
+		t.Fatalf("cancelled prefill span = %+v, want 0 to %v", prefill, death)
+	}
+	sort.Slice(children, func(i, j int) bool { return children[i].Start < children[j].Start })
+	covered := root.Start
+	for _, sp := range children {
+		if sp.Start > covered {
+			t.Errorf("children leave %v to %v uncovered", covered, sp.Start)
+		}
+		covered = max(covered, sp.End)
+	}
+	if covered != root.End {
+		t.Errorf("children cover up to %v, root ends at %v", covered, root.End)
 	}
 }
 

@@ -260,7 +260,6 @@ type Replica struct {
 	spans      *obs.SpanTracer
 	batchCtr   *obs.Counter
 	preemptCtr *obs.Counter
-	kvGauge    *obs.Gauge
 
 	// Lifecycle callbacks, all optional. They fire inside engine event
 	// handlers, so they must not block. The *Seq argument is only valid
@@ -295,7 +294,6 @@ func NewReplica(eng *sim.Engine, cfg Config, dev *gpu.Device, idx int, pool int8
 	r.spans = o.SpanSink()
 	r.batchCtr = o.Counter("serve_batches_total")
 	r.preemptCtr = o.Counter("serve_preemptions_total")
-	r.kvGauge = o.Gauge("serve_kv_highwater_frac")
 	r.finishFn = r.finishIteration
 	r.spanEndFn = r.spanEnd
 	return r, nil
@@ -489,7 +487,7 @@ func (r *Replica) Fail(now sim.Time) {
 					}
 					r.flushDecodeSpan(s)
 					sp := r.spanBase(s, kind)
-					sp.Start, sp.End = r.iterStart, now
+					sp.Start, sp.End = r.iterFormedAt, now
 					sp.Tokens = int32(toks)
 					sp.Recompute = kind == obs.SpanPrefill && s.preempts > 0
 					sp.EnergyJ = perTokJ * float64(s.chunk+s.steps)
@@ -793,7 +791,6 @@ func (r *Replica) noteHighWater(now sim.Time) {
 	}
 	r.lastHW = frac
 	r.stats.KVHighWaterEvents++
-	r.kvGauge.Set(frac)
 	r.tracer.Emit(obs.Event{
 		At: now, Kind: obs.KindKVHighWater, Server: int32(r.idx), Pool: r.pool,
 		Value: frac,

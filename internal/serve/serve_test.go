@@ -371,7 +371,7 @@ func TestReplicaDeterminism(t *testing.T) {
 }
 
 // TestNilObserverEmissionsAllocFree pins the disabled-observability fast
-// path: with no observer on the engine, the scheduler's counter, gauge, and
+// path: with no observer on the engine, the scheduler's counter and
 // tracer touchpoints must not allocate (sweeps run thousands of replicas
 // this way).
 func TestNilObserverEmissionsAllocFree(t *testing.T) {
@@ -383,7 +383,6 @@ func TestNilObserverEmissionsAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		rep.batchCtr.Inc()
 		rep.preemptCtr.Inc()
-		rep.kvGauge.Set(0.5)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-observer emissions allocate %.1f objects/op, want 0", allocs)
