@@ -168,8 +168,10 @@ chaos-serve:
 # span and decision log scanners on arbitrary files (no panic, and an
 # accepted file's records numbered exactly 1..N), the rung-table
 # threshold policies against hand-written Table 5 and 1-Thresh state
-# machines, and the serve replica's decode-span planner against its
-# per-stride reference under random scripts, traced and span-recorded.
+# machines, the serve replica's decode-span planner against its
+# per-stride reference under random scripts, traced and span-recorded,
+# and self-replay fidelity over generated short rows (every decision log
+# must replay against its own configuration with no diverged decision).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/faults
@@ -180,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScanLog -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzPolicyMatchesTable5 -fuzztime 10s ./internal/polca
 	$(GO) test -run '^$$' -fuzz FuzzCoalescingMatchesPerStride -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzSelfReplay -fuzztime 10s ./internal/replay
 
 # replay-golden pins the counterfactual-replay pipeline end to end: the
 # polca-replay CLI over the committed decision-log fixture must reproduce

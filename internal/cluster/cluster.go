@@ -427,10 +427,6 @@ type Actuator interface {
 	// SetPoolLock requests every server of the pool to lock its GPUs' SM
 	// clock at mhz; 0 requests an unlock.
 	SetPoolLock(p workload.Priority, mhz float64)
-	// PoolLock returns the currently *desired* lock for the pool (0 = none).
-	PoolLock(p workload.Priority) float64
-	// GPUSpec returns the GPU SKU, so policies can reference its clocks.
-	GPUSpec() gpu.Spec
 	// Observer returns the run's observability sink (nil when disabled) so
 	// policies can trace their decisions. Observation is read-only with
 	// respect to the simulation: emitting events must never change control
@@ -564,7 +560,6 @@ type node struct {
 	srv *server.Server
 	dev *gpu.Device // representative device; all 8 GPUs behave identically
 
-	desiredLock float64
 	appliedLock float64
 	cmdInFlight bool
 
@@ -634,7 +629,7 @@ type backend interface {
 type Row struct {
 	cfg     RowConfig
 	eng     *sim.Engine
-	ctrl    Controller
+	loop    ControlLoop
 	be      backend
 	nodes   []*node
 	pools   map[workload.Priority][]*node
@@ -661,17 +656,19 @@ type Row struct {
 	brakePending bool
 	brakeHeld    sim.Time // earliest release time
 
+	// desired is each pool's desired SM-clock lock (0 = unlocked), indexed
+	// by workload.Priority; the OOB pump drives every node toward its
+	// pool's value.
+	desired [2]float64
+
 	// Fault-injection runtime (nil = no faults) and degraded-mode state.
 	inj *faults.Injector
 	// lastReading is the previous telemetry value delivered to the
 	// controller, which stuck-at windows repeat.
 	lastReading float64
 	haveReading bool
-	// ctrlDown tracks an in-progress controller crash; ctrlSilent counts
-	// consecutive epochs without controller contact (for the watchdog).
-	ctrlDown        bool
-	ctrlSilent      int
-	watchdogEngaged bool
+	// ctrlDown tracks an in-progress controller crash.
+	ctrlDown bool
 
 	telemetryTick sim.Timer
 	telemetrySub  sim.Timer
@@ -701,8 +698,8 @@ type Row struct {
 	// Decision-provenance recording (nil unless the observer carries a
 	// DecisionRecorder). ctrlStage and ctrlFailSafe are the controller's
 	// optional introspection interfaces, cached at construction; tickDec
-	// accumulates the in-progress telemetry epoch's input flags inside
-	// controllerTick.
+	// holds the in-progress telemetry epoch's input flags, which
+	// controllerTick fills and the control loop reads.
 	dec          *obs.DecisionRecorder
 	ctrlStage    StageReporter
 	ctrlFailSafe interface{ FailSafeEngaged() bool }
@@ -726,7 +723,6 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	r := &Row{
 		cfg:            cfg,
 		eng:            eng,
-		ctrl:           ctrl,
 		pools:          map[workload.Priority][]*node{},
 		sampler:        workload.NewSampler(cfg.Classes, eng.Rand("workload")),
 		dispatchRNG:    eng.Rand("dispatch"),
@@ -743,6 +739,7 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 			Dropped:     map[workload.Priority]int{},
 		},
 	}
+	r.loop = NewControlLoop(ctrl, cfg.WatchdogEpochs, r.deadman)
 	total := cfg.Servers()
 	lp := cfg.lowPoolServers()
 	for i := 0; i < total; i++ {
@@ -829,9 +826,6 @@ func (r *Row) Metrics() *Metrics { return r.metrics }
 // PoolSize returns the number of servers in a priority pool.
 func (r *Row) PoolSize(p workload.Priority) int { return len(r.pools[p]) }
 
-// GPUSpec implements Actuator.
-func (r *Row) GPUSpec() gpu.Spec { return gpu.A100SXM80GB() }
-
 // Observer implements Actuator.
 func (r *Row) Observer() *obs.Observer { return r.obs }
 
@@ -839,15 +833,6 @@ func (r *Row) Observer() *obs.Observer { return r.obs }
 // yet landed or failed — the trace reconciliation remainder: issues =
 // applies + releases + failures + in-flight.
 func (r *Row) InFlightCommands() int { return r.cmdsInFlight }
-
-// PoolLock implements Actuator.
-func (r *Row) PoolLock(p workload.Priority) float64 {
-	ns := r.pools[p]
-	if len(ns) == 0 {
-		return 0
-	}
-	return ns[0].desiredLock
-}
 
 // PoolAppliedLocks returns the SM-clock locks actually applied on each
 // server of the pool (0 = unlocked), for inspection and tests.
@@ -859,19 +844,19 @@ func (r *Row) PoolAppliedLocks(p workload.Priority) []float64 {
 	return out
 }
 
-// SetPoolLock implements Actuator. The desired state is recorded
-// immediately; the OOB pipeline applies it per server with latency and
-// possible silent failures, re-issuing on subsequent telemetry ticks.
+// SetPoolLock implements Actuator. The pool's desired lock is recorded
+// immediately, and traced when it changes, even for an empty pool; the OOB
+// pipeline applies it per server with latency and possible silent
+// failures, re-issuing on subsequent telemetry ticks.
 func (r *Row) SetPoolLock(p workload.Priority, mhz float64) {
-	if r.PoolLock(p) != mhz {
-		r.tracer.Emit(obs.Event{
-			At: r.eng.Now(), Kind: obs.KindCapRequest,
-			Server: -1, Pool: int8(p), MHz: mhz,
-		})
+	if r.desired[p] == mhz {
+		return
 	}
-	for _, n := range r.pools[p] {
-		n.desiredLock = mhz
-	}
+	r.desired[p] = mhz
+	r.tracer.Emit(obs.Event{
+		At: r.eng.Now(), Kind: obs.KindCapRequest,
+		Server: -1, Pool: int8(p), MHz: mhz,
+	})
 }
 
 // Run simulates the row serving the arrival plan until its horizon plus a
@@ -952,58 +937,40 @@ func (r *Row) startTelemetry() {
 }
 
 // controllerTick runs the control half of a telemetry epoch: it passes the
-// row reading through the fault model, delivers it to the controller (or
-// records controller silence), and drives the crash-recovery and deadman
-// paths. Without an injector it reduces to the single pre-hardening call.
-// It notes the epoch's input flags in tickDec for recordTickDecision.
+// row reading through the fault model, notes the epoch's input flags in
+// tickDec (which recordTickDecision logs), traces controller crashes and
+// restarts, and hands the epoch to the control loop. Without an injector
+// every reading is delivered as measured.
 func (r *Row) controllerTick(now sim.Time, trueUtil float64) {
-	r.tickDec = obs.Decision{At: now, TrueUtil: trueUtil}
-	if r.inj == nil {
-		r.tickDec.Delivered, r.tickDec.Reading = true, trueUtil
-		r.ctrl.OnTelemetry(now, trueUtil, r)
-		return
-	}
-	if r.inj.ControllerDown(now, r.cfg.TelemetryInterval) {
+	d := &r.tickDec
+	*d = obs.Decision{At: now, TrueUtil: trueUtil}
+	switch {
+	case r.inj == nil:
+		d.Delivered, d.Reading = true, trueUtil
+	case r.inj.ControllerDown(now, r.cfg.TelemetryInterval):
 		if !r.ctrlDown {
 			r.ctrlDown = true
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlCrash, Server: -1, Pool: obs.PoolNone})
 		}
-		r.tickDec.Down = true
-		r.controllerSilent(now)
-		return
-	}
-	if r.ctrlDown {
-		// The controller restarts cold: a real process restart loses every
-		// engaged threshold and hysteresis timer.
-		r.ctrlDown = false
-		if rs, ok := r.ctrl.(Restartable); ok {
-			rs.Reset()
+		d.Down = true
+	default:
+		if r.ctrlDown {
+			// The controller restarts cold: a real process restart loses
+			// every engaged threshold and hysteresis timer.
+			r.ctrlDown = false
+			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlRestart, Server: -1, Pool: obs.PoolNone})
+			d.Reset = true
 		}
-		r.tracer.Emit(obs.Event{At: now, Kind: obs.KindCtrlRestart, Server: -1, Pool: obs.PoolNone})
-		r.tickDec.Reset = true
-	}
-	if r.inj.MissedTick() {
-		r.tickDec.Missed = true
-		r.controllerSilent(now)
-		return
-	}
-	reading, ok := r.inj.Telemetry(now, trueUtil, r.lastReading, r.haveReading)
-	if !ok {
-		r.tickDec.Lost = true
-		if la, aware := r.ctrl.(TelemetryLossAware); aware {
-			// The controller is alive and knows the sample is missing — that
-			// is contact, not silence.
-			r.controllerContact(now)
-			la.OnTelemetryLoss(now, r)
+		if r.inj.MissedTick() {
+			d.Missed = true
+		} else if reading, ok := r.inj.Telemetry(now, trueUtil, r.lastReading, r.haveReading); ok {
+			d.Delivered, d.Reading = true, reading
+			r.lastReading, r.haveReading = reading, true
 		} else {
-			r.controllerSilent(now)
+			d.Lost = true
 		}
-		return
 	}
-	r.tickDec.Delivered, r.tickDec.Reading = true, reading
-	r.lastReading, r.haveReading = reading, true
-	r.controllerContact(now)
-	r.ctrl.OnTelemetry(now, reading, r)
+	r.loop.Epoch(now, d, r)
 }
 
 // recordTickDecision snapshots the completed telemetry epoch into the
@@ -1019,15 +986,15 @@ func (r *Row) recordTickDecision(now sim.Time) {
 	d := r.tickDec
 	d.Braked = r.braked
 	d.BrakePending = r.brakePending
-	d.Watchdog = r.watchdogEngaged
+	d.Watchdog = r.loop.WatchdogEngaged()
 	if r.ctrlFailSafe != nil {
 		d.FailSafe = r.ctrlFailSafe.FailSafeEngaged()
 	}
 	if r.ctrlStage != nil {
 		d.Stage = int8(r.ctrlStage.Stage())
 	}
-	d.LPDesiredMHz = r.PoolLock(workload.Low)
-	d.HPDesiredMHz = r.PoolLock(workload.High)
+	d.LPDesiredMHz = r.desired[workload.Low]
+	d.HPDesiredMHz = r.desired[workload.High]
 	for _, n := range r.nodes {
 		if n.dead {
 			continue
@@ -1048,36 +1015,23 @@ func (r *Row) recordTickDecision(now sim.Time) {
 	r.dec.RecordTick(d)
 }
 
-// controllerContact resets the deadman counter and releases the watchdog:
-// the resumed controller reasserts its desired pool locks on this same
-// tick (every policy re-emits them unconditionally), superseding the
-// watchdog's conservative caps.
-func (r *Row) controllerContact(now sim.Time) {
-	r.ctrlSilent = 0
-	if r.watchdogEngaged {
-		r.watchdogEngaged = false
+// deadman is the control loop's watchdog hook. With no policy reacting to
+// power, an engaged watchdog self-caps both pools at the conservative
+// clocks rather than leaving oversubscribed servers uncapped until the
+// brake fires; on release the resumed controller reasserts its own locks
+// on the same tick (every policy re-emits them unconditionally).
+func (r *Row) deadman(now sim.Time, engage bool, silent int) {
+	if engage {
+		r.note(obs.Event{
+			At: now, Kind: obs.KindWatchdogEngage, Server: -1, Pool: obs.PoolNone,
+			Value: float64(silent),
+		})
+		r.SetPoolLock(workload.Low, watchdogLPMHz)
+		r.SetPoolLock(workload.High, watchdogHPMHz)
+	} else {
 		r.tracer.Emit(obs.Event{At: now, Kind: obs.KindWatchdogRelease, Server: -1, Pool: obs.PoolNone})
-		r.be.watchdog(now, false)
 	}
-}
-
-// controllerSilent records one epoch of controller silence and engages the
-// deadman watchdog once the configured patience runs out: with no policy
-// reacting to power, the row self-caps to the conservative clocks rather
-// than leaving oversubscribed servers uncapped until the brake fires.
-func (r *Row) controllerSilent(now sim.Time) {
-	r.ctrlSilent++
-	if r.cfg.WatchdogEpochs <= 0 || r.watchdogEngaged || r.ctrlSilent < r.cfg.WatchdogEpochs {
-		return
-	}
-	r.watchdogEngaged = true
-	r.note(obs.Event{
-		At: now, Kind: obs.KindWatchdogEngage, Server: -1, Pool: obs.PoolNone,
-		Value: float64(r.ctrlSilent),
-	})
-	r.SetPoolLock(workload.Low, watchdogLPMHz)
-	r.SetPoolLock(workload.High, watchdogHPMHz)
-	r.be.watchdog(now, true)
+	r.be.watchdog(now, engage)
 }
 
 // noteDrain records a node entering or leaving graceful drain. reason
@@ -1288,12 +1242,13 @@ func (r *Row) brakeLogic(util float64) {
 // tick — the guardrail the paper says production deployment requires.
 func (r *Row) pumpCommands(now sim.Time) {
 	for _, n := range r.nodes {
-		if n.dead || n.cmdInFlight || n.desiredLock == n.appliedLock {
+		target := r.desired[n.pri]
+		if n.dead || n.cmdInFlight || target == n.appliedLock {
 			continue
 		}
 		// A new desired lock starts a fresh retry sequence.
-		if n.desiredLock != n.retryTarget || n.retryCount == 0 {
-			n.retryTarget = n.desiredLock
+		if target != n.retryTarget || n.retryCount == 0 {
+			n.retryTarget = target
 			n.retryCount = 0
 			n.retryWait = 0
 			n.retryDead = false
@@ -1307,7 +1262,6 @@ func (r *Row) pumpCommands(now sim.Time) {
 		n.retryCount++
 		n.cmdInFlight = true
 		r.cmdsInFlight++
-		target := n.desiredLock
 		r.note(obs.Event{
 			At: now, Kind: obs.KindOOBIssue,
 			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
@@ -1341,7 +1295,7 @@ func (r *Row) pumpCommands(now sim.Time) {
 				r.retryAccounting(node, target, t)
 				return // silent failure; re-issued on a later tick
 			}
-			if r.cfg.DropStaleOOB && node.desiredLock != target {
+			if desired := r.desired[node.pri]; r.cfg.DropStaleOOB && desired != target {
 				// The desired lock changed while this command was in flight:
 				// applying it would actuate a decision the policy already
 				// revoked (possibly *uncapping* a row the policy wants
@@ -1349,7 +1303,7 @@ func (r *Row) pumpCommands(now sim.Time) {
 				r.note(obs.Event{
 					At: t, Kind: obs.KindOOBStale,
 					Server: int32(node.idx), Pool: int8(node.pri), MHz: target,
-					Value: node.desiredLock, Reason: "superseded",
+					Value: desired, Reason: "superseded",
 				})
 				return
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"polca/internal/gpu"
 	"polca/internal/obs"
 	"polca/internal/serve"
 	"polca/internal/sim"
@@ -227,7 +228,7 @@ func newServeBackend(r *Row) (*serveBackend, error) {
 		scfg.DType = r.cfg.DType
 	}
 	scfg = scfg.WithDefaults()
-	if err := scfg.Validate(r.GPUSpec()); err != nil {
+	if err := scfg.Validate(gpu.A100SXM80GB()); err != nil {
 		return nil, err
 	}
 	slo := r.cfg.TTFTSLO
@@ -548,7 +549,7 @@ func (b *serveBackend) shedTarget() (int, string) {
 	if b.braked || b.brakePending {
 		return 2, "brake"
 	}
-	if b.watchdogEngaged {
+	if b.loop.WatchdogEngaged() {
 		return 2, "watchdog"
 	}
 	high := false

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"polca/internal/cluster"
-	"polca/internal/gpu"
 	"polca/internal/obs"
 	"polca/internal/polca"
 	"polca/internal/sim"
@@ -27,7 +26,6 @@ func newFake() *fakeActuator {
 
 func (f *fakeActuator) SetPoolLock(p workload.Priority, mhz float64) { f.locks[p] = mhz }
 func (f *fakeActuator) PoolLock(p workload.Priority) float64         { return f.locks[p] }
-func (f *fakeActuator) GPUSpec() gpu.Spec                            { return gpu.A100SXM80GB() }
 func (f *fakeActuator) Observer() *obs.Observer                      { return f.obs }
 
 func tick(p cluster.Controller, act *fakeActuator, utils ...float64) {

@@ -5,24 +5,19 @@ import (
 	"time"
 
 	"polca/internal/cluster"
-	"polca/internal/gpu"
 	"polca/internal/obs"
 	"polca/internal/polca"
+	"polca/internal/sim"
 	"polca/internal/workload"
 )
 
 // fakeAct is the offline actuator: it holds the desired pool locks an
-// alternate controller asserts, exactly as the row's desired-lock state
-// would, with no OOB pipeline behind it. Observer() is nil — every policy
+// alternate controller asserts, indexed by workload.Priority, as the row
+// does, with no OOB pipeline behind it. Observer() is nil — every policy
 // treats observation as optional — so replaying emits nothing.
-type fakeAct struct {
-	locks [2]float64
-	spec  gpu.Spec
-}
+type fakeAct [2]float64
 
-func (a *fakeAct) SetPoolLock(p workload.Priority, mhz float64) { a.locks[p] = mhz }
-func (a *fakeAct) PoolLock(p workload.Priority) float64         { return a.locks[p] }
-func (a *fakeAct) GPUSpec() gpu.Spec                            { return a.spec }
+func (a *fakeAct) SetPoolLock(p workload.Priority, mhz float64) { a[p] = mhz }
 func (a *fakeAct) Observer() *obs.Observer                      { return nil }
 
 var _ cluster.Actuator = (*fakeAct)(nil)
@@ -39,65 +34,32 @@ type TickOutcome struct {
 	Diverged bool
 }
 
-// ReplayCaps drives a controller over the recorded tick stream, mirroring
-// the row's epoch semantics exactly: crashed and missed epochs are
-// controller silence (counting toward the deadman watchdog), recovery
-// resets restartable controllers cold, lost readings go to loss-aware
-// controllers as OnTelemetryLoss (contact) and count as silence otherwise,
-// and delivered readings reach OnTelemetry. Route decisions are skipped.
-// The returned outcomes align 1:1 with the log's tick decisions.
+// ReplayCaps drives a controller over the recorded tick stream through a
+// cluster.ControlLoop, the one the row ran: each tick's recorded epoch
+// flags decide what the controller sees, and the deadman watchdog asserts
+// the header's watchdog clocks. Route decisions are skipped. The returned
+// outcomes align 1:1 with the log's tick decisions.
 func ReplayCaps(l *Log, ctrl cluster.Controller) []TickOutcome {
-	act := &fakeAct{spec: gpu.A100SXM80GB()}
-	silent := 0
-	wdEngaged := false
-	contact := func() {
-		silent = 0
-		wdEngaged = false
-	}
-	silentEpoch := func() {
-		silent++
-		if l.Meta.WatchdogEpochs <= 0 || wdEngaged || silent < l.Meta.WatchdogEpochs {
-			return
+	act := &fakeAct{}
+	loop := cluster.NewControlLoop(ctrl, l.Meta.WatchdogEpochs, func(_ sim.Time, engage bool, _ int) {
+		if engage {
+			act.SetPoolLock(workload.Low, l.Meta.WatchdogLPMHz)
+			act.SetPoolLock(workload.High, l.Meta.WatchdogHPMHz)
 		}
-		wdEngaged = true
-		act.SetPoolLock(workload.Low, l.Meta.WatchdogLPMHz)
-		act.SetPoolLock(workload.High, l.Meta.WatchdogHPMHz)
-	}
+	})
 	out := make([]TickOutcome, 0, l.Ticks())
-	for i, d := range l.Decisions {
+	for i := range l.Decisions {
+		d := &l.Decisions[i]
 		if d.Kind != obs.DecTick {
 			continue
 		}
-		now := d.At // sim.Time is a time.Duration alias
-		if d.Reset {
-			if rs, ok := ctrl.(cluster.Restartable); ok {
-				rs.Reset()
-			}
-		}
-		switch {
-		case d.Down, d.Missed:
-			silentEpoch()
-		case d.Lost:
-			if la, aware := ctrl.(cluster.TelemetryLossAware); aware {
-				contact()
-				la.OnTelemetryLoss(now, act)
-			} else {
-				silentEpoch()
-			}
-		case d.Delivered:
-			contact()
-			ctrl.OnTelemetry(now, d.Reading, act)
-		default:
-			// A tick with no epoch flag cannot be produced by the recorder;
-			// treat it as silence rather than inventing a reading.
-			silentEpoch()
-		}
+		loop.Epoch(d.At, d, act)
 		out = append(out, TickOutcome{
 			Seq:      uint64(i + 1),
 			At:       d.At,
-			LPMHz:    act.locks[workload.Low],
-			HPMHz:    act.locks[workload.High],
-			Diverged: act.locks[workload.Low] != d.LPDesiredMHz || act.locks[workload.High] != d.HPDesiredMHz,
+			LPMHz:    act[workload.Low],
+			HPMHz:    act[workload.High],
+			Diverged: act[workload.Low] != d.LPDesiredMHz || act[workload.High] != d.HPDesiredMHz,
 		})
 	}
 	return out
