@@ -1342,10 +1342,14 @@ func (r *Row) retryAccounting(n *node, target float64, t sim.Time) {
 		return
 	}
 	if r.cfg.OOBRetryBackoff > 0 {
-		shift := n.retryCount - 1
-		if shift > 6 {
-			shift = 6 // cap the doubling at 64× the base backoff
-		}
-		n.retryWait = t + r.cfg.OOBRetryBackoff<<shift
+		n.retryWait = t + backoff(r.cfg.OOBRetryBackoff, n.retryCount)
 	}
+}
+
+// backoff is the delay before retry number attempt (1 for the first):
+// base doubling per attempt, capped at 64× base. OOB re-issues and serve
+// failover both back off by it; it is a pure function of the attempt, so
+// retry traffic draws no randomness.
+func backoff(base time.Duration, attempt int) time.Duration {
+	return base << min(attempt-1, 6)
 }

@@ -35,13 +35,9 @@ func BenchmarkRetryQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := q.pop()
 		// Re-insert with the deterministic exponential backoff the requeue
-		// path computes: base × 2^(attempt-1), shift capped at 6.
+		// path computes.
 		e.req.Retry++
-		shift := e.req.Retry - 1
-		if shift > 6 {
-			shift = 6
-		}
-		push(e.due + sim.Time(time.Second)<<shift)
+		push(e.due + backoff(time.Second, e.req.Retry))
 	}
 	if q.len() != depth {
 		b.Fatalf("heap depth drifted: %d != %d", q.len(), depth)

@@ -434,8 +434,7 @@ func (b *serveBackend) fail(now sim.Time, srv int32, req workload.Request, reaso
 }
 
 // requeue pushes a failed-over request onto the retry queue and arms the
-// pump. The backoff is base × 2^(attempt-1) capped at 64× base, a pure
-// function of the attempt count — no randomness, so the rand-audit
+// pump after the attempt's backoff — no randomness, so the rand-audit
 // invariant and byte-identical reruns hold.
 func (b *serveBackend) requeue(now sim.Time, srv int32, req workload.Request, reason string) {
 	req.Retry++
@@ -447,11 +446,7 @@ func (b *serveBackend) requeue(now sim.Time, srv int32, req workload.Request, re
 	if base <= 0 {
 		base = b.cfg.TelemetryInterval
 	}
-	shift := req.Retry - 1
-	if shift > 6 {
-		shift = 6
-	}
-	due := now + base<<shift
+	due := now + backoff(base, req.Retry)
 	b.retrySeq++
 	b.retryQ.push(retryEntry{due: due, seq: b.retrySeq, req: req})
 	if b.retryArmed == 0 || due < b.retryArmed {

@@ -603,6 +603,14 @@ func (r *Replica) startIteration(now sim.Time) {
 	}
 }
 
+// decodeStride is a pure-decode iteration's multi-step stride with
+// kvToks of KV reserved: DecodeStride steps, never past the nearest
+// completion (minRemaining) or the KV capacity left for decodeSeqs
+// sequences, and at least one.
+func (r *Replica) decodeStride(minRemaining, kvToks, decodeSeqs int) int {
+	return max(1, min(r.cfg.DecodeStride, minRemaining, (r.kvCapToks-kvToks)/decodeSeqs))
+}
+
 // formBatch plans the next iteration: it guarantees KV for the decode
 // steps (preempting newest-first under pressure), admits waiting sequences
 // under a conservative full-context reservation check, then hands out
@@ -624,17 +632,8 @@ func (r *Replica) formBatch(now sim.Time) (promptToks, decodeSeqs, stride int) {
 	// with nothing waiting, and never past a completion boundary or the KV
 	// capacity.
 	stride = 1
-	if decodeSeqs > 0 && !prefillPending && r.waiting.Len() == 0 && r.cfg.DecodeStride > 1 {
-		stride = r.cfg.DecodeStride
-		if stride > minRemaining {
-			stride = minRemaining
-		}
-		if fit := (r.kvCapToks - r.kvToks) / decodeSeqs; stride > fit {
-			stride = fit
-		}
-		if stride < 1 {
-			stride = 1
-		}
+	if decodeSeqs > 0 && !prefillPending && r.waiting.Len() == 0 {
+		stride = r.decodeStride(minRemaining, r.kvToks, decodeSeqs)
 	}
 
 	// Reserve the decode growth.
@@ -978,21 +977,9 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 			// the real formBatch after the span's end does it.
 			break
 		}
-		// The next segment's formation, exactly as formBatch computes it
-		// for a pure-decode batch with an empty waiting queue.
-		st = 1
-		if r.cfg.DecodeStride > 1 {
-			st = r.cfg.DecodeStride
-			if st > minRem {
-				st = minRem
-			}
-			if fit := (r.kvCapToks - kv) / decodeSeqs; st > fit {
-				st = fit
-			}
-			if st < 1 {
-				st = 1
-			}
-		}
+		// The next segment's formation: formBatch's stride for a
+		// pure-decode batch with an empty waiting queue.
+		st = r.decodeStride(minRem, kv, decodeSeqs)
 		kv += decodeSeqs * st
 		if _, traced := r.highWater(kv); traced {
 			break // formBatch traces the new KV high water at its instant
