@@ -476,7 +476,7 @@ func runOne(o runOpts) (string, error) {
 		c := m.Faults
 		fmt.Fprintf(&b, "Injected [%s]: %d samples lost, %d stuck, %d spiked; %d crash epochs, %d missed ticks; %d burst fails; %d node deaths\n",
 			o.faults, c.TelemetryLost, c.TelemetryStuck, c.TelemetrySpiked,
-			c.CtrlCrashTicks, c.CtrlMissedTicks, c.OOBBurstFails, c.NodeDeaths)
+			c.CtrlCrashTicks, c.CtrlMissedTicks, c.OOBBurstFails, m.NodeDeaths)
 	}
 	if guard != nil {
 		g := guard.Stats()

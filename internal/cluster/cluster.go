@@ -1064,7 +1064,6 @@ func (r *Row) updateServerFaults(now sim.Time) {
 		r.powerChanged(n)
 		if dead {
 			n.dead = true
-			r.inj.CountNodeDeath()
 			r.be.kill(n, now)
 			r.note(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
 		} else {
@@ -1082,9 +1081,6 @@ func (r *Row) updateServerFaults(now sim.Time) {
 			continue
 		}
 		n.draining = draining
-		if draining {
-			r.inj.CountNodeDrain()
-		}
 		r.noteDrain(n, now, draining, "maintenance")
 	}
 }

@@ -265,9 +265,5 @@ func reconcileFacts(t *testing.T, m *cluster.Metrics, o *obs.Observer) map[strin
 			t.Errorf("%v-priority completion latencies differ from LatencySec", p)
 		}
 	}
-	if m.Faults.NodeDeaths != m.NodeDeaths || m.Faults.NodeDrains != m.NodeDrains {
-		t.Errorf("injector counts %+v, Metrics node deaths %d, drains %d",
-			m.Faults, m.NodeDeaths, m.NodeDrains)
-	}
 	return counts
 }

@@ -279,7 +279,4 @@ func TestServeDrainWindows(t *testing.T) {
 		t.Errorf("KV ledger leaked across drain: reserved %d, freed %d",
 			m.Serve.KVReservedTokens, m.Serve.KVFreedTokens)
 	}
-	if m.Faults.NodeDrains != 3 {
-		t.Errorf("injector counted %d drain entries, want 3", m.Faults.NodeDrains)
-	}
 }

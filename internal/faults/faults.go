@@ -499,8 +499,6 @@ type Counts struct {
 	CtrlCrashTicks  int // epochs the controller was down
 	CtrlMissedTicks int // isolated missed control ticks
 	OOBBurstFails   int // commands failed by a burst window
-	NodeDeaths      int // node down-transitions
-	NodeDrains      int // graceful-drain window entries
 }
 
 // Injector is the runtime of one Spec on one simulated row. All randomness
@@ -693,14 +691,6 @@ func (inj *Injector) ServerDead(idx int, now time.Duration) bool {
 	return false
 }
 
-// CountNodeDeath records one node down-transition (the row detects the
-// transition; the injector only supplies the schedule).
-func (inj *Injector) CountNodeDeath() {
-	if inj != nil {
-		inj.counts.NodeDeaths++
-	}
-}
-
 // ServerDraining reports whether node idx is inside a graceful-drain
 // (maintenance) window at now.
 func (inj *Injector) ServerDraining(idx int, now time.Duration) bool {
@@ -718,14 +708,6 @@ func (inj *Injector) ServerDraining(idx int, now time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// CountNodeDrain records one drain window entry (the row detects the
-// transition, as with CountNodeDeath).
-func (inj *Injector) CountNodeDrain() {
-	if inj != nil {
-		inj.counts.NodeDrains++
-	}
 }
 
 // SlowFactor returns the work stretch for node idx (1 when not a
