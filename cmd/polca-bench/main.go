@@ -10,11 +10,10 @@
 //
 //	polca-bench -compare OLD.json NEW.json
 //	    Compare two artifacts. An allocs/op increase on any shared
-//	    benchmark always fails. An ns/op regression beyond -threshold
-//	    (default 15%) fails, or only warns under -advisory-time (for noisy
-//	    CI runners where wall time is not trustworthy but allocation
-//	    counts are deterministic). A benchmark present in OLD but missing
-//	    from NEW fails: the trajectory must not silently lose coverage.
+//	    benchmark fails, and so does a benchmark present in OLD but
+//	    missing from NEW: the trajectory must not silently lose coverage.
+//	    An ns/op rise above 15% only warns, because wall time on a shared
+//	    runner is not trustworthy.
 //
 //	polca-bench -check FILE.json [FILE2.json ...]
 //	    Validate artifacts against the schema; used by `make ci` so a
@@ -85,8 +84,6 @@ func cli(args []string, out, errw io.Writer) int {
 	check := fs.Bool("check", false, "validate artifact files against the schema")
 	require := fs.String("require", "", "comma-separated benchmark names that must appear in the input")
 	zeroAlloc := fs.String("zero-alloc", "", "comma-separated benchmark names that must report 0 allocs/op")
-	threshold := fs.Float64("threshold", 0.15, "relative ns/op regression that fails -compare")
-	advisoryTime := fs.Bool("advisory-time", false, "demote ns/op regressions to warnings (allocs/op still fail)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -96,7 +93,7 @@ func cli(args []string, out, errw io.Writer) int {
 			fmt.Fprintln(errw, "usage: polca-bench -compare OLD.json NEW.json")
 			return 2
 		}
-		return runCompare(fs.Arg(0), fs.Arg(1), *threshold, *advisoryTime, out, errw)
+		return runCompare(fs.Arg(0), fs.Arg(1), out, errw)
 	case *check:
 		if fs.NArg() == 0 {
 			fmt.Fprintln(errw, "usage: polca-bench -check FILE.json ...")
@@ -302,10 +299,12 @@ func validate(art *Artifact) error {
 	return nil
 }
 
+// timeWarn is the relative ns/op rise -compare warns about.
+const timeWarn = 0.15
+
 // runCompare diffs NEW against OLD. Allocation growth and lost coverage are
-// always fatal; ns/op regressions beyond threshold are fatal unless
-// advisoryTime demotes them to warnings.
-func runCompare(oldPath, newPath string, threshold float64, advisoryTime bool, out, errw io.Writer) int {
+// fatal; an ns/op rise above timeWarn is a warning.
+func runCompare(oldPath, newPath string, out, errw io.Writer) int {
 	oldArt, err := loadArtifact(oldPath)
 	if err != nil {
 		fmt.Fprintf(errw, "polca-bench: %s: %v\n", oldPath, err)
@@ -336,10 +335,7 @@ func runCompare(oldPath, newPath string, threshold float64, advisoryTime bool, o
 		switch {
 		case nb.AllocsPerOp > ob.AllocsPerOp:
 			fail("%s: allocs/op %g → %g (any increase fails)", ob.Name, ob.AllocsPerOp, nb.AllocsPerOp)
-		case rel > threshold && !advisoryTime:
-			fail("%s: ns/op %.4g → %.4g (%+.1f%%, threshold %.0f%%)",
-				ob.Name, ob.NsPerOp, nb.NsPerOp, rel*100, threshold*100)
-		case rel > threshold:
+		case rel > timeWarn:
 			fmt.Fprintf(out, "WARN: %s: ns/op %.4g → %.4g (%+.1f%%, advisory)\n",
 				ob.Name, ob.NsPerOp, nb.NsPerOp, rel*100)
 		default:

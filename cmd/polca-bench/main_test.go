@@ -135,24 +135,12 @@ func TestCompare(t *testing.T) {
 			t.Errorf("output: %s", out.String())
 		}
 	})
-	t.Run("time regression fails", func(t *testing.T) {
-		slow := clone()
-		find(slow, "BenchmarkScheduler").NsPerOp *= 1.30
-		newPath := writeArtifactFile(t, dir, "slow.json", slow)
-		var out, errw bytes.Buffer
-		if code := cli([]string{"-compare", oldPath, newPath}, &out, &errw); code != 1 {
-			t.Fatalf("exit %d, want 1; stderr: %s", code, errw.String())
-		}
-		if !strings.Contains(errw.String(), "BenchmarkScheduler: ns/op") {
-			t.Errorf("stderr: %s", errw.String())
-		}
-	})
 	t.Run("time regression advisory warns", func(t *testing.T) {
 		slow := clone()
 		find(slow, "BenchmarkScheduler").NsPerOp *= 1.30
 		newPath := writeArtifactFile(t, dir, "slow2.json", slow)
 		var out, errw bytes.Buffer
-		if code := cli([]string{"-compare", "-advisory-time", oldPath, newPath}, &out, &errw); code != 0 {
+		if code := cli([]string{"-compare", oldPath, newPath}, &out, &errw); code != 0 {
 			t.Fatalf("exit %d: %s", code, errw.String())
 		}
 		if !strings.Contains(out.String(), "WARN: BenchmarkScheduler") {
@@ -164,7 +152,7 @@ func TestCompare(t *testing.T) {
 		find(leaky, "BenchmarkScheduler").AllocsPerOp = 2
 		newPath := writeArtifactFile(t, dir, "leaky.json", leaky)
 		var out, errw bytes.Buffer
-		if code := cli([]string{"-compare", "-advisory-time", oldPath, newPath}, &out, &errw); code != 1 {
+		if code := cli([]string{"-compare", oldPath, newPath}, &out, &errw); code != 1 {
 			t.Fatalf("exit %d, want 1", code)
 		}
 		if !strings.Contains(errw.String(), "allocs/op 0 → 2") {
