@@ -5,27 +5,22 @@ import (
 	"polca/internal/sim"
 )
 
-// WatchdogHook carries the deadman watchdog's effects. The control loop
-// calls it with engage true on the silent epoch that engages the watchdog,
-// silent being the consecutive silent epochs so far, and with engage false
-// (silent 0) on the contact that releases it, before the controller's
-// callback for that epoch, so the locks the controller re-asserts land
-// after the release.
+// WatchdogHook carries the deadman watchdog's effects: engage true on the
+// silent epoch that engages it (silent = consecutive silent epochs), before
+// anything else that epoch; engage false on the contact that releases it,
+// before the controller's callback, so the locks the controller re-asserts
+// land after the release.
 type WatchdogHook func(now sim.Time, engage bool, silent int)
 
-// ControlLoop is the controller half of a telemetry epoch: it delivers the
-// epoch to the controller as the tick record's flags describe it and runs
-// the deadman watchdog over controller silence. The row runs one on the
-// flags its fault model sets, and replay runs one on the flags the
-// decision log recorded, so a self-replay executes the same code on the
-// same inputs.
-//
-// Per epoch, Reset restarts a Restartable controller cold first; Down and
-// Missed are silence; Lost is contact plus OnTelemetryLoss for a
+// ControlLoop is the controller half of a telemetry epoch, run by the row
+// on the flags its fault model sets and by replay on the flags the
+// decision log recorded, so a self-replay runs the same code on the same
+// inputs. Per epoch, Reset restarts a Restartable controller cold first;
+// Down and Missed are silence; Lost is contact plus OnTelemetryLoss for a
 // TelemetryLossAware controller and silence for any other; Delivered is
 // contact plus OnTelemetry(Reading); a record with no flag is silence.
-// WatchdogEpochs consecutive silent epochs engage the watchdog (0 never
-// does), and the next contact releases it.
+// WatchdogEpochs consecutive silent epochs engage the deadman watchdog (0
+// never does), and the next contact releases it.
 type ControlLoop struct {
 	ctrl      Controller
 	restart   Restartable
@@ -35,9 +30,8 @@ type ControlLoop struct {
 	silent    int
 }
 
-// NewControlLoop builds the loop for ctrl with the deadman watchdog
-// engaging after watchdogEpochs silent epochs (0 disables it). hook must
-// be non-nil when watchdogEpochs is positive.
+// NewControlLoop builds the loop for ctrl; hook may be nil only when
+// watchdogEpochs is 0.
 func NewControlLoop(ctrl Controller, watchdogEpochs int, hook WatchdogHook) ControlLoop {
 	l := ControlLoop{ctrl: ctrl, epochs: watchdogEpochs, hook: hook}
 	l.restart, _ = ctrl.(Restartable)
@@ -50,8 +44,7 @@ func (l *ControlLoop) WatchdogEngaged() bool {
 	return l.epochs > 0 && l.silent >= l.epochs
 }
 
-// Epoch runs one telemetry epoch described by d's flags, with act as the
-// controller's actuator.
+// Epoch runs the telemetry epoch d's flags describe.
 func (l *ControlLoop) Epoch(now sim.Time, d *obs.Decision, act Actuator) {
 	if d.Reset && l.restart != nil {
 		l.restart.Reset()
@@ -76,7 +69,6 @@ func (l *ControlLoop) Epoch(now sim.Time, d *obs.Decision, act Actuator) {
 	}
 }
 
-// contact resets the silence count and releases an engaged watchdog.
 func (l *ControlLoop) contact(now sim.Time) {
 	engaged := l.WatchdogEngaged()
 	l.silent = 0
@@ -85,8 +77,6 @@ func (l *ControlLoop) contact(now sim.Time) {
 	}
 }
 
-// silence counts one silent epoch and engages the watchdog on the
-// WatchdogEpochs-th.
 func (l *ControlLoop) silence(now sim.Time) {
 	l.silent++
 	if l.silent == l.epochs {
