@@ -69,6 +69,24 @@ type rowSpec struct {
 	scenario string
 }
 
+// canonical resolves the fields whose zero value means the default to
+// that default, so specs that configure the same simulation are equal:
+// pc to polca.DefaultConfig(), and lpFrac and oobLatency to
+// cluster.Production()'s low-priority fraction and OOB latency.
+func (s rowSpec) canonical() rowSpec {
+	if s.pc == (polca.Config{}) {
+		s.pc = polca.DefaultConfig()
+	}
+	prod := cluster.Production()
+	if s.lpFrac <= 0 {
+		s.lpFrac = prod.LowPriorityFraction
+	}
+	if s.oobLatency <= 0 {
+		s.oobLatency = prod.OOBLatency
+	}
+	return s
+}
+
 // buildController instantiates the policy named in the spec.
 func buildController(s rowSpec) (cluster.Controller, error) {
 	ctrl, err := buildBaseController(s)
@@ -87,27 +105,19 @@ func buildBaseController(s rowSpec) (cluster.Controller, error) {
 			{Name: "t3.hp", Trigger: 0.89, Margin: 0.05, HighMHz: 1305, Delay: 1},
 		})
 	}
-	pc := s.pc
-	if pc == (polca.Config{}) {
-		pc = polca.DefaultConfig()
-	}
-	return polca.NewNamed(s.policy, pc)
+	return polca.NewNamed(s.policy, s.pc)
 }
 
-// runRowSpec executes one row simulation on a private engine; simulateRow
-// (parallel.go) wraps it with the singleflight cache.
+// runRowSpec executes one row simulation of a canonical spec on a private
+// engine; simulateRow (parallel.go) wraps it with the singleflight cache.
 func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 	cfg := cluster.Production()
 	cfg.BaseServers = o.RowServers
 	cfg.AddedFraction = s.added
 	cfg.PowerIntensity = s.intensity
-	if s.lpFrac > 0 {
-		cfg.LowPriorityFraction = s.lpFrac
-	}
+	cfg.LowPriorityFraction = s.lpFrac
 	cfg.Seed = o.Seed
-	if s.oobLatency > 0 {
-		cfg.OOBLatency = s.oobLatency
-	}
+	cfg.OOBLatency = s.oobLatency
 	if s.faults != "" {
 		fs, err := faults.Parse(s.faults)
 		if err != nil {

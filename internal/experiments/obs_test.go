@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"polca/internal/obs"
+	"polca/internal/polca"
 )
 
 // TestObsDoesNotPerturbResults locks the tentpole contract at the
@@ -53,7 +55,8 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestSweepCacheHitsCounted re-runs a sweep warm and checks the cache-hit
-// counter and the cached flag in progress accounting.
+// counter and the cached flag in progress accounting, then that specs
+// differing only in how they state a default share one simulation.
 func TestSweepCacheHitsCounted(t *testing.T) {
 	resetEvalCache()
 	o := QuickOptions().normalize()
@@ -78,5 +81,40 @@ func TestSweepCacheHitsCounted(t *testing.T) {
 	ps := o.Progress.Snapshot()
 	if ps.Total != 3 || ps.Done != 3 || ps.Cached != 2 {
 		t.Fatalf("progress snapshot %+v, want total=3 done=3 cached=2", ps)
+	}
+
+	// A default left zero and the same default spelled out are one
+	// simulation; a real difference is two. Each pair sits at its own
+	// oversubscription, so no pair can hit another's cache entry.
+	def := polca.DefaultConfig()
+	t2 := def
+	t2.T2 = 0.85
+	for _, c := range []struct {
+		name string
+		a, b rowSpec
+		sims int64
+	}{
+		{"zero pc, DefaultConfig",
+			rowSpec{policy: "polca", added: 0.1, intensity: 1, days: 1},
+			rowSpec{policy: "polca", pc: def, added: 0.1, intensity: 1, days: 1}, 1},
+		{"lpFrac 0, 0.5",
+			rowSpec{policy: "polca", added: 0.2, intensity: 1, days: 1},
+			rowSpec{policy: "polca", added: 0.2, intensity: 1, lpFrac: 0.5, days: 1}, 1},
+		{"oobLatency 0, 40s",
+			rowSpec{policy: "polca", added: 0.3, intensity: 1, days: 1},
+			rowSpec{policy: "polca", added: 0.3, intensity: 1, days: 1, oobLatency: 40 * time.Second}, 1},
+		{"DefaultConfig, T2 0.85",
+			rowSpec{policy: "polca", pc: def, added: 0.4, intensity: 1, days: 1},
+			rowSpec{policy: "polca", pc: t2, added: 0.4, intensity: 1, days: 1}, 2},
+	} {
+		reg := obs.NewRegistry()
+		o.Obs = &obs.Observer{Metrics: reg}
+		if _, err := simulateRows(o, []rowSpec{c.a, c.b}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if sims := snap.Counters["sweep_points_total"] - snap.Counters["sweep_cache_hits_total"]; sims != c.sims {
+			t.Errorf("%s: %d simulations, want %d", c.name, sims, c.sims)
+		}
 	}
 }

@@ -79,11 +79,14 @@ func specLabel(s rowSpec) string {
 // simulateRowCached runs (or returns the cached result of) one row
 // simulation, reporting whether the result came from the cache — waiters
 // that piggyback on another caller's in-flight run count as cached, since
-// they did not pay for a simulation. Concurrent callers with the same spec
-// block on the first caller's run.
+// they did not pay for a simulation. Concurrent callers with the same
+// canonical spec block on the first caller's run.
 func simulateRowCached(o Options, s rowSpec) (*cluster.Metrics, bool, error) {
 	// The key deliberately covers only the inputs that shape the
-	// simulation; observability fields must never split the cache.
+	// simulation; observability fields must never split the cache, and
+	// neither may a default left zero in one spec and spelled out in
+	// another.
+	s = s.canonical()
 	key := fmt.Sprintf("%d/%d/%+v", o.Seed, o.RowServers, s)
 	evalMu.Lock()
 	if c, ok := evalCache[key]; ok {
