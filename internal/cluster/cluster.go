@@ -560,7 +560,7 @@ type node struct {
 	srv *server.Server
 	dev *gpu.Device // representative device; all 8 GPUs behave identically
 
-	appliedLock float64
+	appliedLock float64 // written only by Row.applyLock
 	cmdInFlight bool
 
 	// dead marks the node as inside an injected kill window: it draws no
@@ -611,6 +611,9 @@ type backend interface {
 	replan(n *node, now sim.Time)
 	// admit runs after a lock landed on a server of pool p.
 	admit(p workload.Priority, now sim.Time)
+	// dropGate discards pool p's cached admission gate: a server of p got
+	// a new applied lock, or the arrival plan was replaced.
+	dropGate(p workload.Priority)
 	// kill drops the work of a node that just died.
 	kill(n *node, now sim.Time)
 	// watchdog follows the deadman watchdog engaging or releasing.
@@ -632,7 +635,7 @@ type Row struct {
 	loop    ControlLoop
 	be      backend
 	nodes   []*node
-	pools   map[workload.Priority][]*node
+	pools   [2][]*node // indexed by workload.Priority
 	sampler *workload.Sampler
 
 	// arrivalPlan is the offered-load curve of the current run.
@@ -723,7 +726,6 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	r := &Row{
 		cfg:            cfg,
 		eng:            eng,
-		pools:          map[workload.Priority][]*node{},
 		sampler:        workload.NewSampler(cfg.Classes, eng.Rand("workload")),
 		dispatchRNG:    eng.Rand("dispatch"),
 		oobRNG:         eng.Rand("oob"),
@@ -859,10 +861,27 @@ func (r *Row) SetPoolLock(p workload.Priority, mhz float64) {
 	})
 }
 
+// setArrivalPlan installs the run's offered-load curve, which both pools'
+// admission gates read.
+func (r *Row) setArrivalPlan(p trace.RatePlan) {
+	r.arrivalPlan = p
+	r.be.dropGate(workload.Low)
+	r.be.dropGate(workload.High)
+}
+
+// applyLock is the one writer of a node's applied lock: it locks the
+// node's clocks and drops its pool's admission gate, which reads every
+// lock of the pool.
+func (r *Row) applyLock(n *node, mhz float64) {
+	n.appliedLock = mhz
+	n.dev.LockClock(mhz)
+	r.be.dropGate(n.pri)
+}
+
 // Run simulates the row serving the arrival plan until its horizon plus a
 // drain margin, and returns the metrics.
 func (r *Row) Run(arrivals trace.RatePlan) *Metrics {
-	r.arrivalPlan = arrivals
+	r.setArrivalPlan(arrivals)
 	arrRNG := r.eng.Rand("arrivals")
 
 	// Online arrival generation: one pending event at a time, all through
@@ -1068,8 +1087,7 @@ func (r *Row) updateServerFaults(now sim.Time) {
 			r.note(obs.Event{At: now, Kind: obs.KindNodeDeath, Server: int32(n.idx), Pool: int8(n.pri)})
 		} else {
 			n.dead = false
-			n.appliedLock = 0
-			n.dev.LockClock(0)
+			r.applyLock(n, 0)
 			n.dev.SetBrake(r.braked)
 			n.retryTarget, n.retryCount, n.retryWait, n.retryDead = 0, 0, 0, false
 			r.tracer.Emit(obs.Event{At: now, Kind: obs.KindNodeRevive, Server: int32(n.idx), Pool: int8(n.pri)})
@@ -1303,8 +1321,7 @@ func (r *Row) pumpCommands(now sim.Time) {
 				})
 				return
 			}
-			node.appliedLock = target
-			node.dev.LockClock(target)
+			r.applyLock(node, target)
 			kind := obs.KindCapApply
 			if target == 0 {
 				kind = obs.KindCapRelease

@@ -31,19 +31,22 @@ func (stepCtrl) OnTelemetry(now sim.Time, util float64, act Actuator) {
 	}
 }
 
-// cacheProbe compares the row's power caches with fresh reads: every 7 ms
-// (off the 0.25 s sub-sample grid, so inside phase segments) and at the
-// last nanosecond before and the first at every node horizon it sees.
+// cacheProbe compares the row's power caches, and a slot row's admission
+// gates, with fresh reads: every 7 ms (off the 0.25 s sub-sample grid, so
+// inside phase segments) and at the last nanosecond before and the first
+// at every node horizon it sees.
 type cacheProbe struct {
-	t        *testing.T
-	row      *Row
-	armed    map[sim.Time]bool
-	wasDead  []bool
-	probes   int
-	hits     int // node reads the cache answered
-	edges    int // probes at or just before a horizon
-	revivals int
-	failed   bool
+	t          *testing.T
+	row        *Row
+	armed      map[sim.Time]bool
+	wasDead    []bool
+	probes     int
+	hits       int // node reads the cache answered
+	edges      int // probes at or just before a horizon
+	revivals   int
+	gateHits   int // pool probes that found a valid cached gate
+	gateMisses int // pool probes that found none
+	failed     bool
 }
 
 func (p *cacheProbe) check(now sim.Time) {
@@ -83,7 +86,39 @@ func (p *cacheProbe) check(now sim.Time) {
 	if got, want := r.instantUtilization(now), sum/r.metrics.Provisioned; got != want {
 		p.failed = true
 		p.t.Errorf("at %v: instantUtilization = %v, fresh in-order sum %v", now, got, want)
+		return
 	}
+	s, ok := r.be.(*slotBackend)
+	if !ok {
+		return
+	}
+	for pri, g := range s.gate {
+		if g.ok && g.bucket == r.arrivalPlan.BucketAt(now) {
+			p.gateHits++
+		} else {
+			p.gateMisses++
+		}
+		got := s.admitLimit(workload.Priority(pri), now)
+		if fresh := s.gateLimit(workload.Priority(pri), now); got != fresh {
+			p.failed = true
+			p.t.Errorf("at %v: pool %d's admission gate = %d, fresh %d", now, pri, got, fresh)
+			return
+		}
+	}
+}
+
+// checkCounts requires node cache hits and horizon probes, and on a slot
+// row probes that found a cached admission gate and probes that did not.
+func (p *cacheProbe) checkCounts(t *testing.T, slot bool) {
+	t.Helper()
+	if p.hits == 0 || p.edges == 0 {
+		t.Errorf("cache hits %d, horizon probes %d: want both", p.hits, p.edges)
+	}
+	if slot && (p.gateHits == 0 || p.gateMisses == 0) {
+		t.Errorf("gate hits %d, gate misses %d: want both", p.gateHits, p.gateMisses)
+	}
+	t.Logf("%d probes (%d at horizons), %d cached node reads, gates %d cached / %d not",
+		p.probes, p.edges, p.hits, p.gateHits, p.gateMisses)
 }
 
 func (p *cacheProbe) edge(now sim.Time) {
@@ -91,8 +126,11 @@ func (p *cacheProbe) edge(now sim.Time) {
 	p.check(now)
 }
 
-// runProbed runs the row on a flat plan at the given busy fraction with a
-// cacheProbe armed.
+// runProbed runs the row with a cacheProbe armed on a plan of 1-minute
+// buckets whose load steps through 60 levels from 0.4 to 1.58 times the
+// given busy fraction, scrambled (37 is coprime to 60). The rate changes
+// at every bucket edge, and at the low levels the slot gates sit below
+// the pool size, where a landed lock can move them.
 func runProbed(t *testing.T, cfg RowConfig, ctrl Controller, busy float64, horizon time.Duration) (*Metrics, *cacheProbe) {
 	t.Helper()
 	eng := sim.New(cfg.Seed)
@@ -105,7 +143,7 @@ func runProbed(t *testing.T, cfg RowConfig, ctrl Controller, busy float64, horiz
 	rate := busy * float64(cfg.Servers()) / cfg.Shape().MeanServiceSec
 	rates := make([]float64, int(horizon/time.Minute))
 	for i := range rates {
-		rates[i] = rate
+		rates[i] = rate * (0.4 + 1.2*float64(i*37%60)/60)
 	}
 	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
 	return m, p
@@ -139,10 +177,7 @@ func TestPowerCachesMatchFreshReads(t *testing.T) {
 		if m.BrakeEvents == 0 || m.LockCommands == 0 {
 			t.Errorf("brakes %d, lock commands %d: want both", m.BrakeEvents, m.LockCommands)
 		}
-		if p.hits == 0 || p.edges == 0 {
-			t.Errorf("cache hits %d, horizon probes %d: want both", p.hits, p.edges)
-		}
-		t.Logf("%d probes (%d at horizons), %d cached node reads", p.probes, p.edges, p.hits)
+		p.checkCounts(t, true)
 	})
 	t.Run("slot-chaos", func(t *testing.T) {
 		cfg := probeConfig(t, "tdrop=0.05,tspike=0.02:0.5,tstuck=50m+5m,crash=30m+20,"+
@@ -156,10 +191,7 @@ func TestPowerCachesMatchFreshReads(t *testing.T) {
 			t.Errorf("deaths %d, revivals %d, drains %d, failed commands %d: want all",
 				m.NodeDeaths, p.revivals, m.NodeDrains, m.FailedCommands)
 		}
-		if p.hits == 0 || p.edges == 0 {
-			t.Errorf("cache hits %d, horizon probes %d: want both", p.hits, p.edges)
-		}
-		t.Logf("%d probes (%d at horizons), %d cached node reads", p.probes, p.edges, p.hits)
+		p.checkCounts(t, true)
 	})
 	t.Run("serve", func(t *testing.T) {
 		cfg := probeConfig(t, "kill=2@20m+10m")
@@ -169,9 +201,6 @@ func TestPowerCachesMatchFreshReads(t *testing.T) {
 			t.Errorf("deaths %d, revivals %d, lock commands %d: want all",
 				m.NodeDeaths, p.revivals, m.LockCommands)
 		}
-		if p.hits == 0 || p.edges == 0 {
-			t.Errorf("cache hits %d, horizon probes %d: want both", p.hits, p.edges)
-		}
-		t.Logf("%d probes (%d at horizons), %d cached node reads", p.probes, p.edges, p.hits)
+		p.checkCounts(t, false)
 	})
 }

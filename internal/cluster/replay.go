@@ -52,7 +52,7 @@ func (r *Row) RunRequests(reqs []workload.Request, horizon time.Duration) *Metri
 	// An explicit trace needs no rate plan, but the admission gate derives
 	// its offered-load target from one: reconstruct a coarse plan from the
 	// trace itself (arrival counts per 5-minute bucket).
-	r.arrivalPlan = planFromRequests(reqs, horizon)
+	r.setArrivalPlan(planFromRequests(reqs, horizon))
 	for _, req := range reqs {
 		req := req
 		if req.Arrival > horizon {

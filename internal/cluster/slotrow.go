@@ -25,15 +25,23 @@ type slotBackend struct {
 	idle   []*node      // admit's scratch list of idle servers
 
 	// svcEffSec is the row's aggregate mean service time at full clocks;
-	// svcAtLock caches each pool's mean service time per applied lock MHz,
-	// and svcNode each node's entry under the lock it last saw applied.
+	// svcAtLock caches each pool's mean service time per applied lock MHz.
 	svcEffSec float64
 	svcAtLock [2]map[float64]float64
-	svcNode   []lockedService
+
+	// gate caches each pool's admission limit (admitLimit).
+	gate [2]admitGate
 }
 
-// lockedService is a node's pool mean service time under an applied lock.
-type lockedService struct{ lock, sec float64 }
+// admitGate is a pool's admission limit as computed in one arrival-plan
+// bucket. It holds until the plan moves to another bucket or a server of
+// the pool gets a new applied lock (Row.applyLock and Row.setArrivalPlan
+// drop it through dropGate).
+type admitGate struct {
+	ok     bool
+	bucket int
+	limit  int
+}
 
 // activeReq tracks the request a node is executing. Each node owns one
 // for the whole run, so serving a request allocates nothing: the phases
@@ -59,11 +67,9 @@ func newSlotBackend(r *Row, svc [2]float64) *slotBackend {
 		reqs:      make([]activeReq, len(r.nodes)),
 		svcEffSec: r.cfg.Shape().MeanServiceSec,
 		svcAtLock: [2]map[float64]float64{{0: svc[0]}, {0: svc[1]}},
-		svcNode:   make([]lockedService, len(r.nodes)),
 	}
 	for i, n := range r.nodes {
 		s.reqs[i].done = func(t sim.Time) { s.phaseDone(n, t) }
-		s.svcNode[i] = lockedService{sec: svc[n.pri]}
 	}
 	return s
 }
@@ -119,13 +125,28 @@ func (s *slotBackend) dispatch(now sim.Time, req workload.Request) {
 	s.admit(req.Priority, now)
 }
 
-// admitLimit returns the pool's current admission gate: the busy-server
-// count the fleet balancer would steer this row to. It follows the offered
-// load (arrival rate × nominal service time), stretched by the pool's
-// current capping slowdown — a capped fleet runs at higher occupancy to
-// serve the same traffic — plus one server of slack (the paper's
-// one-request-buffer headroom).
+// admitLimit returns the pool's current admission gate from its cache,
+// recomputing it when the cache was dropped or the arrival plan has moved
+// to another bucket.
 func (s *slotBackend) admitLimit(p workload.Priority, now sim.Time) int {
+	g := &s.gate[p]
+	if b := s.arrivalPlan.BucketAt(now); !g.ok || g.bucket != b {
+		*g = admitGate{ok: true, bucket: b, limit: s.gateLimit(p, now)}
+	}
+	return g.limit
+}
+
+// dropGate forgets the pool's cached gate; the next admitLimit recomputes.
+func (s *slotBackend) dropGate(p workload.Priority) { s.gate[p].ok = false }
+
+// gateLimit computes the pool's admission gate: the busy-server count the
+// fleet balancer would steer this row to. It follows the offered load
+// (arrival rate × nominal service time), stretched by the pool's current
+// capping slowdown — a capped fleet runs at higher occupancy to serve the
+// same traffic — plus one server of slack (the paper's one-request-buffer
+// headroom). Its inputs are the plan's rate at now and the pool's applied
+// locks.
+func (s *slotBackend) gateLimit(p workload.Priority, now sim.Time) int {
 	pool := s.pools[p]
 	if len(pool) == 0 {
 		return 0
@@ -156,11 +177,7 @@ func (s *slotBackend) poolSlowdown(p workload.Priority) float64 {
 	var sum float64
 	pool := s.pools[p]
 	for _, n := range pool {
-		c := &s.svcNode[n.idx]
-		if c.lock != n.appliedLock {
-			*c = lockedService{n.appliedLock, s.serviceAt(p, n.appliedLock)}
-		}
-		sum += c.sec
+		sum += s.serviceAt(p, n.appliedLock)
 	}
 	return sum / float64(len(pool)) / base
 }
@@ -179,6 +196,9 @@ func (s *slotBackend) serviceAt(p workload.Priority, lock float64) float64 {
 // admit starts queued requests of pool p on idle servers while the
 // gate allows.
 func (s *slotBackend) admit(p workload.Priority, now sim.Time) {
+	if len(s.frontQ[p]) == 0 {
+		return
+	}
 	limit := s.admitLimit(p, now)
 	for len(s.frontQ[p]) > 0 && s.busy[p] < limit {
 		idle := s.idle[:0]

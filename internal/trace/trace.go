@@ -175,16 +175,22 @@ func (p RatePlan) Horizon() time.Duration {
 	return time.Duration(len(p.Rates)) * p.Bucket
 }
 
+// BucketAt returns the index of the bucket covering time t: -1 before the
+// plan or for a plan without buckets, and len(Rates) past its horizon.
+// RateAt is constant wherever BucketAt is.
+func (p RatePlan) BucketAt(t time.Duration) int {
+	if p.Bucket <= 0 || t < 0 {
+		return -1
+	}
+	return min(int(t/p.Bucket), len(p.Rates))
+}
+
 // RateAt returns the arrival rate at time t (0 outside the plan).
 func (p RatePlan) RateAt(t time.Duration) float64 {
-	if p.Bucket <= 0 || t < 0 {
-		return 0
+	if i := p.BucketAt(t); i >= 0 && i < len(p.Rates) {
+		return p.Rates[i]
 	}
-	i := int(t / p.Bucket)
-	if i >= len(p.Rates) {
-		return 0
-	}
-	return p.Rates[i]
+	return 0
 }
 
 // Scale returns a copy of the plan with every rate multiplied by f — used

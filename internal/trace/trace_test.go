@@ -163,6 +163,17 @@ func TestRatePlanAccessors(t *testing.T) {
 	if p.RateAt(-time.Second) != 0 || p.RateAt(time.Hour) != 0 {
 		t.Error("out-of-range rates should be 0")
 	}
+	for _, c := range []struct {
+		at   time.Duration
+		want int
+	}{{-1, -1}, {0, 0}, {time.Minute - 1, 0}, {time.Minute, 1}, {3 * time.Minute, 3}, {time.Hour, 3}} {
+		if got := p.BucketAt(c.at); got != c.want {
+			t.Errorf("BucketAt(%v) = %d, want %d", c.at, got, c.want)
+		}
+	}
+	if got := (RatePlan{Rates: []float64{1}}).BucketAt(time.Minute); got != -1 {
+		t.Errorf("BucketAt without buckets = %d, want -1", got)
+	}
 	s := p.Scale(1.3)
 	if s.Rates[2] < 3.9-1e-9 || s.Rates[2] > 3.9+1e-9 {
 		t.Errorf("Scale = %v", s.Rates)
