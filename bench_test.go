@@ -239,7 +239,7 @@ func BenchmarkRowHour(b *testing.B) {
 	for i := range rates {
 		rates[i] = rate
 	}
-	arrPlan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32}
+	arrPlan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap}
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -271,7 +271,7 @@ func BenchmarkServeDay(b *testing.B) {
 	for i := range rates {
 		rates[i] = rate
 	}
-	arrPlan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32}
+	arrPlan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap}
 	b.ResetTimer()
 	start := time.Now()
 	var events uint64

@@ -69,7 +69,7 @@ func main() {
 	for i := range rates {
 		rates[i] = rate
 	}
-	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 
 	prov := obs.Provenance{
 		"tool": "polca-sim", "policy": ctrl.Name(), "seed": cfg.Seed,

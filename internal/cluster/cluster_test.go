@@ -46,7 +46,7 @@ func flatPlan(cfg cluster.RowConfig, busy float64, horizon time.Duration) trace.
 	for i := range rates {
 		rates[i] = rate
 	}
-	return trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32}
+	return trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap}
 }
 
 func runRow(t *testing.T, cfg cluster.RowConfig, ctrl cluster.Controller, plan trace.RatePlan) *cluster.Metrics {

@@ -145,7 +145,7 @@ func runProbed(t *testing.T, cfg RowConfig, ctrl Controller, busy float64, horiz
 	for i := range rates {
 		rates[i] = rate * (0.4 + 1.2*float64(i*37%60)/60)
 	}
-	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 	return m, p
 }
 

@@ -28,6 +28,18 @@ func (c *randomCtrl) OnTelemetry(now sim.Time, util float64, act cluster.Actuato
 	act.SetPoolLock(workload.High, clocks[c.rng.Intn(len(clocks))])
 }
 
+// erlangGap returns a unit-mean Erlang(k) gap sampler, the mean of k Exp(1)
+// draws; k = 1 is Poisson.
+func erlangGap(k int) func(*rand.Rand) float64 {
+	return func(rng *rand.Rand) float64 {
+		var sum float64
+		for i := 0; i < k; i++ {
+			sum += rng.ExpFloat64()
+		}
+		return sum / float64(k)
+	}
+}
+
 // TestRowInvariantsUnderRandomConfigs drives randomized small rows with a
 // chaotic controller and checks the invariants every run must satisfy:
 //
@@ -53,7 +65,7 @@ func TestRowInvariantsUnderRandomConfigs(t *testing.T) {
 		for i := range rates {
 			rates[i] = rate * (0.5 + rng.Float64())
 		}
-		plan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 1 + rng.Intn(32)}
+		plan := trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: erlangGap(1 + rng.Intn(32))}
 
 		eng := sim.New(seed)
 		row := cluster.MustRow(eng, cfg, &randomCtrl{rng: rand.New(rand.NewSource(seed + 1))})
@@ -113,7 +125,7 @@ func TestBusyConservation(t *testing.T) {
 		rates[i] = rate
 	}
 	row := cluster.MustRow(eng, cfg, &recordingCtrl{})
-	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 
 	for _, pri := range []workload.Priority{workload.Low, workload.High} {
 		if m.Completed[pri] == 0 {
@@ -141,7 +153,7 @@ func TestLatencyIncludesQueueing(t *testing.T) {
 			rates[i] = rate
 		}
 		row := cluster.MustRow(eng, cfg, &recordingCtrl{})
-		m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+		m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 		return stats.Percentile(m.LatencySec[workload.High], 95)
 	}
 	light := run(0.3)

@@ -63,11 +63,12 @@ func (r *Row) RunRequests(reqs []workload.Request, horizon time.Duration) *Metri
 	return r.run(horizon)
 }
 
-// planFromRequests histograms arrivals into a rate plan.
+// planFromRequests histograms arrivals into a rate plan. Only the
+// admission gate reads it, never the arrival loop, so it sets no Gap.
 func planFromRequests(reqs []workload.Request, horizon time.Duration) trace.RatePlan {
 	bucket := 5 * time.Minute
 	n := int(horizon/bucket) + 1
-	plan := trace.RatePlan{Bucket: bucket, Rates: make([]float64, n), Shape: 32}
+	plan := trace.RatePlan{Bucket: bucket, Rates: make([]float64, n)}
 	for _, req := range reqs {
 		i := int(req.Arrival / bucket)
 		if i >= 0 && i < n {

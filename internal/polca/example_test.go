@@ -25,7 +25,7 @@ func ExampleNew() {
 	for i := range rates {
 		rates[i] = rate
 	}
-	arrivals := trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32}
+	arrivals := trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap}
 
 	row := cluster.MustRow(eng, cfg, polca.New(polca.DefaultConfig()))
 	m := row.Run(arrivals)

@@ -251,7 +251,7 @@ func TestPolicyOnRowIntegration(t *testing.T) {
 		for i := range rates {
 			rates[i] = rate
 		}
-		return trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32}
+		return trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap}
 	}
 
 	nocap := cluster.MustRow(sim.New(2), cfg, polca.NoCap{}).Run(mkPlan())

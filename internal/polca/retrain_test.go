@@ -127,7 +127,7 @@ func TestRetrainFromMetricsIntegration(t *testing.T) {
 		rates[i] = rate
 	}
 	row := cluster.MustRow(eng, cfg, polca.New(polca.DefaultConfig()))
-	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	m := row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 	rec := polca.RetrainFromMetrics(polca.DefaultConfig(), m)
 	if rec.Suggested.Validate() != nil {
 		t.Errorf("invalid suggestion from metrics: %+v", rec.Suggested)

@@ -64,7 +64,7 @@ func recordedDay(t *testing.T, horizon time.Duration) *replay.Log {
 	for i := range rates {
 		rates[i] = rate
 	}
-	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {

@@ -103,7 +103,7 @@ func recordRow(cfg cluster.RowConfig, ctrl cluster.Controller, load float64) (*r
 	for i := range rates {
 		rates[i] = rate
 	}
-	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Shape: 32})
+	row.Run(trace.RatePlan{Bucket: time.Minute, Rates: rates, Gap: trace.FrontDoorGap})
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		return nil, err

@@ -157,17 +157,27 @@ func (s ClusterShape) UtilFromBusy(frac float64) float64 {
 type RatePlan struct {
 	Bucket time.Duration
 	Rates  []float64
-	// Shape is the Erlang shape parameter of the inter-arrival
-	// distribution: 1 (or 0) is Poisson; higher values model the smoother,
-	// load-balanced traffic a production row receives from the cluster
-	// front door (coefficient of variation 1/√Shape).
-	Shape int
-	// Gap, when non-nil, overrides the Erlang sampler with a custom
-	// unit-mean inter-arrival draw (internal/scenario plugs Gamma and
-	// Weibull renewal processes in here). Shape is ignored while Gap is
-	// set. The sampler must have mean 1; NextAfter divides it by the
-	// bucket rate.
+	// Gap draws a unit-mean inter-arrival gap, which NextAfter divides by
+	// the bucket rate; nil means Exp(1), a Poisson process. FitArrivals
+	// sets FrontDoorGap, and internal/scenario plugs Gamma and Weibull
+	// renewal processes in here.
 	Gap func(rng *rand.Rand) float64
+}
+
+// frontDoorShape is FrontDoorGap's Erlang shape. The paper gives no
+// arrival shape: the value dates from the trace fit's first version, and
+// ROADMAP item 8 measures how far the fig13–18 headlines move with it.
+const frontDoorShape = 32
+
+// FrontDoorGap is the unit-mean gap of the smoothed, load-balanced traffic
+// a production row receives from the cluster front door: an Erlang-32
+// draw, the mean of 32 Exp(1) draws (coefficient of variation 1/√32).
+func FrontDoorGap(rng *rand.Rand) float64 {
+	var sum float64
+	for i := 0; i < frontDoorShape; i++ {
+		sum += rng.ExpFloat64()
+	}
+	return sum / frontDoorShape
 }
 
 // Horizon returns the time span the plan covers.
@@ -197,7 +207,7 @@ func (p RatePlan) RateAt(t time.Duration) float64 {
 // when oversubscription adds servers and the cluster absorbs
 // proportionally more traffic.
 func (p RatePlan) Scale(f float64) RatePlan {
-	out := RatePlan{Bucket: p.Bucket, Rates: make([]float64, len(p.Rates)), Shape: p.Shape, Gap: p.Gap}
+	out := RatePlan{Bucket: p.Bucket, Rates: make([]float64, len(p.Rates)), Gap: p.Gap}
 	for i, r := range p.Rates {
 		out.Rates[i] = r * f
 	}
@@ -216,7 +226,7 @@ func FitArrivals(ref stats.Series, shape ClusterShape, bucket time.Duration) (Ra
 		bucket = ref.Step
 	}
 	coarse := ref.Downsample(bucket)
-	plan := RatePlan{Bucket: bucket, Rates: make([]float64, coarse.Len()), Shape: 32}
+	plan := RatePlan{Bucket: bucket, Rates: make([]float64, coarse.Len()), Gap: FrontDoorGap}
 	for i, u := range coarse.Values {
 		busy := shape.BusyFraction(u)
 		plan.Rates[i] = busy * float64(shape.Servers) / shape.MeanServiceSec
@@ -236,7 +246,7 @@ func (p RatePlan) PredictedUtil(shape ClusterShape) stats.Series {
 	return out
 }
 
-// NextAfter returns the first arrival of the piecewise-Poisson process
+// NextAfter returns the first arrival of the plan's arrival process
 // strictly after t, or ok == false once the plan is exhausted. The cluster
 // simulator uses this to generate arrivals online in O(1) memory.
 func (p RatePlan) NextAfter(t time.Duration, rng *rand.Rand) (time.Duration, bool) {
@@ -256,7 +266,7 @@ func (p RatePlan) NextAfter(t time.Duration, rng *rand.Rand) (time.Duration, boo
 			gap = time.Nanosecond
 		}
 		// If the gap crosses into the next bucket, restart there at that
-		// bucket's rate — (approximately, for Shape > 1) restartable.
+		// bucket's rate — exactly restartable only for Poisson gaps.
 		boundary := (t/p.Bucket + 1) * p.Bucket
 		if t+gap >= boundary {
 			t = boundary
@@ -271,26 +281,17 @@ func (p RatePlan) NextAfter(t time.Duration, rng *rand.Rand) (time.Duration, boo
 	return 0, false
 }
 
-// drawGap draws a unit-mean inter-arrival sample: the custom Gap sampler
-// when one is set, Exp(1) for Poisson, or an Erlang(Shape) sum scaled to
-// unit mean for smoothed traffic.
+// drawGap draws a unit-mean inter-arrival sample: the plan's Gap, or
+// Exp(1) when it has none.
 func (p RatePlan) drawGap(rng *rand.Rand) float64 {
 	if p.Gap != nil {
 		return p.Gap(rng)
 	}
-	k := p.Shape
-	if k <= 1 {
-		return rng.ExpFloat64()
-	}
-	var sum float64
-	for i := 0; i < k; i++ {
-		sum += rng.ExpFloat64()
-	}
-	return sum / float64(k)
+	return rng.ExpFloat64()
 }
 
-// Arrivals generates the arrival times of a piecewise-Poisson process
-// following the plan, deterministically for a given source.
+// Arrivals generates the arrival times of the plan's arrival process,
+// deterministically for a given source.
 func (p RatePlan) Arrivals(rng *rand.Rand) []time.Duration {
 	var out []time.Duration
 	t := time.Duration(0)

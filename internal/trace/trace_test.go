@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -222,6 +223,55 @@ func TestArrivalsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("arrivals diverge")
 		}
+	}
+}
+
+// legacyShapeGap is the inter-arrival draw RatePlan made from its Erlang
+// shape k before the shape folded into Gap, copied verbatim.
+func legacyShapeGap(k int) func(*rand.Rand) float64 {
+	return func(rng *rand.Rand) float64 {
+		if k <= 1 {
+			return rng.ExpFloat64()
+		}
+		var sum float64
+		for i := 0; i < k; i++ {
+			sum += rng.ExpFloat64()
+		}
+		return sum / float64(k)
+	}
+}
+
+// TestGapMatchesLegacyShapes pins the one gap path to the two it replaced:
+// FitArrivals' plan (FrontDoorGap) must give the Shape-32 arrival times,
+// and a nil Gap the Shape 0 and 1 ones, equal to the nanosecond.
+func TestGapMatchesLegacyShapes(t *testing.T) {
+	same := func(name string, got, want RatePlan) {
+		t.Helper()
+		a := got.Arrivals(rand.New(rand.NewSource(5)))
+		b := want.Arrivals(rand.New(rand.NewSource(5)))
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("%s: %d arrivals, legacy %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: arrival %d at %v, legacy %v", name, i, a[i], b[i])
+			}
+		}
+	}
+	ref := ProductionInference().Reference(2*time.Hour, rand.New(rand.NewSource(3)))
+	fit, err := FitArrivals(ref, shape(), 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := fit
+	legacy.Gap = legacyShapeGap(32)
+	same("FitArrivals", fit, legacy)
+
+	poisson := RatePlan{Bucket: 10 * time.Minute, Rates: []float64{2, 0, 4}}
+	for _, k := range []int{0, 1} {
+		legacy := poisson
+		legacy.Gap = legacyShapeGap(k)
+		same(fmt.Sprintf("nil Gap vs Shape %d", k), poisson, legacy)
 	}
 }
 
