@@ -611,9 +611,6 @@ type backend interface {
 	replan(n *node, now sim.Time)
 	// admit runs after a lock landed on a server of pool p.
 	admit(p workload.Priority, now sim.Time)
-	// dropGate discards pool p's cached admission gate: a server of p got
-	// a new applied lock, or the arrival plan was replaced.
-	dropGate(p workload.Priority)
 	// kill drops the work of a node that just died.
 	kill(n *node, now sim.Time)
 	// watchdog follows the deadman watchdog engaging or releasing.
@@ -640,6 +637,10 @@ type Row struct {
 
 	// arrivalPlan is the offered-load curve of the current run.
 	arrivalPlan trace.RatePlan
+	// gate caches each pool's admission limit (slotBackend.admitLimit),
+	// indexed by workload.Priority. Its inputs change only in
+	// setArrivalPlan and applyLock, which reset it.
+	gate [2]admitGate
 
 	dispatchRNG *rand.Rand
 	oobRNG      *rand.Rand
@@ -865,17 +866,16 @@ func (r *Row) SetPoolLock(p workload.Priority, mhz float64) {
 // admission gates read.
 func (r *Row) setArrivalPlan(p trace.RatePlan) {
 	r.arrivalPlan = p
-	r.be.dropGate(workload.Low)
-	r.be.dropGate(workload.High)
+	r.gate = [2]admitGate{}
 }
 
 // applyLock is the one writer of a node's applied lock: it locks the
-// node's clocks and drops its pool's admission gate, which reads every
+// node's clocks and resets its pool's admission gate, which reads every
 // lock of the pool.
 func (r *Row) applyLock(n *node, mhz float64) {
 	n.appliedLock = mhz
 	n.dev.LockClock(mhz)
-	r.be.dropGate(n.pri)
+	r.gate[n.pri] = admitGate{}
 }
 
 // Run simulates the row serving the arrival plan until its horizon plus a

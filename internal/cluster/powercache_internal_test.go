@@ -92,7 +92,7 @@ func (p *cacheProbe) check(now sim.Time) {
 	if !ok {
 		return
 	}
-	for pri, g := range s.gate {
+	for pri, g := range r.gate {
 		if g.ok && g.bucket == r.arrivalPlan.BucketAt(now) {
 			p.gateHits++
 		} else {

@@ -316,9 +316,6 @@ func (b *serveBackend) replan(n *node, now sim.Time) {
 // central queue.
 func (*serveBackend) admit(workload.Priority, sim.Time) {}
 
-// dropGate has nothing to drop: a serve row has no admission gate.
-func (*serveBackend) dropGate(workload.Priority) {}
-
 // kill fails the dying node's replica; its OnDrop callback records each
 // lost request.
 func (b *serveBackend) kill(n *node, now sim.Time) { b.reps[n.idx].Fail(now) }

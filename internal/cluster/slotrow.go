@@ -28,15 +28,12 @@ type slotBackend struct {
 	// svcAtLock caches each pool's mean service time per applied lock MHz.
 	svcEffSec float64
 	svcAtLock [2]map[float64]float64
-
-	// gate caches each pool's admission limit (admitLimit).
-	gate [2]admitGate
 }
 
 // admitGate is a pool's admission limit as computed in one arrival-plan
 // bucket. It holds until the plan moves to another bucket or a server of
 // the pool gets a new applied lock (Row.applyLock and Row.setArrivalPlan
-// drop it through dropGate).
+// reset it to the zero value).
 type admitGate struct {
 	ok     bool
 	bucket int
@@ -136,16 +133,21 @@ func (s *slotBackend) admitLimit(p workload.Priority, now sim.Time) int {
 	return g.limit
 }
 
-// dropGate forgets the pool's cached gate; the next admitLimit recomputes.
-func (s *slotBackend) dropGate(p workload.Priority) { s.gate[p].ok = false }
+// The admission gate's slack is gateSlackK·√target busy servers, and at
+// least gateSlackMin. The paper gives no slack: both values date from the
+// row model's first version, and ROADMAP item 8 measures how far the
+// fig13–18 headlines move with them.
+const (
+	gateSlackK   = 0.6
+	gateSlackMin = 1.5
+)
 
 // gateLimit computes the pool's admission gate: the busy-server count the
 // fleet balancer would steer this row to. It follows the offered load
 // (arrival rate × nominal service time), stretched by the pool's current
 // capping slowdown — a capped fleet runs at higher occupancy to serve the
-// same traffic — plus one server of slack (the paper's one-request-buffer
-// headroom). Its inputs are the plan's rate at now and the pool's applied
-// locks.
+// same traffic — plus the slack, clamped to the pool. Its inputs are the
+// plan's rate at now and the pool's applied locks.
 func (s *slotBackend) gateLimit(p workload.Priority, now sim.Time) int {
 	pool := s.pools[p]
 	if len(pool) == 0 {
@@ -156,15 +158,8 @@ func (s *slotBackend) gateLimit(p workload.Priority, now sim.Time) int {
 	target := busyFrac * float64(len(pool)) * slow
 	// Square-root staffing slack: keeps the queueing delay independent of
 	// pool size as oversubscription adds servers.
-	slack := 0.6 * math.Sqrt(target)
-	if slack < 1.5 {
-		slack = 1.5
-	}
-	limit := int(target + slack)
-	if limit > len(pool) {
-		limit = len(pool)
-	}
-	return limit
+	slack := max(gateSlackK*math.Sqrt(target), gateSlackMin)
+	return min(int(target+slack), len(pool))
 }
 
 // poolSlowdown returns the pool's mean service-time stretch under the
