@@ -680,8 +680,7 @@ type Row struct {
 	metrics *Metrics
 
 	// Observability handles, cached at construction so the hot paths pay a
-	// single nil-receiver branch when disabled. cmdsInFlight counts issued
-	// OOB commands that have not landed yet (for trace reconciliation).
+	// single nil-receiver branch when disabled.
 	obs          *obs.Observer
 	tracer       *obs.Tracer
 	spanSink     *obs.SpanTracer
@@ -693,7 +692,6 @@ type Row struct {
 	lockCmdCtr   *obs.Counter
 	failedCmdCtr *obs.Counter
 	brakeCtr     *obs.Counter
-	cmdsInFlight int
 
 	// tsdb is the sim-time TSDB wiring (nil unless the observer carries a
 	// TSDB); see tsdbwire.go.
@@ -835,7 +833,15 @@ func (r *Row) Observer() *obs.Observer { return r.obs }
 // InFlightCommands returns the number of issued OOB commands that have not
 // yet landed or failed — the trace reconciliation remainder: issues =
 // applies + releases + failures + in-flight.
-func (r *Row) InFlightCommands() int { return r.cmdsInFlight }
+func (r *Row) InFlightCommands() int {
+	n := 0
+	for _, nd := range r.nodes {
+		if nd.cmdInFlight {
+			n++
+		}
+	}
+	return n
+}
 
 // PoolAppliedLocks returns the SM-clock locks actually applied on each
 // server of the pool (0 = unlocked), for inspection and tests.
@@ -1275,7 +1281,6 @@ func (r *Row) pumpCommands(now sim.Time) {
 		}
 		n.retryCount++
 		n.cmdInFlight = true
-		r.cmdsInFlight++
 		r.note(obs.Event{
 			At: now, Kind: obs.KindOOBIssue,
 			Server: int32(n.idx), Pool: int8(n.pri), MHz: target,
@@ -1288,7 +1293,6 @@ func (r *Row) pumpCommands(now sim.Time) {
 		node := n
 		r.eng.After(delay, func(t sim.Time) {
 			node.cmdInFlight = false
-			r.cmdsInFlight--
 			// The baseline failure draw comes first unconditionally so the
 			// oob stream's consumption is identical with injection off.
 			reason := ""

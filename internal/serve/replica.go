@@ -833,13 +833,14 @@ func (r *Replica) capped() bool {
 
 // runIteration synthesizes the planned batch into one GPU phase and runs
 // it on the device, which applies clock locks, power caps, and the brake
-// exactly as it does for slot-model phases.
+// exactly as it does for slot-model phases. Its all-reduces, like
+// runSpan's, run at the A100's NVLink bandwidth (0).
 func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int) {
 	var phase gpu.Phase
 	if promptToks == 0 {
 		// A multi-step decode iteration is stride passes, each streaming
 		// the weights once.
-		allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, r.cfg.NVLinkGBps)
+		allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, 0)
 		phase = r.synthDecodePhase(stride, allReduce)
 	} else {
 		// A mixed or prefill iteration is one pass through the model.
@@ -877,7 +878,7 @@ func (r *Replica) runIteration(now sim.Time, promptToks, decodeSeqs, stride int)
 			MemBytes:        bytes / r.scale,
 			TensorFrac:      tensorFrac,
 			Efficiency:      plan.BatchEfficiency(tokensPerPass),
-			CommSeconds:     plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, tokensPerPass, r.cfg.NVLinkGBps),
+			CommSeconds:     plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, tokensPerPass, 0),
 			OverheadSeconds: r.passOverhead,
 		}
 	}
@@ -929,7 +930,7 @@ func (r *Replica) runSpan(now sim.Time, decodeSeqs, stride int) {
 
 	capped := r.capped()
 	// The batch is fixed across the span, and with it each pass's all-reduce.
-	allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, r.cfg.NVLinkGBps)
+	allReduce := plan.AllReduceSeconds(r.cfg.Model, r.cfg.DType, r.cfg.TensorParallel, decodeSeqs, 0)
 	kv := r.kvToks // segment 0's reservations included
 	segStart := now
 	st := stride

@@ -71,10 +71,6 @@ type Config struct {
 	// strictly one step per iteration (the calibration tests do).
 	DecodeStride int
 
-	// NVLinkGBps is the tensor-parallel interconnect bandwidth (0 = the
-	// A100 default, matching internal/plan).
-	NVLinkGBps float64
-
 	// Router names the routing policy used when the replica pool routes
 	// arrivals (default "least-queue"): one of RouterNames.
 	Router string
