@@ -32,7 +32,7 @@ type Options struct {
 	// Quick reduces sweep densities and horizons for tests.
 	Quick bool
 	// Parallel bounds how many simulations (and, in RunAll, experiments)
-	// run concurrently. 0 means GOMAXPROCS; 1 forces the serial path.
+	// run concurrently. 0 means GOMAXPROCS; 1 runs one at a time, in order.
 	// Results are identical at any setting: every simulation owns a private
 	// sim.Engine seeded from Seed, and sweeps assemble their outputs in
 	// spec order.

@@ -423,9 +423,11 @@ func TestFigRegretQuick(t *testing.T) {
 	}
 }
 
-func TestRunAllQuickAndDeterministic(t *testing.T) {
+// TestRunFig6Deterministic runs fig6 twice in one process and requires the
+// same rendering. TestRunAllParallelMatchesSerial covers every experiment.
+func TestRunFig6Deterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment")
+		t.Skip("runs fig6 twice")
 	}
 	a, err := Run("fig6", QuickOptions())
 	if err != nil {

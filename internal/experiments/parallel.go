@@ -144,26 +144,14 @@ func simulateTracked(o Options, s rowSpec) (*cluster.Metrics, error) {
 
 // simulateRows runs one simulation per spec on a worker pool bounded by
 // o.Parallel (default GOMAXPROCS) and returns metrics in spec order, so
-// sweep results are independent of completion order. Duplicate specs —
-// within the batch or across concurrently running experiments — are
-// deduplicated by simulateRow's singleflight cache.
+// sweep results are independent of completion order; one worker runs the
+// specs in order. Duplicate specs — within the batch or across
+// concurrently running experiments — are deduplicated by simulateRow's
+// singleflight cache.
 func simulateRows(o Options, specs []rowSpec) ([]*cluster.Metrics, error) {
 	o.Progress.AddTotal(len(specs))
 	out := make([]*cluster.Metrics, len(specs))
-	workers := o.workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i, s := range specs {
-			m, err := simulateTracked(o, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = m
-		}
-		return out, nil
-	}
+	workers := min(o.workers(), len(specs))
 	errs := make([]error, len(specs))
 	idx := make(chan int)
 	var wg sync.WaitGroup

@@ -16,10 +16,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.sha256 fro
 
 const quickGoldenPath = "testdata/quick.sha256"
 
-// TestParallelMatchesSerial runs sweep experiments with a cold cache on the
-// serial path and again on the worker pool, and requires byte-identical
-// renderings: every simulation owns a private engine seeded from
-// Options.Seed, so execution order must not leak into results.
+// TestParallelMatchesSerial runs sweep experiments with a cold cache on one
+// worker, which simulates the specs one at a time in order, and again on
+// four, and requires byte-identical renderings: every simulation owns a
+// private engine seeded from Options.Seed, so execution order must not
+// leak into results.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, id := range []string{"fig13", "fig17"} {
 		resetEvalCache()
@@ -69,8 +70,8 @@ func TestSimulateRowsDedup(t *testing.T) {
 }
 
 // TestRunAllParallelMatchesSerial compares the full quick suite, stream and
-// structured results, between the serial and the parallel executor, and
-// pins the serial pass by SHA-256: each experiment's Text and its Data
+// structured results, between one worker and four, and pins the
+// one-worker pass by SHA-256: each experiment's Text and its Data
 // marshalled as polca-experiments -out writes them, so a change that moves
 // one bit of any quick-pass output fails here. After an intentional output
 // change, regenerate with
