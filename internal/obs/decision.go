@@ -127,15 +127,31 @@ func (d Decision) Candidates(arena []RouteCandidate) []RouteCandidate {
 	return arena[d.EpOff : d.EpOff+d.EpLen]
 }
 
-// RungSpec mirrors polca.Rung in the decision-log header: a clock of 0
-// leaves that pool alone.
+// RungSpec is one threshold of a capping ladder, as polca runs it
+// (polca.Rung is an alias) and as the decision-log header records it: when
+// row utilization reaches Trigger, the rung locks the low-priority pool to
+// LowMHz and the high-priority pool to HighMHz (0 leaves that pool alone);
+// it releases when utilization falls below Trigger - Margin.
 type RungSpec struct {
-	Name    string  `json:"name,omitempty"`
+	// Name prefixes the rung's trace reasons ("t2.lp" traces
+	// "t2.lp.engage" and "t2.lp.release"); an unnamed rung traces bare
+	// "engage" and "release".
+	Name string `json:"name,omitempty"`
+	// Trigger is the utilization (fraction of provisioned power) at which
+	// the rung engages.
 	Trigger float64 `json:"trigger"`
-	Margin  float64 `json:"margin"`
+	// Margin is the hysteresis band below Trigger for release.
+	Margin float64 `json:"margin"`
+	// LowMHz and HighMHz are the SM clocks the low- and high-priority
+	// pools are locked to while the rung is engaged.
 	LowMHz  float64 `json:"low_mhz,omitempty"`
 	HighMHz float64 `json:"high_mhz,omitempty"`
-	Delay   int     `json:"delay,omitempty"`
+	// Delay is how many hot ticks (utilization at or above Trigger) must
+	// precede the one that engages, counted since utilization was last
+	// below Trigger - Margin; a tick inside the hysteresis band neither
+	// counts nor resets. POLCA's high-priority T2 rung uses 1: it fires
+	// only if utilization is still at T2 on a later tick (Table 5).
+	Delay int `json:"delay,omitempty"`
 }
 
 // PolicySpec is the deployed cap policy's full configuration, written to

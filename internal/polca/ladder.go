@@ -2,40 +2,19 @@ package polca
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"polca/internal/obs"
 )
 
-// Rung is one threshold of a capping ladder: when row utilization reaches
-// Trigger, the rung locks the low-priority pool to LowMHz and the
-// high-priority pool to HighMHz (0 leaves that pool alone); it releases
-// when utilization falls below Trigger - Margin. When several engaged
-// rungs lock the same pool, the deepest (lowest) clock wins. The paper's
-// §6.3 notes the two-threshold design "can be easily extended to support
-// more priorities by adding thresholds accordingly" — a rung table is that
-// extension, and POLCA itself is the three-rung table New builds.
-type Rung struct {
-	// Name prefixes the rung's trace reasons ("t2.lp" traces
-	// "t2.lp.engage" and "t2.lp.release"); an unnamed rung traces bare
-	// "engage" and "release".
-	Name string
-	// Trigger is the utilization (fraction of provisioned power) at which
-	// the rung engages.
-	Trigger float64
-	// Margin is the hysteresis band below Trigger for release.
-	Margin float64
-	// LowMHz and HighMHz are the SM clocks the low- and high-priority
-	// pools are locked to while the rung is engaged.
-	LowMHz  float64
-	HighMHz float64
-	// Delay is how many hot ticks (utilization at or above Trigger) must
-	// precede the one that engages, counted since utilization was last
-	// below Trigger - Margin; a tick inside the hysteresis band neither
-	// counts nor resets. POLCA's high-priority T2 rung uses 1: it fires
-	// only if utilization is still at T2 on a later tick (Table 5).
-	Delay int
-}
+// Rung is one threshold of a capping ladder; obs.RungSpec documents its
+// fields, and the decision-log header records it as is. When several
+// engaged rungs lock the same pool, the deepest (lowest) clock wins. The
+// paper's §6.3 notes the two-threshold design "can be easily extended to
+// support more priorities by adding thresholds accordingly" — a rung table
+// is that extension, and POLCA itself is the three-rung table New builds.
+type Rung = obs.RungSpec
 
 // NewLadder validates and builds a rung-table policy named name (by
 // default "Ladder(N rungs)").
@@ -43,13 +22,7 @@ func NewLadder(name string, rungs []Rung) (*Policy, error) {
 	if name == "" {
 		name = fmt.Sprintf("Ladder(%d rungs)", len(rungs))
 	}
-	spec := obs.PolicySpec{Kind: "ladder", Name: name}
-	for _, r := range rungs {
-		spec.Rungs = append(spec.Rungs, obs.RungSpec{
-			Name: r.Name, Trigger: r.Trigger, Margin: r.Margin,
-			LowMHz: r.LowMHz, HighMHz: r.HighMHz, Delay: r.Delay,
-		})
-	}
+	spec := obs.PolicySpec{Kind: "ladder", Name: name, Rungs: slices.Clone(rungs)}
 	return newPolicy(name, spec, rungs)
 }
 

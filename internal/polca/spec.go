@@ -112,14 +112,7 @@ func policyFromSpec(spec obs.PolicySpec) (*Policy, error) {
 	case "1t":
 		return newSingleThreshold(spec.Threshold, spec.Margin, spec.LockMHz, spec.All)
 	case "ladder":
-		rungs := make([]Rung, len(spec.Rungs))
-		for i, r := range spec.Rungs {
-			rungs[i] = Rung{
-				Name: r.Name, Trigger: r.Trigger, Margin: r.Margin,
-				LowMHz: r.LowMHz, HighMHz: r.HighMHz, Delay: r.Delay,
-			}
-		}
-		return NewLadder(spec.Name, rungs)
+		return NewLadder(spec.Name, spec.Rungs)
 	}
 	return nil, fmt.Errorf("polca: unknown policy kind %q", spec.Kind)
 }
