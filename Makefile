@@ -69,15 +69,16 @@ test:
 # the serve-mode day and the slot-model hour behind the paper figures.
 # BENCH_MICRO is the -bench regexp for the fast ones; BENCH_E2E runs
 # separately because one iteration simulates a whole row and needs its own
-# -benchtime. BENCH_REQUIRE lists every name; polca-bench -require fails
-# the target if any stops matching, so a renamed benchmark can never
-# silently drop out of the smoke. One BenchmarkScanJSONL op decodes 1,300
-# records, so the smoke runs it apart from the substrate set, at fewer
-# iterations.
+# -benchtime. BENCH_REQUIRE joins every name from the sets above;
+# polca-bench -require fails the target if any stops matching, so a
+# renamed benchmark can never silently drop out of the smoke. One
+# BenchmarkScanJSONL op decodes 1,300 records, so the smoke runs it apart
+# from the substrate set, at fewer iterations.
 BENCH_SUBSTRATE = BenchmarkGPUPhase|BenchmarkThrottleSolve|BenchmarkEngineEvents|BenchmarkEnginePeriodic|BenchmarkQueuePushPop|BenchmarkTimerStop|BenchmarkTracerDisabled|BenchmarkTracerEnabled|BenchmarkServeTracerDisabled|BenchmarkSpanTracerDisabled|BenchmarkQuantileSketch|BenchmarkScheduler|BenchmarkDecodeSpan|BenchmarkTSDBIngest|BenchmarkRuleEval|BenchmarkRetryQueue|BenchmarkScenarioSample|BenchmarkDecisionRecord
 BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
-BENCH_REQUIRE = BenchmarkGPUPhase,BenchmarkThrottleSolve,BenchmarkEngineEvents,BenchmarkEnginePeriodic,BenchmarkQueuePushPop,BenchmarkTimerStop,BenchmarkTracerDisabled,BenchmarkTracerEnabled,BenchmarkServeTracerDisabled,BenchmarkSpanTracerDisabled,BenchmarkQuantileSketch,BenchmarkScheduler,BenchmarkDecodeSpan,BenchmarkTSDBIngest,BenchmarkRuleEval,BenchmarkRetryQueue,BenchmarkScenarioSample,BenchmarkDecisionRecord,BenchmarkScanJSONL,BenchmarkServeDay,BenchmarkRowHour
+comma := ,
+BENCH_REQUIRE = $(subst |,$(comma),$(BENCH_SUBSTRATE)|BenchmarkScanJSONL|$(patsubst ^(%)$$,%,$(BENCH_E2E)))
 # The engine's periodic-timer dispatch, the serving replica's iteration
 # loop and decode-span planner, and the telemetry ingest, rule-evaluation,
 # failover-requeue, scenario request-generation, and decision-input
