@@ -136,7 +136,7 @@ func (s *slotBackend) admitLimit(p workload.Priority, now sim.Time) int {
 // The admission gate's slack is gateSlackK·√target busy servers, and at
 // least gateSlackMin. The paper gives no slack: both values date from the
 // row model's first version, and ROADMAP item 8 measures how far the
-// fig13–18 headlines move with them.
+// fig13–18 headlines move with gateSlackK.
 const (
 	gateSlackK   = 0.6
 	gateSlackMin = 1.5
