@@ -39,7 +39,7 @@ func main() {
 	evalDays := flag.Int("eval-days", 0, "evaluation horizon in days (default 35, paper's five weeks)")
 	sweepDays := flag.Int("sweep-days", 0, "sweep horizon in days (default 7, paper's one week)")
 	servers := flag.Int("servers", 0, "base row size (default 40)")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations/experiments (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "max row simulations running at once, across every experiment (0 = GOMAXPROCS, 1 = one at a time)")
 	only := flag.String("only", "", "comma-separated experiment IDs to run")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	checkInsights := flag.Bool("insights", false, "verify the paper's nine insights and exit")

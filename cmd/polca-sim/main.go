@@ -488,11 +488,10 @@ func runOne(o runOpts) (string, error) {
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %10s %10s\n", "Priority", "served", "dropped", "p50 (s)", "p99 (s)", "max (s)", "req/srv/h")
 	for _, pri := range []workload.Priority{workload.Low, workload.High} {
 		lat := m.LatencySec[pri]
-		poolN := row.PoolSize(pri)
 		fmt.Fprintf(&b, "%-10s %10d %10d %10.1f %10.1f %10.1f %10.1f\n",
 			pri, m.Completed[pri], m.Dropped[pri],
 			stats.Percentile(lat, 50), stats.Percentile(lat, 99), stats.Percentile(lat, 100),
-			m.Throughput(pri, poolN)*3600)
+			m.Throughput(pri)*3600)
 	}
 
 	if cfg.Serve != nil {
@@ -513,20 +512,12 @@ func runOne(o runOpts) (string, error) {
 			if ttft.Count() == 0 && tbt.Count() == 0 {
 				continue
 			}
-			classJTok := 0.0
-			if t := m.ClassTokens[name]; t > 0 {
-				classJTok = m.ClassEnergyJ[name] / float64(t)
-			}
 			fmt.Fprintf(&b, "%-12s %10d %12.2f %13.1f %10.1f\n", name, tbt.Count(),
-				ttft.Percentile(99), tbt.Percentile(99)*1000, classJTok)
+				ttft.Percentile(99), tbt.Percentile(99)*1000, m.ClassJPerToken(name))
 		}
 		if cfg.ServeRetries > 0 || cfg.ServeClassShed || cfg.ServeCircuitSheds > 0 || cfg.WatchdogDrain {
-			sheds := 0
-			for _, v := range m.ClassShed {
-				sheds += v
-			}
 			fmt.Fprintf(&b, "Failover: %d retries (%d exhausted), %d class sheds, %d circuit opens, %d node drains\n",
-				m.ServeRetries, m.ServeRetryExhausted, sheds, m.CircuitOpens, m.NodeDrains)
+				m.ServeRetries, m.ServeRetryExhausted, m.ClassSheds(), m.CircuitOpens, m.NodeDrains)
 		}
 		if cfg.ServeClassShed {
 			fmt.Fprintf(&b, "%-12s %10s %10s %10s %11s\n", "Class", "arrived", "shed", "SLO ok", "goodput %")
@@ -535,9 +526,8 @@ func runOne(o runOpts) (string, error) {
 				if arrived == 0 {
 					continue
 				}
-				goodput := 100 * float64(m.ClassSLOOK[name]) / float64(arrived)
 				fmt.Fprintf(&b, "%-12s %10d %10d %10d %10.1f%%\n",
-					name, arrived, m.ClassShed[name], m.ClassSLOOK[name], goodput)
+					name, arrived, m.ClassShed[name], m.ClassSLOOK[name], m.ClassAttainment(name)*100)
 			}
 		}
 		if o.scen != nil {
@@ -546,18 +536,15 @@ func runOne(o runOpts) (string, error) {
 			// fractions — 1.0 means every class meets its SLO equally often,
 			// lower means the pain concentrates on a few classes.
 			fmt.Fprintf(&b, "%-12s %-10s %10s %10s %10s\n", "Class", "slo", "arrived", "SLO ok", "attain %")
-			var attain []float64
 			for _, name := range workload.Names(cfg.Classes) {
 				arrived := m.ClassArrived[name]
 				if arrived == 0 {
 					continue
 				}
-				frac := float64(m.ClassSLOOK[name]) / float64(arrived)
-				attain = append(attain, frac)
 				fmt.Fprintf(&b, "%-12s %-10s %10d %10d %9.1f%%\n",
-					name, o.scen.SLOOf(name), arrived, m.ClassSLOOK[name], frac*100)
+					name, o.scen.SLOOf(name), arrived, m.ClassSLOOK[name], m.ClassAttainment(name)*100)
 			}
-			fmt.Fprintf(&b, "Jain fairness of SLO attainment across classes: %.3f\n", stats.Jain(attain))
+			fmt.Fprintf(&b, "Jain fairness of SLO attainment across classes: %.3f\n", m.AttainmentJain())
 		}
 	}
 

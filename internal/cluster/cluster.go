@@ -347,6 +347,14 @@ func ProductionArrivals(c RowConfig, horizon time.Duration, rng *rand.Rand) (tra
 	return plan.Scale(1 + c.AddedFraction), nil
 }
 
+// BrakeSafetyBound is the longest excursion above BrakeUtil the brake
+// contract allows: the brake's engage latency and hold, plus two telemetry
+// intervals of measurement slack (the breach sample and the post-engage
+// settling sample).
+func (c RowConfig) BrakeSafetyBound() time.Duration {
+	return c.BrakeLatency + c.BrakeHold + 2*c.TelemetryInterval
+}
+
 // Servers returns the deployed server count including oversubscription.
 func (c RowConfig) Servers() int {
 	n := int(float64(c.BaseServers)*(1+c.AddedFraction) + 0.5)
@@ -545,12 +553,61 @@ type Metrics struct {
 	Serve ServeStats
 }
 
-// Throughput returns completed requests per server-second for the pool.
-func (m Metrics) Throughput(p workload.Priority, poolServers int) float64 {
-	if poolServers <= 0 || m.Util.Duration() <= 0 {
+// The methods below are the one definition of each number the figures and
+// polca-sim derive from a run's counters.
+
+// Throughput returns completed requests per server-second for the pool,
+// sized as NewRow splits the row; 0 for an empty pool or an empty series.
+func (m *Metrics) Throughput(p workload.Priority) float64 {
+	n := m.Config.lowPoolServers()
+	if p == workload.High {
+		n = m.Config.Servers() - n
+	}
+	if n <= 0 || m.Util.Duration() <= 0 {
 		return 0
 	}
-	return float64(m.Completed[p]) / float64(poolServers) / m.Util.Duration().Seconds()
+	return float64(m.Completed[p]) / float64(n) / m.Util.Duration().Seconds()
+}
+
+// ClassJPerToken returns the class's attributed joules per generated
+// token, 0 for a class that generated none.
+func (m *Metrics) ClassJPerToken(class string) float64 {
+	if t := m.ClassTokens[class]; t > 0 {
+		return m.ClassEnergyJ[class] / float64(t)
+	}
+	return 0
+}
+
+// ClassAttainment returns the class's SLO attainment: the fraction of its
+// first admissions whose first token met the TTFT SLO, 0 for a class with
+// no arrivals.
+func (m *Metrics) ClassAttainment(class string) float64 {
+	if a := m.ClassArrived[class]; a > 0 {
+		return float64(m.ClassSLOOK[class]) / float64(a)
+	}
+	return 0
+}
+
+// AttainmentJain returns Jain's fairness index of ClassAttainment over the
+// configured classes that had arrivals, taken in workload.Names order.
+func (m *Metrics) AttainmentJain() float64 {
+	var fracs []float64
+	for _, name := range workload.Names(m.Config.Classes) {
+		if m.ClassArrived[name] > 0 {
+			fracs = append(fracs, m.ClassAttainment(name))
+		}
+	}
+	return stats.Jain(fracs)
+}
+
+// ClassSheds returns the requests SLO-class-aware shedding dropped, over
+// every class.
+func (m *Metrics) ClassSheds() int {
+	n := 0
+	for _, v := range m.ClassShed {
+		n += v
+	}
+	return n
 }
 
 // node is one simulated server.

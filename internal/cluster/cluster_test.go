@@ -292,14 +292,50 @@ func TestPowerIntensityRaisesUtil(t *testing.T) {
 
 func TestThroughputHelper(t *testing.T) {
 	m := cluster.Metrics{
+		Config:    cluster.RowConfig{BaseServers: 10, LowPriorityFraction: 1},
 		Completed: map[workload.Priority]int{workload.Low: 100},
 		Util:      stats.Series{Step: time.Second, Values: make([]float64, 100)},
 	}
-	if got := m.Throughput(workload.Low, 10); got != 0.1 {
+	if got := m.Throughput(workload.Low); got != 0.1 {
 		t.Errorf("throughput = %v, want 0.1", got)
 	}
-	if m.Throughput(workload.Low, 0) != 0 {
+	if m.Throughput(workload.High) != 0 {
 		t.Error("zero servers should yield zero throughput")
+	}
+}
+
+// TestMetricsDerivedNumbers pins each number the figures and polca-sim
+// read off a run's counters on a hand-built Metrics. A class with no
+// arrivals or no tokens reads 0 and stays out of the Jain index.
+func TestMetricsDerivedNumbers(t *testing.T) {
+	m := &cluster.Metrics{
+		Config:       cluster.RowConfig{Classes: workload.Table6()},
+		ClassEnergyJ: map[string]float64{"chat": 300, "search": 50},
+		ClassTokens:  map[string]int64{"chat": 100, "search": 0},
+		ClassArrived: map[string]int{"chat": 4, "search": 2},
+		ClassSLOOK:   map[string]int{"chat": 3, "search": 2},
+		ClassShed:    map[string]int{"chat": 1, "summarize": 2},
+	}
+	prod := cluster.Production()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"J/token", m.ClassJPerToken("chat"), 3},
+		{"J/token, no tokens", m.ClassJPerToken("search"), 0},
+		{"J/token, no class entry", m.ClassJPerToken("summarize"), 0},
+		{"attainment", m.ClassAttainment("chat"), 0.75},
+		{"attainment, all met", m.ClassAttainment("search"), 1},
+		{"attainment, no arrivals", m.ClassAttainment("summarize"), 0},
+		{"Jain over the classes with arrivals", m.AttainmentJain(), 1.75 * 1.75 / (2 * (0.75*0.75 + 1))},
+		{"Jain, no arrivals", (&cluster.Metrics{Config: m.Config}).AttainmentJain(), 1},
+		{"class sheds", float64(m.ClassSheds()), 3},
+		{"class sheds, none", float64((&cluster.Metrics{}).ClassSheds()), 0},
+		{"brake safety bound (s)", prod.BrakeSafetyBound().Seconds(), 5 + 30 + 2*2},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

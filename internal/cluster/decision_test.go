@@ -190,7 +190,4 @@ func TestDecisionRecorderDroppedBySweepObserver(t *testing.T) {
 	if mo := o.MetricsOnly(); mo.DecisionLog() != nil {
 		t.Error("MetricsOnly kept the decision recorder")
 	}
-	if wl := o.WithLabels("row", "a"); wl.DecisionLog() == nil {
-		t.Error("WithLabels dropped the decision recorder")
-	}
 }

@@ -171,10 +171,7 @@ func TestSafetyInvariantUnderFaults(t *testing.T) {
 			t.Run(sname+"/"+pname, func(t *testing.T) {
 				cfg := hardenedConfig(t, spec)
 				m := runRow(t, cfg, mk(), flatPlan(cfg, 0.98, 12*time.Minute))
-				// Bound: engage latency + hold, plus two telemetry intervals of
-				// measurement slack (the breach sample and the post-engage
-				// settling sample).
-				bound := cfg.BrakeLatency + cfg.BrakeHold + 2*cfg.TelemetryInterval
+				bound := cfg.BrakeSafetyBound()
 				if worst := m.Util.LongestRunAbove(cfg.BrakeUtil); worst > bound {
 					t.Errorf("power above breaker limit for %v contiguous, bound %v (brakes %d)",
 						worst, bound, m.BrakeEvents)

@@ -150,7 +150,7 @@ func TestServeSafetyInvariantUnderFaults(t *testing.T) {
 			t.Run(sname+"/"+pname, func(t *testing.T) {
 				cfg := serveFTConfig(t, spec)
 				m := runRow(t, cfg, mk(), flatPlan(cfg, 0.98, 12*time.Minute))
-				bound := cfg.BrakeLatency + cfg.BrakeHold + 2*cfg.TelemetryInterval
+				bound := cfg.BrakeSafetyBound()
 				if worst := m.Util.LongestRunAbove(cfg.BrakeUtil); worst > bound {
 					t.Errorf("power above breaker limit for %v contiguous, bound %v (brakes %d)",
 						worst, bound, m.BrakeEvents)

@@ -528,11 +528,7 @@ func (b *serveBackend) tick(now sim.Time) {
 	}
 	if b.retryTotal != nil {
 		b.retryTotal.Observe(now, float64(b.metrics.ServeRetries))
-		sheds := 0
-		for _, v := range b.metrics.ClassShed {
-			sheds += v
-		}
-		b.shedTotal.Observe(now, float64(sheds))
+		b.shedTotal.Observe(now, float64(b.metrics.ClassSheds()))
 	}
 }
 

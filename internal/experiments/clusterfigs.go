@@ -40,33 +40,47 @@ type rowSpec struct {
 	days       int
 	oobLatency time.Duration // OOB actuation latency, 0 = Table 2's 40 s
 
-	// Fault-experiment knobs (figfault); all zero for the paper figures,
-	// which keeps those rows byte-identical to the fault-free simulator.
-	faults       string        // canonical faults.Spec DSL, "" = none
-	guard        bool          // wrap the policy in the telemetry Guard
-	watchdog     int           // row deadman epochs, 0 = disabled
-	retryBudget  int           // bounded OOB retries, 0 = unlimited
-	retryBackoff time.Duration // OOB retry backoff, 0 = next tick
-	dropStale    bool          // drop superseded in-flight OOB commands
+	// Fault-experiment knobs (figfault, figservefault); both zero for the
+	// paper figures, which keeps those rows byte-identical to the
+	// fault-free simulator.
+	faults   string // canonical faults.Spec DSL, "" = none
+	hardened bool   // run under the hardened profile (harden, runRowSpec)
 
 	// serveRouter, when non-empty, switches the row to the request-level
 	// serving backend with this routing policy (figserve); "" keeps the
 	// slot model, leaving every paper figure byte-identical.
 	serveRouter string
 
-	// Serve-mode fault-tolerance knobs (figservefault); all zero for the
-	// other serve experiments, which keeps their rows byte-identical to
-	// the drop-only serving backend.
-	serveRetries   int  // failover requeue budget, 0 = drop-only
-	serveClassShed bool // SLO-class-aware shedding under emergencies
-	serveCircuit   int  // per-replica circuit-breaker shed threshold
-	wdDrain        bool // engaged watchdog drains serve replicas
-
 	// Scenario knob (figscenario): a workload scenario name or .scn path
 	// that replaces the fitted Table 6 arrivals with generated cohort
 	// traffic (classes, shed ranks, and the request trace all come from the
 	// scenario). "" keeps every other experiment on the legacy path.
 	scenario string
+}
+
+// policyNames are the figures' display names of the policies they run.
+var policyNames = map[string]string{
+	"polca": "POLCA", "1tl": "1-Thresh-Low-Pri", "1ta": "1-Thresh-All", "nocap": "No-cap",
+}
+
+// name is the spec's display name: its policy's, suffixed for the
+// hardened profile.
+func (s rowSpec) name() string {
+	if s.hardened {
+		return policyNames[s.policy] + "-hardened"
+	}
+	return policyNames[s.policy]
+}
+
+// harden applies the hardened profile's controller half to a row: the
+// telemetry guard around ctrl, the deadman watchdog, bounded OOB retries
+// with backoff, and stale-command drops. It returns the guarded controller.
+func harden(cfg *cluster.RowConfig, ctrl cluster.Controller) cluster.Controller {
+	cfg.WatchdogEpochs = 5
+	cfg.OOBRetryBudget = 8
+	cfg.OOBRetryBackoff = 4 * time.Second
+	cfg.DropStaleOOB = true
+	return polca.NewGuard(ctrl, polca.DefaultGuardConfig())
 }
 
 // canonical resolves the fields whose zero value means the default to
@@ -89,14 +103,6 @@ func (s rowSpec) canonical() rowSpec {
 
 // buildController instantiates the policy named in the spec.
 func buildController(s rowSpec) (cluster.Controller, error) {
-	ctrl, err := buildBaseController(s)
-	if err != nil || !s.guard {
-		return ctrl, err
-	}
-	return polca.NewGuard(ctrl, polca.DefaultGuardConfig()), nil
-}
-
-func buildBaseController(s rowSpec) (cluster.Controller, error) {
 	if s.policy == "ladder3" {
 		return polca.NewLadder("3-rung", []polca.Rung{
 			{Name: "t1", Trigger: 0.76, Margin: 0.05, LowMHz: 1335},
@@ -125,17 +131,9 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		}
 		cfg.Faults = fs
 	}
-	cfg.WatchdogEpochs = s.watchdog
-	cfg.OOBRetryBudget = s.retryBudget
-	cfg.OOBRetryBackoff = s.retryBackoff
-	cfg.DropStaleOOB = s.dropStale
 	if s.serveRouter != "" {
 		cfg.Serve = &serve.Config{Router: s.serveRouter}
 	}
-	cfg.ServeRetries = s.serveRetries
-	cfg.ServeClassShed = s.serveClassShed
-	cfg.ServeCircuitSheds = s.serveCircuit
-	cfg.WatchdogDrain = s.wdDrain
 	var spec scenario.Spec
 	if s.scenario != "" {
 		var err error
@@ -151,6 +149,15 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 	ctrl, err := buildController(s)
 	if err != nil {
 		return nil, err
+	}
+	if s.hardened {
+		ctrl = harden(&cfg, ctrl)
+		// The serving half: failover retries, class shedding, circuit
+		// breaking and watchdog drain. The slot backend reads none of them.
+		cfg.ServeRetries = 3
+		cfg.ServeClassShed = true
+		cfg.ServeCircuitSheds = 10
+		cfg.WatchdogDrain = true
 	}
 	eng := sim.New(o.Seed)
 	// Metrics only: per-request trace events from dozens of grid points
@@ -195,6 +202,14 @@ func sortedLatencies(m *cluster.Metrics) latencies {
 // p returns the p-th percentile of the priority's latencies.
 func (l latencies) p(pri workload.Priority, p float64) float64 {
 	return stats.PercentileSorted(l[pri], p)
+}
+
+// norm returns each priority's p-th percentile normalized to base's.
+func (l latencies) norm(base latencies, p float64) map[workload.Priority]float64 {
+	return map[workload.Priority]float64{
+		workload.Low:  l.p(workload.Low, p) / base.p(workload.Low, p),
+		workload.High: l.p(workload.High, p) / base.p(workload.High, p),
+	}
 }
 
 // --- §6.4 fit ---
@@ -336,12 +351,7 @@ func runFig13(o Options) (Result, error) {
 			}
 			pt := Fig13Point{
 				T1: c[0], T2: c[1], Added: a, Brakes: m.BrakeEvents,
-				NormP50: map[workload.Priority]float64{},
-				NormP99: map[workload.Priority]float64{},
-			}
-			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
-				pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
+				NormP50: lat.norm(base, 50), NormP99: lat.norm(base, 99),
 			}
 			data.Points = append(data.Points, pt)
 			if m.BrakeEvents == 0 {
@@ -395,14 +405,8 @@ func runFig14(o Options) (Result, error) {
 	for i, a := range added {
 		m := ms[i]
 		perServer := map[workload.Priority]float64{}
-		lp := m.Config.LowPriorityFraction
-		total := m.Config.Servers()
-		poolN := map[workload.Priority]int{
-			workload.Low:  int(float64(total)*lp + 0.5),
-			workload.High: total - int(float64(total)*lp+0.5),
-		}
 		for _, pri := range []workload.Priority{workload.Low, workload.High} {
-			perServer[pri] = m.Throughput(pri, poolN[pri])
+			perServer[pri] = m.Throughput(pri)
 		}
 		if a == 0 {
 			basePerServer = perServer
@@ -451,12 +455,7 @@ func runFig15a(o Options) (Result, error) {
 	var pts []Fig15aPoint
 	for i, f := range freqs {
 		lat := sortedLatencies(ms[i+1])
-		pt := Fig15aPoint{LPBaseMHz: f, NormP50: map[workload.Priority]float64{}, NormP99: map[workload.Priority]float64{}}
-		for _, pri := range []workload.Priority{workload.Low, workload.High} {
-			pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
-			pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
-		}
-		pts = append(pts, pt)
+		pts = append(pts, Fig15aPoint{LPBaseMHz: f, NormP50: lat.norm(base, 50), NormP99: lat.norm(base, 99)})
 	}
 	var cells [][]string
 	for _, p := range pts {
@@ -501,12 +500,10 @@ func runFig15b(o Options) (Result, error) {
 	for i, lp := range fracs {
 		m := ms[2*i+1]
 		base, lat := sortedLatencies(ms[2*i]), sortedLatencies(m)
-		pt := Fig15bPoint{LPFraction: lp, Brakes: m.BrakeEvents, NormP50: map[workload.Priority]float64{}, NormP99: map[workload.Priority]float64{}}
-		for _, pri := range []workload.Priority{workload.Low, workload.High} {
-			pt.NormP50[pri] = lat.p(pri, 50) / base.p(pri, 50)
-			pt.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
-		}
-		pts = append(pts, pt)
+		pts = append(pts, Fig15bPoint{
+			LPFraction: lp, Brakes: m.BrakeEvents,
+			NormP50: lat.norm(base, 50), NormP99: lat.norm(base, 99),
+		})
 	}
 	var cells [][]string
 	for _, p := range pts {
@@ -593,7 +590,6 @@ type Fig17Row struct {
 // and fig18 through the simulation cache).
 func fig17Rows(o Options) ([]Fig17Row, error) {
 	policies := []string{"polca", "1tl", "1ta", "nocap"}
-	names := map[string]string{"polca": "POLCA", "1tl": "1-Thresh-Low-Pri", "1ta": "1-Thresh-All", "nocap": "No-cap"}
 	intensities := []float64{1.0, 1.05}
 	specs := make([]rowSpec, 0, len(intensities)*len(policies))
 	for _, in := range intensities {
@@ -607,26 +603,16 @@ func fig17Rows(o Options) ([]Fig17Row, error) {
 	}
 	var ref latencies
 	var rows []Fig17Row
-	for ii, in := range intensities {
-		for pi, p := range policies {
-			m := ms[ii*len(policies)+pi]
-			lat := sortedLatencies(m)
-			if p == "polca" && in == 1.0 {
-				ref = lat
-			}
-			row := Fig17Row{
-				Policy: names[p], Intensity: in, Brakes: m.BrakeEvents,
-				NormP50: map[workload.Priority]float64{},
-				NormP99: map[workload.Priority]float64{},
-				NormMax: map[workload.Priority]float64{},
-			}
-			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				row.NormP50[pri] = lat.p(pri, 50) / ref.p(pri, 50)
-				row.NormP99[pri] = lat.p(pri, 99) / ref.p(pri, 99)
-				row.NormMax[pri] = lat.p(pri, 100) / ref.p(pri, 100)
-			}
-			rows = append(rows, row)
+	for i, s := range specs {
+		m := ms[i]
+		lat := sortedLatencies(m)
+		if s.policy == "polca" && s.intensity == 1.0 {
+			ref = lat
 		}
+		rows = append(rows, Fig17Row{
+			Policy: s.name(), Intensity: s.intensity, Brakes: m.BrakeEvents,
+			NormP50: lat.norm(ref, 50), NormP99: lat.norm(ref, 99), NormMax: lat.norm(ref, 100),
+		})
 	}
 	return rows, nil
 }

@@ -31,11 +31,13 @@ type Options struct {
 	RowServers int
 	// Quick reduces sweep densities and horizons for tests.
 	Quick bool
-	// Parallel bounds how many simulations (and, in RunAll, experiments)
-	// run concurrently. 0 means GOMAXPROCS; 1 runs one at a time, in order.
-	// Results are identical at any setting: every simulation owns a private
-	// sim.Engine seeded from Seed, and sweeps assemble their outputs in
-	// spec order.
+	// Parallel bounds how many row simulations run concurrently across a
+	// Run or RunAll pass, however many experiments and sweeps are in
+	// flight; RunAll also runs at most Parallel experiments at once. 0
+	// means GOMAXPROCS; 1 runs one simulation at a time, each sweep's in
+	// spec order. Results are identical at any setting: every simulation
+	// owns a private sim.Engine seeded from Seed, and sweeps assemble their
+	// outputs in spec order.
 	Parallel int
 
 	// Obs, when non-nil, receives sweep-level events (grid.start/grid.done)
@@ -57,6 +59,10 @@ type Options struct {
 	// sweeping the committed library. Other experiments ignore it: the
 	// paper figures run the Table 6 mix.
 	Scenario string
+
+	// tokens holds the pass's Parallel simulation tokens; normalize makes
+	// it once per pass, and each row simulation holds one while it runs.
+	tokens chan struct{}
 }
 
 // DefaultOptions mirrors the paper's evaluation scale.
@@ -69,7 +75,9 @@ func QuickOptions() Options {
 	return Options{Seed: 1, TrainDays: 1, EvalDays: 1, SweepDays: 1, RowServers: 12, Quick: true}
 }
 
-// normalize fills zero fields from defaults.
+// normalize fills zero fields from defaults and makes the pass's
+// simulation tokens if o has none; Run keeps the ones RunAll made, so
+// every experiment of a RunAll pass draws on one budget.
 func (o Options) normalize() Options {
 	d := DefaultOptions()
 	if o.Seed == 0 {
@@ -86,6 +94,9 @@ func (o Options) normalize() Options {
 	}
 	if o.RowServers <= 0 {
 		o.RowServers = d.RowServers
+	}
+	if o.tokens == nil {
+		o.tokens = make(chan struct{}, o.workers())
 	}
 	return o
 }
@@ -166,10 +177,11 @@ func Run(id string, o Options) (Result, error) {
 // RunAll executes every registered experiment, streaming rendered results
 // to w in registration (paper) order, and returns the structured results.
 //
-// Experiments run concurrently, bounded by o.Parallel workers; artifacts
-// that share row simulations (fig17/fig18) deduplicate through the
-// singleflight simulation cache, so no spec is simulated twice. The stream
-// and the returned results are byte-identical to a serial run. On error the
+// Experiments run concurrently, at most o.Parallel at a time, and their
+// row simulations share the pass's o.Parallel tokens; artifacts that share
+// row simulations (fig17/fig18) deduplicate through the singleflight
+// simulation cache, so no spec is simulated twice. The stream and the
+// returned results are byte-identical to a serial run. On error the
 // results completed before the failing artifact are returned; experiments
 // already in flight finish in the background.
 func RunAll(o Options, w io.Writer) ([]Result, error) {

@@ -76,30 +76,15 @@ func runFigFault(o Options) (Result, error) {
 	}
 
 	// Three policies: the uncontrolled baseline, the paper's POLCA as-is,
-	// and POLCA hardened with every degradation path this PR adds (telemetry
-	// guard, row watchdog, bounded OOB retries with backoff).
-	type policy struct {
-		name string
-		spec func(s rowSpec) rowSpec
-	}
-	policies := []policy{
-		{"No-cap", func(s rowSpec) rowSpec { s.policy = "nocap"; return s }},
-		{"POLCA", func(s rowSpec) rowSpec { s.policy = "polca"; return s }},
-		{"POLCA-hardened", func(s rowSpec) rowSpec {
-			s.policy = "polca"
-			s.guard = true
-			s.watchdog = 5
-			s.retryBudget = 8
-			s.retryBackoff = 4 * time.Second
-			s.dropStale = true
-			return s
-		}},
-	}
+	// and POLCA under the hardened profile (telemetry guard, row watchdog,
+	// bounded OOB retries with backoff, stale-command drops).
+	policies := []rowSpec{{policy: "nocap"}, {policy: "polca"}, {policy: "polca", hardened: true}}
 
 	specs := make([]rowSpec, 0, len(policies)*len(intensities))
 	for _, p := range policies {
 		for _, fi := range intensities {
-			s := p.spec(rowSpec{added: 0.30, intensity: 1, days: o.SweepDays})
+			s := p
+			s.added, s.intensity, s.days = 0.30, 1, o.SweepDays
 			// Canonical DSL form so the cache key and provenance are stable;
 			// Scale(0) collapses to the zero spec and the empty string.
 			s.faults = scenario.Scale(fi).String()
@@ -121,7 +106,7 @@ func runFigFault(o Options) (Result, error) {
 				base = lat
 			}
 			row := FigFaultRow{
-				Policy:           p.name,
+				Policy:           p.name(),
 				Intensity:        fi,
 				BreachSeconds:    m.Util.TimeAbove(m.Config.BrakeUtil).Seconds(),
 				MaxBreachSeconds: m.Util.LongestRunAbove(m.Config.BrakeUtil).Seconds(),
@@ -132,10 +117,7 @@ func runFigFault(o Options) (Result, error) {
 				StaleDrops:       m.StaleOOBDrops,
 				NodeDeaths:       m.NodeDeaths,
 				Injected:         m.Faults,
-				NormP99:          map[workload.Priority]float64{},
-			}
-			for _, pri := range []workload.Priority{workload.Low, workload.High} {
-				row.NormP99[pri] = lat.p(pri, 99) / base.p(pri, 99)
+				NormP99:          lat.norm(base, 99),
 			}
 			rows = append(rows, row)
 		}

@@ -88,11 +88,10 @@ func runFigServe(o Options) (Result, error) {
 
 	data := FigServeData{}
 	backends := []string{"slot", "slot", "serve", "serve"}
-	policies := []string{"No-cap", "POLCA", "No-cap", "POLCA"}
 	for i := 0; i < 4; i++ {
 		u := ms[i].Util.Values
 		data.Power = append(data.Power, FigServePower{
-			Backend: backends[i], Policy: policies[i],
+			Backend: backends[i], Policy: specs[i].name(),
 			Mean: ms[i].Util.Mean(),
 			P50:  stats.Percentile(u, 50), P90: stats.Percentile(u, 90),
 			P99: stats.Percentile(u, 99), Peak2s: ms[i].Util.Peak(),
@@ -108,8 +107,8 @@ func runFigServe(o Options) (Result, error) {
 			TTFTp99POLCA:  pc.TTFT[name].Percentile(99),
 			TBTp99NoCapMS: nc.TBT[name].Percentile(99) * 1000,
 			TBTp99POLCAMS: pc.TBT[name].Percentile(99) * 1000,
-			JPerTokNoCap:  classJPerTok(nc, name),
-			JPerTokPOLCA:  classJPerTok(pc, name),
+			JPerTokNoCap:  nc.ClassJPerToken(name),
+			JPerTokPOLCA:  pc.ClassJPerToken(name),
 		})
 	}
 	data.Preemptions = pc.Serve.Preemptions
@@ -178,12 +177,4 @@ func aggTTFTp99(m *cluster.Metrics) float64 {
 		agg.Merge(m.TTFT[name])
 	}
 	return agg.Percentile(99)
-}
-
-// classJPerTok returns the class's attributed joules per generated token.
-func classJPerTok(m *cluster.Metrics, class string) float64 {
-	if t := m.ClassTokens[class]; t > 0 {
-		return m.ClassEnergyJ[class] / float64(t)
-	}
-	return 0
 }

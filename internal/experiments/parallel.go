@@ -33,8 +33,11 @@ func resetEvalCache() {
 	evalMu.Unlock()
 }
 
-// specLabel names a grid point for progress tracking and grid events,
-// including the POLCA config fields that differ from polca.DefaultConfig.
+// specLabel names a grid point for progress tracking and grid events. It
+// names every field that splits the cache key, the POLCA config by its
+// fields that differ from polca.DefaultConfig, so two grid points that
+// simulate different rows never share a label (obs.Progress keys the
+// in-flight points by it).
 func specLabel(s rowSpec) string {
 	l := fmt.Sprintf("%s added=%g int=%g lp=%g d=%d", s.policy, s.added, s.intensity, s.lpFrac, s.days)
 	if s.pc != (polca.Config{}) {
@@ -55,26 +58,24 @@ func specLabel(s rowSpec) string {
 	if s.oobLatency > 0 {
 		l += " oob=" + s.oobLatency.String()
 	}
+	if s.hardened {
+		l += " hardened"
+	}
+	if s.faults != "" {
+		l += " faults=" + s.faults
+	}
 	if s.serveRouter != "" {
 		l += " serve=" + s.serveRouter
-	}
-	if s.serveRetries > 0 {
-		l += fmt.Sprintf(" retries=%d", s.serveRetries)
-	}
-	if s.serveClassShed {
-		l += " classshed"
-	}
-	if s.serveCircuit > 0 {
-		l += fmt.Sprintf(" circuit=%d", s.serveCircuit)
-	}
-	if s.wdDrain {
-		l += " wddrain"
 	}
 	if s.scenario != "" {
 		l += " scen=" + s.scenario
 	}
 	return l
 }
+
+// runRow is the simulation simulateRowCached runs on a cache miss; tests
+// wrap it to count the simulations in flight.
+var runRow = runRowSpec
 
 // simulateRowCached runs (or returns the cached result of) one row
 // simulation, reporting whether the result came from the cache — waiters
@@ -98,7 +99,11 @@ func simulateRowCached(o Options, s rowSpec) (*cluster.Metrics, bool, error) {
 	evalCache[key] = c
 	evalMu.Unlock()
 
-	c.m, c.err = runRowSpec(o, s)
+	// Only the simulation holds a token; cache waiters above hold none, so
+	// at most Parallel rows simulate at once across the whole pass.
+	o.tokens <- struct{}{}
+	c.m, c.err = runRow(o, s)
+	<-o.tokens
 	if c.err != nil {
 		// Keep failures out of the cache so a later attempt can retry.
 		evalMu.Lock()

@@ -9,7 +9,13 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"polca/internal/cluster"
+	"polca/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.sha256 from the current output")
@@ -69,51 +75,92 @@ func TestSimulateRowsDedup(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial compares the full quick suite, stream and
-// structured results, between one worker and four, and pins the
-// one-worker pass by SHA-256: each experiment's Text and its Data
-// marshalled as polca-experiments -out writes them, so a change that moves
-// one bit of any quick-pass output fails here. After an intentional output
-// change, regenerate with
+// TestRunAllParallelMatchesSerial runs the full quick suite with a cold
+// cache on one worker, then two, then four. It pins the one-worker pass by
+// SHA-256: each experiment's Text and its Data marshalled as
+// polca-experiments -out writes them, so a change that moves one bit of
+// any quick-pass output fails here. The other passes must match it, stream
+// and structured results. Every pass must keep at most Parallel row
+// simulations in flight, and the one-worker pass must report no grid label
+// twice unless the second report is a cache hit: a label two distinct rows
+// share hides one of them from the -v log and /progress. After an
+// intentional output change, regenerate with
 //
 //	go test ./internal/experiments -run TestRunAllParallelMatchesSerial -update
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick suite twice with a cold cache")
+		t.Skip("runs the full quick suite three times with a cold cache")
 	}
-	resetEvalCache()
-	so := QuickOptions()
-	so.Parallel = 1
-	var serialStream strings.Builder
-	serial, err := RunAll(so, &serialStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkQuickGolden(t, serial)
-
-	resetEvalCache()
-	po := QuickOptions()
-	po.Parallel = 4
-	var parStream strings.Builder
-	par, err := RunAll(po, &parStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(serial) != len(par) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(par))
-	}
-	for i := range serial {
-		if serial[i].ID != par[i].ID {
-			t.Errorf("result %d: order differs (%s vs %s)", i, serial[i].ID, par[i].ID)
+	var serial []Result
+	var serialStream string
+	peak := countSimulations(t)
+	for _, workers := range []int{1, 2, 4} {
+		resetEvalCache()
+		peak.Store(0)
+		o := QuickOptions()
+		o.Parallel = workers
+		var mu sync.Mutex
+		var reports []string
+		seen := map[string]bool{}
+		o.Progress = obs.NewProgress(0)
+		o.Progress.OnDone = func(label string, _, _ int, cached bool, _ time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			if seen[label] && !cached {
+				reports = append(reports, label)
+			}
+			seen[label] = true
 		}
-		if serial[i].Text != par[i].Text {
-			t.Errorf("%s: parallel Result.Text differs from serial", serial[i].ID)
+		var stream strings.Builder
+		res, err := RunAll(o, &stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := peak.Load()
+		t.Logf("parallel %d: at most %d row simulations in flight", workers, got)
+		if got > int64(workers) {
+			t.Errorf("parallel %d: %d row simulations in flight at once", workers, got)
+		}
+		if workers == 1 {
+			for _, label := range reports {
+				t.Errorf("grid label %q reported twice without a cache hit", label)
+			}
+			checkQuickGolden(t, res)
+			serial, serialStream = res, stream.String()
+			continue
+		}
+		if len(serial) != len(res) {
+			t.Fatalf("parallel %d: result counts differ: %d vs %d", workers, len(serial), len(res))
+		}
+		for i := range serial {
+			if serial[i].ID != res[i].ID {
+				t.Errorf("parallel %d: result %d: order differs (%s vs %s)", workers, i, serial[i].ID, res[i].ID)
+			}
+			if serial[i].Text != res[i].Text {
+				t.Errorf("parallel %d: %s: Result.Text differs from serial", workers, serial[i].ID)
+			}
+		}
+		if serialStream != stream.String() {
+			t.Errorf("parallel %d: RunAll stream not byte-identical to serial", workers)
 		}
 	}
-	if serialStream.String() != parStream.String() {
-		t.Error("RunAll stream not byte-identical between serial and parallel")
+}
+
+// countSimulations wraps runRow for the rest of the test and returns the
+// peak number of row simulations it has seen in flight at once.
+func countSimulations(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var inFlight, peak atomic.Int64
+	run := runRow
+	runRow = func(o Options, s rowSpec) (*cluster.Metrics, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		return run(o, s)
 	}
+	t.Cleanup(func() { runRow = run })
+	return &peak
 }
 
 // checkQuickGolden compares the digests of results' -out files, named as

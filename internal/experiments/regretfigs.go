@@ -85,14 +85,12 @@ func runFigRegret(o Options) (Result, error) {
 		return Result{}, err
 	}
 	cfg.Faults = fs
-	cfg.WatchdogEpochs = 5
-	cfg.OOBRetryBudget = 8
-	cfg.OOBRetryBackoff = 4 * time.Second
-	cfg.DropStaleOOB = true
+	// The hardened profile's controller half; the serving half is this
+	// day's own: failover without shedding.
+	ctrl := harden(&cfg, polca.New(polca.DefaultConfig()))
 	cfg.ServeRetries = 3
 	cfg.ServeRetryBackoff = 2 * time.Second
 
-	ctrl := polca.NewGuard(polca.New(polca.DefaultConfig()), polca.DefaultGuardConfig())
 	pspec, gspec, err := polca.DescribeController(ctrl)
 	if err != nil {
 		return Result{}, err
@@ -113,7 +111,11 @@ func runFigRegret(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The day is a row simulation like a sweep point's, so it holds one of
+	// the pass's tokens while it runs.
+	o.tokens <- struct{}{}
 	row.Run(plan)
+	<-o.tokens
 
 	// Round-trip through the wire format: the experiment replays exactly
 	// what polca-replay would read, not the in-memory recorder state.

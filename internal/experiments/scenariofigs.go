@@ -7,7 +7,6 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/scenario"
-	"polca/internal/stats"
 	"polca/internal/workload"
 )
 
@@ -73,7 +72,7 @@ func runFigScenario(o Options) (Result, error) {
 	for i, s := range specs {
 		m := ms[i]
 		row := FigScenarioRow{
-			Scenario: s.scenario, Policy: map[string]string{"nocap": "No-cap", "polca": "POLCA"}[s.policy],
+			Scenario: s.scenario, Policy: s.name(),
 			Requests:  m.Completed[workload.Low] + m.Completed[workload.High],
 			MeanUtil:  m.Util.Mean(),
 			PeakUtil:  m.Util.Peak(),
@@ -82,7 +81,8 @@ func runFigScenario(o Options) (Result, error) {
 			Caps:      m.LockCommands,
 			TTFTp99:   aggTTFTp99(m),
 		}
-		row.Attain, row.WorstClass, row.WorstAttain, row.Jain = classAttainment(m)
+		row.Attain, row.WorstClass, row.WorstAttain = classAttainment(m)
+		row.Jain = m.AttainmentJain()
 		data.Rows = append(data.Rows, row)
 	}
 
@@ -108,27 +108,24 @@ func runFigScenario(o Options) (Result, error) {
 }
 
 // classAttainment folds the per-class SLO counters into the aggregate
-// attainment, the worst-served class, and the Jain fairness index of the
-// per-class attainment fractions.
-func classAttainment(m *cluster.Metrics) (agg float64, worst string, worstAttain float64, jain float64) {
+// attainment over every class's first admissions and the worst-served
+// class with its attainment.
+func classAttainment(m *cluster.Metrics) (agg float64, worst string, worstAttain float64) {
 	var okSum, arrSum int
-	var fracs []float64
 	worstAttain = 1
 	for _, name := range workload.Names(m.Config.Classes) {
 		arrived := m.ClassArrived[name]
 		if arrived == 0 {
 			continue
 		}
-		frac := float64(m.ClassSLOOK[name]) / float64(arrived)
 		okSum += m.ClassSLOOK[name]
 		arrSum += arrived
-		fracs = append(fracs, frac)
-		if worst == "" || frac < worstAttain {
+		if frac := m.ClassAttainment(name); worst == "" || frac < worstAttain {
 			worst, worstAttain = name, frac
 		}
 	}
 	if arrSum > 0 {
 		agg = float64(okSum) / float64(arrSum)
 	}
-	return agg, worst, worstAttain, stats.Jain(fracs)
+	return agg, worst, worstAttain
 }

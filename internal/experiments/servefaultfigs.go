@@ -89,36 +89,16 @@ func runFigServeFault(o Options) (Result, error) {
 	}
 
 	// Three policies on the serving backend: the uncontrolled baseline,
-	// the paper's POLCA with the drop-only serving engine, and POLCA
-	// hardened with the full degradation ladder — the PR 3 controller
-	// hardening plus serve-mode failover, class shedding, circuit
-	// breaking, and watchdog drain.
-	type policy struct {
-		name string
-		spec func(s rowSpec) rowSpec
-	}
-	policies := []policy{
-		{"No-cap", func(s rowSpec) rowSpec { s.policy = "nocap"; return s }},
-		{"POLCA", func(s rowSpec) rowSpec { s.policy = "polca"; return s }},
-		{"POLCA-hardened", func(s rowSpec) rowSpec {
-			s.policy = "polca"
-			s.guard = true
-			s.watchdog = 5
-			s.retryBudget = 8
-			s.retryBackoff = 4 * time.Second
-			s.dropStale = true
-			s.serveRetries = 3
-			s.serveClassShed = true
-			s.serveCircuit = 10
-			s.wdDrain = true
-			return s
-		}},
-	}
+	// the paper's POLCA with the drop-only serving engine, and POLCA under
+	// the hardened profile: the controller hardening plus serve-mode
+	// failover, class shedding, circuit breaking, and watchdog drain.
+	policies := []rowSpec{{policy: "nocap"}, {policy: "polca"}, {policy: "polca", hardened: true}}
 
 	specs := make([]rowSpec, 0, len(policies)*len(scenarios))
 	for _, p := range policies {
 		for _, sc := range scenarios {
-			s := p.spec(rowSpec{added: 0.30, intensity: 1, days: o.SweepDays, serveRouter: "least-queue"})
+			s := p
+			s.added, s.intensity, s.days, s.serveRouter = 0.30, 1, o.SweepDays, "least-queue"
 			s.faults = sc.Spec.String()
 			specs = append(specs, s)
 		}
@@ -132,7 +112,7 @@ func runFigServeFault(o Options) (Result, error) {
 	for pi, p := range policies {
 		for si, sc := range scenarios {
 			m := ms[pi*len(scenarios)+si]
-			rows = append(rows, serveFaultRow(sc.Name, p.name, m))
+			rows = append(rows, serveFaultRow(sc.Name, p.name(), m))
 		}
 	}
 
@@ -160,30 +140,23 @@ func runFigServeFault(o Options) (Result, error) {
 
 // serveFaultRow distills one serve-mode chaos run into a table row.
 func serveFaultRow(scenario, policy string, m *cluster.Metrics) FigServeFaultRow {
-	arrived, sheds := 0, 0
+	arrived := 0
 	for _, v := range m.ClassArrived {
 		arrived += v
 	}
-	for _, v := range m.ClassShed {
-		sheds += v
-	}
 	completed := m.Completed[workload.Low] + m.Completed[workload.High]
-	chatFrac := 0.0
-	if a := m.ClassArrived["chat"]; a > 0 {
-		chatFrac = float64(m.ClassSLOOK["chat"]) / float64(a)
-	}
 	goodput := 0.0
 	if arrived > 0 {
 		goodput = float64(completed) / float64(arrived)
 	}
-	bound := (m.Config.BrakeLatency + m.Config.BrakeHold + 2*m.Config.TelemetryInterval).Seconds()
+	bound := m.Config.BrakeSafetyBound().Seconds()
 	breach := m.Util.LongestRunAbove(m.Config.BrakeUtil).Seconds()
 	return FigServeFaultRow{
 		Scenario: scenario, Policy: policy,
 		Arrived: arrived, Completed: completed,
-		GoodputFrac: goodput, ChatSLOFrac: chatFrac,
+		GoodputFrac: goodput, ChatSLOFrac: m.ClassAttainment("chat"),
 		Retries: m.ServeRetries, RetryExhausted: m.ServeRetryExhausted,
-		ClassSheds: sheds, CircuitOpens: m.CircuitOpens,
+		ClassSheds: m.ClassSheds(), CircuitOpens: m.CircuitOpens,
 		NodeDrains: m.NodeDrains, NodeDeaths: m.NodeDeaths,
 		Watchdog:         m.WatchdogEngagements,
 		MaxBreachSeconds: breach, BoundSeconds: bound,

@@ -399,25 +399,6 @@ func (o *Observer) Histogram(name string, bounds []float64) *Histogram {
 	return o.Metrics.Histogram(MergeLabels(name, o.Labels), bounds)
 }
 
-// WithLabels returns a derived observer sharing this observer's tracer and
-// registry with additional label pairs appended. kv alternates keys and
-// values; values are escaped.
-func (o *Observer) WithLabels(kv ...string) *Observer {
-	if o == nil {
-		return nil
-	}
-	labels := o.Labels
-	for i := 0; i+1 < len(kv); i += 2 {
-		l := Label(kv[i], kv[i+1])
-		if labels == "" {
-			labels = l
-		} else {
-			labels += "," + l
-		}
-	}
-	return &Observer{Tracer: o.Tracer, Metrics: o.Metrics, Spans: o.Spans, Labels: labels, DB: o.DB, Rules: o.Rules, Decisions: o.Decisions}
-}
-
 // MetricsOnly returns a derived observer with the event and span tracers
 // — and the TSDB and rules engine — dropped: the sweep executor attaches
 // it to row engines so grid points contribute metrics without flooding

@@ -59,7 +59,7 @@ func TestNilSafety(t *testing.T) {
 	var o *Observer
 	o.Emit(Event{})
 	if o.Trace() != nil || o.Counter("x") != nil || o.Gauge("x") != nil ||
-		o.Histogram("x", nil) != nil || o.WithLabels("a", "b") != nil || o.MetricsOnly() != nil {
+		o.Histogram("x", nil) != nil || o.MetricsOnly() != nil {
 		t.Fatal("nil observer should stay nil through derivation")
 	}
 }
@@ -315,14 +315,10 @@ func TestMergeLabelsAndLabel(t *testing.T) {
 func TestObserverLabelScoping(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer()
-	o := &Observer{Tracer: tr, Metrics: reg}
-	po := o.WithLabels("policy", "polca")
+	po := &Observer{Tracer: tr, Metrics: reg, Labels: Label("policy", "polca")}
 	po.Counter("row_lock_commands_total").Add(3)
 	if got := reg.Counter(`row_lock_commands_total{policy="polca"}`).Value(); got != 3 {
 		t.Fatalf("labeled counter = %d, want 3", got)
-	}
-	if po.Trace() != tr {
-		t.Fatal("WithLabels should share the tracer")
 	}
 	mo := po.MetricsOnly()
 	if mo.Trace() != nil {

@@ -12,7 +12,9 @@ import (
 
 // GuardConfig parameterizes the telemetry validity layer. Utilization
 // values are fractions of the row's provisioned power, counts are in
-// telemetry ticks (2 s in the production configuration).
+// telemetry ticks (2 s in the production configuration). It converts to
+// and from obs.GuardSpec, the decision-log header's form, so the two
+// types must keep the same fields in the same order.
 type GuardConfig struct {
 	// Window is the length of the median filter applied to raw readings
 	// before they reach the wrapped policy. Single-tick spikes within the

@@ -42,16 +42,8 @@ func (g *Guard) Stage() int {
 func DescribeController(ctrl cluster.Controller) (obs.PolicySpec, *obs.GuardSpec, error) {
 	var gs *obs.GuardSpec
 	if g, ok := ctrl.(*Guard); ok {
-		cfg := g.cfg
-		gs = &obs.GuardSpec{
-			Window:        cfg.Window,
-			StuckAfter:    cfg.StuckAfter,
-			StuckMinUtil:  cfg.StuckMinUtil,
-			FailSafeAfter: cfg.FailSafeAfter,
-			MaxStep:       cfg.MaxStep,
-			FailSafeLPMHz: cfg.FailSafeLPMHz,
-			FailSafeHPMHz: cfg.FailSafeHPMHz,
-		}
+		spec := obs.GuardSpec(g.cfg)
+		gs = &spec
 		ctrl = g.inner
 	}
 	switch c := ctrl.(type) {
@@ -86,15 +78,7 @@ func Guarded(ctrl cluster.Controller, guard *obs.GuardSpec) (cluster.Controller,
 	if guard == nil {
 		return ctrl, nil
 	}
-	cfg := GuardConfig{
-		Window:        guard.Window,
-		StuckAfter:    guard.StuckAfter,
-		StuckMinUtil:  guard.StuckMinUtil,
-		FailSafeAfter: guard.FailSafeAfter,
-		MaxStep:       guard.MaxStep,
-		FailSafeLPMHz: guard.FailSafeLPMHz,
-		FailSafeHPMHz: guard.FailSafeHPMHz,
-	}
+	cfg := GuardConfig(*guard)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

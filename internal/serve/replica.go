@@ -299,9 +299,6 @@ func NewReplica(eng *sim.Engine, cfg Config, dev *gpu.Device, idx int, pool int8
 	return r, nil
 }
 
-// Config returns the replica's resolved configuration.
-func (r *Replica) Config() Config { return r.cfg }
-
 // Stats returns a snapshot of the scheduler counters. Reading the counters
 // settles any in-flight coalesced span first (settlement at any instant
 // leaves the future trajectory unchanged), so the snapshot is exactly what

@@ -76,11 +76,6 @@ type Config struct {
 	Router string
 }
 
-// DefaultConfig returns the standard serving configuration for a model.
-func DefaultConfig(m llm.Model, dt llm.DType) Config {
-	return Config{Model: m, DType: dt}.WithDefaults()
-}
-
 // WithDefaults fills zero fields with their documented defaults.
 func (c Config) WithDefaults() Config {
 	if c.TensorParallel == 0 {

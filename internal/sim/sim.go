@@ -132,9 +132,6 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 // Observer returns the observer attached with SetObserver, or nil.
 func (e *Engine) Observer() *obs.Observer { return e.obs }
 
-// Seed returns the engine's root seed.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Rand returns a deterministic random stream derived from the engine seed
 // and the given name. Distinct names yield independent streams; calling
 // Rand twice with the same name returns streams with identical sequences,

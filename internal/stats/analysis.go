@@ -2,9 +2,6 @@ package stats
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"strings"
 	"time"
 )
 
@@ -29,114 +26,4 @@ func (s Series) Autocorrelation(lag time.Duration) (float64, error) {
 	}
 	k := int((lag + s.Step/2) / s.Step)
 	return Autocorrelation(s.Values, k)
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Min    float64
-	Width  float64
-	Counts []int
-	N      int
-	// Underflow/Overflow count samples outside [Min, Min+Width*len(Counts)).
-	Underflow, Overflow int
-}
-
-// NewHistogram bins xs into the given number of equal-width bins spanning
-// [min, max] of the data. It panics on a non-positive bin count and
-// returns a zero histogram for empty input.
-func NewHistogram(xs []float64, bins int) Histogram {
-	if bins <= 0 {
-		panic("stats: non-positive bin count")
-	}
-	if len(xs) == 0 {
-		return Histogram{Counts: make([]int, bins)}
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	h := Histogram{
-		Min:    lo,
-		Width:  (hi - lo) / float64(bins),
-		Counts: make([]int, bins),
-	}
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		i := int((x - lo) / h.Width)
-		switch {
-		case i < 0:
-			h.Underflow++
-		case i >= bins:
-			// The max lands exactly on the upper edge; fold it into the
-			// last bin.
-			if x <= hi {
-				h.Counts[bins-1]++
-				h.N++
-			} else {
-				h.Overflow++
-			}
-		default:
-			h.Counts[i]++
-			h.N++
-		}
-	}
-	return h
-}
-
-// Mode returns the midpoint of the most populated bin.
-func (h Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.Min + (float64(best)+0.5)*h.Width
-}
-
-// CDFAt returns the empirical cumulative fraction of samples at or below x.
-func (h Histogram) CDFAt(x float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	var cum int
-	for i, c := range h.Counts {
-		upper := h.Min + float64(i+1)*h.Width
-		if x >= upper {
-			cum += c
-			continue
-		}
-		// Partial bin: linear interpolation within the bin.
-		lower := h.Min + float64(i)*h.Width
-		if x > lower {
-			cum += int(float64(c) * (x - lower) / h.Width)
-		}
-		break
-	}
-	return float64(cum) / float64(h.N)
-}
-
-// Render draws the histogram as horizontal bars of at most width cells.
-func (h Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	if maxC == 0 {
-		return "(empty histogram)\n"
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := strings.Repeat("█", c*width/maxC)
-		fmt.Fprintf(&b, "%8.3f..%8.3f │%-*s %d\n",
-			h.Min+float64(i)*h.Width, h.Min+float64(i+1)*h.Width, width, bar, c)
-	}
-	return b.String()
 }

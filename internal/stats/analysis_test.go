@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -42,61 +41,4 @@ func TestSeriesAutocorrelation(t *testing.T) {
 	if _, err := (Series{}).Autocorrelation(time.Second); err == nil {
 		t.Error("series without step should error")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.5, 0.5, 0.55, 0.6, 1.0}
-	h := NewHistogram(xs, 4)
-	if h.N != len(xs) {
-		t.Errorf("N = %d", h.N)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Errorf("counts sum to %d", total)
-	}
-	// Mode bin contains the two 0.5 samples (plus 0.6).
-	if m := h.Mode(); m < 0.5 || m > 0.75 {
-		t.Errorf("mode = %v", m)
-	}
-	// CDF is monotone from 0 to 1.
-	prev := -1.0
-	for x := -0.5; x <= 1.5; x += 0.1 {
-		c := h.CDFAt(x)
-		if c < prev-1e-9 || c < 0 || c > 1 {
-			t.Fatalf("CDF not monotone at %v: %v after %v", x, c, prev)
-		}
-		prev = c
-	}
-	if h.CDFAt(2) != 1 {
-		t.Errorf("CDF(2) = %v", h.CDFAt(2))
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "█") {
-		t.Error("render missing bars")
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	if h := NewHistogram(nil, 3); h.N != 0 {
-		t.Error("empty histogram")
-	}
-	// Constant data occupies one bin.
-	h := NewHistogram([]float64{5, 5, 5}, 4)
-	if h.N != 3 {
-		t.Errorf("constant N = %d", h.N)
-	}
-	// NaN samples are skipped.
-	h = NewHistogram([]float64{1, math.NaN(), 2}, 2)
-	if h.N != 2 {
-		t.Errorf("NaN not skipped: N = %d", h.N)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero bins should panic")
-		}
-	}()
-	NewHistogram([]float64{1}, 0)
 }

@@ -171,38 +171,6 @@ func Normalize(xs []float64, denom float64) []float64 {
 	return out
 }
 
-// Describe summarizes a sample.
-type Describe struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Describe for xs. Empty input yields a zero Describe.
-func Summarize(xs []float64) Describe {
-	if len(xs) == 0 {
-		return Describe{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Describe{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    sorted[0],
-		P50:    PercentileSorted(sorted, 50),
-		P95:    PercentileSorted(sorted, 95),
-		P99:    PercentileSorted(sorted, 99),
-		Max:    sorted[len(sorted)-1],
-	}
-}
-
 // Jain returns Jain's fairness index of the values: (Σx)² / (n·Σx²),
 // ranging from 1/n (one value holds everything) to 1 (perfect equality).
 // The scenario reports apply it to per-class SLO attainment, so a policy

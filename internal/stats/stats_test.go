@@ -184,13 +184,3 @@ func TestNormalize(t *testing.T) {
 	}()
 	Normalize([]float64{1}, 0)
 }
-
-func TestSummarize(t *testing.T) {
-	d := Summarize([]float64{1, 2, 3, 4, 5})
-	if d.N != 5 || d.Min != 1 || d.Max != 5 || d.P50 != 3 {
-		t.Errorf("Summarize = %+v", d)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("Summarize(nil) = %+v", z)
-	}
-}
