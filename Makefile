@@ -87,8 +87,8 @@ BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
 comma := ,
 BENCH_REQUIRE = $(subst |,$(comma),$(BENCH_SUBSTRATE)|BenchmarkScanJSONL|$(patsubst ^(%)$$,%,$(BENCH_E2E)))
-# The engine's periodic-timer dispatch, the serving replica's iteration
-# loop and decode-span planner, and the telemetry ingest, rule-evaluation,
+# The engine's periodic-timer and sampler dispatch, the serving replica's
+# iteration loop and decode-span planner, and the telemetry ingest, rule-evaluation,
 # failover-requeue, scenario request-generation, and decision-input
 # recording ticks run inside the simulator's hot loop; -zero-alloc
 # hard-fails the build the moment any of them allocates, with no baseline

@@ -87,13 +87,15 @@ func BenchmarkEngineEvents(b *testing.B) {
 }
 
 // BenchmarkEnginePeriodic measures dispatch under a row's event mix: the
-// row manager's two periodic timers (the 0.25 s telemetry sub-sample and
-// the 2 s control tick) beside 16 one-shot timers that re-arm themselves
-// like the servers' phase timers. One op is one dispatched event.
+// row manager's 0.25 s telemetry sub-sample, a sampler, and its 2 s
+// control tick, a periodic timer, beside 16 one-shot timers that re-arm
+// themselves like the servers' phase timers. It runs the engine the way a
+// row does, through RunUntil, one simulated second at a time; one op is
+// one dispatched event, a sample included.
 func BenchmarkEnginePeriodic(b *testing.B) {
 	eng := sim.New(1)
 	nop := func(sim.Time) {}
-	eng.Every(250*time.Millisecond, nop)
+	eng.SampleFrom(250*time.Millisecond, 250*time.Millisecond, nop)
 	eng.Every(2*time.Second, nop)
 	for i := 0; i < 16; i++ {
 		d := time.Duration(500+311*i) * time.Millisecond
@@ -103,8 +105,8 @@ func BenchmarkEnginePeriodic(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
+	for eng.Dispatched() < uint64(b.N) {
+		eng.RunUntil(eng.Now() + time.Second)
 	}
 }
 

@@ -333,14 +333,31 @@ func (c RowConfig) Shape() trace.ClusterShape {
 
 // ProductionArrivals is the §6.4 arrival recipe every trace-fitted row
 // runs on: a production reference power trace over the horizon, drawn from
-// rng, fitted on 5-minute buckets to the rate plan that reproduces it on
-// this row's shape at PowerIntensity 1 (operators sized the row on the
-// profiled workload, before it drifted), then scaled by 1+AddedFraction
-// for the servers added under the same budget.
+// rng, fitted by FitProductionArrivals.
 func ProductionArrivals(c RowConfig, horizon time.Duration, rng *rand.Rand) (trace.RatePlan, error) {
+	return FitProductionArrivals(c, ProductionReference(horizon, rng))
+}
+
+// fitBucket is the bucket the production reference is fitted on.
+const fitBucket = 5 * time.Minute
+
+// ProductionReference draws the production reference power trace over the
+// horizon from rng and averages it to the fit's 5-minute buckets, the only
+// resolution FitProductionArrivals reads. Rows that share a seed and
+// horizon can share the series.
+func ProductionReference(horizon time.Duration, rng *rand.Rand) stats.Series {
+	return trace.ProductionInference().Reference(horizon, rng).Downsample(fitBucket)
+}
+
+// FitProductionArrivals fits a ProductionReference series on 5-minute
+// buckets to the rate plan that reproduces it on this row's shape at
+// PowerIntensity 1 (operators sized the row on the profiled workload,
+// before it drifted), then scales the plan by 1+AddedFraction for the
+// servers added under the same budget. A series at a finer step fits to
+// the same plan, since the fit averages it to the bucket first.
+func FitProductionArrivals(c RowConfig, ref stats.Series) (trace.RatePlan, error) {
 	c.PowerIntensity = 1
-	ref := trace.ProductionInference().Reference(horizon, rng)
-	plan, err := trace.FitArrivals(ref, c.Shape(), 5*time.Minute)
+	plan, err := trace.FitArrivals(ref, c.Shape(), fitBucket)
 	if err != nil {
 		return trace.RatePlan{}, err
 	}
@@ -860,8 +877,11 @@ func NewRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) (*Row, error) {
 	})
 	var err error
 	if cfg.Serve == nil {
-		r.be = newSlotBackend(r, svc)
-	} else if r.be, err = newServeBackend(r); err != nil {
+		r.be, err = newSlotBackend(r, svc)
+	} else {
+		r.be, err = newServeBackend(r)
+	}
+	if err != nil {
 		return nil, err
 	}
 	r.initTSDB(o)
@@ -880,9 +900,6 @@ func MustRow(eng *sim.Engine, cfg RowConfig, ctrl Controller) *Row {
 
 // Metrics returns the run's metrics (live; read after the run completes).
 func (r *Row) Metrics() *Metrics { return r.metrics }
-
-// PoolSize returns the number of servers in a priority pool.
-func (r *Row) PoolSize(p workload.Priority) int { return len(r.pools[p]) }
 
 // Observer implements Actuator.
 func (r *Row) Observer() *obs.Observer { return r.obs }
@@ -983,13 +1000,14 @@ func (r *Row) run(horizon time.Duration) *Metrics {
 // startTelemetry arms the row manager: sub-interval power accumulation
 // (the row manager reports interval means, not instantaneous values, which
 // is what smooths sub-second prompt spikes out of row readings) and the
-// 2 s telemetry/control tick.
+// 2 s telemetry/control tick. A sub-sample only reads the row, so it runs
+// as an engine sampler.
 func (r *Row) startTelemetry() {
 	subStep := r.cfg.TelemetryInterval / 8
 	if subStep <= 0 {
 		subStep = r.cfg.TelemetryInterval
 	}
-	r.telemetrySub = r.eng.EveryFrom(r.eng.Now()+subStep, subStep, func(now sim.Time) {
+	r.telemetrySub = r.eng.SampleFrom(r.eng.Now()+subStep, subStep, func(now sim.Time) {
 		r.powerSum += r.instantUtilization(now)
 		r.powerSamples++
 	})

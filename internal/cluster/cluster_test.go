@@ -197,7 +197,7 @@ func TestOOBPipelineLatency(t *testing.T) {
 			t.Fatalf("high-priority lock = %v, want 0", l)
 		}
 	}
-	if met.LockCommands < row.PoolSize(workload.Low) {
+	if met.LockCommands < len(row.PoolAppliedLocks(workload.Low)) {
 		t.Errorf("lock commands = %d, want at least one per LP server", met.LockCommands)
 	}
 	if met.FailedCommands != 0 {
@@ -344,9 +344,9 @@ func TestPoolSizes(t *testing.T) {
 	cfg.LowPriorityFraction = 0.25
 	eng := sim.New(1)
 	row := cluster.MustRow(eng, cfg, &recordingCtrl{})
-	if row.PoolSize(workload.Low) != 2 || row.PoolSize(workload.High) != 6 {
-		t.Errorf("pool sizes = %d/%d, want 2/6",
-			row.PoolSize(workload.Low), row.PoolSize(workload.High))
+	lp, hp := len(row.PoolAppliedLocks(workload.Low)), len(row.PoolAppliedLocks(workload.High))
+	if lp != 2 || hp != 6 {
+		t.Errorf("pool sizes = %d/%d, want 2/6", lp, hp)
 	}
 }
 

@@ -185,8 +185,8 @@ func TestEmptyPoolHoldsDesiredLock(t *testing.T) {
 		eng := sim.New(cfg.Seed)
 		eng.SetObserver(&obs.Observer{Decisions: rec, Tracer: tr})
 		row := cluster.MustRow(eng, cfg, ctrl)
-		if row.PoolSize(empty) != 0 {
-			t.Fatalf("lp=%v: %v pool has %d servers, want 0", lp, empty, row.PoolSize(empty))
+		if n := len(row.PoolAppliedLocks(empty)); n != 0 {
+			t.Fatalf("lp=%v: %v pool has %d servers, want 0", lp, empty, n)
 		}
 		row.Run(flatPlan(cfg, 0.5, 5*time.Minute))
 		decs, _ := rec.Decisions()

@@ -28,6 +28,9 @@ type slotBackend struct {
 	// svcAtLock caches each pool's mean service time per applied lock MHz.
 	svcEffSec float64
 	svcAtLock [2]map[float64]float64
+	// cost is the row model's plan, folded once; start sizes each request
+	// through it.
+	cost plan.InferenceCost
 }
 
 // admitGate is a pool's admission limit as computed in one arrival-plan
@@ -57,18 +60,23 @@ type activeReq struct {
 
 // newSlotBackend builds the slot model; svc is each pool's mean service
 // time at full clocks, which seeds the service-time cache.
-func newSlotBackend(r *Row, svc [2]float64) *slotBackend {
+func newSlotBackend(r *Row, svc [2]float64) (*slotBackend, error) {
+	cost, err := plan.NewInferenceCost(plan.InferenceConfig{Model: r.cfg.Model, DType: r.cfg.DType})
+	if err != nil {
+		return nil, err
+	}
 	s := &slotBackend{
 		Row:       r,
 		active:    make([]*activeReq, len(r.nodes)),
 		reqs:      make([]activeReq, len(r.nodes)),
 		svcEffSec: r.cfg.Shape().MeanServiceSec,
 		svcAtLock: [2]map[float64]float64{{0: svc[0]}, {0: svc[1]}},
+		cost:      cost,
 	}
 	for i, n := range r.nodes {
 		s.reqs[i].done = func(t sim.Time) { s.phaseDone(n, t) }
 	}
-	return s
+	return s, nil
 }
 
 // The slot model has no watchdog drain, no TSDB series of its own (tick
@@ -216,19 +224,13 @@ func (s *slotBackend) admit(p workload.Priority, now sim.Time) {
 
 // start begins serving a request on a node.
 func (s *slotBackend) start(n *node, now sim.Time, req workload.Request) {
-	p, err := plan.NewInference(plan.InferenceConfig{
-		Model:        s.cfg.Model,
-		DType:        s.cfg.DType,
-		BatchSize:    1,
-		InputTokens:  req.Input,
-		OutputTokens: req.Output,
-	})
+	a := &s.reqs[n.idx]
+	phases, err := s.cost.AppendPhases(a.phases[:0], 1, req.Input, req.Output)
 	if err != nil {
 		panic(err) // sizes come from validated classes
 	}
-	a := &s.reqs[n.idx]
 	a.req, a.started = req, now
-	a.remaining = p.AppendPhases(a.phases[:0])
+	a.remaining = phases
 	if f := s.inj.SlowFactor(n.idx); f > 1 {
 		// Straggler: the node takes f× the work per request (same power
 		// profile, stretched), like a host with a failing NVLink or thermal

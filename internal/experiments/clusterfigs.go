@@ -177,7 +177,7 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		}
 		return row.RunRequests(reqs, horizon), nil
 	}
-	plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("ref"))
+	plan, err := productionArrivals(cfg, o.Seed, horizon)
 	if err != nil {
 		return nil, err
 	}

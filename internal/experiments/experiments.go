@@ -33,11 +33,11 @@ type Options struct {
 	Quick bool
 	// Parallel bounds how many row simulations run concurrently across a
 	// Run or RunAll pass, however many experiments and sweeps are in
-	// flight; RunAll also runs at most Parallel experiments at once. 0
-	// means GOMAXPROCS; 1 runs one simulation at a time, each sweep's in
-	// spec order. Results are identical at any setting: every simulation
-	// owns a private sim.Engine seeded from Seed, and sweeps assemble their
-	// outputs in spec order.
+	// flight; RunAll also runs at most Parallel experiments at once,
+	// started in registration order. 0 means GOMAXPROCS; 1 runs one
+	// experiment and one simulation at a time, in order. Results are
+	// identical at any setting: every simulation owns a private sim.Engine
+	// seeded from Seed, and sweeps assemble their outputs in spec order.
 	Parallel int
 
 	// Obs, when non-nil, receives sweep-level events (grid.start/grid.done)
@@ -174,16 +174,20 @@ func Run(id string, o Options) (Result, error) {
 	return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
+// runExperiment is the call RunAll makes per experiment; tests wrap it to
+// see the order experiments start in.
+var runExperiment = Run
+
 // RunAll executes every registered experiment, streaming rendered results
 // to w in registration (paper) order, and returns the structured results.
 //
-// Experiments run concurrently, at most o.Parallel at a time, and their
-// row simulations share the pass's o.Parallel tokens; artifacts that share
-// row simulations (fig17/fig18) deduplicate through the singleflight
-// simulation cache, so no spec is simulated twice. The stream and the
-// returned results are byte-identical to a serial run. On error the
-// results completed before the failing artifact are returned; experiments
-// already in flight finish in the background.
+// Experiments run concurrently, at most o.Parallel at a time, started in
+// registration order, and their row simulations share the pass's
+// o.Parallel tokens; artifacts that share row simulations (fig17/fig18)
+// deduplicate through the singleflight simulation cache, so no spec is
+// simulated twice. The stream and the returned results are byte-identical
+// to a serial run. On error the results completed before the failing
+// artifact are returned; the workers finish the queue in the background.
 func RunAll(o Options, w io.Writer) ([]Result, error) {
 	o = o.normalize()
 	workers := o.workers()
@@ -196,16 +200,20 @@ func RunAll(o Options, w io.Writer) ([]Result, error) {
 		done chan struct{}
 	}
 	slots := make([]*slot, len(registry))
-	sem := make(chan struct{}, workers)
+	queue := make(chan int, len(registry))
 	for i := range registry {
-		s := &slot{done: make(chan struct{})}
-		slots[i] = s
-		go func(id string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s.res, s.err = Run(id, o)
-			close(s.done)
-		}(registry[i].id)
+		slots[i] = &slot{done: make(chan struct{})}
+		queue <- i
+	}
+	close(queue)
+	for k := 0; k < workers; k++ {
+		go func() {
+			for i := range queue {
+				s := slots[i]
+				s.res, s.err = runExperiment(registry[i].id, o)
+				close(s.done)
+			}
+		}()
 	}
 	var out []Result
 	for _, s := range slots {

@@ -8,6 +8,9 @@ import (
 	"polca/internal/cluster"
 	"polca/internal/obs"
 	"polca/internal/polca"
+	"polca/internal/sim"
+	"polca/internal/stats"
+	"polca/internal/trace"
 )
 
 // evalCall is one in-flight or completed row simulation. Callers wait on
@@ -25,12 +28,43 @@ var (
 	evalCache = map[string]*evalCall{}
 )
 
-// resetEvalCache drops all cached simulations; tests use it to force a
-// cold-cache comparison between serial and parallel execution.
+// refKey names one production reference series: sweep rows at one seed
+// and horizon fit their arrivals to the same one.
+type refKey struct {
+	seed    int64
+	horizon time.Duration
+}
+
+var (
+	refMu    sync.Mutex
+	refCache = map[refKey]stats.Series{}
+)
+
+// resetEvalCache drops all cached simulations and reference series; tests
+// use it to force a cold-cache comparison between serial and parallel
+// execution.
 func resetEvalCache() {
 	evalMu.Lock()
 	evalCache = map[string]*evalCall{}
 	evalMu.Unlock()
+	refMu.Lock()
+	refCache = map[refKey]stats.Series{}
+	refMu.Unlock()
+}
+
+// productionArrivals is cluster.ProductionArrivals on the engine stream
+// Rand("ref") of seed, with the reference series drawn once per (seed,
+// horizon) and shared: at the fit's 5-minute buckets a day is 288 values.
+func productionArrivals(cfg cluster.RowConfig, seed int64, horizon time.Duration) (trace.RatePlan, error) {
+	k := refKey{seed, horizon}
+	refMu.Lock()
+	ref, ok := refCache[k]
+	if !ok {
+		ref = cluster.ProductionReference(horizon, sim.New(seed).Rand("ref"))
+		refCache[k] = ref
+	}
+	refMu.Unlock()
+	return cluster.FitProductionArrivals(cfg, ref)
 }
 
 // specLabel names a grid point for progress tracking and grid events. It

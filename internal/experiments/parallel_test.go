@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,10 +82,11 @@ func TestSimulateRowsDedup(t *testing.T) {
 // polca-experiments -out writes them, so a change that moves one bit of
 // any quick-pass output fails here. The other passes must match it, stream
 // and structured results. Every pass must keep at most Parallel row
-// simulations in flight, and the one-worker pass must report no grid label
-// twice unless the second report is a cache hit: a label two distinct rows
-// share hides one of them from the -v log and /progress. After an
-// intentional output change, regenerate with
+// simulations in flight, and the one-worker pass must start the
+// experiments in registration order and report no grid label twice unless
+// the second report is a cache hit: a label two distinct rows share hides
+// one of them from the -v log and /progress. After an intentional output
+// change, regenerate with
 //
 //	go test ./internal/experiments -run TestRunAllParallelMatchesSerial -update
 func TestRunAllParallelMatchesSerial(t *testing.T) {
@@ -94,9 +96,11 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	var serial []Result
 	var serialStream string
 	peak := countSimulations(t)
+	started := recordStarts(t)
 	for _, workers := range []int{1, 2, 4} {
 		resetEvalCache()
 		peak.Store(0)
+		started.ids = nil
 		o := QuickOptions()
 		o.Parallel = workers
 		var mu sync.Mutex
@@ -122,6 +126,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 			t.Errorf("parallel %d: %d row simulations in flight at once", workers, got)
 		}
 		if workers == 1 {
+			if want := IDs(); !reflect.DeepEqual(started.ids, want) {
+				t.Errorf("one worker started experiments in order %v, want registration order %v", started.ids, want)
+			}
 			for _, label := range reports {
 				t.Errorf("grid label %q reported twice without a cache hit", label)
 			}
@@ -144,6 +151,28 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 			t.Errorf("parallel %d: RunAll stream not byte-identical to serial", workers)
 		}
 	}
+}
+
+// starts is the experiment IDs RunAll has started, in order.
+type starts struct {
+	mu  sync.Mutex
+	ids []string
+}
+
+// recordStarts wraps runExperiment for the rest of the test and records
+// the experiments RunAll starts.
+func recordStarts(t *testing.T) *starts {
+	t.Helper()
+	s := &starts{}
+	run := runExperiment
+	runExperiment = func(id string, o Options) (Result, error) {
+		s.mu.Lock()
+		s.ids = append(s.ids, id)
+		s.mu.Unlock()
+		return run(id, o)
+	}
+	t.Cleanup(func() { runExperiment = run })
+	return s
 }
 
 // countSimulations wraps runRow for the rest of the test and returns the

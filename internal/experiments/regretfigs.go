@@ -107,7 +107,7 @@ func runFigRegret(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	plan, err := cluster.ProductionArrivals(cfg, horizon, eng.Rand("ref"))
+	plan, err := productionArrivals(cfg, o.Seed, horizon)
 	if err != nil {
 		return Result{}, err
 	}

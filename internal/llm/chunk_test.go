@@ -67,13 +67,13 @@ func TestPrefillChunkMatchesPromptFLOPs(t *testing.T) {
 	bloom := MustByName("BLOOM-176B") // KVHeads == 0: full multi-head KV
 	bloomCost := bloom.IterCost(FP16)
 	for _, n := range []int{1, 400, 2048} {
-		if got, want := bloomCost.PrefillChunkFLOPs(n, 0), bloom.PromptFLOPs(1, n); !relClose(got, want) {
+		if got, want := bloomCost.PrefillChunkFLOPs(n, 0), bloomCost.PromptFLOPs(1, n); !relClose(got, want) {
 			t.Errorf("BLOOM chunk(%d, 0) = %g, PromptFLOPs = %g", n, got, want)
 		}
 	}
 	gqa := MustByName("Llama2-70B") // KVHeads 8 of 64
 	gqaCost := gqa.IterCost(FP16)
-	if got, want := gqaCost.PrefillChunkFLOPs(2048, 0), gqa.PromptFLOPs(1, 2048); got > want {
+	if got, want := gqaCost.PrefillChunkFLOPs(2048, 0), gqaCost.PromptFLOPs(1, 2048); got > want {
 		t.Errorf("Llama2-70B chunk attention %g exceeds full multi-head prompt cost %g", got, want)
 	}
 }

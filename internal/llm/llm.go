@@ -186,83 +186,92 @@ func (m Model) KVBytesPerToken(dt DType) float64 {
 	return 2 * float64(m.Layers) * kvWidth * dt.Bytes()
 }
 
+// IterCost is a model's inference cost at one datatype. It holds the
+// model constants the cost formulas multiply by, folded once: a
+// continuous-batching scheduler prices every sequence of every iteration
+// through it, and the slot model's plan every request, and so neither
+// copies the Model nor rebuilds the constants per call. Each folded
+// constant is a prefix of its formula's left-to-right evaluation, so
+// folding moves no bits.
+type IterCost struct {
+	twoParams    float64 // 2·Params: linear FLOPs per token
+	twoLayers    float64 // 2·Layers: prompt attention
+	fourLayers   float64 // 4·Layers: token-step attention
+	fourLH       float64 // 4·Layers·Hidden: attention FLOPs per (query, key) pair at full KV width
+	hidden       float64 // model dimension
+	kvHeads      float64 // effective KV heads
+	heads        float64 // attention heads
+	actBytes     float64 // 12·Layers·Hidden·Bytes: activation traffic per token
+	kvBytesPerT  float64 // KVBytesPerToken
+	weightStream float64 // WeightBytes·MemAmplification: weight traffic per pass
+}
+
+// IterCost folds the model's cost constants at datatype dt.
+func (m Model) IterCost(dt DType) IterCost {
+	return IterCost{
+		twoParams:    2 * float64(m.Params),
+		twoLayers:    2 * float64(m.Layers),
+		fourLayers:   4 * float64(m.Layers),
+		fourLH:       4 * float64(m.Layers) * float64(m.Hidden),
+		hidden:       float64(m.Hidden),
+		kvHeads:      float64(m.kvHeads()),
+		heads:        float64(m.Heads),
+		actBytes:     12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes(),
+		kvBytesPerT:  m.KVBytesPerToken(dt),
+		weightStream: m.WeightBytes(dt) * dt.MemAmplification(),
+	}
+}
+
 // PromptFLOPs returns the total floating-point work of processing a prompt
 // of inputLen tokens at the given batch size: the standard 2·params
 // per-token matmul cost plus the quadratic attention-score term
 // (2·2·layers·inputLen²·hidden per sequence, causal-masked halving folded
 // into the constant).
-func (m Model) PromptFLOPs(batch, inputLen int) float64 {
+func (c *IterCost) PromptFLOPs(batch, inputLen int) float64 {
 	if batch <= 0 || inputLen <= 0 {
 		return 0
 	}
 	tokens := float64(batch) * float64(inputLen)
-	linear := 2 * float64(m.Params) * tokens
-	attn := 2 * float64(m.Layers) * float64(inputLen) * float64(m.Hidden) * tokens
+	linear := c.twoParams * tokens
+	attn := c.twoLayers * float64(inputLen) * c.hidden * tokens
 	return linear + attn
 }
 
 // TokenStepFLOPs returns the floating-point work of sampling one token for
 // each sequence in the batch, with kvLen tokens already in the KV cache:
 // 2·params per token plus attention against the cache.
-func (m Model) TokenStepFLOPs(batch, kvLen int) float64 {
+func (c *IterCost) TokenStepFLOPs(batch, kvLen int) float64 {
 	if batch <= 0 {
 		return 0
 	}
 	b := float64(batch)
-	linear := 2 * float64(m.Params) * b
-	attn := 4 * float64(m.Layers) * float64(kvLen) * float64(m.Hidden) * b * float64(m.kvHeads()) / float64(m.Heads)
+	linear := c.twoParams * b
+	attn := c.fourLayers * float64(kvLen) * c.hidden * b * c.kvHeads / c.heads
 	return linear + attn
 }
 
 // PromptBytes returns the HBM traffic of the prompt phase: weights are read
 // once (they are amortized across all input tokens) plus activation
 // traffic proportional to tokens.
-func (m Model) PromptBytes(dt DType, batch, inputLen int) float64 {
+func (c *IterCost) PromptBytes(batch, inputLen int) float64 {
 	if batch <= 0 || inputLen <= 0 {
 		return 0
 	}
 	tokens := float64(batch) * float64(inputLen)
-	activations := 12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes() * tokens
-	return m.WeightBytes(dt)*dt.MemAmplification() + activations
+	activations := c.actBytes * tokens
+	return c.weightStream + activations
 }
 
 // TokenStepBytes returns the HBM traffic of one token-sampling step: the
 // entire weight matrix is streamed once per step (this is what makes the
 // token phase memory-bandwidth bound) plus the KV cache read for every
 // sequence in the batch.
-func (m Model) TokenStepBytes(dt DType, batch, kvLen int) float64 {
+func (c *IterCost) TokenStepBytes(batch, kvLen int) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	kv := m.KVBytesPerToken(dt) * float64(kvLen) * float64(batch)
-	return m.WeightBytes(dt)*dt.MemAmplification() + kv
-}
-
-// IterCost is a model's per-iteration serving cost at one datatype. It
-// holds the model constants the cost formulas multiply by, folded once: a
-// continuous-batching scheduler prices every sequence of every iteration
-// through it, and so neither copies the Model nor rebuilds the constants
-// per call. Each method evaluates its float64 expression in the unfolded
-// formula's left-to-right order, so folding moves no bits.
-type IterCost struct {
-	twoParams   float64 // 2·Params: linear FLOPs per token
-	fourLH      float64 // 4·Layers·Hidden: attention FLOPs per (query, key) pair at full KV width
-	kvHeads     float64 // effective KV heads
-	heads       float64 // attention heads
-	actBytes    float64 // 12·Layers·Hidden·Bytes: activation traffic per token
-	kvBytesPerT float64 // KVBytesPerToken
-}
-
-// IterCost folds the model's per-iteration cost constants at datatype dt.
-func (m Model) IterCost(dt DType) IterCost {
-	return IterCost{
-		twoParams:   2 * float64(m.Params),
-		fourLH:      4 * float64(m.Layers) * float64(m.Hidden),
-		kvHeads:     float64(m.kvHeads()),
-		heads:       float64(m.Heads),
-		actBytes:    12 * float64(m.Layers) * float64(m.Hidden) * dt.Bytes(),
-		kvBytesPerT: m.KVBytesPerToken(dt),
-	}
+	kv := c.kvBytesPerT * float64(kvLen) * float64(batch)
+	return c.weightStream + kv
 }
 
 // PrefillChunkFLOPs returns the floating-point work of prefilling a chunk

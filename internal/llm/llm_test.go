@@ -118,7 +118,8 @@ func TestWeightBytesScalesWithDType(t *testing.T) {
 
 func TestPromptFLOPsDominatedByLinearTerm(t *testing.T) {
 	m := MustByName("BLOOM-176B")
-	f := m.PromptFLOPs(1, 2048)
+	c := m.IterCost(FP16)
+	f := c.PromptFLOPs(1, 2048)
 	approx := 2 * float64(m.Params) * 2048
 	if f < approx {
 		t.Errorf("prompt FLOPs %g below linear floor %g", f, approx)
@@ -134,8 +135,9 @@ func TestTokenStepIsMemoryBound(t *testing.T) {
 	// prompt phase at large input must be far above it. This is the root
 	// cause of the paper's two-phase power signature.
 	for _, m := range InferenceModels() {
-		tokenAI := m.TokenStepFLOPs(1, 512) / m.TokenStepBytes(FP16, 1, 512)
-		promptAI := m.PromptFLOPs(1, 2048) / m.PromptBytes(FP16, 1, 2048)
+		c := m.IterCost(FP16)
+		tokenAI := c.TokenStepFLOPs(1, 512) / c.TokenStepBytes(1, 512)
+		promptAI := c.PromptFLOPs(1, 2048) / c.PromptBytes(1, 2048)
 		if tokenAI > 20 {
 			t.Errorf("%s token-phase arithmetic intensity %.1f too high", m.Name, tokenAI)
 		}
@@ -150,17 +152,18 @@ func TestTokenStepIsMemoryBound(t *testing.T) {
 
 func TestFLOPsMonotonicity(t *testing.T) {
 	m := MustByName("GPT-NeoX-20B")
+	c := m.IterCost(FP16)
 	f := func(a, b uint8) bool {
 		b1, b2 := int(a%16)+1, int(b%16)+1
 		i1, i2 := (int(a)%32+1)*64, (int(b)%32+1)*64
 		if b1 <= b2 && i1 <= i2 {
-			if m.PromptFLOPs(b1, i1) > m.PromptFLOPs(b2, i2) {
+			if c.PromptFLOPs(b1, i1) > c.PromptFLOPs(b2, i2) {
 				return false
 			}
-			if m.TokenStepFLOPs(b1, i1) > m.TokenStepFLOPs(b2, i2) {
+			if c.TokenStepFLOPs(b1, i1) > c.TokenStepFLOPs(b2, i2) {
 				return false
 			}
-			if m.TokenStepBytes(FP16, b1, i1) > m.TokenStepBytes(FP16, b2, i2) {
+			if c.TokenStepBytes(b1, i1) > c.TokenStepBytes(b2, i2) {
 				return false
 			}
 		}
@@ -173,13 +176,14 @@ func TestFLOPsMonotonicity(t *testing.T) {
 
 func TestZeroAndNegativeSizes(t *testing.T) {
 	m := MustByName("OPT-30B")
-	if m.PromptFLOPs(0, 100) != 0 || m.PromptFLOPs(1, 0) != 0 {
+	c := m.IterCost(FP16)
+	if c.PromptFLOPs(0, 100) != 0 || c.PromptFLOPs(1, 0) != 0 {
 		t.Error("zero batch/input should cost nothing")
 	}
-	if m.TokenStepFLOPs(0, 5) != 0 {
+	if c.TokenStepFLOPs(0, 5) != 0 {
 		t.Error("zero batch token step should cost nothing")
 	}
-	if m.PromptBytes(FP16, 0, 10) != 0 || m.TokenStepBytes(FP16, -1, 0) != 0 {
+	if c.PromptBytes(0, 10) != 0 || c.TokenStepBytes(-1, 0) != 0 {
 		t.Error("non-positive batch byte traffic should be zero")
 	}
 	if m.TrainStepFLOPs(0, 1) != 0 || m.TrainStepFLOPs(1, 0) != 0 {
@@ -189,8 +193,9 @@ func TestZeroAndNegativeSizes(t *testing.T) {
 
 func TestTrainVsInferenceCost(t *testing.T) {
 	m := MustByName("RoBERTa-355M")
+	c := m.IterCost(FP16)
 	train := m.TrainStepFLOPs(8, 512)
-	infer := m.PromptFLOPs(8, 512)
+	infer := c.PromptFLOPs(8, 512)
 	if ratio := train / infer; ratio < 2.5 || ratio > 3.5 {
 		t.Errorf("train/infer FLOP ratio = %.2f, want ~3 (fwd+bwd)", ratio)
 	}

@@ -33,6 +33,16 @@ type InferenceConfig struct {
 
 // withDefaults fills in catalog defaults and validates.
 func (c InferenceConfig) withDefaults() (InferenceConfig, error) {
+	c, err := c.withModelDefaults()
+	if err != nil {
+		return c, err
+	}
+	return c, checkSizes(c.BatchSize, c.InputTokens, c.OutputTokens)
+}
+
+// withModelDefaults fills in the catalog's tensor-parallel degree and
+// validates the model and the degree, leaving the request sizes alone.
+func (c InferenceConfig) withModelDefaults() (InferenceConfig, error) {
 	if c.TensorParallel == 0 {
 		c.TensorParallel = c.Model.InferenceGPUs
 	}
@@ -41,14 +51,21 @@ func (c InferenceConfig) withDefaults() (InferenceConfig, error) {
 		return c, fmt.Errorf("plan: no model")
 	case c.TensorParallel <= 0:
 		return c, fmt.Errorf("plan: bad tensor-parallel degree %d", c.TensorParallel)
-	case c.BatchSize <= 0:
-		return c, fmt.Errorf("plan: bad batch size %d", c.BatchSize)
-	case c.InputTokens <= 0:
-		return c, fmt.Errorf("plan: bad input size %d", c.InputTokens)
-	case c.OutputTokens < 0:
-		return c, fmt.Errorf("plan: bad output size %d", c.OutputTokens)
 	}
 	return c, nil
+}
+
+// checkSizes validates one batch's request sizes.
+func checkSizes(batch, input, output int) error {
+	switch {
+	case batch <= 0:
+		return fmt.Errorf("plan: bad batch size %d", batch)
+	case input <= 0:
+		return fmt.Errorf("plan: bad input size %d", input)
+	case output < 0:
+		return fmt.Errorf("plan: bad output size %d", output)
+	}
+	return nil
 }
 
 // Inference is a per-GPU execution plan for one inference batch. Every GPU
@@ -100,57 +117,114 @@ func NewInference(c InferenceConfig) (Inference, error) {
 	if err != nil {
 		return Inference{}, err
 	}
+	k := c.fold()
+	p := Inference{Config: c}
+	k.build(&p, c.BatchSize, c.InputTokens, c.OutputTokens)
+	return p, nil
+}
+
+// InferenceCost is an inference configuration without its request sizes
+// (a model at one datatype, tensor-parallel degree and interconnect) with
+// the constants of its per-GPU plan folded once, as llm.IterCost folds the
+// model's. A row that plans every request of one model through it neither
+// copies the Model nor re-validates the configuration per request.
+// NewInference builds through it, so a plan has one formula, and each
+// folded constant is a prefix of its expression's left-to-right
+// evaluation, so folding moves no bits.
+type InferenceCost struct {
+	model        llm.IterCost
+	dtype        llm.DType
+	encoder      bool    // encoder-only: no sampled tokens
+	tp           float64 // tensor-parallel degree
+	allReduce    allReduce
+	passOverhead float64 // PassOverheadSeconds
+	weightsGB    float64 // resident weights per GPU
+	kvBytesPerT  float64 // KV-cache bytes per token per sequence
+}
+
+// NewInferenceCost folds c's plan constants. It ignores c's request sizes
+// and fails, as NewInference does, on a missing model or a bad
+// tensor-parallel degree.
+func NewInferenceCost(c InferenceConfig) (InferenceCost, error) {
+	c, err := c.withModelDefaults()
+	if err != nil {
+		return InferenceCost{}, err
+	}
+	return c.fold(), nil
+}
+
+// fold folds a configuration that withModelDefaults has passed.
+func (c InferenceConfig) fold() InferenceCost {
 	m := c.Model
 	tp := float64(c.TensorParallel)
+	return InferenceCost{
+		model:        m.IterCost(c.DType),
+		dtype:        c.DType,
+		encoder:      m.Arch == llm.Encoder,
+		tp:           tp,
+		allReduce:    newAllReduce(m, c.DType, c.TensorParallel, c.NVLinkGBps),
+		passOverhead: PassOverheadSeconds(m),
+		weightsGB:    m.WeightBytes(c.DType) / tp / 1e9,
+		kvBytesPerT:  m.KVBytesPerToken(c.DType),
+	}
+}
+
+// AppendPhases appends the phases of the plan for one batch of batch
+// requests of input prompt and output generated tokens to dst, as
+// Inference.AppendPhases does, and returns the extended slice. It fails,
+// as NewInference does, on a bad size.
+func (k *InferenceCost) AppendPhases(dst []gpu.Phase, batch, input, output int) ([]gpu.Phase, error) {
+	if err := checkSizes(batch, input, output); err != nil {
+		return dst, err
+	}
+	var p Inference
+	k.build(&p, batch, input, output)
+	return p.AppendPhases(dst), nil
+}
+
+// build fills p's phases, token steps and memory for valid sizes.
+func (k *InferenceCost) build(p *Inference, batch, input, output int) {
+	tp := k.tp
 
 	// Encoder-only models produce no sampled tokens.
-	outTokens := c.OutputTokens
-	if m.Arch == llm.Encoder {
+	outTokens := output
+	if k.encoder {
 		outTokens = 0
 	}
 
 	// --- Prompt phase ---
-	promptFLOPs := m.PromptFLOPs(c.BatchSize, c.InputTokens) / tp
-	promptBytes := m.PromptBytes(c.DType, c.BatchSize, c.InputTokens) / tp
-	prompt := gpu.Phase{
+	p.Prompt = gpu.Phase{
 		Name:            "prompt",
-		DType:           c.DType,
-		FLOPs:           promptFLOPs,
-		MemBytes:        promptBytes,
+		DType:           k.dtype,
+		FLOPs:           k.model.PromptFLOPs(batch, input) / tp,
+		MemBytes:        k.model.PromptBytes(batch, input) / tp,
 		TensorFrac:      0.97,
-		Efficiency:      promptEfficiency(c.BatchSize * c.InputTokens),
-		CommSeconds:     promptComm(m, c),
-		OverheadSeconds: float64(m.Layers) * kernelsPerLayer * kernelLaunchSec,
+		Efficiency:      promptEfficiency(batch * input),
+		CommSeconds:     k.allReduce.seconds(batch * input),
+		OverheadSeconds: k.passOverhead,
 	}
 
 	// --- Token phase (aggregate of all sampling steps) ---
-	var token gpu.Phase
 	if outTokens > 0 {
 		// Use the mean KV length across the generation to aggregate steps.
-		meanKV := c.InputTokens + outTokens/2
-		stepFLOPs := m.TokenStepFLOPs(c.BatchSize, meanKV) / tp
-		stepBytes := m.TokenStepBytes(c.DType, c.BatchSize, meanKV) / tp
+		meanKV := input + outTokens/2
+		stepFLOPs := k.model.TokenStepFLOPs(batch, meanKV) / tp
+		stepBytes := k.model.TokenStepBytes(batch, meanKV) / tp
 		steps := float64(outTokens)
-		token = gpu.Phase{
+		p.Token = gpu.Phase{
 			Name:            "token",
-			DType:           c.DType,
+			DType:           k.dtype,
 			FLOPs:           stepFLOPs * steps,
 			MemBytes:        stepBytes * steps,
 			TensorFrac:      0.9,
-			CommSeconds:     tokenComm(m, c) * steps,
-			OverheadSeconds: float64(m.Layers) * kernelsPerLayer * kernelLaunchSec * steps,
+			CommSeconds:     k.allReduce.seconds(batch) * steps,
+			OverheadSeconds: k.passOverhead * steps,
 		}
 	}
+	p.TokenSteps = outTokens
 
-	weightsGB := m.WeightBytes(c.DType) / tp / 1e9
-	kvGB := m.KVBytesPerToken(c.DType) * float64(c.BatchSize) * float64(c.InputTokens+outTokens) / tp / 1e9
-	return Inference{
-		Config:     c,
-		Prompt:     prompt,
-		Token:      token,
-		TokenSteps: outTokens,
-		MemUsedGB:  weightsGB + kvGB,
-	}, nil
+	kvGB := k.kvBytesPerT * float64(batch) * float64(input+outTokens) / tp / 1e9
+	p.MemUsedGB = k.weightsGB + kvGB
 }
 
 // nvlink returns the configured interconnect bandwidth in bytes/s.
@@ -172,18 +246,6 @@ func promptEfficiency(tokens int) float64 {
 	return math.Min(math.Max(e, 0.15), 0.97)
 }
 
-// promptComm returns the un-hideable tensor-parallel communication time of
-// the prompt phase: two all-reduces per layer over the activation tensor.
-func promptComm(m llm.Model, c InferenceConfig) float64 {
-	return AllReduceSeconds(m, c.DType, c.TensorParallel, c.BatchSize*c.InputTokens, c.NVLinkGBps)
-}
-
-// tokenComm returns per-step communication time during token sampling: the
-// activation tensor is one token wide, so latency dominates.
-func tokenComm(m llm.Model, c InferenceConfig) float64 {
-	return AllReduceSeconds(m, c.DType, c.TensorParallel, c.BatchSize, c.NVLinkGBps)
-}
-
 // AllReduceSeconds returns the un-hideable tensor-parallel all-reduce time
 // of one pass through the model with tokens activation rows in flight: two
 // all-reduces per layer, each moving the tokens×hidden activation tensor
@@ -191,13 +253,36 @@ func tokenComm(m llm.Model, c InferenceConfig) float64 {
 // schedulers use it with tokens = prompt-chunk tokens + decoding sequences
 // so mixed batches pay the same sync cost the slot model's phases do.
 func AllReduceSeconds(m llm.Model, dt llm.DType, tensorParallel, tokens int, nvlinkGBps float64) float64 {
-	if tensorParallel <= 1 || tokens <= 0 {
+	a := newAllReduce(m, dt, tensorParallel, nvlinkGBps)
+	return a.seconds(tokens)
+}
+
+// allReduce is AllReduceSeconds with its model constants folded.
+type allReduce struct {
+	sharded    bool    // tensor-parallel degree above one
+	hidden     float64 // model dimension
+	bytes      float64 // datatype bytes per element
+	nvlink     float64 // bytes/s
+	layerSyncs float64 // Layers·allReducesPerLayer
+}
+
+func newAllReduce(m llm.Model, dt llm.DType, tensorParallel int, nvlinkGBps float64) allReduce {
+	return allReduce{
+		sharded:    tensorParallel > 1,
+		hidden:     float64(m.Hidden),
+		bytes:      dt.Bytes(),
+		nvlink:     InferenceConfig{NVLinkGBps: nvlinkGBps}.nvlink(),
+		layerSyncs: float64(m.Layers) * allReducesPerLayer,
+	}
+}
+
+func (a *allReduce) seconds(tokens int) float64 {
+	if !a.sharded || tokens <= 0 {
 		return 0
 	}
-	nvlink := InferenceConfig{NVLinkGBps: nvlinkGBps}.nvlink()
-	actBytes := float64(tokens) * float64(m.Hidden) * dt.Bytes()
-	perAR := actBytes/nvlink + allReduceLatencySec
-	return float64(m.Layers) * allReducesPerLayer * perAR
+	actBytes := float64(tokens) * a.hidden * a.bytes
+	perAR := actBytes/a.nvlink + allReduceLatencySec
+	return a.layerSyncs * perAR
 }
 
 // PassOverheadSeconds returns the kernel-launch overhead of one full pass

@@ -12,8 +12,9 @@ import (
 // every pending event in one slice, the least (at, last, seq) found by a
 // linear scan, and the engine's seq rules — one number per scheduled
 // event, one when a periodic timer starts and one per re-arm, taken after
-// its handler returns. It also counts the cases the property test must
-// reach.
+// its handler returns. A sampler is a periodic timer here, numbered like
+// one, which the engine must order the same way without taking a number.
+// It also counts the cases the property test must reach.
 type refEngine struct {
 	now        Time
 	seq        uint64
@@ -30,6 +31,8 @@ type refEvent struct {
 	fn      Handler
 	period  time.Duration // 0 for a one-shot event
 	last    bool          // fires after every unmarked event at its instant
+	sample  bool          // a SampleFrom timer
+	fired   int           // times a periodic timer or sampler has fired
 	stopped bool          // stopped, or a one-shot that fired
 }
 
@@ -48,6 +51,11 @@ func (r *refEngine) schedule(at Time, fn Handler, period time.Duration) *refEven
 	return ev
 }
 
+// oneShotAt reports whether ev is an unmarked one-shot event at instant at.
+func (ev *refEvent) oneShotAt(at Time) bool {
+	return ev.at == at && ev.period == 0 && !ev.last
+}
+
 func (ev *refEvent) Stop() {
 	r := ev.r
 	if ev.stopped {
@@ -55,12 +63,16 @@ func (ev *refEvent) Stop() {
 	}
 	ev.stopped = true
 	if ev.period > 0 {
+		kind := "periodic"
+		if ev.sample {
+			kind = "sampler"
+		}
 		switch r.firing {
 		case ev:
-			r.cov["periodic stopped in its own handler"]++
+			r.cov[kind+" stopped in its own handler"]++
 		case nil:
 		default:
-			r.cov["periodic stopped in another handler"]++
+			r.cov[kind+" stopped in another handler"]++
 		}
 	}
 	for i, p := range r.pending {
@@ -112,6 +124,19 @@ func (r *refEngine) dispatch(i int) {
 			break
 		}
 	}
+	// A sampler that has fired holds the seq of its last re-arm: a one-shot
+	// at its instant fires before it if scheduled before that sample ran,
+	// after it if scheduled later.
+	for _, p := range r.pending {
+		switch {
+		case p.sample && ev.sample && p.at == ev.at:
+			r.cov["two samples at one instant"]++
+		case p.sample && p.fired > 0 && ev.oneShotAt(p.at):
+			r.cov["one-shot at a sample instant scheduled before the previous sample ran"]++
+		case ev.sample && ev.fired > 0 && p.oneShotAt(ev.at):
+			r.cov["one-shot at a sample instant scheduled after the previous sample ran"]++
+		}
+	}
 	r.now = ev.at
 	r.dispatched++
 	r.firing = ev
@@ -121,6 +146,7 @@ func (r *refEngine) dispatch(i int) {
 		ev.stopped = true
 		return
 	}
+	ev.fired++
 	if !ev.stopped {
 		r.seq++
 		ev.at, ev.seq = ev.at+ev.period, r.seq
@@ -148,6 +174,11 @@ func (r *refEngine) Every(period time.Duration, fn Handler) stopper {
 }
 func (r *refEngine) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
 	return r.schedule(start, fn, period)
+}
+func (r *refEngine) SampleFrom(start Time, period time.Duration, fn Handler) stopper {
+	ev := r.schedule(start, fn, period)
+	ev.sample = true
+	return ev
 }
 
 func (r *refEngine) Step() bool {
@@ -192,6 +223,7 @@ type scheduler interface {
 	AfterCancelableLast(time.Duration, Handler) stopper
 	Every(time.Duration, Handler) stopper
 	EveryFrom(Time, time.Duration, Handler) stopper
+	SampleFrom(Time, time.Duration, Handler) stopper
 	Step() bool
 	RunUntil(Time)
 	Run()
@@ -211,6 +243,9 @@ func (e engineSched) Every(period time.Duration, fn Handler) stopper {
 }
 func (e engineSched) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
 	return e.Engine.EveryFrom(start, period, fn)
+}
+func (e engineSched) SampleFrom(start Time, period time.Duration, fn Handler) stopper {
+	return e.Engine.SampleFrom(start, period, fn)
 }
 
 // firing is one dispatched handler as the workload logs it: which event,
@@ -262,10 +297,22 @@ func (w *workload) periodicHandler(id, h, k int) Handler {
 	}
 }
 
+// sampleHandler only reads: it logs, and stops its own sampler (handle
+// index h) after its k-th sample.
+func (w *workload) sampleHandler(id, h, k int) Handler {
+	fired := 0
+	return func(now Time) {
+		w.log = append(w.log, firing{id, now, w.s.Pending()})
+		if fired++; fired == k {
+			w.handles[h].Stop()
+		}
+	}
+}
+
 // act makes one random scheduling call, or stops a random handle.
 func (w *workload) act() {
-	op := w.rng.Intn(7)
-	if op < 6 && w.budget <= 0 {
+	op := w.rng.Intn(8)
+	if op < 7 && w.budget <= 0 {
 		return
 	}
 	w.ids++
@@ -290,6 +337,10 @@ func (w *workload) act() {
 	case 5:
 		w.handles = append(w.handles, w.s.AfterCancelableLast(d, w.handler(id)))
 	case 6:
+		h := len(w.handles)
+		w.handles = append(w.handles, nil)
+		w.handles[h] = w.s.SampleFrom(w.s.Now()+d, period, w.sampleHandler(id, h, 1+w.rng.Intn(12)))
+	case 7:
 		if len(w.handles) > 0 {
 			w.handles[w.rng.Intn(len(w.handles))].Stop()
 		}
@@ -348,9 +399,14 @@ func TestEngineMatchesReference(t *testing.T) {
 	for _, c := range []string{
 		"periodic stopped in its own handler",
 		"periodic stopped in another handler",
+		"sampler stopped in its own handler",
+		"sampler stopped in another handler",
+		"two samples at one instant",
 		"periodic started in a handler",
 		"periodic and one-shot at one instant",
 		"last event passed by a later one at its instant",
+		"one-shot at a sample instant scheduled before the previous sample ran",
+		"one-shot at a sample instant scheduled after the previous sample ran",
 		"RunUntil deadline before a pending event",
 		"Run",
 	} {

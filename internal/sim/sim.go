@@ -22,17 +22,27 @@
 // outnumber live events, so a six-week simulation that starts and cancels
 // millions of phase timers stays lean.
 //
-// Periodic timers (Every, EveryFrom) never enter the heap. A row has two —
-// its telemetry sub-sample and its control tick — yet they fire most of its
-// events, so each lives as one entry in a small slice beside the heap, and
-// dispatch takes whichever of the heap top and the earliest entry is less
-// by (time, seq). A periodic timer takes one seq when it starts and one
-// per re-arm, after its handler returns: the numbers a re-scheduled heap
-// event would take, so the order is the one a single heap would give.
+// Periodic timers (Every, EveryFrom) never enter the heap. A row has one,
+// its control tick, and each lives as one entry in a small slice beside
+// the heap; dispatch takes whichever of the heap top and the earliest entry
+// is less by (time, seq). A periodic timer takes one seq when it starts and
+// one per re-arm, after its handler returns: the numbers a re-scheduled
+// heap event would take, so the order is the one a single heap would give.
+//
+// Samplers (SampleFrom) are periodic timers whose handlers only read
+// state, such as a row's 0.25 s power sub-sample, which fires most of its
+// events. They sit in a second slice and take no seq: a sampler stores the
+// seq counter as it stood when it last ran (its mark), and a sample at
+// instant t precedes exactly the events at t whose seq exceeds the mark,
+// the ones a re-armed periodic timer would precede. Before each event
+// other than a sample, the engine runs every sample that precedes it in
+// one loop. A sample handler that schedules anything panics, so a sample
+// moves no other event's place in the order.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"time"
@@ -72,30 +82,75 @@ type periodic struct {
 	gen    uint32
 }
 
+// sampler is a live SampleFrom timer: its next sample at, its period and
+// handler, and its slot. mark is the engine's seq counter when the sampler
+// started or last ran: the events at its instant with a seq up to mark
+// fire before the sample, the later ones after it. ord breaks ties between
+// samplers with one mark, in the order they started or last ran.
+type sampler struct {
+	at     Time
+	mark   uint64
+	ord    uint64
+	period time.Duration
+	fn     Handler
+	timer  int32
+}
+
+// before reports whether the sample precedes the event at (at, seq).
+func (s *sampler) before(at Time, seq uint64) bool {
+	return s.at < at || s.at == at && s.mark < seq
+}
+
+// less orders two samplers by (at, mark, ord).
+func (s *sampler) less(o *sampler) bool {
+	if s.at != o.at {
+		return s.at < o.at
+	}
+	if s.mark != o.mark {
+		return s.mark < o.mark
+	}
+	return s.ord < o.ord
+}
+
+// timerKind is what a timer slot holds.
+type timerKind uint8
+
+const (
+	oneShotTimer  timerKind = iota // an AfterCancelable event, in the heap
+	periodicTimer                  // an Every/EveryFrom timer, in Engine.periodic
+	sampleTimer                    // a SampleFrom timer, in Engine.samplers
+)
+
 // timerSlot is the engine-side state of one cancelable timer. Slots are
 // recycled through a free list; gen distinguishes the current occupant from
 // stale Timer handles to an earlier one, which makes Stop idempotent and
 // safe after slot reuse.
 type timerSlot struct {
-	gen      uint32
-	queued   int32 // events currently in the queue referencing this slot
-	stopped  bool
-	periodic bool // an Every/EveryFrom timer, in Engine.periodic
+	gen     uint32
+	queued  int32 // events currently in the queue referencing this slot
+	stopped bool
+	kind    timerKind
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with New.
 type Engine struct {
-	now        Time
-	seq        uint64
-	queue      []event    // 4-ary min-heap ordered by (at, seq)
-	periodic   []periodic // live periodic timers, unordered
-	timers     []timerSlot
-	freeTimers []int32
-	tombstones int // queued events whose timer has been stopped
-	seed       int64
-	running    bool
-	events     uint64 // events dispatched, counted unconditionally
+	now       Time
+	seq       uint64
+	queue     []event    // 4-ary min-heap ordered by (at, seq)
+	periodic  []periodic // live periodic timers, unordered
+	samplers  []sampler  // live samplers, unordered
+	sampleOrd uint64     // the last sampler.ord handed out
+	sampling  int32      // slot of the sampler whose handler runs, or noTimer
+	// samplerDrops counts stopped samplers, so a sample that ran can tell
+	// whether its entry may have moved.
+	samplerDrops uint64
+	timers       []timerSlot
+	freeTimers   []int32
+	tombstones   int // queued events whose timer has been stopped
+	seed         int64
+	running      bool
+	events       uint64 // events dispatched, counted unconditionally
 
 	// Observability. The observer is injected by the run harness and handed
 	// down to every layer built on this engine; dispatched is cached at
@@ -108,7 +163,7 @@ type Engine struct {
 // New returns an Engine whose clock starts at zero and whose random streams
 // derive from seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed}
+	return &Engine{seed: seed, sampling: noTimer}
 }
 
 // Now returns the current virtual time.
@@ -299,7 +354,7 @@ func (e *Engine) maybeCompact() {
 
 // --- timer slots ---
 
-func (e *Engine) newTimerSlot(periodic bool) (int32, uint32) {
+func (e *Engine) newTimerSlot(kind timerKind) (int32, uint32) {
 	var id int32
 	if n := len(e.freeTimers); n > 0 {
 		id = e.freeTimers[n-1]
@@ -311,7 +366,7 @@ func (e *Engine) newTimerSlot(periodic bool) (int32, uint32) {
 	s := &e.timers[id]
 	s.queued = 0
 	s.stopped = false
-	s.periodic = periodic
+	s.kind = kind
 	return id, s.gen
 }
 
@@ -362,8 +417,11 @@ func (t Timer) Stop() {
 		return
 	}
 	s.stopped = true
-	if s.periodic {
+	switch s.kind {
+	case periodicTimer:
 		t.e.dropPeriodic(t.id)
+	case sampleTimer:
+		t.e.dropSampler(t.id)
 	}
 	if s.queued == 0 {
 		t.e.freeTimerSlot(t.id)
@@ -390,7 +448,7 @@ func (e *Engine) AfterCancelableLast(d time.Duration, fn Handler) Timer {
 }
 
 func (e *Engine) afterCancelable(d time.Duration, fn Handler, last bool) Timer {
-	id, gen := e.newTimerSlot(false)
+	id, gen := e.newTimerSlot(oneShotTimer)
 	e.schedule(e.now+d, fn, id, last)
 	return Timer{e: e, id: id, gen: gen}
 }
@@ -417,9 +475,32 @@ func (e *Engine) EveryFrom(start Time, period time.Duration, fn Handler) Timer {
 }
 
 func (e *Engine) startRepeating(first Time, period time.Duration, fn Handler) Timer {
-	id, gen := e.newTimerSlot(true)
+	id, gen := e.newTimerSlot(periodicTimer)
 	e.seq++
 	e.periodic = append(e.periodic, periodic{at: first, seq: e.seq, period: period, fn: fn, timer: id, gen: gen})
+	return Timer{e: e, id: id, gen: gen}
+}
+
+// SampleFrom is EveryFrom for a handler that only reads state, such as a
+// power sampler: fn runs at start and every period thereafter, until the
+// returned Timer is stopped, in the same place among the other events as
+// an EveryFrom timer's handler would. A sample takes no seq, and the
+// engine runs the samples due before an event in one loop instead of
+// dispatching each through the queue. A sample handler must not schedule
+// or start anything: the engine panics if it does.
+func (e *Engine) SampleFrom(start Time, period time.Duration, fn Handler) Timer {
+	if period <= 0 {
+		panic("sim: SampleFrom with non-positive period")
+	}
+	if start < e.now {
+		panic(fmt.Sprintf("sim: SampleFrom start %v before now %v", start, e.now))
+	}
+	if e.sampling != noTimer {
+		panic("sim: SampleFrom inside a sample handler")
+	}
+	id, gen := e.newTimerSlot(sampleTimer)
+	e.sampleOrd++
+	e.samplers = append(e.samplers, sampler{at: start, mark: e.seq, ord: e.sampleOrd, period: period, fn: fn, timer: id})
 	return Timer{e: e, id: id, gen: gen}
 }
 
@@ -439,6 +520,31 @@ func (e *Engine) removePeriodic(i int) {
 	e.periodic[i] = e.periodic[last]
 	e.periodic[last] = periodic{} // release the handler for GC
 	e.periodic = e.periodic[:last]
+}
+
+// dropSampler removes the sampler of slot id. A sampler stays in the list
+// while its own handler runs, so a sampler that stops itself ends the
+// handler's exclusion from Pending too.
+func (e *Engine) dropSampler(id int32) {
+	if e.sampling == id {
+		e.sampling = noTimer
+	}
+	i := e.findSampler(id)
+	last := len(e.samplers) - 1
+	e.samplers[i] = e.samplers[last]
+	e.samplers[last] = sampler{} // release the handler for GC
+	e.samplers = e.samplers[:last]
+	e.samplerDrops++
+}
+
+// findSampler returns the index of slot id's sampler, or -1.
+func (e *Engine) findSampler(id int32) int {
+	for i := range e.samplers {
+		if e.samplers[i].timer == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // --- dispatch ---
@@ -466,6 +572,80 @@ func (p *periodic) before(at Time, seq uint64) bool {
 	return p.at < at || p.at == at && p.seq < seq
 }
 
+// peek returns the (at, seq) of the next event other than a sample, given
+// nextPeriodic's pi: the periodic timer's, the heap top's (live or
+// canceled), or the largest key when nothing is pending.
+func (e *Engine) peek(pi int) (Time, uint64) {
+	switch {
+	case pi >= 0:
+		return e.periodic[pi].at, e.periodic[pi].seq
+	case len(e.queue) > 0:
+		return e.queue[0].at, e.queue[0].seq
+	}
+	return math.MaxInt64, math.MaxUint64
+}
+
+// nextSample returns the index of the earliest sampler, or -1.
+func (e *Engine) nextSample() int {
+	if len(e.samplers) == 0 {
+		return -1
+	}
+	si := 0
+	for i := 1; i < len(e.samplers); i++ {
+		if e.samplers[i].less(&e.samplers[si]) {
+			si = i
+		}
+	}
+	return si
+}
+
+// runSamples runs, in order, every sample that precedes the event at (at,
+// seq) and is not after deadline, and reports whether it ran any. A sample
+// handler only stops timers, which leaves the first event at or after
+// (at, seq), so the bound holds through the loop.
+func (e *Engine) runSamples(at Time, seq uint64, deadline Time) bool {
+	ran := false
+	for {
+		var s *sampler
+		switch len(e.samplers) {
+		case 0:
+			return ran
+		case 1:
+			s = &e.samplers[0]
+		default:
+			s = &e.samplers[e.nextSample()]
+		}
+		if s.at > deadline || !s.before(at, seq) {
+			return ran
+		}
+		e.fireSample(s)
+		ran = true
+	}
+}
+
+// fireSample runs sampler s's handler and re-arms it with the seq counter
+// as its mark, unless the handler stopped it. The entry stays in the list
+// while the handler runs; no handler can grow the list, but one that stops
+// a sampler moves or removes an entry.
+func (e *Engine) fireSample(s *sampler) {
+	id, seq, drops := s.timer, e.seq, e.samplerDrops
+	e.sampling = id
+	e.fire(s.at, s.fn)
+	e.sampling = noTimer
+	if e.seq != seq {
+		panic(fmt.Sprintf("sim: a sample handler at %v scheduled an event", e.now))
+	}
+	if e.samplerDrops != drops {
+		i := e.findSampler(id)
+		if i < 0 {
+			return // it stopped itself
+		}
+		s = &e.samplers[i]
+	}
+	e.sampleOrd++
+	s.at, s.mark, s.ord = s.at+s.period, seq, e.sampleOrd
+}
+
 // firePeriodic dispatches periodic timer pi. The timer leaves the list
 // while its handler runs, and returns with the next seq unless the handler
 // stopped it.
@@ -487,10 +667,16 @@ func (e *Engine) fire(at Time, fn Handler) {
 	fn(at)
 }
 
-// Step dispatches the next pending event and reports whether one existed.
+// Step dispatches the next pending event, a sample included, and reports
+// whether one existed.
 func (e *Engine) Step() bool {
 	for {
-		if pi := e.nextPeriodic(); pi >= 0 {
+		pi := e.nextPeriodic()
+		if si := e.nextSample(); si >= 0 && e.samplers[si].before(e.peek(pi)) {
+			e.fireSample(&e.samplers[si])
+			return true
+		}
+		if pi >= 0 {
 			e.firePeriodic(pi)
 			return true
 		}
@@ -515,7 +701,13 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		if pi := e.nextPeriodic(); pi >= 0 {
+		pi := e.nextPeriodic()
+		if len(e.samplers) > 0 {
+			if at, seq := e.peek(pi); e.runSamples(at, seq, deadline) {
+				continue
+			}
+		}
+		if pi >= 0 {
 			if e.periodic[pi].at > deadline {
 				break
 			}
@@ -548,5 +740,12 @@ func (e *Engine) Run() {
 }
 
 // Pending returns the number of live (non-canceled) scheduled events. A
-// periodic timer counts as one, except while its own handler runs.
-func (e *Engine) Pending() int { return len(e.queue) - e.tombstones + len(e.periodic) }
+// periodic timer or sampler counts as one, except while its own handler
+// runs.
+func (e *Engine) Pending() int {
+	n := len(e.queue) - e.tombstones + len(e.periodic) + len(e.samplers)
+	if e.sampling != noTimer {
+		n--
+	}
+	return n
+}
