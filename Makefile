@@ -87,7 +87,7 @@ BENCH_MICRO = ^($(BENCH_SUBSTRATE)|BenchmarkScanJSONL)$$
 BENCH_E2E = ^(BenchmarkServeDay|BenchmarkRowHour)$$
 comma := ,
 BENCH_REQUIRE = $(subst |,$(comma),$(BENCH_SUBSTRATE)|BenchmarkScanJSONL|$(patsubst ^(%)$$,%,$(BENCH_E2E)))
-# The engine's periodic-timer and sampler dispatch, the serving replica's
+# The engine's repeating-timer dispatch, the serving replica's
 # iteration loop and decode-span planner, and the telemetry ingest, rule-evaluation,
 # failover-requeue, scenario request-generation, and decision-input
 # recording ticks run inside the simulator's hot loop; -zero-alloc
@@ -115,12 +115,15 @@ bench-smoke:
 # Compare against the last committed snapshot with
 #   go run ./cmd/polca-bench -compare BENCH_N.json BENCH_new.json
 # which fails on any allocs/op increase and warns on >15% ns/op rises.
+# The end-to-end rows run at -cpu 1: with two or more Ps their allocs/op
+# drift by a few between runs of one binary, and at one P they drift less
+# (BenchmarkRowHour's repeat).
 BENCH_JSON ?= BENCH_new.json
 .PHONY: bench-json
 bench-json:
 	@set -e; out=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem $(BENCH_PKGS) > $$out; \
-	$(GO) test -run '^$$' -bench '$(BENCH_E2E)' -benchmem -benchtime 3x . >> $$out; \
+	$(GO) test -run '^$$' -bench '$(BENCH_E2E)' -benchmem -benchtime 3x -cpu 1 . >> $$out; \
 	cat $$out; \
 	$(GO) run ./cmd/polca-bench -require '$(BENCH_REQUIRE)' -zero-alloc '$(BENCH_ZERO_ALLOC)' $$out > /dev/null; \
 	$(GO) run ./cmd/polca-bench -o $(BENCH_JSON) $$out; \
@@ -172,20 +175,23 @@ chaos-serve:
 
 # fuzz-smoke runs the fuzzers briefly: round-trip and never-panic
 # properties over the faults and scenario grammars and the request-trace
-# CSV loader, the GPU power-cap solver against its reference bisection, the
-# JSONL record decoder against its encoding/json reference, the event,
-# span and decision log scanners on arbitrary files (no panic, and an
-# accepted file's records numbered exactly 1..N), the rung-table
-# threshold policies against hand-written Table 5 and 1-Thresh state
-# machines, the serve replica's decode-span planner against its
-# per-stride reference under random scripts, traced and span-recorded,
-# and self-replay fidelity over generated short rows (every decision log
-# must replay against its own configuration with no diverged decision).
+# CSV loader, the event engine's dispatch order against its reference
+# scheduler under seeded random workloads, the GPU power-cap solver
+# against its reference bisection, the JSONL record decoder against its
+# encoding/json reference, the event, span and decision log scanners on
+# arbitrary files (no panic, and an accepted file's records numbered
+# exactly 1..N), the rung-table threshold policies against hand-written
+# Table 5 and 1-Thresh state machines, the serve replica's decode-span
+# planner against its per-stride reference under random scripts, traced
+# and span-recorded, and self-replay fidelity over generated short rows
+# (every decision log must replay against its own configuration with no
+# diverged decision).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzLoadRequestsCSV -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzThrottleRatio -fuzztime 10s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecoders -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzScanLog -fuzztime 10s ./internal/obs

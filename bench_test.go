@@ -87,16 +87,16 @@ func BenchmarkEngineEvents(b *testing.B) {
 }
 
 // BenchmarkEnginePeriodic measures dispatch under a row's event mix: the
-// row manager's 0.25 s telemetry sub-sample, a sampler, and its 2 s
-// control tick, a periodic timer, beside 16 one-shot timers that re-arm
-// themselves like the servers' phase timers. It runs the engine the way a
-// row does, through RunUntil, one simulated second at a time; one op is
-// one dispatched event, a sample included.
+// row manager's two repeating timers, its 0.25 s telemetry sub-sample and
+// its 2 s control tick, beside 16 one-shot timers that re-arm themselves
+// like the servers' phase timers. It runs the engine the way a row does,
+// through RunUntil, one simulated second at a time; one op is one
+// dispatched event.
 func BenchmarkEnginePeriodic(b *testing.B) {
 	eng := sim.New(1)
 	nop := func(sim.Time) {}
-	eng.SampleFrom(250*time.Millisecond, 250*time.Millisecond, nop)
-	eng.Every(2*time.Second, nop)
+	eng.EveryFrom(250*time.Millisecond, 250*time.Millisecond, nop)
+	eng.EveryFrom(2*time.Second, 2*time.Second, nop)
 	for i := 0; i < 16; i++ {
 		d := time.Duration(500+311*i) * time.Millisecond
 		var rearm sim.Handler

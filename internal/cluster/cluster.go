@@ -1000,14 +1000,14 @@ func (r *Row) run(horizon time.Duration) *Metrics {
 // startTelemetry arms the row manager: sub-interval power accumulation
 // (the row manager reports interval means, not instantaneous values, which
 // is what smooths sub-second prompt spikes out of row readings) and the
-// 2 s telemetry/control tick. A sub-sample only reads the row, so it runs
-// as an engine sampler.
+// 2 s telemetry/control tick, both engine repeating timers. At an instant
+// they share, the tick fires first: the sub-sample re-armed more recently.
 func (r *Row) startTelemetry() {
 	subStep := r.cfg.TelemetryInterval / 8
 	if subStep <= 0 {
 		subStep = r.cfg.TelemetryInterval
 	}
-	r.telemetrySub = r.eng.SampleFrom(r.eng.Now()+subStep, subStep, func(now sim.Time) {
+	r.telemetrySub = r.eng.EveryFrom(r.eng.Now()+subStep, subStep, func(now sim.Time) {
 		r.powerSum += r.instantUtilization(now)
 		r.powerSamples++
 	})

@@ -10,43 +10,70 @@ import (
 
 // refEngine is the reference scheduler the engine is checked against:
 // every pending event in one slice, the least (at, last, seq) found by a
-// linear scan, and the engine's seq rules — one number per scheduled
-// event, one when a periodic timer starts and one per re-arm, taken after
-// its handler returns. A sampler is a periodic timer here, numbered like
-// one, which the engine must order the same way without taking a number.
-// It also counts the cases the property test must reach.
+// linear scan, and one seq rule for every event — one number per scheduled
+// one-shot, one when a repeating timer starts and one per re-arm, taken
+// after its handler returns. The engine takes no number for a repeating
+// timer and must order it the same way. The reference also counts the
+// cases the property test must reach.
 type refEngine struct {
 	now        Time
 	seq        uint64
+	oneShots   uint64 // one-shots scheduled: the engine's seq counter
 	pending    []*refEvent
 	dispatched uint64
 	firing     *refEvent // the event whose handler is running
-	cov        map[string]int
+	// reuse is set while the firing repeating timer has stopped itself and
+	// no slot has been taken or freed since: the engine hands its slot to
+	// the next timer started.
+	reuse bool
+	cov   map[string]int
 }
 
 type refEvent struct {
-	r       *refEngine
-	at      Time
-	seq     uint64
-	fn      Handler
-	period  time.Duration // 0 for a one-shot event
-	last    bool          // fires after every unmarked event at its instant
-	sample  bool          // a SampleFrom timer
-	fired   int           // times a periodic timer or sampler has fired
-	stopped bool          // stopped, or a one-shot that fired
+	r      *refEngine
+	at     Time
+	seq    uint64
+	fn     Handler
+	period time.Duration // 0 for a one-shot event
+	last   bool          // fires after every unmarked event at its instant
+	// mark is the engine's seq counter when a repeating timer started or
+	// re-armed, for coverage only.
+	mark uint64
+	// nextOf is the repeating timer whose handler scheduled this one-shot
+	// at that timer's next instant, for coverage only.
+	nextOf  *refEvent
+	fired   int  // times a repeating timer has fired
+	stopped bool // stopped, or a one-shot that fired
 }
 
 func newRefEngine() *refEngine { return &refEngine{cov: map[string]int{}} }
 
-func (r *refEngine) schedule(at Time, fn Handler, period time.Duration) *refEvent {
+// schedule queues fn at at. A repeating timer has a positive period; a
+// one-shot event is last if it fires after the others at its instant, and
+// cancelable if a Timer is returned for it.
+func (r *refEngine) schedule(at Time, fn Handler, period time.Duration, last, cancelable bool) *refEvent {
 	if at < r.now {
 		panic(fmt.Sprintf("ref: schedule at %v before now %v", at, r.now))
 	}
-	if period > 0 && r.firing != nil {
-		r.cov["periodic started in a handler"]++
+	if period > 0 || cancelable {
+		if period > 0 && r.reuse {
+			r.cov["repeating timer stopped itself, then its handler started one on its slot"]++
+		}
+		r.reuse = false
 	}
 	r.seq++
-	ev := &refEvent{r: r, at: at, seq: r.seq, fn: fn, period: period}
+	ev := &refEvent{r: r, at: at, seq: r.seq, fn: fn, period: period, last: last}
+	if period > 0 {
+		if r.firing != nil {
+			r.cov["repeating timer started in a handler"]++
+		}
+		ev.mark = r.oneShots
+	} else {
+		r.oneShots++
+		if f := r.firing; f != nil && f.period > 0 && !last && at == f.at+f.period {
+			ev.nextOf = f
+		}
+	}
 	r.pending = append(r.pending, ev)
 	return ev
 }
@@ -62,17 +89,14 @@ func (ev *refEvent) Stop() {
 		return
 	}
 	ev.stopped = true
+	r.reuse = ev.period > 0 && r.firing == ev
 	if ev.period > 0 {
-		kind := "periodic"
-		if ev.sample {
-			kind = "sampler"
-		}
 		switch r.firing {
 		case ev:
-			r.cov[kind+" stopped in its own handler"]++
+			r.cov["repeating timer stopped in its own handler"]++
 		case nil:
 		default:
-			r.cov[kind+" stopped in another handler"]++
+			r.cov["repeating timer stopped in another handler"]++
 		}
 	}
 	for i, p := range r.pending {
@@ -114,7 +138,7 @@ func (r *refEngine) dispatch(i int) {
 	r.pending = append(r.pending[:i], r.pending[i+1:]...)
 	for _, p := range r.pending {
 		if p.at == ev.at && (p.period > 0) != (ev.period > 0) {
-			r.cov["periodic and one-shot at one instant"]++
+			r.cov["repeating timer and one-shot at one instant"]++
 			break
 		}
 	}
@@ -124,24 +148,27 @@ func (r *refEngine) dispatch(i int) {
 			break
 		}
 	}
-	// A sampler that has fired holds the seq of its last re-arm: a one-shot
-	// at its instant fires before it if scheduled before that sample ran,
-	// after it if scheduled later.
+	// A repeating timer that has fired holds the seq of its last re-arm: a
+	// one-shot at its instant fires before it if scheduled before that
+	// re-arm, after it if scheduled later.
 	for _, p := range r.pending {
 		switch {
-		case p.sample && ev.sample && p.at == ev.at:
-			r.cov["two samples at one instant"]++
-		case p.sample && p.fired > 0 && ev.oneShotAt(p.at):
-			r.cov["one-shot at a sample instant scheduled before the previous sample ran"]++
-		case ev.sample && ev.fired > 0 && p.oneShotAt(ev.at):
-			r.cov["one-shot at a sample instant scheduled after the previous sample ran"]++
+		case p.period > 0 && ev.period > 0 && p.at == ev.at && p.mark == ev.mark:
+			r.cov["two repeating timers with one mark at one instant"]++
+		case p.period > 0 && p.fired > 0 && ev.oneShotAt(p.at):
+			r.cov["one-shot at a repeating timer's instant scheduled before its re-arm"]++
+		case ev.period > 0 && ev.fired > 0 && p.oneShotAt(ev.at):
+			r.cov["one-shot at a repeating timer's instant scheduled after its re-arm"]++
 		}
+	}
+	if f := ev.nextOf; f != nil && !f.stopped && f.at == ev.at {
+		r.cov["one-shot a repeating handler scheduled at its timer's next firing"]++
 	}
 	r.now = ev.at
 	r.dispatched++
 	r.firing = ev
 	ev.fn(ev.at)
-	r.firing = nil
+	r.firing, r.reuse = nil, false
 	if ev.period == 0 {
 		ev.stopped = true
 		return
@@ -149,7 +176,7 @@ func (r *refEngine) dispatch(i int) {
 	ev.fired++
 	if !ev.stopped {
 		r.seq++
-		ev.at, ev.seq = ev.at+ev.period, r.seq
+		ev.at, ev.seq, ev.mark = ev.at+ev.period, r.seq, r.oneShots
 		r.pending = append(r.pending, ev)
 	}
 }
@@ -158,27 +185,20 @@ func (r *refEngine) Now() Time          { return r.now }
 func (r *refEngine) Dispatched() uint64 { return r.dispatched }
 func (r *refEngine) Pending() int       { return len(r.pending) }
 func (r *refEngine) At(at Time, fn Handler) {
-	r.schedule(at, fn, 0)
+	r.schedule(at, fn, 0, false, false)
 }
-func (r *refEngine) After(d time.Duration, fn Handler) { r.schedule(r.now+d, fn, 0) }
+func (r *refEngine) After(d time.Duration, fn Handler) { r.schedule(r.now+d, fn, 0, false, false) }
 func (r *refEngine) AfterCancelable(d time.Duration, fn Handler) stopper {
-	return r.schedule(r.now+d, fn, 0)
+	return r.schedule(r.now+d, fn, 0, false, true)
 }
 func (r *refEngine) AfterCancelableLast(d time.Duration, fn Handler) stopper {
-	ev := r.schedule(r.now+d, fn, 0)
-	ev.last = true
-	return ev
+	return r.schedule(r.now+d, fn, 0, true, true)
 }
 func (r *refEngine) Every(period time.Duration, fn Handler) stopper {
-	return r.schedule(r.now+period, fn, period)
+	return r.schedule(r.now+period, fn, period, false, false)
 }
 func (r *refEngine) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
-	return r.schedule(start, fn, period)
-}
-func (r *refEngine) SampleFrom(start Time, period time.Duration, fn Handler) stopper {
-	ev := r.schedule(start, fn, period)
-	ev.sample = true
-	return ev
+	return r.schedule(start, fn, period, false, false)
 }
 
 func (r *refEngine) Step() bool {
@@ -223,7 +243,6 @@ type scheduler interface {
 	AfterCancelableLast(time.Duration, Handler) stopper
 	Every(time.Duration, Handler) stopper
 	EveryFrom(Time, time.Duration, Handler) stopper
-	SampleFrom(Time, time.Duration, Handler) stopper
 	Step() bool
 	RunUntil(Time)
 	Run()
@@ -243,9 +262,6 @@ func (e engineSched) Every(period time.Duration, fn Handler) stopper {
 }
 func (e engineSched) EveryFrom(start Time, period time.Duration, fn Handler) stopper {
 	return e.Engine.EveryFrom(start, period, fn)
-}
-func (e engineSched) SampleFrom(start Time, period time.Duration, fn Handler) stopper {
-	return e.Engine.SampleFrom(start, period, fn)
 }
 
 // firing is one dispatched handler as the workload logs it: which event,
@@ -269,7 +285,7 @@ type workload struct {
 	ids     int
 }
 
-// grid is the scheduling granularity: coarse, so periodic timers and
+// grid is the scheduling granularity: coarse, so repeating timers and
 // one-shot events often share an instant.
 const grid = 250 * time.Millisecond
 
@@ -282,14 +298,21 @@ func (w *workload) handler(id int) Handler {
 	}
 }
 
-// periodicHandler stops its own timer (handle index h) after its k-th
-// firing.
+// periodicHandler acts: it stops its own timer (handle index h) after its
+// k-th firing and may then start a repeating timer, which takes over the
+// stopped timer's engine slot.
 func (w *workload) periodicHandler(id, h, k int) Handler {
 	fired := 0
 	return func(now Time) {
 		w.log = append(w.log, firing{id, now, w.s.Pending()})
 		if fired++; fired == k {
 			w.handles[h].Stop()
+			if w.budget > 0 && w.rng.Intn(2) == 0 {
+				w.ids++
+				start := now + time.Duration(w.rng.Intn(3))*grid
+				w.every(w.ids, start, time.Duration(1+w.rng.Intn(4))*grid, false)
+				w.budget--
+			}
 		}
 		if w.rng.Intn(3) == 0 {
 			w.act()
@@ -297,8 +320,8 @@ func (w *workload) periodicHandler(id, h, k int) Handler {
 	}
 }
 
-// sampleHandler only reads: it logs, and stops its own sampler (handle
-// index h) after its k-th sample.
+// sampleHandler only reads: it logs, and stops its own timer (handle index
+// h) after its k-th firing.
 func (w *workload) sampleHandler(id, h, k int) Handler {
 	fired := 0
 	return func(now Time) {
@@ -307,6 +330,18 @@ func (w *workload) sampleHandler(id, h, k int) Handler {
 			w.handles[h].Stop()
 		}
 	}
+}
+
+// every starts a repeating timer with EveryFrom, whose handler only reads
+// if reader is set and acts otherwise.
+func (w *workload) every(id int, start Time, period time.Duration, reader bool) {
+	h := len(w.handles)
+	fn := w.periodicHandler(id, h, 1+w.rng.Intn(6))
+	if reader {
+		fn = w.sampleHandler(id, h, 1+w.rng.Intn(12))
+	}
+	w.handles = append(w.handles, nil)
+	w.handles[h] = w.s.EveryFrom(start, period, fn)
 }
 
 // act makes one random scheduling call, or stops a random handle.
@@ -331,15 +366,11 @@ func (w *workload) act() {
 		w.handles = append(w.handles, nil)
 		w.handles[h] = w.s.Every(period, w.periodicHandler(id, h, 1+w.rng.Intn(6)))
 	case 4:
-		h := len(w.handles)
-		w.handles = append(w.handles, nil)
-		w.handles[h] = w.s.EveryFrom(w.s.Now()+d, period, w.periodicHandler(id, h, 1+w.rng.Intn(6)))
+		w.every(id, w.s.Now()+d, period, false)
 	case 5:
 		w.handles = append(w.handles, w.s.AfterCancelableLast(d, w.handler(id)))
 	case 6:
-		h := len(w.handles)
-		w.handles = append(w.handles, nil)
-		w.handles[h] = w.s.SampleFrom(w.s.Now()+d, period, w.sampleHandler(id, h, 1+w.rng.Intn(12)))
+		w.every(id, w.s.Now()+d, period, true)
 	case 7:
 		if len(w.handles) > 0 {
 			w.handles[w.rng.Intn(len(w.handles))].Stop()
@@ -349,64 +380,70 @@ func (w *workload) act() {
 	w.budget--
 }
 
-// TestEngineMatchesReference runs seeded random workloads on the engine and
-// on the reference scheduler and, after every top-level call, requires the
-// same dispatch log (handler, instant, Pending inside the handler), Now,
-// Dispatched and Pending.
+// matchReference runs one seeded random workload on the engine and on the
+// reference scheduler and, after every top-level call, requires the same
+// dispatch log (handler, instant, Pending inside the handler), Now,
+// Dispatched and Pending. It returns the cases the workload reached.
+func matchReference(t *testing.T, seed int64) map[string]int {
+	ref := newRefEngine()
+	got := &workload{s: engineSched{New(seed)}, rng: rand.New(rand.NewSource(seed)), budget: 120}
+	want := &workload{s: ref, rng: rand.New(rand.NewSource(seed)), budget: 120}
+	ops := rand.New(rand.NewSource(-seed))
+	for call := 0; call < 80; call++ {
+		var name string
+		switch op := ops.Intn(10); {
+		case op < 5:
+			name = "act"
+			got.act()
+			want.act()
+		case op < 7:
+			name = "Step"
+			got.s.Step()
+			want.s.Step()
+		case op < 9:
+			deadline := got.s.Now() + time.Duration(ops.Intn(3000))*time.Millisecond
+			name = fmt.Sprintf("RunUntil(%v)", deadline)
+			got.s.RunUntil(deadline)
+			want.s.RunUntil(deadline)
+		default:
+			name = "Run"
+			got.s.Run()
+			want.s.Run()
+			ref.cov["Run"]++
+		}
+		if !reflect.DeepEqual(got.log, want.log) || got.s.Now() != want.s.Now() ||
+			got.s.Dispatched() != want.s.Dispatched() || got.s.Pending() != want.s.Pending() {
+			t.Fatalf("seed %d call %d (%s): engine diverged from reference\n"+
+				"engine: now %v dispatched %d pending %d log %v\n"+
+				"ref:    now %v dispatched %d pending %d log %v",
+				seed, call, name,
+				got.s.Now(), got.s.Dispatched(), got.s.Pending(), got.log,
+				want.s.Now(), want.s.Dispatched(), want.s.Pending(), want.log)
+		}
+	}
+	return ref.cov
+}
+
+// TestEngineMatchesReference runs matchReference over 300 seeds and
+// requires the workloads to reach every listed case.
 func TestEngineMatchesReference(t *testing.T) {
 	cov := map[string]int{}
 	for seed := int64(1); seed <= 300; seed++ {
-		ref := newRefEngine()
-		got := &workload{s: engineSched{New(seed)}, rng: rand.New(rand.NewSource(seed)), budget: 120}
-		want := &workload{s: ref, rng: rand.New(rand.NewSource(seed)), budget: 120}
-		ops := rand.New(rand.NewSource(-seed))
-		for call := 0; call < 80; call++ {
-			var name string
-			switch op := ops.Intn(10); {
-			case op < 5:
-				name = "act"
-				got.act()
-				want.act()
-			case op < 7:
-				name = "Step"
-				got.s.Step()
-				want.s.Step()
-			case op < 9:
-				deadline := got.s.Now() + time.Duration(ops.Intn(3000))*time.Millisecond
-				name = fmt.Sprintf("RunUntil(%v)", deadline)
-				got.s.RunUntil(deadline)
-				want.s.RunUntil(deadline)
-			default:
-				name = "Run"
-				got.s.Run()
-				want.s.Run()
-				cov["Run"]++
-			}
-			if !reflect.DeepEqual(got.log, want.log) || got.s.Now() != want.s.Now() ||
-				got.s.Dispatched() != want.s.Dispatched() || got.s.Pending() != want.s.Pending() {
-				t.Fatalf("seed %d call %d (%s): engine diverged from reference\n"+
-					"engine: now %v dispatched %d pending %d log %v\n"+
-					"ref:    now %v dispatched %d pending %d log %v",
-					seed, call, name,
-					got.s.Now(), got.s.Dispatched(), got.s.Pending(), got.log,
-					want.s.Now(), want.s.Dispatched(), want.s.Pending(), want.log)
-			}
-		}
-		for k, v := range ref.cov {
+		for k, v := range matchReference(t, seed) {
 			cov[k] += v
 		}
 	}
 	for _, c := range []string{
-		"periodic stopped in its own handler",
-		"periodic stopped in another handler",
-		"sampler stopped in its own handler",
-		"sampler stopped in another handler",
-		"two samples at one instant",
-		"periodic started in a handler",
-		"periodic and one-shot at one instant",
+		"repeating timer stopped in its own handler",
+		"repeating timer stopped in another handler",
+		"repeating timer stopped itself, then its handler started one on its slot",
+		"repeating timer started in a handler",
+		"two repeating timers with one mark at one instant",
+		"repeating timer and one-shot at one instant",
 		"last event passed by a later one at its instant",
-		"one-shot at a sample instant scheduled before the previous sample ran",
-		"one-shot at a sample instant scheduled after the previous sample ran",
+		"one-shot at a repeating timer's instant scheduled before its re-arm",
+		"one-shot at a repeating timer's instant scheduled after its re-arm",
+		"one-shot a repeating handler scheduled at its timer's next firing",
 		"RunUntil deadline before a pending event",
 		"Run",
 	} {
@@ -415,4 +452,13 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("cases reached: %v", cov)
+}
+
+// FuzzEngineMatchesReference runs matchReference on fuzzed seeds.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(-7))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		matchReference(t, seed)
+	})
 }

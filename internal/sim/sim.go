@@ -9,40 +9,33 @@
 // streams seeded from the engine's root seed. No wall-clock time is read
 // anywhere in the simulation.
 //
-// Every pending event has a place in one total order, (time, seq): seq is
-// a counter the engine takes one number from for each event it schedules,
-// so same-instant events fire in scheduling order. AfterCancelableLast sets
-// the seq's top bit, so its events fire after every other event at their
-// instant and in scheduling order among themselves. One-shot events live in
-// a value-based 4-ary min-heap: events are plain structs stored in a
-// reusable slice, so the steady-state schedule/dispatch path performs no
-// allocation. Cancelable timers use generation-stamped slots instead of
+// Every one-shot event has a place in one total order, (time, seq): seq is
+// a counter the engine takes one number from for each one-shot event it
+// schedules, so same-instant events fire in scheduling order.
+// AfterCancelableLast sets the seq's top bit, so its events fire after
+// every other event at their instant and in scheduling order among
+// themselves. One-shot events live in a value-based 4-ary min-heap: events
+// are plain structs stored in a reusable slice, so the steady-state
+// schedule/dispatch path performs no allocation. Cancelable timers use generation-stamped slots instead of
 // per-timer flag allocations; Timer.Stop is O(1), canceled events are
 // counted as tombstones, and the queue compacts itself when tombstones
 // outnumber live events, so a six-week simulation that starts and cancels
 // millions of phase timers stays lean.
 //
-// Periodic timers (Every, EveryFrom) never enter the heap. A row has one,
-// its control tick, and each lives as one entry in a small slice beside
-// the heap; dispatch takes whichever of the heap top and the earliest entry
-// is less by (time, seq). A periodic timer takes one seq when it starts and
-// one per re-arm, after its handler returns: the numbers a re-scheduled
-// heap event would take, so the order is the one a single heap would give.
-//
-// Samplers (SampleFrom) are periodic timers whose handlers only read
-// state, such as a row's 0.25 s power sub-sample, which fires most of its
-// events. They sit in a second slice and take no seq: a sampler stores the
-// seq counter as it stood when it last ran (its mark), and a sample at
-// instant t precedes exactly the events at t whose seq exceeds the mark,
-// the ones a re-armed periodic timer would precede. Before each event
-// other than a sample, the engine runs every sample that precedes it in
-// one loop. A sample handler that schedules anything panics, so a sample
-// moves no other event's place in the order.
+// Repeating timers (Every, EveryFrom) never enter the heap and take no
+// seq. A row runs two, its 0.25 s power sub-sample and its 2 s control
+// tick, which fire most of its events; each is one entry in a short list
+// beside the heap, re-armed in place. An entry stores its mark, the seq
+// counter when the timer started or its handler last returned: its firing
+// at instant t follows the events at t with a seq up to the mark and
+// precedes the later ones, the place a heap event scheduled at that moment
+// would take. Entries with one mark fire in the order they started or
+// re-armed (ord). Before each dispatch the engine takes whichever of the
+// earliest entry by (time, mark, ord) and the heap top goes first.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"time"
@@ -70,24 +63,13 @@ type event struct {
 
 const noTimer int32 = -1
 
-// periodic is a live Every or EveryFrom timer: its next firing at (at,
-// seq), its period and its handler. timer and gen are its slot, which
-// holds the handle's Stop state.
-type periodic struct {
-	at     Time
-	seq    uint64
-	period time.Duration
-	fn     Handler
-	timer  int32
-	gen    uint32
-}
-
-// sampler is a live SampleFrom timer: its next sample at, its period and
-// handler, and its slot. mark is the engine's seq counter when the sampler
-// started or last ran: the events at its instant with a seq up to mark
-// fire before the sample, the later ones after it. ord breaks ties between
-// samplers with one mark, in the order they started or last ran.
-type sampler struct {
+// repeating is a live Every or EveryFrom timer: its next firing at, its
+// period and handler, and its slot. mark is the engine's seq counter when
+// the timer started or its handler last returned: the events at its
+// instant with a seq up to mark fire before it, the later ones after it.
+// ord breaks ties between timers with one mark, in the order they started
+// or re-armed.
+type repeating struct {
 	at     Time
 	mark   uint64
 	ord    uint64
@@ -96,61 +78,49 @@ type sampler struct {
 	timer  int32
 }
 
-// before reports whether the sample precedes the event at (at, seq).
-func (s *sampler) before(at Time, seq uint64) bool {
-	return s.at < at || s.at == at && s.mark < seq
+// before reports whether the timer fires before the queued event ev.
+func (r *repeating) before(ev *event) bool {
+	return r.at < ev.at || r.at == ev.at && r.mark < ev.seq
 }
 
-// less orders two samplers by (at, mark, ord).
-func (s *sampler) less(o *sampler) bool {
-	if s.at != o.at {
-		return s.at < o.at
+// less orders two repeating timers by (at, mark, ord).
+func (r *repeating) less(o *repeating) bool {
+	if r.at != o.at {
+		return r.at < o.at
 	}
-	if s.mark != o.mark {
-		return s.mark < o.mark
+	if r.mark != o.mark {
+		return r.mark < o.mark
 	}
-	return s.ord < o.ord
+	return r.ord < o.ord
 }
-
-// timerKind is what a timer slot holds.
-type timerKind uint8
-
-const (
-	oneShotTimer  timerKind = iota // an AfterCancelable event, in the heap
-	periodicTimer                  // an Every/EveryFrom timer, in Engine.periodic
-	sampleTimer                    // a SampleFrom timer, in Engine.samplers
-)
 
 // timerSlot is the engine-side state of one cancelable timer. Slots are
 // recycled through a free list; gen distinguishes the current occupant from
 // stale Timer handles to an earlier one, which makes Stop idempotent and
 // safe after slot reuse.
 type timerSlot struct {
-	gen     uint32
-	queued  int32 // events currently in the queue referencing this slot
+	gen uint32
+	// queued counts the events in the queue referencing this slot: one
+	// while a one-shot timer is live, none for a repeating timer.
+	queued  int32
 	stopped bool
-	kind    timerKind
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with New.
 type Engine struct {
-	now       Time
-	seq       uint64
-	queue     []event    // 4-ary min-heap ordered by (at, seq)
-	periodic  []periodic // live periodic timers, unordered
-	samplers  []sampler  // live samplers, unordered
-	sampleOrd uint64     // the last sampler.ord handed out
-	sampling  int32      // slot of the sampler whose handler runs, or noTimer
-	// samplerDrops counts stopped samplers, so a sample that ran can tell
-	// whether its entry may have moved.
-	samplerDrops uint64
-	timers       []timerSlot
-	freeTimers   []int32
-	tombstones   int // queued events whose timer has been stopped
-	seed         int64
-	running      bool
-	events       uint64 // events dispatched, counted unconditionally
+	now        Time
+	seq        uint64
+	queue      []event     // 4-ary min-heap ordered by (at, seq)
+	repeating  []repeating // live repeating timers, unordered
+	ord        uint64      // the last repeating.ord handed out
+	firing     int32       // slot of the repeating timer whose handler runs, or noTimer
+	timers     []timerSlot
+	freeTimers []int32
+	tombstones int // queued events whose timer has been stopped
+	seed       int64
+	running    bool
+	events     uint64 // events dispatched, counted unconditionally
 
 	// Observability. The observer is injected by the run harness and handed
 	// down to every layer built on this engine; dispatched is cached at
@@ -163,7 +133,7 @@ type Engine struct {
 // New returns an Engine whose clock starts at zero and whose random streams
 // derive from seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed, sampling: noTimer}
+	return &Engine{seed: seed, firing: noTimer}
 }
 
 // Now returns the current virtual time.
@@ -354,7 +324,7 @@ func (e *Engine) maybeCompact() {
 
 // --- timer slots ---
 
-func (e *Engine) newTimerSlot(kind timerKind) (int32, uint32) {
+func (e *Engine) newTimerSlot() (int32, uint32) {
 	var id int32
 	if n := len(e.freeTimers); n > 0 {
 		id = e.freeTimers[n-1]
@@ -366,21 +336,15 @@ func (e *Engine) newTimerSlot(kind timerKind) (int32, uint32) {
 	s := &e.timers[id]
 	s.queued = 0
 	s.stopped = false
-	s.kind = kind
 	return id, s.gen
 }
 
 // freeTimerSlot recycles a slot; bumping gen invalidates outstanding Timer
-// handles, and the periodic entry of a timer stopped inside its own
-// handler, that still reference it.
+// handles that still reference it, and tells fireRepeating that a timer
+// stopped inside its own handler must not re-arm.
 func (e *Engine) freeTimerSlot(id int32) {
 	e.timers[id].gen++
 	e.freeTimers = append(e.freeTimers, id)
-}
-
-func (e *Engine) timerActive(id int32, gen uint32) bool {
-	s := &e.timers[id]
-	return s.gen == gen && !s.stopped
 }
 
 // --- scheduling API ---
@@ -417,13 +381,8 @@ func (t Timer) Stop() {
 		return
 	}
 	s.stopped = true
-	switch s.kind {
-	case periodicTimer:
-		t.e.dropPeriodic(t.id)
-	case sampleTimer:
-		t.e.dropSampler(t.id)
-	}
-	if s.queued == 0 {
+	if s.queued == 0 { // a repeating timer
+		t.e.dropRepeating(t.id)
 		t.e.freeTimerSlot(t.id)
 		return
 	}
@@ -448,7 +407,7 @@ func (e *Engine) AfterCancelableLast(d time.Duration, fn Handler) Timer {
 }
 
 func (e *Engine) afterCancelable(d time.Duration, fn Handler, last bool) Timer {
-	id, gen := e.newTimerSlot(oneShotTimer)
+	id, gen := e.newTimerSlot()
 	e.schedule(e.now+d, fn, id, last)
 	return Timer{e: e, id: id, gen: gen}
 }
@@ -475,189 +434,74 @@ func (e *Engine) EveryFrom(start Time, period time.Duration, fn Handler) Timer {
 }
 
 func (e *Engine) startRepeating(first Time, period time.Duration, fn Handler) Timer {
-	id, gen := e.newTimerSlot(periodicTimer)
-	e.seq++
-	e.periodic = append(e.periodic, periodic{at: first, seq: e.seq, period: period, fn: fn, timer: id, gen: gen})
+	id, gen := e.newTimerSlot()
+	e.ord++
+	e.repeating = append(e.repeating, repeating{at: first, mark: e.seq, ord: e.ord, period: period, fn: fn, timer: id})
 	return Timer{e: e, id: id, gen: gen}
 }
 
-// SampleFrom is EveryFrom for a handler that only reads state, such as a
-// power sampler: fn runs at start and every period thereafter, until the
-// returned Timer is stopped, in the same place among the other events as
-// an EveryFrom timer's handler would. A sample takes no seq, and the
-// engine runs the samples due before an event in one loop instead of
-// dispatching each through the queue. A sample handler must not schedule
-// or start anything: the engine panics if it does.
-func (e *Engine) SampleFrom(start Time, period time.Duration, fn Handler) Timer {
-	if period <= 0 {
-		panic("sim: SampleFrom with non-positive period")
+// dropRepeating removes the entry of slot id. An entry stays in the list
+// while its own handler runs, so a timer that stops itself also ends the
+// handler's exclusion from Pending.
+func (e *Engine) dropRepeating(id int32) {
+	if e.firing == id {
+		e.firing = noTimer
 	}
-	if start < e.now {
-		panic(fmt.Sprintf("sim: SampleFrom start %v before now %v", start, e.now))
-	}
-	if e.sampling != noTimer {
-		panic("sim: SampleFrom inside a sample handler")
-	}
-	id, gen := e.newTimerSlot(sampleTimer)
-	e.sampleOrd++
-	e.samplers = append(e.samplers, sampler{at: start, mark: e.seq, ord: e.sampleOrd, period: period, fn: fn, timer: id})
-	return Timer{e: e, id: id, gen: gen}
+	i := e.findRepeating(id)
+	last := len(e.repeating) - 1
+	e.repeating[i] = e.repeating[last]
+	e.repeating[last] = repeating{} // release the handler for GC
+	e.repeating = e.repeating[:last]
 }
 
-// dropPeriodic removes the periodic entry of slot id, if it is in the
-// list: it is not while its own handler runs.
-func (e *Engine) dropPeriodic(id int32) {
-	for i := range e.periodic {
-		if e.periodic[i].timer == id {
-			e.removePeriodic(i)
-			return
-		}
+// findRepeating returns the index of slot id's entry, which must be live.
+func (e *Engine) findRepeating(id int32) int {
+	i := 0
+	for e.repeating[i].timer != id {
+		i++
 	}
-}
-
-func (e *Engine) removePeriodic(i int) {
-	last := len(e.periodic) - 1
-	e.periodic[i] = e.periodic[last]
-	e.periodic[last] = periodic{} // release the handler for GC
-	e.periodic = e.periodic[:last]
-}
-
-// dropSampler removes the sampler of slot id. A sampler stays in the list
-// while its own handler runs, so a sampler that stops itself ends the
-// handler's exclusion from Pending too.
-func (e *Engine) dropSampler(id int32) {
-	if e.sampling == id {
-		e.sampling = noTimer
-	}
-	i := e.findSampler(id)
-	last := len(e.samplers) - 1
-	e.samplers[i] = e.samplers[last]
-	e.samplers[last] = sampler{} // release the handler for GC
-	e.samplers = e.samplers[:last]
-	e.samplerDrops++
-}
-
-// findSampler returns the index of slot id's sampler, or -1.
-func (e *Engine) findSampler(id int32) int {
-	for i := range e.samplers {
-		if e.samplers[i].timer == id {
-			return i
-		}
-	}
-	return -1
+	return i
 }
 
 // --- dispatch ---
 
-// nextPeriodic returns the index of the periodic timer that fires before
-// the heap top, or -1 when the heap top (live or canceled) goes first.
-func (e *Engine) nextPeriodic() int {
-	if len(e.periodic) == 0 {
+// nextRepeating returns the index of the repeating timer that fires before
+// the heap top, or -1 when the heap top (live or canceled) goes first or
+// no timer is pending.
+func (e *Engine) nextRepeating() int {
+	if len(e.repeating) == 0 {
 		return -1
 	}
-	pi := 0
-	for i := 1; i < len(e.periodic); i++ {
-		if e.periodic[i].before(e.periodic[pi].at, e.periodic[pi].seq) {
-			pi = i
+	ri := 0
+	for i := 1; i < len(e.repeating); i++ {
+		if e.repeating[i].less(&e.repeating[ri]) {
+			ri = i
 		}
 	}
-	if len(e.queue) > 0 && !e.periodic[pi].before(e.queue[0].at, e.queue[0].seq) {
+	if len(e.queue) > 0 && !e.repeating[ri].before(&e.queue[0]) {
 		return -1
 	}
-	return pi
+	return ri
 }
 
-// before reports whether the timer's next firing precedes (at, seq).
-func (p *periodic) before(at Time, seq uint64) bool {
-	return p.at < at || p.at == at && p.seq < seq
-}
-
-// peek returns the (at, seq) of the next event other than a sample, given
-// nextPeriodic's pi: the periodic timer's, the heap top's (live or
-// canceled), or the largest key when nothing is pending.
-func (e *Engine) peek(pi int) (Time, uint64) {
-	switch {
-	case pi >= 0:
-		return e.periodic[pi].at, e.periodic[pi].seq
-	case len(e.queue) > 0:
-		return e.queue[0].at, e.queue[0].seq
+// fireRepeating dispatches repeating timer i and re-arms it in place, with
+// the seq counter as its mark, unless its handler stopped it. The entry
+// stays in the list while the handler runs. A handler that starts or stops
+// timers moves entries, and one that stops its own timer can hand the slot
+// to a timer it starts, so the re-arm checks the slot's generation and
+// finds the entry by slot.
+func (e *Engine) fireRepeating(i int) {
+	r := &e.repeating[i]
+	id, gen := r.timer, e.timers[r.timer].gen
+	e.firing = id
+	e.fire(r.at, r.fn)
+	e.firing = noTimer
+	if e.timers[id].gen != gen {
+		return // it stopped itself
 	}
-	return math.MaxInt64, math.MaxUint64
-}
-
-// nextSample returns the index of the earliest sampler, or -1.
-func (e *Engine) nextSample() int {
-	if len(e.samplers) == 0 {
-		return -1
-	}
-	si := 0
-	for i := 1; i < len(e.samplers); i++ {
-		if e.samplers[i].less(&e.samplers[si]) {
-			si = i
-		}
-	}
-	return si
-}
-
-// runSamples runs, in order, every sample that precedes the event at (at,
-// seq) and is not after deadline, and reports whether it ran any. A sample
-// handler only stops timers, which leaves the first event at or after
-// (at, seq), so the bound holds through the loop.
-func (e *Engine) runSamples(at Time, seq uint64, deadline Time) bool {
-	ran := false
-	for {
-		var s *sampler
-		switch len(e.samplers) {
-		case 0:
-			return ran
-		case 1:
-			s = &e.samplers[0]
-		default:
-			s = &e.samplers[e.nextSample()]
-		}
-		if s.at > deadline || !s.before(at, seq) {
-			return ran
-		}
-		e.fireSample(s)
-		ran = true
-	}
-}
-
-// fireSample runs sampler s's handler and re-arms it with the seq counter
-// as its mark, unless the handler stopped it. The entry stays in the list
-// while the handler runs; no handler can grow the list, but one that stops
-// a sampler moves or removes an entry.
-func (e *Engine) fireSample(s *sampler) {
-	id, seq, drops := s.timer, e.seq, e.samplerDrops
-	e.sampling = id
-	e.fire(s.at, s.fn)
-	e.sampling = noTimer
-	if e.seq != seq {
-		panic(fmt.Sprintf("sim: a sample handler at %v scheduled an event", e.now))
-	}
-	if e.samplerDrops != drops {
-		i := e.findSampler(id)
-		if i < 0 {
-			return // it stopped itself
-		}
-		s = &e.samplers[i]
-	}
-	e.sampleOrd++
-	s.at, s.mark, s.ord = s.at+s.period, seq, e.sampleOrd
-}
-
-// firePeriodic dispatches periodic timer pi. The timer leaves the list
-// while its handler runs, and returns with the next seq unless the handler
-// stopped it.
-func (e *Engine) firePeriodic(pi int) {
-	p := e.periodic[pi]
-	e.removePeriodic(pi)
-	e.fire(p.at, p.fn)
-	if e.timerActive(p.timer, p.gen) {
-		e.seq++
-		p.at, p.seq = p.at+p.period, e.seq
-		e.periodic = append(e.periodic, p)
-	}
+	r = &e.repeating[e.findRepeating(id)]
+	e.ord++
+	r.at, r.mark, r.ord = r.at+r.period, e.seq, e.ord
 }
 
 func (e *Engine) fire(at Time, fn Handler) {
@@ -667,17 +511,11 @@ func (e *Engine) fire(at Time, fn Handler) {
 	fn(at)
 }
 
-// Step dispatches the next pending event, a sample included, and reports
-// whether one existed.
+// Step dispatches the next pending event and reports whether one existed.
 func (e *Engine) Step() bool {
 	for {
-		pi := e.nextPeriodic()
-		if si := e.nextSample(); si >= 0 && e.samplers[si].before(e.peek(pi)) {
-			e.fireSample(&e.samplers[si])
-			return true
-		}
-		if pi >= 0 {
-			e.firePeriodic(pi)
+		if ri := e.nextRepeating(); ri >= 0 {
+			e.fireRepeating(ri)
 			return true
 		}
 		if len(e.queue) == 0 {
@@ -701,17 +539,11 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		pi := e.nextPeriodic()
-		if len(e.samplers) > 0 {
-			if at, seq := e.peek(pi); e.runSamples(at, seq, deadline) {
-				continue
-			}
-		}
-		if pi >= 0 {
-			if e.periodic[pi].at > deadline {
+		if ri := e.nextRepeating(); ri >= 0 {
+			if e.repeating[ri].at > deadline {
 				break
 			}
-			e.firePeriodic(pi)
+			e.fireRepeating(ri)
 			continue
 		}
 		if len(e.queue) == 0 {
@@ -732,19 +564,18 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // Run dispatches all pending events until none is left. Use with care:
-// periodic and self-rescheduling timers never run out; prefer RunUntil for
-// simulations that contain periodic tasks.
+// repeating and self-rescheduling timers never run out; prefer RunUntil
+// for simulations that contain them.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
 // Pending returns the number of live (non-canceled) scheduled events. A
-// periodic timer or sampler counts as one, except while its own handler
-// runs.
+// repeating timer counts as one, except while its own handler runs.
 func (e *Engine) Pending() int {
-	n := len(e.queue) - e.tombstones + len(e.periodic) + len(e.samplers)
-	if e.sampling != noTimer {
+	n := len(e.queue) - e.tombstones + len(e.repeating)
+	if e.firing != noTimer {
 		n--
 	}
 	return n

@@ -65,63 +65,38 @@ func TestAfterCancelableLastOrder(t *testing.T) {
 	}
 }
 
-// TestSampleOrder pins where a sample falls among the events at its
-// instant, the place a periodic timer re-armed when the previous sample
-// ran would hold: after the tick started before it and the one-shots
-// scheduled before that sample, before the one-shots scheduled after it
-// and every AfterCancelableLast event.
-func TestSampleOrder(t *testing.T) {
+// TestRepeatingOrder pins where a repeating timer fires among the events
+// at its instant: after those scheduled before it started or its handler
+// last returned, before those scheduled later and every
+// AfterCancelableLast event, and after another timer with the same mark
+// that started or re-armed before it. The tick schedules a one-shot at its
+// own next instant, which therefore fires before that tick.
+func TestRepeatingOrder(t *testing.T) {
 	e := New(1)
 	var got []string
 	log := func(name string) Handler { return func(Time) { got = append(got, name) } }
-	sub := e.SampleFrom(500*time.Millisecond, 500*time.Millisecond, log("sample"))
-	tick := e.Every(time.Second, log("tick"))
+	sub := e.EveryFrom(500*time.Millisecond, 500*time.Millisecond, log("sub"))
+	tick := e.Every(time.Second, func(now Time) {
+		got = append(got, "tick")
+		e.At(now+time.Second, log("next"))
+	})
 	e.AfterCancelableLast(time.Second, log("last"))
 	e.At(time.Second, log("before"))
 	e.At(750*time.Millisecond, func(Time) { e.At(time.Second, log("after")) })
-	e.RunUntil(time.Second)
+	e.RunUntil(2 * time.Second)
 	sub.Stop()
 	tick.Stop()
-	want := []string{"sample", "tick", "before", "sample", "after", "last"}
+	want := []string{
+		"sub",                                    // 0.5 s
+		"tick", "before", "sub", "after", "last", // 1 s
+		"sub",                 // 1.5 s
+		"next", "tick", "sub", // 2 s: the timers share a mark
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch order %v, want %v", got, want)
 	}
-	if e.Dispatched() != 7 {
-		t.Errorf("Dispatched = %d, want 7 (each sample counts)", e.Dispatched())
-	}
-}
-
-// TestSampleHandlerMustNotSchedule requires the engine to panic when a
-// sample handler schedules an event or starts a timer, through RunUntil
-// and Step alike.
-func TestSampleHandlerMustNotSchedule(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		sched func(e *Engine)
-	}{
-		{"After", func(e *Engine) { e.After(time.Second, func(Time) {}) }},
-		{"AfterCancelable", func(e *Engine) { e.AfterCancelable(time.Second, func(Time) {}) }},
-		{"Every", func(e *Engine) { e.Every(time.Second, func(Time) {}) }},
-		{"SampleFrom", func(e *Engine) { e.SampleFrom(e.Now(), time.Second, func(Time) {}) }},
-	} {
-		for _, run := range []struct {
-			name string
-			run  func(e *Engine)
-		}{
-			{"RunUntil", func(e *Engine) { e.RunUntil(time.Minute) }},
-			{"Step", func(e *Engine) { e.Step() }},
-		} {
-			t.Run(c.name+"/"+run.name, func(t *testing.T) {
-				e := New(1)
-				e.SampleFrom(time.Second, time.Second, func(Time) { c.sched(e) })
-				defer func() {
-					if recover() == nil {
-						t.Error("a sample handler that schedules should panic")
-					}
-				}()
-				run.run(e)
-			})
-		}
+	if e.Dispatched() != 11 {
+		t.Errorf("Dispatched = %d, want 11 (every firing counts)", e.Dispatched())
 	}
 }
 
