@@ -342,17 +342,19 @@ func writeCriticalPath(b *strings.Builder, reqs []*request) {
 		if totTTFT > 0 {
 			share = stats.Sum(xs) / totTTFT
 		}
+		sorted := stats.Sorted(xs)
 		fmt.Fprintf(b, "%-22s %10.3f %10.3f %10.3f %7.1f%%\n",
-			name, stats.Mean(xs), stats.Percentile(xs, 50), stats.Percentile(xs, 99), share*100)
+			name, stats.Mean(xs), stats.PercentileSorted(sorted, 50), stats.PercentileSorted(sorted, 99), share*100)
 	}
 	row("queue wait", queue)
 	row("prefill", prefill)
 	row("preemption recompute", recompute)
 	row("scheduler stall", stall)
 	row("ttft total", ttft)
+	capSorted := stats.Sorted(capSec)
 	fmt.Fprintf(b, "%-22s %10.3f %10.3f %10.3f %8s\n",
-		"cap slowdown (request)", stats.Mean(capSec), stats.Percentile(capSec, 50),
-		stats.Percentile(capSec, 99), "-")
+		"cap slowdown (request)", stats.Mean(capSec), stats.PercentileSorted(capSorted, 50),
+		stats.PercentileSorted(capSorted, 99), "-")
 	fmt.Fprintln(b)
 }
 
@@ -402,11 +404,12 @@ func writeClassTable(b *strings.Builder, reqs []*request, sloSec float64) {
 		// produced a first token (dropped, shed) is an SLO miss.
 		frac := float64(a.sloOK) / float64(len(a.lat))
 		attain = append(attain, frac)
+		ttft, lat, energy := stats.Sorted(a.ttft), stats.Sorted(a.lat), stats.Sorted(a.energy)
 		fmt.Fprintf(b, "%-12s %6d %9.3f %9.3f %7.1f%% %9.2f %9.2f %10.1f %10.1f %9.1f %9.1f\n",
 			name, len(a.lat),
-			stats.Percentile(a.ttft, 50), stats.Percentile(a.ttft, 99), frac*100,
-			stats.Percentile(a.lat, 50), stats.Percentile(a.lat, 99),
-			stats.Percentile(a.energy, 50), stats.Percentile(a.energy, 99),
+			stats.PercentileSorted(ttft, 50), stats.PercentileSorted(ttft, 99), frac*100,
+			stats.PercentileSorted(lat, 50), stats.PercentileSorted(lat, 99),
+			stats.PercentileSorted(energy, 50), stats.PercentileSorted(energy, 99),
 			jPerTok, a.capSec)
 	}
 	fmt.Fprintf(b, "Jain fairness of SLO attainment across classes: %.3f\n\n", stats.Jain(attain))

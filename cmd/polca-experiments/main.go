@@ -95,10 +95,13 @@ func main() {
 	}
 	if *verbose {
 		// Progress lines go to stderr so stdout stays the rendered results.
-		opts.Progress.OnDone = func(name string, done, total int, cached bool, elapsed time.Duration) {
+		opts.Progress.OnDone = func(name string, done, total int, cached bool, elapsed, simulated time.Duration) {
 			suffix := ""
-			if cached {
+			switch {
+			case cached:
 				suffix = " (cached)"
+			case elapsed > 0:
+				suffix = " (" + siRate(simulated.Seconds()/elapsed.Seconds()) + " sim-s/s)"
 			}
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s in %.1fs%s\n", done, total, name, elapsed.Seconds(), suffix)
 		}
@@ -167,4 +170,15 @@ func exportAll(dir string, results []experiments.Result) error {
 		}
 	}
 	return nil
+}
+
+// siRate renders a rate with an SI suffix, as in 1.6M.
+func siRate(r float64) string {
+	switch {
+	case r >= 1e6:
+		return fmt.Sprintf("%.1fM", r/1e6)
+	case r >= 1e3:
+		return fmt.Sprintf("%.0fk", r/1e3)
+	}
+	return fmt.Sprintf("%.0f", r)
 }

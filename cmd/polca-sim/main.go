@@ -487,10 +487,10 @@ func runOne(o runOpts) (string, error) {
 
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %10s %10s\n", "Priority", "served", "dropped", "p50 (s)", "p99 (s)", "max (s)", "req/srv/h")
 	for _, pri := range []workload.Priority{workload.Low, workload.High} {
-		lat := m.LatencySec[pri]
+		lat := stats.Sorted(m.LatencySec[pri])
 		fmt.Fprintf(&b, "%-10s %10d %10d %10.1f %10.1f %10.1f %10.1f\n",
 			pri, m.Completed[pri], m.Dropped[pri],
-			stats.Percentile(lat, 50), stats.Percentile(lat, 99), stats.Percentile(lat, 100),
+			stats.PercentileSorted(lat, 50), stats.PercentileSorted(lat, 99), stats.PercentileSorted(lat, 100),
 			m.Throughput(pri)*3600)
 	}
 

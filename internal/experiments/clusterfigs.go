@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -159,7 +158,14 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		cfg.ServeCircuitSheds = 10
 		cfg.WatchdogDrain = true
 	}
-	eng := sim.New(o.Seed)
+	horizon := horizonFromDays(s.days)
+	var eng *sim.Engine
+	var plan trace.RatePlan
+	if s.scenario != "" {
+		eng = sim.New(cfg.Seed)
+	} else if eng, plan, err = productionRun(cfg, horizon); err != nil {
+		return nil, err
+	}
 	// Metrics only: per-request trace events from dozens of grid points
 	// would flood a sweep-level trace, but aggregate counters stay useful.
 	eng.SetObserver(o.Obs.MetricsOnly())
@@ -167,7 +173,6 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := horizonFromDays(s.days)
 	if s.scenario != "" {
 		// Generation draws on the engine's named scenario streams, so every
 		// policy arm of a sweep sees the identical request trace.
@@ -177,26 +182,17 @@ func runRowSpec(o Options, s rowSpec) (*cluster.Metrics, error) {
 		}
 		return row.RunRequests(reqs, horizon), nil
 	}
-	plan, err := productionArrivals(cfg, o.Seed, horizon)
-	if err != nil {
-		return nil, err
-	}
 	return row.Run(plan), nil
 }
 
-// latencies is a run's latency series per priority, sorted ascending, so
-// a figure sorts each series once however many percentiles it reads.
-// Metrics.LatencySec itself is never sorted: cached metrics are shared
-// across experiments and workers, and digested in completion order.
+// latencies is a run's latency series per priority, sorted ascending.
 type latencies [2][]float64
 
+// sortedLatencies returns the row's latency series. The sweep cache
+// sorted them in place before it published the row (simulateRowCached),
+// so every figure reads the one sorted series without copying it.
 func sortedLatencies(m *cluster.Metrics) latencies {
-	var l latencies
-	for _, pri := range []workload.Priority{workload.Low, workload.High} {
-		l[pri] = append([]float64(nil), m.LatencySec[pri]...)
-		sort.Float64s(l[pri])
-	}
-	return l
+	return latencies{workload.Low: m.LatencySec[workload.Low], workload.High: m.LatencySec[workload.High]}
 }
 
 // p returns the p-th percentile of the priority's latencies.

@@ -89,12 +89,12 @@ func runFigServe(o Options) (Result, error) {
 	data := FigServeData{}
 	backends := []string{"slot", "slot", "serve", "serve"}
 	for i := 0; i < 4; i++ {
-		u := ms[i].Util.Values
+		u := stats.Sorted(ms[i].Util.Values)
 		data.Power = append(data.Power, FigServePower{
 			Backend: backends[i], Policy: specs[i].name(),
 			Mean: ms[i].Util.Mean(),
-			P50:  stats.Percentile(u, 50), P90: stats.Percentile(u, 90),
-			P99: stats.Percentile(u, 99), Peak2s: ms[i].Util.Peak(),
+			P50:  stats.PercentileSorted(u, 50), P90: stats.PercentileSorted(u, 90),
+			P99: stats.PercentileSorted(u, 99), Peak2s: ms[i].Util.Peak(),
 			Brakes: ms[i].BrakeEvents,
 		})
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -40,9 +42,62 @@ var (
 	refCache = map[refKey]stats.Series{}
 )
 
-// resetEvalCache drops all cached simulations and reference series; tests
-// use it to force a cold-cache comparison between serial and parallel
-// execution.
+// gapBlock is the gap memo's block length, 32 KiB of gaps.
+const gapBlock = 4096
+
+// gapMemo is one seed's sequence of unit inter-arrival gaps: the
+// trace.FrontDoorGap draws that a row's arrival stream, Rand("arrivals")
+// of an engine on the seed, makes, in order. RatePlan.NextAfter draws a
+// gap before it reads the plan, so every row at the seed draws a prefix
+// of this one sequence. Blocks never change once appended, so a reader
+// holds gapMu only to extend the memo, never to read it.
+type gapMemo struct {
+	rng    *rand.Rand // the stream, positioned after the last block
+	blocks []*[gapBlock]float64
+}
+
+var (
+	gapMu    sync.Mutex
+	gapCache = map[int64]*gapMemo{}
+)
+
+// extend returns the memo's blocks, drawing new ones until there are at
+// least n.
+func (m *gapMemo) extend(n int) []*[gapBlock]float64 {
+	gapMu.Lock()
+	defer gapMu.Unlock()
+	for len(m.blocks) < n {
+		b := new([gapBlock]float64)
+		for i := range b {
+			b[i] = trace.FrontDoorGap(m.rng)
+		}
+		m.blocks = append(m.blocks, b)
+	}
+	return m.blocks
+}
+
+// gapCursor reads one run's gaps off a seed's memo, from the first.
+type gapCursor struct {
+	memo   *gapMemo
+	blocks []*[gapBlock]float64 // the memo's blocks at this cursor's last extend
+	n      int                  // gaps read
+}
+
+// gap is a RatePlan.Gap: the run's next memoized draw. It leaves rng, the
+// row's own arrival stream, undrawn; nothing else reads that stream.
+func (c *gapCursor) gap(*rand.Rand) float64 {
+	b := c.n / gapBlock
+	if b == len(c.blocks) {
+		c.blocks = c.memo.extend(b + 1)
+	}
+	g := c.blocks[b][c.n%gapBlock]
+	c.n++
+	return g
+}
+
+// resetEvalCache drops all cached simulations, reference series and gap
+// memos; tests use it to force a cold-cache comparison between serial and
+// parallel execution.
 func resetEvalCache() {
 	evalMu.Lock()
 	evalCache = map[string]*evalCall{}
@@ -50,21 +105,48 @@ func resetEvalCache() {
 	refMu.Lock()
 	refCache = map[refKey]stats.Series{}
 	refMu.Unlock()
+	gapMu.Lock()
+	gapCache = map[int64]*gapMemo{}
+	gapMu.Unlock()
 }
 
-// productionArrivals is cluster.ProductionArrivals on the engine stream
-// Rand("ref") of seed, with the reference series drawn once per (seed,
-// horizon) and shared: at the fit's 5-minute buckets a day is 288 values.
-func productionArrivals(cfg cluster.RowConfig, seed int64, horizon time.Duration) (trace.RatePlan, error) {
-	k := refKey{seed, horizon}
+// productionRun is the engine and arrival plan every trace-fitted row of
+// the pass runs on; tests swap in one that shares nothing to check
+// sharedProductionRun against it.
+var productionRun = sharedProductionRun
+
+// sharedProductionRun returns a new engine on cfg.Seed and, for one
+// Row.Run on it, the row's cluster.ProductionArrivals plan over horizon.
+// Rows share what that plan draws: the reference series on the stream
+// Rand("ref"), drawn once per (seed, horizon) (at the fit's 5-minute
+// buckets a day is 288 values), and the seed's gap memo, which the plan's
+// Gap reads through a cursor of its own. One seed builds the engine and
+// keys the memo, so the memo holds the draws the engine's arrival stream
+// would make. The plan serves one run only: a copy of it, RatePlan.Scale's
+// too, shares its cursor.
+func sharedProductionRun(cfg cluster.RowConfig, horizon time.Duration) (*sim.Engine, trace.RatePlan, error) {
+	k := refKey{cfg.Seed, horizon}
 	refMu.Lock()
 	ref, ok := refCache[k]
 	if !ok {
-		ref = cluster.ProductionReference(horizon, sim.New(seed).Rand("ref"))
+		ref = cluster.ProductionReference(horizon, sim.New(cfg.Seed).Rand("ref"))
 		refCache[k] = ref
 	}
 	refMu.Unlock()
-	return cluster.FitProductionArrivals(cfg, ref)
+	plan, err := cluster.FitProductionArrivals(cfg, ref)
+	if err != nil {
+		return nil, trace.RatePlan{}, err
+	}
+	eng := sim.New(cfg.Seed)
+	gapMu.Lock()
+	m := gapCache[cfg.Seed]
+	if m == nil {
+		m = &gapMemo{rng: eng.Rand("arrivals")}
+		gapCache[cfg.Seed] = m
+	}
+	gapMu.Unlock()
+	plan.Gap = (&gapCursor{memo: m}).gap
+	return eng, plan, nil
 }
 
 // specLabel names a grid point for progress tracking and grid events. It
@@ -137,6 +219,13 @@ func simulateRowCached(o Options, s rowSpec) (*cluster.Metrics, bool, error) {
 	// at most Parallel rows simulate at once across the whole pass.
 	o.tokens <- struct{}{}
 	c.m, c.err = runRow(o, s)
+	if c.err == nil {
+		// Every reader takes percentiles (sortedLatencies), so the row's
+		// series are sorted once, here, before any reader can see them.
+		for _, lat := range c.m.LatencySec {
+			sort.Float64s(lat)
+		}
+	}
 	<-o.tokens
 	if c.err != nil {
 		// Keep failures out of the cache so a later attempt can retry.
@@ -169,7 +258,11 @@ func simulateTracked(o Options, s rowSpec) (*cluster.Metrics, error) {
 	o.Obs.Emit(obs.Event{Kind: obs.KindGridStart, Server: -1, Pool: obs.PoolNone, Label: label})
 	m, cached, err := simulateRowCached(o, s)
 	elapsed := time.Since(started)
-	o.Progress.Done(label, cached)
+	var simulated time.Duration
+	if !cached {
+		simulated = horizonFromDays(s.days)
+	}
+	o.Progress.Done(label, cached, simulated)
 	o.Obs.Counter("sweep_points_total").Inc()
 	if cached {
 		o.Obs.Counter("sweep_cache_hits_total").Inc()

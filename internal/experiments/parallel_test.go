@@ -17,6 +17,8 @@ import (
 
 	"polca/internal/cluster"
 	"polca/internal/obs"
+	"polca/internal/sim"
+	"polca/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.sha256 from the current output")
@@ -49,6 +51,95 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel rendering differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial.Text, par.Text)
 		}
 	}
+}
+
+// unsharedRun is productionRun with nothing shared: a reference series of
+// its own, and the fitted plan's FrontDoorGap drawing on the row's own
+// arrival stream.
+func unsharedRun(cfg cluster.RowConfig, horizon time.Duration) (*sim.Engine, trace.RatePlan, error) {
+	plan, err := cluster.ProductionArrivals(cfg, horizon, sim.New(cfg.Seed).Rand("ref"))
+	return sim.New(cfg.Seed), plan, err
+}
+
+// runUnshared is runRowSpec on unsharedRun.
+func runUnshared(o Options, s rowSpec) (*cluster.Metrics, error) {
+	productionRun = unsharedRun
+	defer func() { productionRun = sharedProductionRun }()
+	return runRowSpec(o, s)
+}
+
+// TestSharedGapsMatchUnshared runs rows on the pass's shared reference
+// series and gap memo and requires the metrics of the same rows on an
+// unshared plan, bit for bit. Two seeds share one process. At each, a
+// one-day row runs before and after a two-day one, so the memo is both
+// extended and re-read, and a hardened row with faults reads it too; so
+// does a serve row at the first seed. runRowSpec runs outside the sweep
+// cache, so LatencySec is still in completion order.
+func TestSharedGapsMatchUnshared(t *testing.T) {
+	resetEvalCache()
+	short := rowSpec{policy: "polca", added: 0.3, intensity: 1, days: 1}
+	long := short
+	long.days = 2
+	hardened := short
+	hardened.hardened, hardened.faults = true, "tdrop=0.1,crash=6h+45,kill=2@8h+1h"
+	served := rowSpec{policy: "polca", intensity: 1, days: 1, serveRouter: "least-queue"}
+	o := QuickOptions().normalize()
+	for i, seed := range []int64{1, 2} {
+		o.Seed = seed
+		specs := []rowSpec{short, long, short, hardened}
+		if i == 0 {
+			// A serve row costs more than the rest together; one will do.
+			specs = append(specs, served)
+		}
+		for _, s := range specs {
+			s = s.canonical()
+			shared, err := runRowSpec(o, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runUnshared(o, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(shared, want) {
+				t.Errorf("seed %d, %s: metrics on the shared gaps differ from an unshared plan's (arrived %v, want %v)",
+					seed, specLabel(s), shared.Arrived, want.Arrived)
+			}
+		}
+	}
+}
+
+// TestGapMemoConcurrentReaders reads one seed's gap memo through four
+// plans' cursors on four goroutines at once, across several blocks. Each
+// must read FrontDoorGap's draws on the seed's arrival stream in order;
+// under -race, extending the memo must not race with reading it.
+func TestGapMemoConcurrentReaders(t *testing.T) {
+	resetEvalCache()
+	cfg := cluster.Production()
+	cfg.Seed = 5
+	rng := sim.New(cfg.Seed).Rand("arrivals")
+	want := make([]float64, 3*gapBlock+17)
+	for i := range want {
+		want[i] = trace.FrontDoorGap(rng)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		_, plan, err := sharedProductionRun(cfg, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, g := range want {
+				if got := plan.Gap(nil); got != g {
+					t.Errorf("reader %d: gap %d = %v, want %v", w, i, got, g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSimulateRowsDedup hands the pool eight copies of one spec; the
@@ -85,7 +176,8 @@ func TestSimulateRowsDedup(t *testing.T) {
 // simulations in flight, and the one-worker pass must start the
 // experiments in registration order and report no grid label twice unless
 // the second report is a cache hit: a label two distinct rows share hides
-// one of them from the -v log and /progress. After an intentional output
+// one of them from the -v log and /progress. Each point must report
+// simulated time unless it was a cache hit. After an intentional output
 // change, regenerate with
 //
 //	go test ./internal/experiments -run TestRunAllParallelMatchesSerial -update
@@ -104,16 +196,19 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		o := QuickOptions()
 		o.Parallel = workers
 		var mu sync.Mutex
-		var reports []string
+		var reports, simReports []string
 		seen := map[string]bool{}
 		o.Progress = obs.NewProgress(0)
-		o.Progress.OnDone = func(label string, _, _ int, cached bool, _ time.Duration) {
+		o.Progress.OnDone = func(label string, _, _ int, cached bool, _, simulated time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
 			if seen[label] && !cached {
 				reports = append(reports, label)
 			}
 			seen[label] = true
+			if cached != (simulated == 0) {
+				simReports = append(simReports, fmt.Sprintf("%s: cached %v, simulated %v", label, cached, simulated))
+			}
 		}
 		var stream strings.Builder
 		res, err := RunAll(o, &stream)
@@ -124,6 +219,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		t.Logf("parallel %d: at most %d row simulations in flight", workers, got)
 		if got > int64(workers) {
 			t.Errorf("parallel %d: %d row simulations in flight at once", workers, got)
+		}
+		for _, r := range simReports {
+			t.Errorf("parallel %d: %s; a point simulates its horizon unless cached", workers, r)
 		}
 		if workers == 1 {
 			if want := IDs(); !reflect.DeepEqual(started.ids, want) {

@@ -11,7 +11,6 @@ import (
 	"polca/internal/polca"
 	"polca/internal/replay"
 	"polca/internal/serve"
-	"polca/internal/sim"
 )
 
 func init() {
@@ -99,15 +98,14 @@ func runFigRegret(o Options) (Result, error) {
 	rec.UpdateMeta(func(m *obs.DecisionMeta) {
 		m.Spec, m.Guard, m.Seed = pspec, gspec, cfg.Seed
 	})
-	eng := sim.New(o.Seed)
+	eng, plan, err := productionRun(cfg, horizon)
+	if err != nil {
+		return Result{}, err
+	}
 	// The decision recorder must ride the observer, so this run bypasses
 	// the sweep cache (which strips observers down to metrics).
 	eng.SetObserver(&obs.Observer{Decisions: rec})
 	row, err := cluster.NewRow(eng, cfg, ctrl)
-	if err != nil {
-		return Result{}, err
-	}
-	plan, err := productionArrivals(cfg, o.Seed, horizon)
 	if err != nil {
 		return Result{}, err
 	}

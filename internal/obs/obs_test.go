@@ -51,7 +51,7 @@ func TestNilSafety(t *testing.T) {
 
 	var p *Progress
 	p.Start("a")
-	p.Done("a", false)
+	p.Done("a", false, time.Hour)
 	if s := p.Snapshot(); s.Total != 0 || len(s.InFlight) != 0 {
 		t.Fatal("nil progress should snapshot empty")
 	}
@@ -338,15 +338,16 @@ func TestObserverLabelScoping(t *testing.T) {
 func TestProgress(t *testing.T) {
 	p := NewProgress(3)
 	type doneRec struct {
-		name   string
-		done   int
-		cached bool
+		name      string
+		done      int
+		cached    bool
+		simulated time.Duration
 	}
 	var mu sync.Mutex
 	var recs []doneRec
-	p.OnDone = func(name string, done, total int, cached bool, elapsed time.Duration) {
+	p.OnDone = func(name string, done, total int, cached bool, elapsed, simulated time.Duration) {
 		mu.Lock()
-		recs = append(recs, doneRec{name, done, cached})
+		recs = append(recs, doneRec{name, done, cached, simulated})
 		mu.Unlock()
 		if total != 3 {
 			t.Errorf("total = %d, want 3", total)
@@ -358,15 +359,16 @@ func TestProgress(t *testing.T) {
 	if s.Done != 0 || len(s.InFlight) != 2 || s.InFlight[0].Name != "a" {
 		t.Fatalf("snapshot: %+v", s)
 	}
-	p.Done("a", false)
-	p.Done("b", true)
+	p.Done("a", false, 24*time.Hour)
+	p.Done("b", true, 0)
 	p.Start("c")
-	p.Done("c", false)
+	p.Done("c", false, time.Hour)
 	s = p.Snapshot()
 	if s.Done != 3 || s.Cached != 1 || len(s.InFlight) != 0 {
 		t.Fatalf("final snapshot: %+v", s)
 	}
-	if len(recs) != 3 || recs[0] != (doneRec{"a", 1, false}) || recs[1] != (doneRec{"b", 2, true}) {
+	if len(recs) != 3 || recs[0] != (doneRec{"a", 1, false, 24 * time.Hour}) || recs[1] != (doneRec{"b", 2, true, 0}) ||
+		recs[2] != (doneRec{"c", 3, false, time.Hour}) {
 		t.Fatalf("OnDone records: %+v", recs)
 	}
 }

@@ -19,8 +19,9 @@ type Progress struct {
 
 	// OnDone, if set, is called (outside the lock) after each unit
 	// completes with the unit name, done count, total, whether the result
-	// came from the singleflight cache, and the unit's wall-clock elapsed.
-	OnDone func(name string, done, total int, cached bool, elapsed time.Duration)
+	// came from the singleflight cache, the unit's wall-clock elapsed, and
+	// the simulated time it advanced (0 for a cache hit).
+	OnDone func(name string, done, total int, cached bool, elapsed, simulated time.Duration)
 }
 
 // NewProgress returns a tracker expecting total units.
@@ -50,8 +51,9 @@ func (p *Progress) Start(name string) {
 	p.mu.Unlock()
 }
 
-// Done marks a unit complete and fires OnDone.
-func (p *Progress) Done(name string, cached bool) {
+// Done marks a unit complete and fires OnDone. simulated is the simulated
+// time the unit advanced: a sweep point's horizon, or 0 for a cache hit.
+func (p *Progress) Done(name string, cached bool, simulated time.Duration) {
 	if p == nil {
 		return
 	}
@@ -70,7 +72,7 @@ func (p *Progress) Done(name string, cached bool) {
 		elapsed = time.Since(started)
 	}
 	if cb != nil {
-		cb(name, done, total, cached, elapsed)
+		cb(name, done, total, cached, elapsed, simulated)
 	}
 }
 

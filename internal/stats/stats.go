@@ -77,15 +77,19 @@ func StdDev(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies and sorts the input, so xs
-// is not modified. Percentile returns 0 for empty input.
+// is not modified. Percentile returns 0 for empty input. To read several
+// percentiles of one series, sort it once with Sorted and read the copy
+// with PercentileSorted.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
+	return PercentileSorted(Sorted(xs), p)
+}
+
+// Sorted returns a copy of xs sorted ascending.
+func Sorted(xs []float64) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
+	return sorted
 }
 
 // PercentileSorted is like Percentile but requires xs to be sorted

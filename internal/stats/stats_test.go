@@ -83,6 +83,17 @@ func TestPercentile(t *testing.T) {
 	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
 		t.Errorf("Percentile mutated its input: %v", ys)
 	}
+	// Sorted copies, and PercentileSorted reads the copy as Percentile reads
+	// the original.
+	sorted := Sorted(ys)
+	if ys[0] != 3 || sorted[0] != 1 || sorted[1] != 2 || sorted[2] != 3 {
+		t.Errorf("Sorted(%v) = %v", ys, sorted)
+	}
+	for _, p := range []float64{0, 40, 50, 99, 100} {
+		if got, want := PercentileSorted(sorted, p), Percentile(ys, p); got != want {
+			t.Errorf("PercentileSorted(Sorted, %v) = %v, Percentile %v", p, got, want)
+		}
+	}
 }
 
 func TestPercentileMonotonic(t *testing.T) {
